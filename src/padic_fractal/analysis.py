@@ -14,7 +14,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complex_map import MapParams, PlaneMap, character_table, delta_lower, residue_digit_matrix
+from .complex_map import (
+    MapParams,
+    PlaneMap,
+    _min_cross_distance,
+    character_table,
+    delta_lower,
+    residue_digit_matrix,
+)
 
 __all__ = [
     "MomentResult",
@@ -149,10 +156,12 @@ def _as_points(cloud) -> np.ndarray:
     return pts.astype(np.float64)
 
 
-def box_counts(points: np.ndarray, eps: float) -> int:
-    """Occupied cells of the grid of pitch eps anchored at the bounding corner."""
+def box_counts(points: np.ndarray, eps: float, corner: np.ndarray | None = None) -> int:
+    """Occupied cells of the grid of pitch eps anchored at corner (by
+    default the bounding corner of the points)."""
     pts = _as_points(points)
-    corner = pts.min(axis=0)
+    if corner is None:
+        corner = pts.min(axis=0)
     idx = np.floor((pts - corner) / eps).astype(np.int64)
     key = np.zeros(len(idx), dtype=np.int64)
     base = int(idx.max()) + 2
@@ -318,10 +327,7 @@ def measure_consistency(
         for ga in range(p**level):
             va = vals[group == ga]
             for gb in range(ga + 1, p**level):
-                vb = vals[group == gb]
-                chunk = 512
-                for i in range(0, len(va), chunk):
-                    sep = min(sep, float(np.abs(va[i : i + chunk, None] - vb[None, :]).min()))
+                sep = min(sep, _min_cross_distance(va, vals[group == gb]))
     else:
         sep = math.inf  # single cluster at level 0: nothing to separate
     floor = (
@@ -338,8 +344,8 @@ def measure_consistency(
     ratios = []
     for j in range(2, 12):
         eps = span / 2.0**j
-        n_parent = _anchored_count(ppts, corner, eps)
-        n_child = _anchored_count(cpts, corner, eps)
+        n_parent = box_counts(ppts, eps, corner)
+        n_child = box_counts(cpts, eps, corner)
         if 16 <= n_parent <= 0.25 * len(ppts):
             ratios.append((eps, n_child / n_parent))
     expected_ratio = float(p) ** (-level)
@@ -361,12 +367,3 @@ def measure_consistency(
         expected_ratio=expected_ratio,
         passes=passes,
     )
-
-
-def _anchored_count(pts: np.ndarray, corner: np.ndarray, eps: float) -> int:
-    idx = np.floor((pts - corner) / eps).astype(np.int64)
-    base = int(idx.max()) + 2
-    key = np.zeros(len(idx), dtype=np.int64)
-    for d in range(idx.shape[1]):
-        key = key * base + idx[:, d]
-    return len(np.unique(key))

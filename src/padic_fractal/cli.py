@@ -29,14 +29,13 @@ from .analysis import (
 from .complex_map import (
     MapParams,
     PlaneMap,
-    code_valuations,
+    _sandwich_margins,
+    _scaling_residuals,
     delta_certificate,
-    delta_lower,
     residue_digit_matrix,
     rotate_digits,
     sandwich_check,
     scaling_residuals,
-    series_values,
 )
 from .padic import expand, from_int
 from .render import (
@@ -230,10 +229,7 @@ def _suite_scaling(cfg: RunConfig, rep: Report) -> None:
     if cfg.exhaustive:
         # every residue at a capped depth instead of a seeded sample
         depth = min(cfg.depth or 10, _exhaustive_depth_cap(cfg.p))
-        mat = residue_digit_matrix(cfg.p, depth)
-        base = series_values(mat, 0, params)
-        shifted = series_values(mat, 1, params)
-        res = np.abs(shifted - params.s * base - 1.0)
+        res = _scaling_residuals(residue_digit_matrix(cfg.p, depth), params)
     else:
         res = scaling_residuals(params, n_samples=1000, digit_depth=cfg.depth or 30, seed=cfg.seed)
     bound = 2.0 * params.tail_bound + WORKING_EPS
@@ -252,23 +248,9 @@ def _suite_sandwich(cfg: RunConfig, rep: Report) -> None:
     params = _map_params(cfg)
     if cfg.exhaustive:
         depth = min(cfg.depth or 6, _exhaustive_depth_cap(cfg.p))
-        total = cfg.p**depth
-        a, b = np.triu_indices(total, k=1)
-        pmap = PlaneMap(params)
-        vals = pmap.values_on_residues(depth)
-        dist = np.abs(vals[a] - vals[b])
-        v = code_valuations(a.astype(np.int64) - b.astype(np.int64), cfg.p, depth)
-        sv = abs(params.s) ** v
-        allowance = 2.0 * params.tail_bound
-        lower_margin = dist + allowance - delta_lower(cfg.p, params.s) * sv
-        upper_margin = 2.0 * sv / (1.0 - abs(params.s)) + allowance - dist
-        out = {
-            "pairs": len(a),
-            "lower_violations": int(np.sum(lower_margin < 0)),
-            "upper_violations": int(np.sum(upper_margin < 0)),
-            "worst_lower_margin": float(lower_margin.min()),
-            "worst_upper_margin": float(upper_margin.min()),
-        }
+        a, b = np.triu_indices(cfg.p**depth, k=1)
+        vals = PlaneMap(params).values_on_residues(depth)
+        out = _sandwich_margins(params, np.abs(vals[a] - vals[b]), a - b, depth)
     else:
         out = sandwich_check(params, n_pairs=10_000, residue_depth=cfg.depth or 14, seed=cfg.seed)
     rep.add("sandwich.lower_violations", out["lower_violations"], 0, out["lower_violations"] == 0)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -163,7 +161,9 @@ class PointCloud2D:
             raise ValueError("values and labels must align")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite image point")
-        if len(np.unique(self.labels)) != len(self.labels):
+        labels = self.labels
+        ascending = np.all(labels[1:] > labels[:-1])
+        if not ascending and len(np.unique(labels)) != len(labels):
             raise ValueError("duplicate preimage labels")
 
     def __len__(self) -> int:
@@ -267,20 +267,7 @@ class PlaneMap:
         if codes is None:
             _guard_enumeration(p, depth)
             codes = np.arange(p**depth, dtype=np.int64)
-        workers = _worker_count()
-        if len(codes) >= 1 << 17 and workers > 1:
-            chunks = np.array_split(codes, workers * 4)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(
-                        lambda c: series_values(
-                            residue_digit_matrix(p, depth, c), scale, self.params
-                        ),
-                        chunks,
-                    )
-                )
-            return np.concatenate(parts)
-        return series_values(residue_digit_matrix(p, depth, codes), scale, self.params)
+        return _series(_code_digits(codes, p, depth), depth, len(codes), scale, self.params)
 
     def cluster(self, center: int, level: int, depth: int) -> PointCloud2D:
         """Image of the ball |x - center| <= p^-level sampled to `depth`.
@@ -304,16 +291,6 @@ class PlaneMap:
 # vectorized kernels
 
 
-def _worker_count() -> int:
-    env = os.environ.get("PADIC_FRACTAL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return min(4, os.cpu_count() or 1)
-
-
 def _guard_enumeration(p: int, depth: int) -> None:
     if p**depth > 1 << 40:
         raise ValueError(
@@ -333,66 +310,94 @@ def residue_digit_matrix(
     return np.stack(cols, axis=1) if cols else np.zeros((len(codes), 0))
 
 
+def _code_digits(codes: np.ndarray, p: int, cols: int):
+    """Digit columns 0 .. cols-1 of int64 codes, read one at a time."""
+    rest = codes
+    for _ in range(cols):
+        quot = rest // p
+        yield rest - quot * p
+        rest = quot
+
+
+def _matrix_digits(digit_mat: np.ndarray):
+    return (digit_mat[:, j].astype(np.int64) for j in range(digit_mat.shape[1]))
+
+
+def _last_level(cols: int, start: int, params: MapParams) -> int:
+    """Last level whose window reads a stored digit; chi_n = 1 above it
+    at finite order, whose window is m+1 digits wide."""
+    if params.m == math.inf:
+        return params.depth
+    return min(params.depth, start + cols - 1 + int(params.m))
+
+
+def _levels(digits, rows: int, start: int, first: int, last: int, params: MapParams, lift):
+    """The level loop behind every vectorized character evaluation.
+
+    digits yields the digit columns of indices start, start+1, ...; the
+    digits past them are zero.  At level n the int64 window w holds the k
+    digits under the character, the newest on top, so chi_n = e(w / p**k).
+    k is m+1 at finite order and n-start+1 at infinite order, capped at
+    the widest window a float holds exactly: the digits cut off weigh
+    less than 2**-53 of a turn.  While p**k <= rows the phase is read from
+    a p**k-entry table, above that it is exponentiated.  Yields
+    (n, lift(n, phases)) for n = first .. last; lift acts on the table
+    when there is one, so weighting a level costs p**k operations.
+    """
+    p, finite = params.p, params.m != math.inf
+    widest = 1
+    while p ** (widest + 1) <= 2**53:
+        widest += 1
+    w = np.zeros(rows, dtype=np.int64)
+    table_k = table = None
+    for n in range(first, last + 1):
+        k = min(int(params.m) + 1 if finite else max(n - start + 1, 0), widest)
+        if finite or n - start + 1 > widest:
+            w //= p  # the window is full: its lowest digit leaves
+        digit = next(digits, None) if n >= start else None
+        if digit is not None:
+            w += digit * p ** (k - 1)
+        if p**k > rows:
+            yield n, lift(n, np.exp(w * (2j * math.pi / p**k)))
+            continue
+        if k != table_k:
+            table_k, table = k, np.exp(2j * math.pi * np.arange(p**k) / p**k)
+        yield n, lift(n, table)[w]
+
+
+def _series(digits, cols: int, rows: int, start: int, params: MapParams) -> np.ndarray:
+    s = params.s
+
+    def lift(n: int, phases: np.ndarray) -> np.ndarray:
+        return s**n * (phases - 1.0) if n < 0 else s**n * phases
+
+    last = _last_level(cols, start, params)
+    total = np.zeros(rows, dtype=np.complex128)
+    for _, term in _levels(digits, rows, start, min(start, 0), last, params, lift):
+        total += term
+    return total + sum(s**n for n in range(max(last + 1, 0), params.depth + 1))
+
+
 def series_values(digit_mat: np.ndarray, start: int, params: MapParams) -> np.ndarray:
     """Series value per digit row; column j is the digit at index start+j.
 
     Digits outside the stored columns are zero (rows represent exact
     scaled residues).  Levels below zero contribute s^n (chi_n - 1).
     """
-    p, m, s = params.p, params.m, params.s
     rows, cols = digit_mat.shape
-    angle = 2.0 * math.pi / p
-    inv_p = 1.0 / p
-    finite = m != math.inf
-    drop = float(p) ** (-(int(m) + 1)) if finite else 0.0
-
-    def col(n: int) -> np.ndarray | None:
-        j = n - start
-        if 0 <= j < cols:
-            return digit_mat[:, j]
-        return None
-
-    sums = np.zeros(rows)
-    total = np.zeros(rows, dtype=np.complex128)
-    for n in range(min(start, 0), params.depth + 1):
-        sums *= inv_p
-        c = col(n)
-        if c is not None:
-            sums += c
-        if finite:
-            c_out = col(n - int(m) - 1)
-            if c_out is not None:
-                sums -= c_out * drop
-        term = np.exp(1j * angle * sums)
-        if n < 0:
-            total += s**n * (term - 1.0)
-        else:
-            total += s**n * term
-    return total
+    return _series(_matrix_digits(digit_mat), cols, rows, start, params)
 
 
 def character_table(
     digit_mat: np.ndarray, start: int, params: MapParams
 ) -> np.ndarray:
     """Character values chi_n per row, for n = start .. depth (row-major n)."""
-    p, m = params.p, params.m
     rows, cols = digit_mat.shape
-    angle = 2.0 * math.pi / p
-    inv_p = 1.0 / p
-    finite = m != math.inf
-    drop = float(p) ** (-(int(m) + 1)) if finite else 0.0
-    out = np.empty((params.depth + 1 - start, rows), dtype=np.complex128)
-    sums = np.zeros(rows)
-    for i, n in enumerate(range(start, params.depth + 1)):
-        sums *= inv_p
-        j = n - start
-        if 0 <= j < cols:
-            sums += digit_mat[:, j]
-        if finite:
-            j_out = n - int(m) - 1 - start
-            if 0 <= j_out < cols:
-                sums -= digit_mat[:, j_out] * drop
-        out[i] = np.exp(1j * angle * sums)
+    out = np.ones((params.depth + 1 - start, rows), dtype=np.complex128)
+    last = _last_level(cols, start, params)
+    levels = _levels(_matrix_digits(digit_mat), rows, start, start, last, params, lambda n, ph: ph)
+    for n, chi in levels:
+        out[n - start] = chi
     return out
 
 
@@ -400,10 +405,12 @@ def character_table(
 # certificates and structural checks
 
 
-def _min_cross_distance(va: np.ndarray, vb: np.ndarray, chunk: int = 512) -> float:
+def _min_cross_distance(va: np.ndarray, vb: np.ndarray) -> float:
+    """min |a - b| over a in va, b in vb, in blocks of about 2**20 pairs."""
+    rows = max(1, 2**20 // max(len(vb), 1))
     best = math.inf
-    for i in range(0, len(va), chunk):
-        block = np.abs(va[i : i + chunk, None] - vb[None, :])
+    for i in range(0, len(va), rows):
+        block = np.abs(va[i : i + rows, None] - vb[None, :])
         best = min(best, float(block.min()))
     return best
 
@@ -479,14 +486,20 @@ def sandwich_check(
         pmap.values_on_residues(residue_depth, codes=a)
         - pmap.values_on_residues(residue_depth, codes=b)
     )
-    v = code_valuations(a - b, p, residue_depth)
-    sv = abs(params.s) ** v
+    return _sandwich_margins(params, dist, a - b, residue_depth)
+
+
+def _sandwich_margins(
+    params: MapParams, dist: np.ndarray, diff: np.ndarray, depth: int
+) -> dict[str, float]:
+    """Sandwich margins of explicit pairs: image distances and the
+    differences of their depth-level integer preimages."""
+    sv = abs(params.s) ** code_valuations(diff, params.p, depth)
     allowance = 2.0 * params.tail_bound
-    lower = delta_lower(p, params.s)
-    lower_margin = dist + allowance - lower * sv
+    lower_margin = dist + allowance - delta_lower(params.p, params.s) * sv
     upper_margin = 2.0 * sv / (1.0 - abs(params.s)) + allowance - dist
     return {
-        "pairs": int(len(a)),
+        "pairs": int(len(dist)),
         "lower_violations": int(np.sum(lower_margin < 0)),
         "upper_violations": int(np.sum(upper_margin < 0)),
         "worst_lower_margin": float(lower_margin.min()),
@@ -504,9 +517,13 @@ def scaling_residuals(
     """|value(p x) - s value(x) - 1| over seeded random digit rows."""
     rng = np.random.default_rng(seed)
     mat = rng.integers(0, params.p, size=(n_samples, digit_depth)).astype(np.float64)
-    base = series_values(mat, 0, params)
-    shifted = series_values(mat, 1, params)
-    return np.abs(shifted - params.s * base - 1.0)
+    return _scaling_residuals(mat, params)
+
+
+def _scaling_residuals(digit_mat: np.ndarray, params: MapParams) -> np.ndarray:
+    """|value(p x) - s value(x) - 1| per explicit digit row."""
+    base = series_values(digit_mat, 0, params)
+    return np.abs(series_values(digit_mat, 1, params) - params.s * base - 1.0)
 
 
 def rotate_digits(x: PAdic) -> PAdic:

@@ -20,6 +20,7 @@ from .complex_map import (
     MapParams,
     PlaneMap,
     character_table,
+    code_valuations,
     delta_lower,
     residue_digit_matrix,
     _min_cross_distance,
@@ -127,7 +128,10 @@ class PointCloud3D:
             raise ValueError("points and labels must align")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("non-finite embedded point")
-        if len(np.unique(self.labels, axis=0)) != len(self.labels):
+        prev, nxt = self.labels[:-1], self.labels[1:]
+        same_fiber = nxt[:, 0] == prev[:, 0]
+        ascending = np.all((nxt[:, 0] > prev[:, 0]) | (same_fiber & (nxt[:, 1] > prev[:, 1])))
+        if not ascending and len(np.unique(self.labels, axis=0)) != len(self.labels):
             raise ValueError("duplicate preimage labels")
 
     def __len__(self) -> int:
@@ -187,26 +191,31 @@ class TorusMap:
         """
         if not 0 <= xi < 1:
             raise ValueError("fiber coordinate must lie in [0,1)")
+        return self._fibers(np.array([float(xi)]), depth)[0]
+
+    def _fibers(self, xis: np.ndarray, depth: int) -> np.ndarray:
+        """Fiber series at each circle coordinate (rows) over every
+        residue at the given depth (columns).
+
+        The characters do not depend on xi, so one table of s^n chi_n
+        serves every fiber: the fibers are coupling(xi x level) @ terms.
+        At finite order the coupling of level n is on only while
+        n <= m + v, v the residue's valuation.
+        """
         params = self.params.map
         p, m = params.p, params.m
-        xi_f = float(xi)
-        mat = residue_digit_matrix(p, depth)
-        chars = character_table(mat, 0, params)
-        s = params.s
+        ns = np.arange(params.depth + 1)
+        chars = character_table(residue_digit_matrix(p, depth), 0, params)
+        terms = params.s ** ns[:, None] * chars
+        turns = 2j * math.pi * np.asarray(xis, dtype=np.float64)[:, None]
         if m == math.inf:
-            ns = np.arange(params.depth + 1)
-            coefs = s**ns * np.exp(2j * math.pi * xi_f / p ** (ns + 1.0))
-            return coefs @ chars
-        v = _residue_valuations(np.arange(p**depth, dtype=np.int64), p, depth)
-        total = np.zeros(chars.shape[1], dtype=np.complex128)
-        for n in range(params.depth + 1):
-            coupled = np.where(
-                n <= int(m) + v,
-                cmath.exp(2j * math.pi * xi_f / p ** (min(n, int(m)) + 1)),
-                1.0 + 0.0j,
-            )
-            total += s**n * coupled * chars[n]
-        return total
+            return np.exp(turns / float(p) ** (ns + 1)) @ terms
+        codes = np.arange(p**depth, dtype=np.int64)
+        v = code_valuations(codes, p, depth)
+        v[codes == 0] = depth + 64  # zero has infinite valuation: coupling stays on
+        on = ns[:, None] <= int(m) + v
+        coupling = np.exp(turns / float(p) ** (np.minimum(ns, int(m)) + 1))
+        return coupling @ np.where(on, terms, 0) + np.where(on, 0, terms).sum(axis=0)
 
     # -- the chart into 3-space ---------------------------------------------
 
@@ -218,11 +227,13 @@ class TorusMap:
         ring = cmath.exp(2j * math.pi * xi) * abs(a) * (1.0 + w.real)
         return np.array([ring.real, abs(a) * w.imag, ring.imag])
 
-    def to_space_batch(self, xi: float, z: np.ndarray) -> np.ndarray:
+    def to_space_batch(self, xi, z: np.ndarray) -> np.ndarray:
+        """Chart of many tube points; xi broadcasts against z and the
+        coordinates go on a new last axis."""
         a = self.params.a
         w = z / a
-        ring = cmath.exp(2j * math.pi * xi) * abs(a) * (1.0 + w.real)
-        return np.column_stack([ring.real, abs(a) * w.imag, ring.imag])
+        ring = np.exp(2j * math.pi * np.asarray(xi)) * abs(a) * (1.0 + w.real)
+        return np.stack([ring.real, abs(a) * w.imag, ring.imag], axis=-1)
 
     def embed(self, f: SolenoidPoint) -> np.ndarray:
         """Full embedding of one solenoid point."""
@@ -235,16 +246,12 @@ class TorusMap:
 
     def cloud(self, xi_count: int, depth: int) -> PointCloud3D:
         """Fibers at xi = i/xi_count for all residues; xi-major order."""
-        p = self.params.map.p
-        per = p**depth
-        pts = np.empty((xi_count * per, 3))
-        labels = np.empty((xi_count * per, 2), dtype=np.int64)
-        for i in range(xi_count):
-            xi = Fraction(i, xi_count)
-            vals = self.fiber_values(xi, depth)
-            pts[i * per : (i + 1) * per] = self.to_space_batch(float(xi), vals)
-            labels[i * per : (i + 1) * per, 0] = i
-            labels[i * per : (i + 1) * per, 1] = np.arange(per)
+        per = self.params.map.p**depth
+        xis = np.arange(xi_count) / xi_count
+        pts = self.to_space_batch(xis[:, None], self._fibers(xis, depth)).reshape(-1, 3)
+        labels = np.column_stack(
+            [np.repeat(np.arange(xi_count), per), np.tile(np.arange(per), xi_count)]
+        )
         return PointCloud3D(points=pts, labels=labels, params=self.params)
 
     # -- dynamics -------------------------------------------------------------
@@ -282,20 +289,6 @@ class TorusMap:
         return term_ring + term_tube
 
 
-def _residue_valuations(codes: np.ndarray, p: int, depth: int) -> np.ndarray:
-    """Trailing-zero count of each code in base p (code 0 maps high)."""
-    v = np.zeros(codes.shape, dtype=np.int64)
-    work = codes.copy()
-    for _ in range(depth):
-        mask = (work % p == 0) & (work > 0)
-        if not mask.any():
-            break
-        v[mask] += 1
-        work = np.where(mask, work // p, work)
-    v[codes == 0] = depth + 64
-    return v
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -305,11 +298,8 @@ def gamma_estimate(
 ) -> tuple[float, bool]:
     """Sampled estimate of the tube-clearance number, with the analytic
     sufficient condition (real a beyond the contraction radius)."""
-    tmap = TorusMap(params)
-    worst = -math.inf
-    for i in range(xi_count):
-        vals = tmap.fiber_values(Fraction(i, xi_count), depth)
-        worst = max(worst, float(np.max(-np.real(vals / params.a))))
+    vals = TorusMap(params)._fibers(np.arange(xi_count) / xi_count, depth)
+    worst = float(np.max(-np.real(vals / params.a)))
     a = params.a
     sufficient = a.imag == 0 and a.real > params.map.contraction_radius
     return worst, sufficient
@@ -332,8 +322,7 @@ def delta_tilde_certificate(
     p = mp.p
     first = np.arange(p**search_depth, dtype=np.int64) % p
     empirical = math.inf
-    for i in range(xi_count):
-        vals = tmap.fiber_values(Fraction(i, xi_count), search_depth)
+    for vals in tmap._fibers(np.arange(xi_count) / xi_count, search_depth):
         for da in range(p):
             va = vals[first == da]
             for db in range(da + 1, p):

@@ -167,6 +167,12 @@ class TestBoxDimension:
         pts = rng.random((5000, 2))
         assert box_counts(pts, 0.1) <= box_counts(pts, 0.05)
 
+    def test_box_counts_corner(self):
+        pts = np.array([[0.05, 0.05], [0.15, 0.05], [0.95, 0.95]])
+        assert box_counts(pts, 0.2) == 2
+        assert box_counts(pts, 0.2, corner=np.array([0.0, 0.0])) == 2
+        assert box_counts(pts, 0.2, corner=np.array([-0.1, 0.0])) == 3
+
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             DimensionEstimate(math.nan, (0.1, 1.0), 0.9, 10)

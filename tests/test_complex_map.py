@@ -12,6 +12,8 @@ from padic_fractal.complex_map import (
     EmbeddingCertificate,
     MapParams,
     PlaneMap,
+    PointCloud2D,
+    _min_cross_distance,
     delta_certificate,
     delta_lower,
     residue_digit_matrix,
@@ -356,17 +358,86 @@ def test_distance_never_exceeds_diameter_bound(r, t):
         assert abs(va - vb) <= 2 * 0.2**v / 0.8 + 2 * params.tail_bound + EPS
 
 
-class TestWorkerInvariance:
-    def test_thread_count_does_not_change_values(self, monkeypatch):
-        params = MapParams(p=2, m=0, s=0.3, depth=30)
-        outs = []
-        for workers in ("1", "4"):
-            monkeypatch.setenv("PADIC_FRACTAL_THREADS", workers)
-            outs.append(PlaneMap(params).values_on_residues(17))
-        assert np.array_equal(outs[0], outs[1])
+# -- the level loop against the scalar oracle and the digit-matrix path -----
 
-    def test_bad_env_value_falls_back(self, monkeypatch):
-        monkeypatch.setenv("PADIC_FRACTAL_THREADS", "many")
-        params = MapParams(p=2, m=0, s=0.3, depth=30)
-        vals = PlaneMap(params).values_on_residues(6)
-        assert len(vals) == 64
+LOOP_P = st.sampled_from([2, 3, 6])
+LOOP_M = st.sampled_from([0, 1, 3, math.inf])
+LOOP_S = st.builds(
+    cmath.rect, st.floats(min_value=0.15, max_value=0.6), st.floats(min_value=-3.1, max_value=3.1)
+)
+LOOP_SCALE = st.sampled_from([0, 1, -4])
+
+
+def _scalar(pm: PlaneMap, code: int, scale: int) -> complex:
+    p = pm.params.p
+    return pm.value(expand(Fraction(code) * Fraction(p) ** scale, p, 12))
+
+
+def _close(got: complex, want: complex) -> bool:
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@given(p=LOOP_P, m=LOOP_M, s=LOOP_S, scale=LOOP_SCALE, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_level_loop_table_regime_matches_oracles(p, m, s, scale, data):
+    # every residue at a depth whose row count holds the p**(m+1) table
+    depth = {2: 6, 3: 5, 6: 4}[p]
+    params = MapParams(p=p, m=m, s=s, depth=24)
+    pm = PlaneMap(params)
+    vals = pm.values_on_residues(depth, scale=scale)
+    via_matrix = series_values(residue_digit_matrix(p, depth), scale, params)
+    assert all(_close(g, w) for g, w in zip(vals, via_matrix))
+    for code in data.draw(st.lists(st.integers(0, p**depth - 1), min_size=1, max_size=4)):
+        assert _close(vals[code], _scalar(pm, code, scale))
+
+
+@given(p=LOOP_P, m=LOOP_M, s=LOOP_S, scale=LOOP_SCALE, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_level_loop_exp_regime_matches_oracles(p, m, s, scale, data):
+    # a single row: every window wider than one entry is exponentiated
+    depth = 9
+    params = MapParams(p=p, m=m, s=s, depth=24)
+    pm = PlaneMap(params)
+    code = data.draw(st.integers(0, p**depth - 1))
+    codes = np.array([code], dtype=np.int64)
+    got = pm.values_on_residues(depth, scale=scale, codes=codes)[0]
+    assert _close(got, _scalar(pm, code, scale))
+    via_matrix = series_values(residue_digit_matrix(p, depth, codes), scale, params)[0]
+    assert _close(got, via_matrix)
+
+
+@pytest.mark.parametrize("p,m", [(2, math.inf), (2, 60), (6, math.inf), (6, 30)])
+def test_level_loop_windows_wider_than_a_float(p, m):
+    # 70 sampled digits: the codes overflow int64 and the windows outgrow
+    # the 53 bits a float holds exactly
+    params = MapParams(p=p, m=m, s=0.9j, depth=80)
+    pm = PlaneMap(params)
+    mat = np.random.default_rng(5).integers(0, p, size=(3, 70))
+    got = series_values(mat.astype(np.float64), 0, params)
+    for row, value in zip(mat, got):
+        code = sum(int(d) * p**j for j, d in enumerate(row))
+        assert _close(value, pm.value(from_int(code, p, 70)))
+
+
+class TestPointCloud2D:
+    def _cloud(self, labels) -> PointCloud2D:
+        params = MapParams(p=2, m=0, s=0.3)
+        vals = np.arange(len(labels), dtype=np.complex128)
+        return PointCloud2D(values=vals, labels=np.array(labels), level=0, params=params)
+
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(ValueError):
+            self._cloud([0, 3, 1, 3])
+
+    def test_accepts_unsorted_unique_labels(self):
+        assert len(self._cloud([5, 0, 2, 1])) == 4
+
+
+def test_min_cross_distance_matches_brute_force():
+    # sizes that split both orders into several blocks of about 2**20 pairs
+    rng = np.random.default_rng(3)
+    va = rng.normal(size=70) + 1j * rng.normal(size=70)
+    vb = rng.normal(size=40_000) + 1j * rng.normal(size=40_000)
+    brute = float(np.abs(va[:, None] - vb[None, :]).min())
+    assert _min_cross_distance(va, vb) == brute
+    assert _min_cross_distance(vb, va) == brute

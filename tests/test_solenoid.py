@@ -494,3 +494,22 @@ class TestCloudValidation:
         labels[1] = labels[0]
         with pytest.raises(ValueError):
             PointCloud3D(points=cloud.points, labels=labels, params=cloud.params)
+
+    def test_accepts_unsorted_unique_labels(self):
+        tm = TorusMap(SolenoidParams(map=MapParams(p=2, m=0, s=0.3), a=2.0))
+        cloud = tm.cloud(2, 2)
+        order = np.array([5, 0, 7, 2, 1, 6, 3, 4])
+        moved = PointCloud3D(points=cloud.points[order], labels=cloud.labels[order], params=cloud.params)
+        assert len(moved) == len(cloud)
+
+
+@pytest.mark.parametrize("p,m", [(2, 0), (3, 0), (2, math.inf), (3, math.inf)])
+def test_cloud_matches_scalar_embedding(p, m):
+    tm = TorusMap(SolenoidParams(map=MapParams(p=p, m=m, s=0.3 + 0.1j, depth=30), a=2.5))
+    xi_count, depth = 6, 4
+    cloud = tm.cloud(xi_count, depth)
+    rng = np.random.default_rng(11)
+    for idx in rng.choice(len(cloud), size=25, replace=False):
+        i, r = (int(v) for v in cloud.labels[idx])
+        want = tm.embed(SolenoidPoint(Fraction(i, xi_count), from_int(r, p, depth)))
+        assert np.max(np.abs(cloud.points[idx] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
