@@ -8,6 +8,7 @@ carries a rigorous error bound from the map's Lipschitz modulus.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,24 +77,25 @@ def moment(params: MapParams, L: int, Lbar: int, depth: int) -> MomentResult:
     return MomentResult(L, Lbar, value, depth, bound)
 
 
-def _padic_integer(q: Fraction, p: int) -> bool:
-    return q.denominator % p != 0 if q.denominator > 1 else True
-
-
 def tuple_coefficient(
-    p: int, L: int, Lbar: int, n: int, nbar: int, cutoff: int | None = None
-) -> tuple[int, bool]:
-    """Count of ordered index tuples behind the (n, nbar) series term.
+    p: int, L: int, Lbar: int, n: int, nbar: int, cutoff: int | None = None, m: float = math.inf
+) -> tuple[int | complex, bool]:
+    """Weight of the ordered index tuples behind the (n, nbar) series term.
 
     Enumerates tuples (n_1..n_L) summing to n and (m_1..m_Lbar) summing
-    to nbar whose character product integrates to one, i.e. whose
-    combined frequency sum_k p^(-n_k-1) - sum_k p^(-m_k-1) has no p in
-    its denominator.  Returns (count, exhaustive); the flag drops when a
-    cutoff clips the index range.
+    to nbar and adds the integral of their character product.  chi_k
+    reads digit x_l, max(0, k-m) <= l <= k, at frequency p^(l-k-1); the
+    digits are independent and uniform, so the integral is the product
+    over l of (1/p) sum_{x<p} e(x c_l), c_l the net frequency on digit l:
+    1 where c_l is an integer, 0 where p c_l is one but c_l is not.  At
+    m = inf every product is 0 or 1 and the weight is a count.  Returns
+    (weight, exhaustive); the flag drops when a cutoff clips the index range.
     """
     bound_n = n if cutoff is None else min(n, cutoff)
     bound_m = nbar if cutoff is None else min(nbar, cutoff)
     exhaustive = cutoff is None or (cutoff >= n and cutoff >= nbar)
+    top = max(n, nbar)
+    den = p ** (top + 1)  # every frequency is an integer over den
 
     def compositions(total: int, parts: int, bound: int):
         if parts == 0:
@@ -104,14 +106,26 @@ def tuple_coefficient(
             for rest in compositions(total - head, parts - 1, bound):
                 yield (head,) + rest
 
-    count = 0
+    def integral(tup: tuple[int, ...], tdn: tuple[int, ...]) -> int | complex:
+        freq = [0] * (top + 1)
+        for sign, levels in ((1, tup), (-1, tdn)):
+            for k in levels:
+                for ell in range(0 if m == math.inf else max(0, k - int(m)), k + 1):
+                    freq[ell] += sign * p ** (top + ell - k)
+        w: int | complex = 1
+        for c in freq:
+            c %= den
+            if c and c * p % den == 0:
+                return 0
+            if c:
+                w *= sum(cmath.exp(2j * math.pi * (x * c % den) / den) for x in range(p)) / p
+        return w
+
+    total: int | complex = 0
     for tup in compositions(n, L, bound_n):
-        base = sum(Fraction(1, p ** (k + 1)) for k in tup)
         for tdn in compositions(nbar, Lbar, bound_m):
-            q = base - sum(Fraction(1, p ** (k + 1)) for k in tdn)
-            if _padic_integer(q, p):
-                count += 1
-    return count, exhaustive
+            total += integral(tup, tdn)
+    return total, exhaustive
 
 
 def moment_series(params: MapParams, L: int, Lbar: int, cutoff: int) -> complex:
@@ -120,7 +134,7 @@ def moment_series(params: MapParams, L: int, Lbar: int, cutoff: int) -> complex:
     total = 0.0 + 0.0j
     for n in range(cutoff + 1):
         for nbar in range(cutoff + 1):
-            c, _ = tuple_coefficient(params.p, L, Lbar, n, nbar)
+            c, _ = tuple_coefficient(params.p, L, Lbar, n, nbar, m=params.m)
             if c:
                 total += c * s**n * sb**nbar
     return total
@@ -156,26 +170,34 @@ def _as_points(cloud) -> np.ndarray:
     return pts.astype(np.float64)
 
 
+def _ladder_counts(pts: np.ndarray, eps0: float, n_scales: int, corner=None) -> np.ndarray:
+    """Occupied cells at each pitch eps0 * 2^-k, k < n_scales, of the grid anchored at
+    corner (default: the bounding corner).  Halving eps is exact for normal floats, so a
+    scale-k cell is a finest cell >> j, j = n_scales-1-k: with the axis bits interleaved
+    into one Morton key, key >> d*j names it, and one sort of the keys serves all scales."""
+    d, top = pts.shape[1], n_scales - 1
+    cells = np.floor((pts - (pts.min(axis=0) if corner is None else corner)) / (eps0 * 2.0**-top))
+    cells -= np.floor(cells.min(axis=0) * 2.0**-top) * 2.0**top  # whole coarsest cells: edges kept
+    hi = float(cells.max())
+    if not hi < 2.0 ** (63 // d):
+        raise ValueError(f"cell index {hi:.6g} at pitch {eps0 * 2.0**-top:.6g}: {d} axes of "
+                         f"over {63 // d} bits each overflow the 63-bit cell key")
+    cells, key = cells.astype(np.int64), np.zeros(len(pts), dtype=np.int64)
+    for b in range(int(hi).bit_length()):
+        for a in range(d):
+            key |= ((cells[:, a] >> b) & 1) << (d * b + a)
+    key.sort()
+    change = key[1:] ^ key[:-1]
+    return np.array([1 + np.count_nonzero(change >> (d * j)) for j in range(top, -1, -1)])
+
+
 def box_counts(points: np.ndarray, eps: float, corner: np.ndarray | None = None) -> int:
     """Occupied cells of the grid of pitch eps anchored at corner (by
     default the bounding corner of the points)."""
-    pts = _as_points(points)
-    if corner is None:
-        corner = pts.min(axis=0)
-    idx = np.floor((pts - corner) / eps).astype(np.int64)
-    key = np.zeros(len(idx), dtype=np.int64)
-    base = int(idx.max()) + 2
-    for d in range(idx.shape[1]):
-        key = key * base + idx[:, d]
-    return len(np.unique(key))
+    return int(_ladder_counts(_as_points(points), eps, 1, corner)[0])
 
 
-def box_dimension(
-    cloud,
-    n_scales: int = 12,
-    base: float = 2.0,
-    saturation: float = 0.25,
-) -> DimensionEstimate:
+def box_dimension(cloud, n_scales: int = 12, saturation: float = 0.25) -> DimensionEstimate:
     """Least-squares slope of log N(eps) against log(1/eps).
 
     The ladder starts at a quarter of the diameter and descends
@@ -186,13 +208,12 @@ def box_dimension(
     pts = _as_points(cloud)
     if len(pts) < 16:
         raise ValueError("too few points for a dimension estimate")
-    span = pts.max(axis=0) - pts.min(axis=0)
-    diam = float(np.max(span))
+    diam = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
     if diam <= 0:
         raise ValueError("degenerate cloud: zero diameter")
     eps0 = diam / 4.0
-    scales = eps0 * base ** (-np.arange(n_scales, dtype=np.float64))
-    counts = np.array([box_counts(pts, e) for e in scales], dtype=np.float64)
+    scales = eps0 * 2.0 ** (-np.arange(n_scales, dtype=np.float64))
+    counts = _ladder_counts(pts, eps0, n_scales).astype(np.float64)
     keep = counts <= saturation * len(pts)
     keep[0] = False
     last = np.nonzero(keep)[0]
@@ -321,33 +342,24 @@ def measure_consistency(
     # (ii) cross-cluster separation on a sampled sub-depth
     sep_depth = separation_depth or min(depth, 12)
     vals = pmap.values_on_residues(sep_depth)
-    group = np.arange(len(vals), dtype=np.int64) % p**level if level else None
-    if level:
-        sep = math.inf
-        for ga in range(p**level):
-            va = vals[group == ga]
-            for gb in range(ga + 1, p**level):
-                sep = min(sep, _min_cross_distance(va, vals[group == gb]))
-    else:
-        sep = math.inf  # single cluster at level 0: nothing to separate
+    group = np.arange(len(vals), dtype=np.int64) % p**level
+    sep = math.inf  # stays inf at level 0: a single cluster, nothing to separate
+    for ga in range(p**level):
+        va = vals[group == ga]
+        for gb in range(ga + 1, p**level):
+            sep = min(sep, _min_cross_distance(va, vals[group == gb]))
     floor = (
         delta_lower(p, params.s) * abs(params.s) ** max(level - 1, 0)
         - 2.0 * params.tail_bound
     )
     # (iii) box-count ratio child/parent on the parent's grid anchor
-    parent = pmap.cluster(0, 0, depth)
-    child = pmap.cluster(0, level, depth) if level else parent
-    ppts = parent.points()
-    cpts = child.points()
+    ppts = pmap.cluster(0, 0, depth).points()
+    cpts = pmap.cluster(0, level, depth).points() if level else ppts
     corner = ppts.min(axis=0)
-    span = float(np.max(ppts.max(axis=0) - corner))
-    ratios = []
-    for j in range(2, 12):
-        eps = span / 2.0**j
-        n_parent = box_counts(ppts, eps, corner)
-        n_child = box_counts(cpts, eps, corner)
-        if 16 <= n_parent <= 0.25 * len(ppts):
-            ratios.append((eps, n_child / n_parent))
+    eps0 = float(np.max(ppts.max(axis=0) - corner)) / 4.0
+    counts = zip(_ladder_counts(ppts, eps0, 10, corner), _ladder_counts(cpts, eps0, 10, corner))
+    ratios = [(eps0 / 2.0**k, int(nc) / int(npar)) for k, (npar, nc) in enumerate(counts)
+              if 16 <= npar <= 0.25 * len(ppts)]
     expected_ratio = float(p) ** (-level)
     median = float(np.median([r for _, r in ratios])) if ratios else math.nan
     passes = (

@@ -2,12 +2,16 @@ import cmath
 import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
 
 from padic_fractal.complex_map import MapParams, PlaneMap
 from padic_fractal.analysis import (
     DimensionEstimate,
+    _ladder_counts,
     box_counts,
     box_dimension,
     character_order_gap,
@@ -251,3 +255,107 @@ class TestMeasureConsistency:
         rep = measure_consistency(MapParams(p=3, m=0, s=0.2, depth=40), 2, 8)
         assert rep.fraction == Fraction(1, 9)
         assert rep.ok()
+
+
+# -- finite smoothing order in the tuple weights ------------------------------
+
+
+@pytest.mark.parametrize("p, depth", [(2, 12), (3, 8)])
+@pytest.mark.parametrize("m", [0, 1, 2, math.inf])
+@pytest.mark.parametrize("L, Lbar", [(1, 0), (1, 1), (2, 0)])
+def test_series_matches_sampled_moment_at_every_order(p, depth, m, L, Lbar):
+    params = MapParams(p=p, m=m, s=0.3)
+    res = moment(params, L, Lbar, depth)
+    series = moment_series(params, L, Lbar, cutoff=16)
+    assert abs(res.value - series) <= res.error_bound + 10 * 0.3**17
+
+
+def test_order_zero_square_moment_base_two():
+    # chi_n = (-1)^(x_n) at p=2, m=0: only the diagonal survives, 1/(1-s^2)
+    params = MapParams(p=2, m=0, s=0.3)
+    # the cutoff keeps n_1 = n_2 <= 8, so the tail is s^18 / (1 - s^2)
+    assert moment_series(params, 2, 0, cutoff=16) == pytest.approx(1 / 0.91, abs=1e-9)
+    assert tuple_coefficient(2, 2, 0, 2, 0, m=0) == (1, True)
+    assert tuple_coefficient(2, 2, 0, 2, 0) == (0, True)
+
+
+def test_composite_base_cube_moment():
+    # at p=6 three frequencies 1/6 sum to 1/2: no p divides its denominator,
+    # yet E[e(3 x_0 / 6)] = 0, so the series must not count that tuple
+    params = MapParams(p=6, m=math.inf, s=0.2)
+    res = moment(params, 3, 0, 5)
+    assert tuple_coefficient(6, 3, 0, 0, 0) == (0, True)
+    assert abs(res.value - moment_series(params, 3, 0, cutoff=10)) <= res.error_bound
+
+
+# -- the box-counting ladder against a per-scale count -----------------------
+
+
+def brute_counts(pts: np.ndarray, eps0: float, n_scales: int, corner=None) -> list[int]:
+    """One floor and one row-unique per scale, straight from the definition."""
+    if corner is None:
+        corner = pts.min(axis=0)
+    return [
+        len(np.unique(np.floor((pts - corner) / (eps0 * 2.0**-k)), axis=0))
+        for k in range(n_scales)
+    ]
+
+
+# multiples of 1/16 sit on the cell edges of every dyadic pitch of 1/16 or more
+EDGE_COORD = st.integers(-64, 64).map(lambda i: i / 16.0)
+# halving is exact only for normal floats: keep every difference out of the subnormal range
+FREE_COORD = st.floats(-4.0, 4.0, allow_nan=False).map(lambda x: x if abs(x) >= 1e-6 else 0.0)
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    n_scales=st.integers(1, 14),
+    on_edges=st.booleans(),
+    explicit_corner=st.booleans(),
+    eps0=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(0.25, 4.0)),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_ladder_counts_match_per_scale_count(d, n_scales, on_edges, explicit_corner, eps0, data):
+    coord = EDGE_COORD if on_edges else FREE_COORD
+    pts = data.draw(arrays(np.float64, (data.draw(st.integers(1, 120)), d), elements=coord))
+    corner = data.draw(arrays(np.float64, d, elements=coord)) if explicit_corner else None
+    got = _ladder_counts(pts, eps0, n_scales, corner)
+    assert list(got) == brute_counts(pts, eps0, n_scales, corner)
+
+
+def test_box_counts_refuses_key_overflow():
+    # 2^33 cells per axis: two axes need 68 bits, more than one int64 key holds
+    pts = [[0, 0], [1, 1], [0.25, 0], [0, 0.5]]
+    with pytest.raises(ValueError, match="63-bit cell key"):
+        box_counts(pts, 2**-33)
+    assert box_counts(pts, 2**-30) == 4
+
+
+def per_scale_ratios(params: MapParams, level: int, depth: int) -> tuple:
+    pm = PlaneMap(params)
+    ppts = pm.cluster(0, 0, depth).points()
+    cpts = pm.cluster(0, level, depth).points()
+    corner = ppts.min(axis=0)
+    span = float(np.max(ppts.max(axis=0) - corner))
+    ratios = []
+    for j in range(2, 12):
+        eps = span / 2.0**j
+        n_parent = brute_counts(ppts, eps, 1, corner)[0]
+        n_child = brute_counts(cpts, eps, 1, corner)[0]
+        if 16 <= n_parent <= 0.25 * len(ppts):
+            ratios.append((eps, n_child / n_parent))
+    return tuple(ratios)
+
+
+@pytest.mark.parametrize(
+    "params, level, depth",
+    [
+        (MapParams(p=2, m=0, s=0.3, depth=40), 0, 10),
+        (MapParams(p=2, m=0, s=0.3, depth=40), 1, 16),
+        (MapParams(p=3, m=0, s=0.2, depth=40), 2, 8),
+    ],
+)
+def test_measure_box_ratios_match_per_scale_count(params, level, depth):
+    rep = measure_consistency(params, level, depth)
+    assert rep.box_ratios == per_scale_ratios(params, level, depth)
