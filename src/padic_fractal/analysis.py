@@ -21,6 +21,7 @@ from .complex_map import (
     _min_cross_distance,
     character_table,
     delta_lower,
+    residue_bound,
     residue_digit_matrix,
 )
 
@@ -266,9 +267,9 @@ def metric_divergence(
     """Empirical sup of |rho_m - rho_inf| / (rho_m + rho_inf) over seeded
     residue pairs, together with the analytic bound."""
     bound = divergence_bound(params_m, params_inf)
-    p = params_m.p
+    hi = residue_bound(params_m.p, sample_depth)
     rng = np.random.default_rng(seed)
-    codes = rng.integers(0, p**sample_depth, size=n_samples, dtype=np.int64)
+    codes = rng.integers(0, hi, size=n_samples, dtype=np.int64)
     codes = np.unique(codes)
     vm = PlaneMap(params_m).values_on_residues(sample_depth, codes=codes)
     vi = PlaneMap(params_inf).values_on_residues(sample_depth, codes=codes)

@@ -10,12 +10,14 @@ name<TAB>value<TAB>bound<TAB>PASS|FAIL.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .complex_map import (
     _sandwich_margins,
     _scaling_residuals,
     delta_certificate,
+    residue_bound,
     residue_digit_matrix,
     rotate_digits,
     sandwich_check,
@@ -71,120 +74,160 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    p: int = 2
-    m: int | float = 0
-    s: complex = 0.3
-    a: complex = 2.0
-    alpha: float = 1.0
-    depth: int | None = None
-    seed: int = 7
-    out: str | None = None
-    fmt: str | None = None
-    preset: str | None = None
-    suite: str = "all"
-    exhaustive: bool = False
+# ---------------------------------------------------------------------------
+# configuration: one parse-and-check function per field, applied once to
+# the config-file values merged with the flags, before any work
 
 
-def _parse_complex(text) -> complex:
-    if isinstance(text, (int, float)):
-        return complex(text)
-    if isinstance(text, (list, tuple)):
-        if len(text) != 2:
-            raise UsageError(f"complex value needs [re, im], got {text!r}")
-        return complex(float(text[0]), float(text[1]))
-    text = str(text).strip()
-    if "," in text:
-        re_s, im_s = text.split(",", 1)
-        return complex(float(re_s), float(im_s))
-    return complex(float(text))
+def _integer(raw) -> int:
+    if isinstance(raw, str):
+        try:
+            raw = int(raw)
+        except ValueError:
+            pass
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise UsageError("must be an integer")
+    return raw
 
 
-def _parse_m(text) -> int | float:
-    if isinstance(text, (int, float)) and text != math.inf:
-        return int(text)
-    if text == math.inf or str(text).lower() in ("inf", "infinity"):
-        return math.inf
+def _real(raw) -> float:
+    if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (ValueError, OverflowError):
+            pass
+    raise UsageError("must be a number")
+
+
+def _complex(raw) -> complex:
+    parts = raw.split(",", 1) if isinstance(raw, str) else raw
     try:
-        return int(text)
-    except (TypeError, ValueError):
-        raise UsageError(f"m must be a nonnegative integer or 'inf', got {text!r}")
+        pair = isinstance(parts, list) and len(parts) == 2
+        z = complex(_real(parts[0]), _real(parts[1])) if pair else complex(_real(raw))
+    except UsageError:
+        raise UsageError("must be a number, 're,im' or [re, im]") from None
+    if not cmath.isfinite(z):
+        raise UsageError("must be finite")
+    return z
 
 
-def parse_config(raw: bytes) -> dict:
-    """Validate a JSON config; returns a plain dict of parsed fields."""
+def _order(raw) -> int | float:
+    if raw == math.inf or (isinstance(raw, str) and raw.strip().lower() in ("inf", "infinity")):
+        return math.inf
+    return _checked(_integer, lambda m: m >= 0, "must be >= 0 or 'inf'")(raw)
+
+
+def _text(raw) -> str:
+    if not isinstance(raw, str) or not raw:
+        raise UsageError("must be a nonempty string")
+    return raw
+
+
+def _checked(parse, ok, why: str):
+    def check(raw):
+        value = parse(raw)
+        if not ok(value):
+            raise UsageError(why)
+        return value
+
+    return check
+
+
+def _field(default, parse):
+    return field(default=default, metadata={"parse": parse})
+
+
+def _one_of(*names: str):
+    return _checked(_text, lambda v: v in names, f"choose from {', '.join(names)}")
+
+
+def _boolean(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise UsageError("must be true or false")
+    return raw
+
+
+def _out_path(raw) -> str:
+    if not Path(_text(raw)).parent.is_dir() or Path(raw).is_dir():
+        raise UsageError("must name a file in an existing directory")
+    return raw
+
+
+@dataclass(frozen=True)
+class Config:
+    """The settings of one run, after the config file and the flags are
+    merged and every field is checked."""
+
+    command: str
+    p: int = _field(2, _checked(_integer, lambda p: p >= 2, "must be >= 2"))
+    m: int | float = _field(0, _order)
+    s: complex = _field(0.3, _checked(_complex, lambda s: 0 < abs(s) < 1, "need 0 < |s| < 1"))
+    a: complex = _field(2.0, _checked(_complex, lambda a: a != 0, "must be nonzero"))
+    alpha: float = _field(1.0, _checked(_real, lambda x: 0 < x < math.inf,
+                                        "must be > 0 and finite"))
+    depth: int | None = _field(None, _checked(_integer, lambda d: d >= 1, "must be >= 1"))
+    seed: int = _field(7, _checked(_integer, lambda n: n >= 0, "must be >= 0"))
+    out: str | None = _field(None, _out_path)
+    format: str | None = _field(None, _text)
+    preset: str | None = _field(None, _one_of(*preset_names()))
+    suite: str = _field("all", _one_of(*SUITES, "all"))
+    exhaustive: bool = _field(False, _boolean)
+
+
+_FIELDS = {f.name: f.metadata["parse"] for f in fields(Config) if f.metadata}
+
+
+def _parse_fields(raw: dict) -> dict:
+    parsed = {}
+    for name, value in raw.items():
+        if name not in _FIELDS:
+            raise UsageError(f"field {name!r}: unknown; fields are {', '.join(_FIELDS)}")
+        try:
+            parsed[name] = _FIELDS[name](value)
+        except UsageError as exc:
+            raise UsageError(f"field {name!r}: {exc}, got {value!r}") from None
+    return parsed
+
+
+def _read_config(raw: bytes) -> dict:
     try:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"config is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
-    out: dict = {}
-    for key, val in data.items():
-        if key == "p":
-            out["p"] = int(val)
-            if out["p"] < 2:
-                raise UsageError(f"config field 'p': must be >= 2, got {val!r}")
-        elif key == "m":
-            out["m"] = _parse_m(val)
-        elif key == "s":
-            out["s"] = _parse_complex(val)
-            if abs(out["s"]) >= 1.0 or out["s"] == 0:
-                raise UsageError(f"config field 's': need 0 < |s| < 1, got {val!r}")
-        elif key == "a":
-            out["a"] = _parse_complex(val)
-            if out["a"] == 0:
-                raise UsageError("config field 'a': must be nonzero")
-        elif key == "alpha":
-            out["alpha"] = float(val)
-            if out["alpha"] <= 0:
-                raise UsageError("config field 'alpha': must be positive")
-        elif key == "depth":
-            out["depth"] = int(val)
-        elif key == "seed":
-            out["seed"] = int(val)
-        elif key in ("out", "format", "preset", "suite"):
-            out["fmt" if key == "format" else key] = str(val)
-        elif key == "exhaustive":
-            out["exhaustive"] = bool(val)
-        else:
-            raise UsageError(f"config field {key!r}: unknown")
-    return out
+    return data
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file {path} does not exist")
-        for key, val in parse_config(path.read_bytes()).items():
-            setattr(cfg, key, val)
+def parse_config(raw: bytes) -> dict:
+    """Parse and check a JSON config; returns the fields it sets."""
+    return _parse_fields(_read_config(raw))
+
+
+def _build_config(args: argparse.Namespace) -> Config:
+    raw = {}
+    if args.config is not None:
+        if not Path(args.config).is_file():
+            raise UsageError(f"config file {args.config} does not exist")
+        raw = _read_config(Path(args.config).read_bytes())
     # explicit flags override file values
-    for name in ("p", "depth", "seed", "out", "preset", "suite", "alpha"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "m", None) is not None:
-        cfg.m = _parse_m(args.m)
-    if getattr(args, "s", None) is not None:
-        cfg.s = _parse_complex(args.s)
-        if abs(cfg.s) >= 1.0 or cfg.s == 0:
-            raise UsageError(f"s must satisfy 0 < |s| < 1, got {cfg.s}")
-    if getattr(args, "a", None) is not None:
-        cfg.a = _parse_complex(args.a)
-    if getattr(args, "format", None) is not None:
-        cfg.fmt = args.format
-    if getattr(args, "exhaustive", False):
-        cfg.exhaustive = True
-    if getattr(args, "run_all", False):
-        cfg.suite = "all"
-    return cfg
+    raw.update({name: v for name in _FIELDS if (v := getattr(args, name)) is not None})
+    values = _parse_fields(raw)
+    command = _COMMANDS[args.command]
+    fmt = values.setdefault("format", command.formats[0] if command.formats else None)
+    if fmt not in (command.formats or (None,)):
+        allowed = " or ".join(command.formats) or "no format"
+        raise UsageError(f"field 'format': {args.command} takes {allowed}, got {fmt!r}")
+    fp = preset(values["preset"]) if "preset" in values else None
+    if fp and command.kind and fp.kind != command.kind:
+        raise UsageError(f"field 'preset': {args.command} takes a {command.kind} preset, "
+                         f"{fp.name} is a {fp.kind} preset")
+    if command.needs_out and "out" not in values:
+        raise UsageError(f"{args.command} requires --out")
+    return Config(command=args.command, **values)
 
 
-def _map_params(cfg: RunConfig, depth: int = 40) -> MapParams:
+def _map_params(cfg: Config, depth: int = 40) -> MapParams:
     return MapParams(p=cfg.p, m=cfg.m, s=cfg.s, depth=max(depth, cfg.depth or 0))
 
 
@@ -198,10 +241,8 @@ class Report:
         self.failed = False
 
     def add(self, name: str, value, bound, ok: bool) -> None:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            self.failed = True
-        self.lines.append(f"{name}\t{_fmt(value)}\t{_fmt(bound)}\t{status}")
+        self.failed |= not ok
+        self.lines.append(f"{name}\t{_fmt(value)}\t{_fmt(bound)}\t{'PASS' if ok else 'FAIL'}")
 
     def emit(self, out: str | None) -> None:
         text = "\n".join(self.lines) + "\n"
@@ -224,7 +265,7 @@ def _fmt(v) -> str:
 # verification suites
 
 
-def _suite_scaling(cfg: RunConfig, rep: Report) -> None:
+def _suite_scaling(cfg: Config, rep: Report) -> None:
     params = _map_params(cfg)
     if cfg.exhaustive:
         # every residue at a capped depth instead of a seeded sample
@@ -244,7 +285,7 @@ def _exhaustive_depth_cap(p: int) -> int:
     return depth
 
 
-def _suite_sandwich(cfg: RunConfig, rep: Report) -> None:
+def _suite_sandwich(cfg: Config, rep: Report) -> None:
     params = _map_params(cfg)
     if cfg.exhaustive:
         depth = min(cfg.depth or 6, _exhaustive_depth_cap(cfg.p))
@@ -258,7 +299,7 @@ def _suite_sandwich(cfg: RunConfig, rep: Report) -> None:
     rep.add("sandwich.worst_lower_margin", out["worst_lower_margin"], 0.0, out["worst_lower_margin"] >= 0)
 
 
-def _suite_group(cfg: RunConfig, rep: Report) -> None:
+def _suite_group(cfg: Config, rep: Report) -> None:
     rng = np.random.default_rng(cfg.seed)
     p = cfg.p
     depth = 8
@@ -268,7 +309,7 @@ def _suite_group(cfg: RunConfig, rep: Report) -> None:
     pts = []
     for _ in range(3 * n):
         xi = Fraction(int(rng.integers(0, 997)), 997)
-        x = from_int(int(rng.integers(0, p**depth)), p, depth)
+        x = from_int(int(rng.integers(0, residue_bound(p, depth))), p, depth)
         pts.append(SolenoidPoint(xi, x))
     for i in range(n):
         f, g, h = pts[3 * i], pts[3 * i + 1], pts[3 * i + 2]
@@ -288,14 +329,14 @@ def _suite_group(cfg: RunConfig, rep: Report) -> None:
     rep.add("group.metric_defect", worst_metric, WORKING_EPS, worst_metric <= WORKING_EPS)
 
 
-def _suite_j(cfg: RunConfig, rep: Report) -> None:
+def _suite_j(cfg: Config, rep: Report) -> None:
     rng = np.random.default_rng(cfg.seed)
     p = cfg.p
     worst_hom = 0.0
     worst_iso = 0.0
     for _ in range(300):
-        num_a = int(rng.integers(0, p**8))
-        num_b = int(rng.integers(0, p**8))
+        num_a = int(rng.integers(0, residue_bound(p, 8)))
+        num_b = int(rng.integers(0, residue_bound(p, 8)))
         shift = int(rng.integers(0, 5))
         xa = expand(Fraction(num_a, p**shift), p, 16)
         xb = expand(Fraction(num_b, p**shift), p, 16)
@@ -309,7 +350,7 @@ def _suite_j(cfg: RunConfig, rep: Report) -> None:
     rep.add("j.isometry_defect", worst_iso, WORKING_EPS, worst_iso <= WORKING_EPS)
 
 
-def _suite_eq40(cfg: RunConfig, rep: Report) -> None:
+def _suite_eq40(cfg: Config, rep: Report) -> None:
     params = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=40)
     tmap = TorusMap(SolenoidParams(map=params, a=cfg.a))
     pmap = PlaneMap(params)
@@ -317,7 +358,7 @@ def _suite_eq40(cfg: RunConfig, rep: Report) -> None:
     p = cfg.p
     worst = 0.0
     for _ in range(200):
-        num = int(rng.integers(0, p**10))
+        num = int(rng.integers(0, residue_bound(p, 10)))
         x = expand(Fraction(num, p**4), p, 16)
         frac, integral_part = x.split()
         lhs = pmap.parts(x)[1]
@@ -327,7 +368,7 @@ def _suite_eq40(cfg: RunConfig, rep: Report) -> None:
     rep.add("eq40.max_residual", worst, bound, worst <= bound)
 
 
-def _suite_ode(cfg: RunConfig, rep: Report) -> None:
+def _suite_ode(cfg: Config, rep: Report) -> None:
     params = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=50)
     tmap = TorusMap(SolenoidParams(map=params, a=cfg.a))
     rng = np.random.default_rng(cfg.seed)
@@ -336,7 +377,7 @@ def _suite_ode(cfg: RunConfig, rep: Report) -> None:
     for _ in range(10):
         f = SolenoidPoint(
             Fraction(int(rng.integers(0, 997)), 997),
-            from_int(int(rng.integers(0, p**6)), p, 6),
+            from_int(int(rng.integers(0, residue_bound(p, 6))), p, 6),
         )
         gam = tmap.vector_field(f)
 
@@ -355,7 +396,7 @@ def _suite_ode(cfg: RunConfig, rep: Report) -> None:
     rep.add("ode.spot_value_gap", gap, 1e-6, gap <= 1e-6)
 
 
-def _suite_kappa(cfg: RunConfig, rep: Report) -> None:
+def _suite_kappa(cfg: Config, rep: Report) -> None:
     m = cfg.m if cfg.m != math.inf and cfg.m and cfg.m >= 1 else 6
     fm = MapParams(p=cfg.p, m=int(m), s=cfg.s, depth=45)
     fi = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=45)
@@ -366,14 +407,14 @@ def _suite_kappa(cfg: RunConfig, rep: Report) -> None:
     rep.add(f"kappa.char_gap_m{int(m)}", gap, gap_bound, gap < gap_bound)
 
 
-def _suite_symmetry(cfg: RunConfig, rep: Report) -> None:
+def _suite_symmetry(cfg: Config, rep: Report) -> None:
     params = MapParams(p=cfg.p, m=0, s=cfg.s, depth=40)
     pmap = PlaneMap(params)
     rng = np.random.default_rng(cfg.seed)
     phase = complex(math.cos(2 * math.pi / cfg.p), math.sin(2 * math.pi / cfg.p))
     worst = 0.0
     for _ in range(200):
-        x = from_int(int(rng.integers(0, cfg.p**10)), cfg.p, 10)
+        x = from_int(int(rng.integers(0, residue_bound(cfg.p, 10))), cfg.p, 10)
         worst = max(worst, abs(pmap.value(rotate_digits(x)) - phase * pmap.value(x)))
     bound = 2.0 * params.tail_bound + WORKING_EPS
     rep.add("symmetry.max_residual", worst, bound, worst <= bound)
@@ -395,90 +436,58 @@ _SUITE_FUNCS = {
 # subcommands
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
+def _cmd_certify(cfg: Config) -> int:
     rep = Report()
     params = _map_params(cfg)
     cert = delta_certificate(params, search_depth=min(cfg.depth or 8, 10))
     rep.add("certify.delta_lower", cert.delta_lower, 0.0, True)
     rep.add("certify.delta_empirical", cert.delta_empirical, cert.allowance, True)
-    rep.add(
-        "certify.verdict",
-        cert.verdict,
-        "certified-embedding iff delta_lower>0",
-        cert.verdict != "not-applicable",
-    )
-    if cfg.a:
-        sp = SolenoidParams(map=params, a=cfg.a)
-        tilde = delta_tilde_certificate(sp, xi_count=8, search_depth=min(cfg.depth or 6, 8))
-        gamma, sufficient = gamma_estimate(sp, xi_count=64, depth=6)
-        rep.add("certify.delta_tilde_lower", tilde.delta_lower, 0.0, True)
-        rep.add("certify.delta_tilde_empirical", tilde.delta_empirical, tilde.allowance, True)
-        rep.add("certify.gamma_estimate", gamma, 1.0, True)
-        rep.add("certify.gamma_sufficient", str(sufficient).lower(), "a real > r_s", True)
+    rep.add("certify.verdict", cert.verdict, "certified-embedding iff delta_lower>0",
+            cert.verdict != "not-applicable")
+    sp = SolenoidParams(map=params, a=cfg.a)
+    tilde = delta_tilde_certificate(sp, xi_count=8, search_depth=min(cfg.depth or 6, 8))
+    gamma, sufficient = gamma_estimate(sp, xi_count=64, depth=6)
+    rep.add("certify.delta_tilde_lower", tilde.delta_lower, 0.0, True)
+    rep.add("certify.delta_tilde_empirical", tilde.delta_empirical, tilde.allowance, True)
+    rep.add("certify.gamma_estimate", gamma, 1.0, True)
+    rep.add("certify.gamma_sufficient", str(sufficient).lower(), "a real > r_s", True)
     rep.emit(cfg.out)
     return 1 if rep.failed else 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: Config) -> int:
     rep = Report()
-    names = list(SUITES) if cfg.suite in ("all", None) else [cfg.suite]
-    for name in names:
-        fn = _SUITE_FUNCS.get(name)
-        if fn is None:
-            raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-        fn(cfg, rep)
+    for name in SUITES if cfg.suite == "all" else (cfg.suite,):
+        _SUITE_FUNCS[name](cfg, rep)
     rep.emit(cfg.out)
     return 1 if rep.failed else 0
 
 
-def _cmd_render2d(cfg: RunConfig) -> int:
+def _cmd_render2d(cfg: Config) -> int:
     if cfg.preset:
-        fp = preset(cfg.preset)
-        if fp.kind != "plane":
-            raise UsageError(f"preset {fp.name} is a torus preset; use render3d")
-        cloud = build_cloud(fp, depth=cfg.depth)
+        cloud = build_cloud(preset(cfg.preset), depth=cfg.depth)
     else:
-        pmap = PlaneMap(_map_params(cfg))
-        cloud = pmap.cluster(0, 0, cfg.depth or 10)
+        cloud = PlaneMap(_map_params(cfg)).cluster(0, 0, cfg.depth or 10)
     raster = RasterConfig(viewport=auto_viewport(cloud.values))
-    fmt = cfg.fmt or "pgm"
-    if fmt == "pgm":
-        payload = rasterize(cloud, raster)
-    elif fmt == "svg":
-        payload = to_svg(cloud, raster)
-    else:
-        raise UsageError(f"render2d format must be pgm or svg, got {fmt!r}")
-    if not cfg.out:
-        raise UsageError("render2d requires --out")
-    Path(cfg.out).write_bytes(payload)
+    encode = rasterize if cfg.format == "pgm" else to_svg
+    Path(cfg.out).write_bytes(encode(cloud, raster))
     sys.stdout.write(f"render2d\t{cfg.out}\t{len(cloud)} points\tPASS\n")
     return 0
 
 
-def _cmd_render3d(cfg: RunConfig) -> int:
+def _cmd_render3d(cfg: Config) -> int:
     if cfg.preset:
-        fp = preset(cfg.preset)
-        if fp.kind != "torus":
-            raise UsageError(f"preset {fp.name} is a plane preset; use render2d")
-        cloud = build_cloud(fp, depth=cfg.depth)
+        cloud = build_cloud(preset(cfg.preset), depth=cfg.depth)
     else:
         params = SolenoidParams(map=_map_params(cfg), a=cfg.a)
         cloud = TorusMap(params).cloud(64, cfg.depth or 6)
-    fmt = cfg.fmt or "ply"
-    if fmt == "ply":
-        payload = export_ply(cloud)
-    elif fmt == "csv":
-        payload = export_csv(cloud)
-    else:
-        raise UsageError(f"render3d format must be ply or csv, got {fmt!r}")
-    if not cfg.out:
-        raise UsageError("render3d requires --out")
-    Path(cfg.out).write_bytes(payload)
+    encode = export_ply if cfg.format == "ply" else export_csv
+    Path(cfg.out).write_bytes(encode(cloud))
     sys.stdout.write(f"render3d\t{cfg.out}\t{len(cloud)} points\tPASS\n")
     return 0
 
 
-def _cmd_dimension(cfg: RunConfig) -> int:
+def _cmd_dimension(cfg: Config) -> int:
     rep = Report()
     if cfg.preset:
         fp = preset(cfg.preset)
@@ -497,7 +506,7 @@ def _cmd_dimension(cfg: RunConfig) -> int:
     return 1 if rep.failed else 0
 
 
-def _cmd_moments(cfg: RunConfig) -> int:
+def _cmd_moments(cfg: Config) -> int:
     rep = Report()
     params = _map_params(cfg)
     depth = cfg.depth or 12
@@ -511,53 +520,56 @@ def _cmd_moments(cfg: RunConfig) -> int:
     return 1 if rep.failed else 0
 
 
-def _cmd_orbit(cfg: RunConfig) -> int:
-    params = SolenoidParams(map=_map_params(cfg), a=cfg.a)
-    tmap = TorusMap(params)
+def _cmd_orbit(cfg: Config) -> int:
+    tmap = TorusMap(SolenoidParams(map=_map_params(cfg), a=cfg.a))
     steps = cfg.depth or 400
     f0 = SolenoidPoint(Fraction(0), from_int(0, cfg.p))
-    rows = []
-    for k in range(steps + 1):
-        t = Fraction(3 * k, steps)
-        pt = tmap.embed(orbit(f0, t))
-        rows.append((float(t), pt))
-    if not cfg.out:
-        raise UsageError("orbit requires --out")
-    fmt = cfg.fmt or "csv"
-    if fmt == "csv":
+    times = [Fraction(3 * k, steps) for k in range(steps + 1)]
+    rows = [(float(t), tmap.embed(orbit(f0, t))) for t in times]
+    if cfg.format == "csv":
         lines = ["x,y,z,label"]
         lines += [f"{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},t={t:.9g}" for t, p in rows]
         Path(cfg.out).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
-    elif fmt == "ply":
-        Path(cfg.out).write_bytes(export_ply(np.array([p for _, p in rows])))
     else:
-        raise UsageError(f"orbit format must be csv or ply, got {fmt!r}")
+        Path(cfg.out).write_bytes(export_ply(np.array([p for _, p in rows])))
     sys.stdout.write(f"orbit\t{cfg.out}\t{len(rows)} samples\tPASS\n")
     return 0
 
 
-def _cmd_presets(cfg: RunConfig) -> int:
+def _cmd_presets(cfg: Config) -> int:
+    rep = Report()
     for name in preset_names():
         fp = preset(name)
         extra = f" a={_fmt(fp.a)} xi_count={fp.xi_count}" if fp.kind == "torus" else ""
         if fp.ball_scale:
             extra += f" ball_scale={fp.ball_scale}"
-        sys.stdout.write(
-            f"{name}\tkind={fp.kind} p={fp.p} m={fp.m} s={_fmt(complex(fp.s))} "
-            f"depth={fp.depth}{extra}\n"
-        )
+        rep.lines.append(f"{name}\tkind={fp.kind} p={fp.p} m={fp.m} s={_fmt(complex(fp.s))} "
+                         f"depth={fp.depth}{extra}")
+    rep.emit(cfg.out)
     return 0
 
 
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its function, its --format values (the first is
+    the default; none for reports), whether it needs --out, and the kind
+    of preset it takes (None: either kind)."""
+
+    run: Callable[[Config], int]
+    formats: tuple[str, ...] = ()
+    needs_out: bool = False
+    kind: str | None = None
+
+
 _COMMANDS = {
-    "certify": _cmd_certify,
-    "verify": _cmd_verify,
-    "render2d": _cmd_render2d,
-    "render3d": _cmd_render3d,
-    "dimension": _cmd_dimension,
-    "moments": _cmd_moments,
-    "orbit": _cmd_orbit,
-    "presets": _cmd_presets,
+    "certify": _Command(_cmd_certify),
+    "verify": _Command(_cmd_verify),
+    "render2d": _Command(_cmd_render2d, ("pgm", "svg"), needs_out=True, kind="plane"),
+    "render3d": _Command(_cmd_render3d, ("ply", "csv"), needs_out=True, kind="torus"),
+    "dimension": _Command(_cmd_dimension),
+    "moments": _Command(_cmd_moments),
+    "orbit": _Command(_cmd_orbit, ("csv", "ply"), needs_out=True),
+    "presets": _Command(_cmd_presets),
 }
 
 
@@ -569,36 +581,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         c = sub.add_parser(name)
-        c.add_argument("--p", type=int)
-        c.add_argument("--m")
-        c.add_argument("--s")
-        c.add_argument("--a")
-        c.add_argument("--alpha", type=float)
-        c.add_argument("--depth", type=int)
-        c.add_argument("--seed", type=int)
-        c.add_argument("--out")
-        c.add_argument("--format")
-        c.add_argument("--preset")
-        c.add_argument("--suite")
-        c.add_argument("--all", dest="run_all", action="store_true")
-        c.add_argument("--exhaustive", action="store_true")
-        c.add_argument("--config")
+        # values stay strings: the field table parses flags and config alike
+        for name in (*_FIELDS, "config"):
+            if name != "exhaustive":
+                c.add_argument(f"--{name}")
+        c.add_argument("--all", dest="suite", action="store_const", const="all")
+        c.add_argument("--exhaustive", action="store_true", default=None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = _build_config(args)
-        return _COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, KeyError) as exc:
+        return _COMMANDS[args.command].run(_build_config(args))
+    except (UsageError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

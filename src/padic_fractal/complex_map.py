@@ -33,6 +33,7 @@ __all__ = [
     "sandwich_check",
     "scaling_residuals",
     "code_valuations",
+    "residue_bound",
 ]
 
 VERDICTS = ("certified-embedding", "empirically-injective", "unknown", "not-applicable")
@@ -291,6 +292,20 @@ class PlaneMap:
 # vectorized kernels
 
 
+def residue_bound(p: int, depth: int) -> int:
+    """p**depth, the exclusive upper end of sampled residue codes.
+
+    Samples are drawn as 64-bit integers, so a bound past 2^63 raises
+    ValueError instead of reaching the generator.
+    """
+    bound = p**depth
+    if bound > 1 << 63:
+        raise ValueError(
+            f"sampling residues below {p}^{depth} needs integers past the 64-bit limit 2^63"
+        )
+    return bound
+
+
 def _guard_enumeration(p: int, depth: int) -> None:
     if p**depth > 1 << 40:
         raise ValueError(
@@ -475,8 +490,8 @@ def sandwich_check(
     the difference of the integer preimages.
     """
     p = params.p
+    hi = residue_bound(p, residue_depth)
     rng = np.random.default_rng(seed)
-    hi = p**residue_depth
     a = rng.integers(0, hi, size=n_pairs, dtype=np.int64)
     b = rng.integers(0, hi, size=n_pairs, dtype=np.int64)
     keep = a != b
@@ -516,8 +531,8 @@ def scaling_residuals(
 ) -> np.ndarray:
     """|value(p x) - s value(x) - 1| over seeded random digit rows."""
     rng = np.random.default_rng(seed)
-    mat = rng.integers(0, params.p, size=(n_samples, digit_depth)).astype(np.float64)
-    return _scaling_residuals(mat, params)
+    digits = rng.integers(0, residue_bound(params.p, 1), size=(n_samples, digit_depth))
+    return _scaling_residuals(digits.astype(np.float64), params)
 
 
 def _scaling_residuals(digit_mat: np.ndarray, params: MapParams) -> np.ndarray:

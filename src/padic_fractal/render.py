@@ -179,7 +179,8 @@ class FigurePreset:
     notes: str = ""
 
     def map_params(self, depth: int | None = None) -> MapParams:
-        return MapParams(p=self.p, m=self.m, s=self.s, depth=max(40, (depth or self.depth) + 4))
+        d = self.depth if depth is None else depth
+        return MapParams(p=self.p, m=self.m, s=self.s, depth=max(40, d + 4))
 
     def solenoid_params(self, depth: int | None = None) -> SolenoidParams:
         if self.a is None:
@@ -237,8 +238,13 @@ def preset(name: str) -> FigurePreset:
 
 
 def build_cloud(fp: FigurePreset, depth: int | None = None, xi_count: int | None = None):
-    """Materialize the preset's point cloud (2D for plane, 3D for torus)."""
-    d = depth or fp.depth
+    """Materialize the preset's point cloud (2D for plane, 3D for torus).
+
+    depth and xi_count default to the preset's own; depth must be >= 1.
+    """
+    d = fp.depth if depth is None else depth
+    if d < 1:
+        raise ValueError(f"depth must be >= 1, got {d}")
     if fp.kind == "plane":
         pmap = PlaneMap(fp.map_params(d))
         if fp.ball_scale:
@@ -247,4 +253,4 @@ def build_cloud(fp: FigurePreset, depth: int | None = None, xi_count: int | None
             return PointCloud2D(values=vals, labels=labels, level=-fp.ball_scale, params=pmap.params)
         return pmap.cluster(0, 0, d)
     tmap = TorusMap(fp.solenoid_params(d))
-    return tmap.cloud(xi_count or fp.xi_count or 64, d)
+    return tmap.cloud(xi_count or fp.xi_count, d)

@@ -1,11 +1,20 @@
+import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from padic_fractal.cli import UsageError, main, parse_config
+from padic_fractal.cli import _COMMANDS, SUITES, UsageError, main, parse_config
+from padic_fractal.render import preset, preset_names
 
 
 def run_cli(args, tmp_path=None, capsys=None):
@@ -190,3 +199,210 @@ class TestExhaustiveModes:
         for token in ("scaling.", "sandwich.", "group.", "j.", "eq40.",
                       "ode.", "kappa.", "symmetry."):
             assert token in out
+
+
+# words of numpy or of the Python runtime that must never reach a user
+FOREIGN = re.compile(
+    r"Traceback|numpy|int64|invalid literal|could not convert|NoneType|has no attribute"
+    r"|unsupported operand|not supported between|out of bounds|zero-size array"
+    r"|negative dimensions|division by zero|math domain"
+)
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFieldChecks:
+    """Flags and config files pass one check per field, before any work."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["render3d", "--depth", "0"], "depth"),
+        (["orbit", "--depth", "-5"], "depth"),
+        (["verify", "--suite", "group", "--alpha", "-1"], "alpha"),
+        (["verify", "--suite", "group", "--alpha", "0"], "alpha"),
+        (["certify", "--a", "0"], "a"),
+        (["certify", "--s", "nan"], "s"),
+        (["certify", "--s", "0.2,inf"], "s"),
+        (["verify", "--suite", "group", "--seed", "-1"], "seed"),
+        (["verify", "--depth", "abc"], "depth"),
+        (["verify", "--p", "2.5"], "p"),
+        (["verify", "--m", "-1"], "m"),
+        (["verify", "--suite", "bogus"], "suite"),
+        (["render2d", "--preset", "nope"], "preset"),
+        (["render2d", "--preset", "fig2a-t2"], "preset"),
+        (["render3d", "--preset", "fig1-1-cantor"], "preset"),
+        (["render2d", "--format", "ply"], "format"),
+        (["verify", "--format", "svg"], "format"),
+        (["orbit", "--out", "missing-dir/orbit.csv"], "out"),
+    ])
+    def test_bad_flag_exits_two_naming_field(self, argv, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if "--out" not in argv:
+            argv = argv + ["--out", "artifact"]
+        code, out, err = run_captured(argv)
+        assert code == 2
+        assert err.startswith(f"error: field {name!r}: ")
+        assert not FOREIGN.search(err)
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("config, name", [
+        ({"exhaustive": "false"}, "exhaustive"),
+        ({"p": 2.7}, "p"),
+        ({"out": None}, "out"),
+        ({"s": None}, "s"),
+        ({"s": "nan"}, "s"),
+        ({"depth": "abc"}, "depth"),
+        ({"depth": 0}, "depth"),
+        ({"alpha": 0}, "alpha"),
+        ({"a": [0, 0]}, "a"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_bad_config_value_exits_two_naming_field(self, config, name, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_captured(["verify", "--suite", "group", "--config", str(path)])
+        assert code == 2
+        assert err.startswith(f"error: field {name!r}: ")
+        assert not FOREIGN.search(err)
+        assert out == ""
+
+    def test_same_message_from_flag_and_config(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"alpha": "-1"}))
+        from_config = run_captured(["verify", "--config", str(path)])
+        from_flag = run_captured(["verify", "--alpha", "-1"])
+        assert from_config == from_flag
+        assert from_flag[2] == "error: field 'alpha': must be > 0 and finite, got '-1'\n"
+
+    def test_config_booleans_are_json_booleans(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"exhaustive": True, "p": 2, "s": 0.3, "depth": 4}))
+        assert main(["verify", "--suite", "sandwich", "--config", str(path)]) == 0
+        assert parse_config(b'{"exhaustive": false}') == {"exhaustive": False}
+
+    def test_format_and_out_checked_before_the_cloud(self, monkeypatch):
+        def no_cloud(*args, **kwargs):
+            raise AssertionError("cloud built before the checks")
+
+        monkeypatch.setattr("padic_fractal.cli.build_cloud", no_cloud)
+        code, _, err = run_captured(["render2d", "--preset", "fig1-1-cantor", "--depth", "22"])
+        assert code == 2 and "requires --out" in err
+        code, _, err = run_captured(["render3d", "--preset", "fig2a-t2", "--format", "pgm",
+                                     "--out", "x.pgm"])
+        assert code == 2 and "field 'format'" in err
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["--suite", "sandwich", "--p", "1000", "--depth", "7"], "1000^7"),
+        (["--suite", "symmetry", "--p", "100"], "100^10"),
+        (["--suite", "eq40", "--p", "100"], "100^10"),
+        (["--suite", "group", "--p", "300"], "300^8"),
+        (["--suite", "j", "--p", "300"], "300^8"),
+        (["--suite", "ode", "--p", "1500"], "1500^6"),
+        (["--suite", "scaling", "--p", str(2**64)], f"{2**64}^1"),
+    ])
+    def test_samples_past_64_bits(self, argv, bound):
+        code, out, err = run_captured(["verify", *argv])
+        assert code == 2
+        assert bound in err and "int64" not in err
+        assert out == ""
+
+    def test_presets_listing_written_to_out(self, tmp_path, capsys):
+        out = tmp_path / "presets.txt"
+        assert main(["presets", "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+
+# field: (valid values, invalid values).  A string goes in as a flag or
+# as a config value; any other JSON value goes in the config file.
+FIELD_VALUES = {
+    "p": (["2", "3", "5", 3], ["1", "0", "-2", "x", "2.5", "", 2.7, 1, True, None]),
+    "m": (["0", "1", "inf", 2, "Infinity"], ["-1", "x", "1.5", -1, 1.5, None]),
+    "s": (["0.3", "-0.2", "0.25,0.1", 0.3, [0.25, 0.1]],
+          ["0", "1.5", "nan", "inf", "x", "0.3,nan", 1.5, [0.1], None]),
+    "a": (["3", "2.5", "0,2", 3, [0, 2]], ["0", "nan", "x", "0,0", 0, None]),
+    "alpha": (["1", "0.5", 2], ["0", "-1", "nan", "inf", "x", 0, None]),
+    "seed": (["0", "7", 7], ["-1", "x", "1.5", 1.5, None]),
+    "suite": ([*SUITES, "all"], ["bogus", "", None, 3]),
+    "exhaustive": ([True, False], ["false", 1, None]),
+    "mystery": ([], [1]),
+}
+# every draw passes --depth, and a valid one is small, so no draw reaches
+# a large enumeration (certify --p 6 at its default depth is ~10^12 pairs)
+DEPTHS = (["1", "2", "3", "4"], ["0", "-5", "abc", "2.5", ""])
+
+
+def has_body(data: bytes) -> bool:
+    """An artifact holds more than its header."""
+    if data.startswith(b"P5\n"):
+        return len(data.split(b"\n", 3)[3]) > 0
+    if data.startswith(b"ply\n"):
+        return data.split(b"end_header\n", 1)[1].strip() != b""
+    if data.startswith(b"<?xml"):
+        return b"<circle" in data
+    lines = data.strip().splitlines()
+    return len(lines) > (1 if lines[:1] == [b"x,y,z,label"] else 0)
+
+
+class TestRandomArgv:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_every_argv_exits_cleanly(self, data):
+        command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+        spec = _COMMANDS[command]
+        kinds = (spec.kind,) if spec.kind else ("plane", "torus")
+        with tempfile.TemporaryDirectory() as tmp:
+            out_path = str(Path(tmp, "artifact"))
+            fields = dict(
+                FIELD_VALUES,
+                depth=DEPTHS,
+                format=(list(spec.formats), [f for f in ("pgm", "ply", "txt", None)
+                                             if f not in spec.formats]),
+                preset=([n for n in preset_names() if preset(n).kind in kinds],
+                        ["nope", None] + [n for n in preset_names() if preset(n).kind not in kinds]),
+                out=([out_path], [str(Path(tmp, "no", "artifact")), tmp, "", None]),
+            )
+            # at most one field carries an invalid value
+            broken = data.draw(st.sampled_from([None, None, None, *fields]))
+            argv, config = [command], {}
+            for name, (valid, invalid) in fields.items():
+                pool = invalid if name == broken else valid
+                if not pool or (name != broken and name != "depth" and data.draw(st.booleans())):
+                    continue
+                value = data.draw(st.sampled_from(pool))
+                if isinstance(value, str) and name != "exhaustive" and data.draw(st.booleans()):
+                    argv += [f"--{name}", value]
+                else:
+                    config[name] = value
+            if "--depth" not in argv and "depth" not in config:
+                argv += ["--depth", data.draw(st.sampled_from(DEPTHS[0]))]
+            # these flags would override a broken config value
+            if broken not in ("suite", "exhaustive") and data.draw(st.booleans()):
+                argv.append(data.draw(st.sampled_from(["--exhaustive", "--all"])))
+            if config:
+                Path(tmp, "c.json").write_text(json.dumps(config))
+                argv += ["--config", str(Path(tmp, "c.json"))]
+            code, _, err = run_captured(argv)
+            assert code in (0, 1, 2)
+            assert not FOREIGN.search(err), err
+            if broken is not None:
+                assert code == 2 and err.startswith(f"error: field {broken!r}: "), err
+            out = argv[argv.index("--out") + 1] if "--out" in argv else config.get("out")
+            if code == 0 and out is not None:
+                assert has_body(Path(out).read_bytes())
+
+
+def readme_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = (line.split("#", 1)[0] for line in block.splitlines())
+    return [shlex.split(line)[1:] for line in lines if line.startswith("padic-fractal ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_example_exits_zero(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0

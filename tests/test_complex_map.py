@@ -16,6 +16,7 @@ from padic_fractal.complex_map import (
     _min_cross_distance,
     delta_certificate,
     delta_lower,
+    residue_bound,
     residue_digit_matrix,
     rotate_digits,
     s_zero,
@@ -240,6 +241,11 @@ class TestSandwich:
         out = sandwich_check(MapParams(p=3, m=math.inf, s=0.25 + 0.1j), 4000, 10, seed=3)
         assert out["lower_violations"] == 0
         assert out["upper_violations"] == 0
+
+    def test_sample_range_past_64_bits(self):
+        assert residue_bound(2, 63) == 2**63
+        with pytest.raises(ValueError, match=r"1000\^7 .* 2\^63"):
+            sandwich_check(MapParams(p=1000, m=0, s=0.3), 10, 7, seed=0)
 
 
 class TestClusters:

@@ -174,6 +174,16 @@ class TestPresets:
         assert len(scaled) == 81
         assert scaled.level == -4
 
+    def test_build_cloud_depth(self):
+        fp = preset("fig1-4-z4")
+        assert len(build_cloud(fp)) == fp.p**fp.depth
+        assert len(build_cloud(fp, depth=1)) == fp.p
+        assert fp.map_params() == fp.map_params(fp.depth)
+        for depth in (0, -3):
+            with pytest.raises(ValueError, match="depth must be >= 1"):
+                build_cloud(fp, depth=depth)
+        assert len(build_cloud(preset("fig2b-t3"), depth=1)) == 81 * 3
+
     def test_fig2a_matches_manual_construction(self):
         fp = preset("fig2a-t2")
         cloud = build_cloud(fp, depth=3, xi_count=4)
