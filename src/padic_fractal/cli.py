@@ -219,8 +219,9 @@ def _build_config(args: argparse.Namespace) -> Config:
         allowed = " or ".join(command.formats) or "no format"
         raise UsageError(f"field 'format': {args.command} takes {allowed}, got {fmt!r}")
     fp = preset(values["preset"]) if "preset" in values else None
-    if fp and command.kind and fp.kind != command.kind:
-        raise UsageError(f"field 'preset': {args.command} takes a {command.kind} preset, "
+    if fp and fp.kind not in command.kinds:
+        takes = f"a {' or '.join(command.kinds)} preset" if command.kinds else "no preset"
+        raise UsageError(f"field 'preset': {args.command} takes {takes}, "
                          f"{fp.name} is a {fp.kind} preset")
     if command.needs_out and "out" not in values:
         raise UsageError(f"{args.command} requires --out")
@@ -525,14 +526,13 @@ def _cmd_orbit(cfg: Config) -> int:
     steps = cfg.depth or 400
     f0 = SolenoidPoint(Fraction(0), from_int(0, cfg.p))
     times = [Fraction(3 * k, steps) for k in range(steps + 1)]
-    rows = [(float(t), tmap.embed(orbit(f0, t))) for t in times]
+    pts = np.array([tmap.embed(orbit(f0, t)) for t in times])
     if cfg.format == "csv":
-        lines = ["x,y,z,label"]
-        lines += [f"{p[0]:.9g},{p[1]:.9g},{p[2]:.9g},t={t:.9g}" for t, p in rows]
-        Path(cfg.out).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+        data = export_csv(pts, [f"t={float(t):.9g}" for t in times])
     else:
-        Path(cfg.out).write_bytes(export_ply(np.array([p for _, p in rows])))
-    sys.stdout.write(f"orbit\t{cfg.out}\t{len(rows)} samples\tPASS\n")
+        data = export_ply(pts)
+    Path(cfg.out).write_bytes(data)
+    sys.stdout.write(f"orbit\t{cfg.out}\t{len(pts)} samples\tPASS\n")
     return 0
 
 
@@ -552,21 +552,21 @@ def _cmd_presets(cfg: Config) -> int:
 @dataclass(frozen=True)
 class _Command:
     """A subcommand: its function, its --format values (the first is
-    the default; none for reports), whether it needs --out, and the kind
-    of preset it takes (None: either kind)."""
+    the default; none for reports), whether it needs --out, and the
+    kinds of preset it takes (none: --preset is refused)."""
 
     run: Callable[[Config], int]
     formats: tuple[str, ...] = ()
     needs_out: bool = False
-    kind: str | None = None
+    kinds: tuple[str, ...] = ()
 
 
 _COMMANDS = {
     "certify": _Command(_cmd_certify),
     "verify": _Command(_cmd_verify),
-    "render2d": _Command(_cmd_render2d, ("pgm", "svg"), needs_out=True, kind="plane"),
-    "render3d": _Command(_cmd_render3d, ("ply", "csv"), needs_out=True, kind="torus"),
-    "dimension": _Command(_cmd_dimension),
+    "render2d": _Command(_cmd_render2d, ("pgm", "svg"), needs_out=True, kinds=("plane",)),
+    "render3d": _Command(_cmd_render3d, ("ply", "csv"), needs_out=True, kinds=("torus",)),
+    "dimension": _Command(_cmd_dimension, kinds=("plane", "torus")),
     "moments": _Command(_cmd_moments),
     "orbit": _Command(_cmd_orbit, ("csv", "ply"), needs_out=True),
     "presets": _Command(_cmd_presets),

@@ -86,8 +86,10 @@ def _length(f: SolenoidPoint, alpha: float) -> float:
 
 
 def distance(f: SolenoidPoint, g: SolenoidPoint, alpha: float = 1.0) -> float:
-    """Invariant metric: the shorter of the two one-sided gauge lengths."""
-    return min(_length(sub(f, g), alpha), _length(sub(g, f), alpha))
+    """Invariant metric: the shorter of the two one-sided gauge lengths
+    (g - f is the group inverse of f - g)."""
+    d = sub(f, g)
+    return min(_length(d, alpha), _length(neg(d), alpha))
 
 
 def from_padic(x: PAdic) -> SolenoidPoint:

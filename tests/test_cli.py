@@ -238,6 +238,11 @@ class TestFieldChecks:
         (["render2d", "--format", "ply"], "format"),
         (["verify", "--format", "svg"], "format"),
         (["orbit", "--out", "missing-dir/orbit.csv"], "out"),
+        (["certify", "--preset", "fig1-9-koch"], "preset"),
+        (["verify", "--suite", "group", "--preset", "fig2a-t2"], "preset"),
+        (["moments", "--preset", "fig1-1-cantor"], "preset"),
+        (["orbit", "--preset", "fig2b-t3"], "preset"),
+        (["presets", "--preset", "fig1-12"], "preset"),
     ])
     def test_bad_flag_exits_two_naming_field(self, argv, name, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -260,6 +265,7 @@ class TestFieldChecks:
         ({"alpha": 0}, "alpha"),
         ({"a": [0, 0]}, "a"),
         ({"seed": -1}, "seed"),
+        ({"preset": "fig1-10-sierpinski"}, "preset"),
     ])
     def test_bad_config_value_exits_two_naming_field(self, config, name, tmp_path):
         path = tmp_path / "c.json"
@@ -353,7 +359,6 @@ class TestRandomArgv:
     def test_every_argv_exits_cleanly(self, data):
         command = data.draw(st.sampled_from(sorted(_COMMANDS)))
         spec = _COMMANDS[command]
-        kinds = (spec.kind,) if spec.kind else ("plane", "torus")
         with tempfile.TemporaryDirectory() as tmp:
             out_path = str(Path(tmp, "artifact"))
             fields = dict(
@@ -361,8 +366,10 @@ class TestRandomArgv:
                 depth=DEPTHS,
                 format=(list(spec.formats), [f for f in ("pgm", "ply", "txt", None)
                                              if f not in spec.formats]),
-                preset=([n for n in preset_names() if preset(n).kind in kinds],
-                        ["nope", None] + [n for n in preset_names() if preset(n).kind not in kinds]),
+                # a command that takes no preset draws one only as the broken field
+                preset=([n for n in preset_names() if preset(n).kind in spec.kinds],
+                        ["nope", None] + [n for n in preset_names()
+                                          if preset(n).kind not in spec.kinds]),
                 out=([out_path], [str(Path(tmp, "no", "artifact")), tmp, "", None]),
             )
             # at most one field carries an invalid value

@@ -1,9 +1,12 @@
+import hashlib
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from padic_fractal.complex_map import s_zero
+from padic_fractal.complex_map import PointCloud2D, s_zero
 from padic_fractal.render import (
     PRESETS,
     RasterConfig,
@@ -16,7 +19,7 @@ from padic_fractal.render import (
     rasterize,
     to_svg,
 )
-from padic_fractal.solenoid import SolenoidParams, TorusMap
+from padic_fractal.solenoid import PointCloud3D, SolenoidParams, TorusMap
 
 
 def lit_pixels(pgm: bytes, cfg: RasterConfig) -> np.ndarray:
@@ -129,6 +132,177 @@ class TestVectorAndMeshFormats:
         assert svg.startswith("<?xml")
         assert svg.count("<circle") == len(cloud)
         assert svg.rstrip().endswith("</svg>")
+
+
+# The per-row f-string emitters that the bulk ones replaced, kept as the
+# reference their bytes must equal.
+
+
+def reference_ply(cloud) -> bytes:
+    pts = cloud.points if isinstance(cloud, PointCloud3D) else np.asarray(cloud)
+    out = ["ply", "format ascii 1.0", f"element vertex {len(pts)}", "property float x",
+           "property float y", "property float z", "end_header"]
+    for x, y, z in pts:
+        out.append(f"{x:.9g} {y:.9g} {z:.9g}")
+    return ("\n".join(out) + "\n").encode("ascii")
+
+
+def reference_csv(cloud, labels=None) -> bytes:
+    if labels is not None:
+        pts, tags = np.asarray(getattr(cloud, "points", cloud)), labels
+    elif isinstance(cloud, PointCloud3D):
+        pts, tags = cloud.points, [f"{int(i)}:{int(r)}" for i, r in cloud.labels]
+    else:
+        pts = np.asarray(cloud)
+        tags = [str(i) for i in range(len(pts))]
+    out = ["x,y,z,label"]
+    for (x, y, z), tag in zip(pts, tags):
+        out.append(f"{x:.9g},{y:.9g},{z:.9g},{tag}")
+    return ("\n".join(out) + "\n").encode("ascii")
+
+
+def reference_svg(cloud, cfg: RasterConfig, radius=None) -> bytes:
+    values = cloud.values if isinstance(cloud, PointCloud2D) else np.asarray(cloud)
+    re0, re1, im0, im1 = cfg.viewport
+    w, h = re1 - re0, im1 - im0
+    r = radius if radius is not None else min(w, h) / 800.0
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'viewBox="{re0:.9g} {-im1:.9g} {w:.9g} {h:.9g}">']
+    for z in values:
+        if re0 <= z.real <= re1 and im0 <= z.imag <= im1:
+            lines.append(f'<circle cx="{z.real:.9g}" cy="{-z.imag:.9g}" r="{r:.9g}"/>')
+    lines.append("</svg>")
+    return "\n".join(lines).encode("ascii")
+
+
+# zeros of both signs, subnormals, non-finite values, and the values on
+# either side of where %.9g switches to exponent notation (1e-4, 1e9)
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, math.nan, math.inf,
+           -math.inf, 1e-4, -1e-4, 9.99999999e-5, 9.999999995e-5, 9.9999999949e-5, 1.00000001e-4,
+           1e9, -1e9, 999999999.0, 999999999.4, 999999999.5, 999999999.6, 1000000001.0, 1.5]
+
+
+def coordinates(finite: bool = False):
+    special = [x for x in SPECIAL if math.isfinite(x) or not finite]
+    near = st.floats(9e-5, 1.1e-4) | st.floats(9.99e8, 1.001e9)
+    return (st.sampled_from(special) | near | near.map(lambda x: -x)
+            | st.floats(allow_nan=not finite, allow_infinity=not finite))
+
+
+def point_arrays(finite: bool = False):
+    rows = st.lists(st.tuples(*[coordinates(finite)] * 3), max_size=24)
+    return rows.map(lambda r: np.array(r, dtype=np.float64).reshape(-1, 3))
+
+
+SOLENOID = preset("fig2a-t2").solenoid_params(2)
+
+
+@st.composite
+def solenoid_clouds(draw):
+    pts = draw(point_arrays(finite=True))
+    pair = st.tuples(st.integers(0, 2**62), st.integers(0, 2**62))
+    labels = draw(st.lists(pair, min_size=len(pts), max_size=len(pts), unique=True))
+    return PointCloud3D(points=pts, labels=np.array(labels, dtype=np.int64).reshape(-1, 2),
+                        params=SOLENOID)
+
+
+@st.composite
+def svg_cases(draw):
+    """A viewport, and points on each of its edges, inside it and outside it."""
+    re0, re1, im0, im1 = (draw(st.floats(-1e3, 1e3)) for _ in range(4))
+    re0, re1 = sorted((re0, re1))
+    im0, im1 = sorted((im0, im1))
+    if not (re0 < re1 and im0 < im1):
+        re0, re1, im0, im1 = -1.0, 1.0, -0.5, 2.0
+    outside = st.sampled_from([math.nan, math.inf, -math.inf])
+
+    def axis(lo, hi):
+        return (st.sampled_from([lo, hi, -0.0, 0.0]) | st.floats(lo, hi)
+                | st.floats(max_value=lo, exclude_max=True)
+                | st.floats(min_value=hi, exclude_min=True)
+                | outside | st.sampled_from(SPECIAL))
+
+    pts = draw(st.lists(st.tuples(axis(re0, re1), axis(im0, im1)), max_size=24))
+    values = np.array([complex(x, y) for x, y in pts], dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        values = values.astype(draw(st.sampled_from([np.complex128, np.complex64])))
+    if draw(st.booleans()):
+        values = values.real.copy()
+    radius = draw(st.none() | st.floats(1e-9, 10.0) | st.sampled_from([1e-4, 1e9]))
+    return values, RasterConfig(viewport=(re0, re1, im0, im1)), radius
+
+
+class TestBulkEmitters:
+    """Each emitter's bytes equal the per-row reference formatter's."""
+
+    @given(pts=point_arrays())
+    @settings(max_examples=150, deadline=None)
+    def test_plain_arrays(self, pts):
+        assert export_ply(pts) == reference_ply(pts)
+        assert export_csv(pts) == reference_csv(pts)
+
+    @given(cloud=solenoid_clouds())
+    @settings(max_examples=100, deadline=None)
+    def test_solenoid_clouds(self, cloud):
+        assert export_ply(cloud) == reference_ply(cloud)
+        assert export_csv(cloud) == reference_csv(cloud)
+
+    @given(pts=point_arrays(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_given_labels(self, pts, data):
+        token = st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=8)
+        labels = data.draw(st.lists(token, min_size=len(pts), max_size=len(pts)))
+        assert export_csv(pts, labels) == reference_csv(pts, labels)
+
+    def test_label_count_must_match(self):
+        with pytest.raises(ValueError, match="2 labels for 3 points"):
+            export_csv(np.zeros((3, 3)), ["a", "b"])
+
+    @given(case=svg_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_svg(self, case):
+        values, cfg, radius = case
+        assert to_svg(values, cfg, radius) == reference_svg(values, cfg, radius)
+
+    def test_svg_plane_cloud_with_points_on_every_edge(self):
+        cfg = RasterConfig(viewport=(-1.0, 1.0, 0.0, 2.0))
+        values = np.array([-1 + 0j, 1 + 0j, 1j, 2j, -1 + 2j, 1 + 2j, 0.5 + 1j,
+                           -1.5 + 0j, 1 + 2.5j, 0.5 - 1e-300j])
+        cloud = PointCloud2D(values=values, labels=np.arange(len(values)), level=0,
+                             params=preset("fig1-12").map_params(2))
+        svg = to_svg(cloud, cfg)
+        assert svg == reference_svg(cloud, cfg)
+        assert svg.count(b"<circle") == 7 and b'cy="-0"' in svg
+
+    @pytest.mark.parametrize("empty", [np.empty(0), np.empty((0, 3)), np.empty(0, complex)])
+    def test_empty_input(self, empty):
+        cfg = RasterConfig()
+        assert export_ply(empty) == reference_ply(empty)
+        assert export_csv(empty) == reference_csv(empty)
+        assert to_svg(empty, cfg) == reference_svg(empty, cfg)
+
+    @pytest.mark.parametrize("name, depth, emit, digest", [
+        ("fig2a-t2", 3, export_ply,
+         "81fe92c631f623204217f0ada615ef637f948eea99db40a53c3eda5530d877b2"),
+        ("fig2a-t2", 3, export_csv,
+         "c02cadd9ff2c6a8073f061b49c251fecc0e134b4d7ad14d90e9f74ec0d168177"),
+        ("fig2b-t3", 2, export_ply,
+         "a9d036c792f6853ea1b73d1e8585ae326c927ef5ca9d5928d437a548d0c8a618"),
+        ("fig2b-t3", 2, export_csv,
+         "a8b564ae64275e7669d933c5120e7d6e248dcb84ca053c73c80e15c82c20edc0"),
+        ("fig1-12", 4, to_svg,
+         "82502a9382957507e9655505ed0721b6989c28cd85efbc75bb9d467b2eda254f"),
+    ])
+    def test_preset_bytes_pinned(self, name, depth, emit, digest):
+        cloud = build_cloud(preset(name), depth=depth)
+        if emit is to_svg:
+            cfg = RasterConfig(viewport=auto_viewport(cloud.values))
+            data, ref = to_svg(cloud, cfg), reference_svg(cloud, cfg)
+        else:
+            data, ref = emit(cloud), (reference_ply if emit is export_ply else reference_csv)(cloud)
+        assert data == ref
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestPresets:

@@ -98,6 +98,20 @@ class TestMetric:
         assert distance(f, h) <= dfg + distance(g, h) + EPS
         assert abs(distance(add(f, h), add(g, h)) - dfg) <= EPS
 
+    @given(p=st.sampled_from([2, 3, 6]), alpha=st.sampled_from([0.5, 1.0, 2.0]),
+           xis=st.lists(st.fractions(0, Fraction(996, 997), max_denominator=997),
+                        min_size=2, max_size=2),
+           nums=st.lists(st.integers(-400, 400), min_size=2, max_size=2),
+           dens=st.lists(st.sampled_from([1, 7, 11, 13]), min_size=2, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_distance_equals_two_sided_formula(self, p, alpha, xis, nums, dens):
+        # exact points: integers and rationals with denominators prime to p
+        f, g = (SolenoidPoint(xi, expand(Fraction(n, d), p, 12))
+                for xi, n, d in zip(xis, nums, dens))
+        one_sided = (add(f, neg(g)), add(g, neg(f)))
+        expected = min(max(float(h.xi), h.x.norm(alpha)) for h in one_sided)
+        assert distance(f, g, alpha) == expected
+
     @given(f=solenoid_points, g=solenoid_points)
     @settings(max_examples=80, deadline=None)
     def test_indiscernible(self, f, g):
