@@ -179,30 +179,49 @@ class PointCloud2D:
 # scalar evaluation
 
 
-def _char_exp(p: int, units: float) -> complex:
-    return cmath.exp(2j * math.pi * units / p)
-
-
 class PlaneMap:
     """Evaluates the series map, its parts, and its self-similar structure."""
 
     def __init__(self, params: MapParams):
         self.params = params
 
-    def character(self, x: PAdic, n: int) -> complex:
-        """Phase factor at level n: reads digits x_{n-k} weighted p^-k."""
+    def _characters(self, x: PAdic, first: int, last: int) -> list[complex]:
+        """chi_n(x) for n = first .. last, reading each digit of x once.
+
+        A holds the integer A_n = sum_{v<=j<=n} x_j p^(j-v), and
+        chi_n = e((A_n - A_{n-m-1}) / p^(n-v+1)): the phase is an exact
+        fraction of a turn, rounded once.  A_{n-m-1} is 0 at infinite
+        order and for n-m-1 < v; chi_n = 1 below the valuation.
+        """
         p, m = self.params.p, self.params.m
         if x.p != p:
             raise ValueError(f"operand base {x.p} does not match params p={p}")
-        if x.is_zero() or n < x.v:
-            return 1.0 + 0.0j
-        kmax = n - x.v if m == math.inf else min(m, n - x.v)
-        units = 0.0
-        for k in range(int(kmax) + 1):
-            d = x.digit(n - k)
-            if d:
-                units += d * float(p) ** (-k)
-        return _char_exp(p, units)
+        v = x.valuation()  # +inf for zero: chi = 1 at every level
+        chis = []
+        sums, scale = [0], 1  # sums[k] = A_{v+k-1}; scale = p^(n-v+1)
+        for n in range(min(first, v), last + 1):
+            chi = 1.0 + 0.0j
+            if n >= v:
+                sums.append(sums[-1] + x.digit(n) * scale)
+                scale *= p
+                low = sums[n - v - m] if n - m >= v else 0
+                chi = cmath.exp(2j * math.pi * ((sums[-1] - low) / scale))
+            if n >= first:
+                chis.append(chi)
+        return chis
+
+    def character(self, x: PAdic, n: int) -> complex:
+        """Phase factor at level n: reads digits x_{n-k} weighted p^-k."""
+        return self._characters(x, n, n)[0]
+
+    def _weighted(self, x: PAdic, weight) -> tuple[complex, complex]:
+        """Sums of weight(n) (chi_n - [n < 0]) over the negative levels
+        and over the levels 0 .. depth."""
+        levels = range(min(x.valuation(), 0), self.params.depth + 1)
+        chis = self._characters(x, levels.start, levels.stop - 1)
+        terms = list(zip(levels, chis))
+        negative = sum((weight(n) * (chi - 1.0) for n, chi in terms if n < 0), 0j)
+        return negative, sum((weight(n) * chi for n, chi in terms if n >= 0), 0j)
 
     def value(self, x: PAdic) -> complex:
         """Series value; negative levels contribute s^n (chi_n - 1).
@@ -212,38 +231,19 @@ class PlaneMap:
         element (empty negative part) without a valuation convention.
         """
         s = self.params.s
-        total = 0.0 + 0.0j
-        if not x.is_zero():
-            for n in range(x.v, 0):
-                total += s**n * (self.character(x, n) - 1.0)
-        for n in range(0, self.params.depth + 1):
-            total += s**n * self.character(x, n)
-        return total
+        return sum(self._weighted(x, lambda n: s**n))
 
     __call__ = value
 
     def parts(self, x: PAdic) -> tuple[complex, complex]:
         """(fractional, integral) split of the series value."""
         s = self.params.s
-        frac = 0.0 + 0.0j
-        if not x.is_zero():
-            for n in range(x.v, 0):
-                frac += s**n * (self.character(x, n) - 1.0)
-        integral = 0.0 + 0.0j
-        for n in range(0, self.params.depth + 1):
-            integral += s**n * self.character(x, n)
-        return frac, integral
+        return self._weighted(x, lambda n: s**n)
 
     def derivative_in_s(self, x: PAdic) -> complex:
         """Term-wise derivative of the series with respect to s."""
         s = self.params.s
-        total = 0.0 + 0.0j
-        if not x.is_zero():
-            for n in range(x.v, 0):
-                total += n * s ** (n - 1) * (self.character(x, n) - 1.0)
-        for n in range(1, self.params.depth + 1):
-            total += n * s ** (n - 1) * self.character(x, n)
-        return total
+        return sum(self._weighted(x, lambda n: n * s ** (n - 1)))
 
     def scaling_residual(self, x: PAdic) -> float:
         """|value(p x) - s value(x) - 1|; bounded by twice the tail."""
@@ -266,7 +266,7 @@ class PlaneMap:
         """
         p = self.params.p
         if codes is None:
-            _guard_enumeration(p, depth)
+            _guard_rows(p, depth)
             codes = np.arange(p**depth, dtype=np.int64)
         return _series(_code_digits(codes, p, depth), depth, len(codes), scale, self.params)
 
@@ -280,7 +280,7 @@ class PlaneMap:
         if depth < level:
             raise ValueError("depth must reach at least the cluster level")
         p = self.params.p
-        _guard_enumeration(p, depth)
+        _guard_rows(p, depth)
         center %= p**level
         codes = np.arange(p ** (depth - level), dtype=np.int64)
         labels = center + codes * p**level
@@ -306,11 +306,17 @@ def residue_bound(p: int, depth: int) -> int:
     return bound
 
 
-def _guard_enumeration(p: int, depth: int) -> None:
-    if p**depth > 1 << 40:
+# A full enumeration peaks near 100 bytes per row for a plane cloud and
+# 230 for a torus cloud exported to PLY (peak RSS at 2^20 to 2^22 rows).
+MAX_ROWS = 1 << 23
+
+
+def _guard_rows(p: int, depth: int, fibers: int = 1) -> None:
+    """Refuse fibers * p**depth rows past MAX_ROWS, before any allocation."""
+    if fibers * p**depth > MAX_ROWS:
+        size = f"{p}^{depth}" if fibers == 1 else f"{fibers} x {p}^{depth}"
         raise ValueError(
-            f"enumeration of {p}^{depth} residues exceeds the vectorized range; "
-            "use the scalar path with arbitrary-precision integers"
+            f"enumerating {size} = {fibers * p**depth} rows exceeds the limit of {MAX_ROWS}"
         )
 
 
@@ -319,7 +325,7 @@ def residue_digit_matrix(
 ) -> np.ndarray:
     """Digit columns of residues: column j holds the digit of p**j."""
     if codes is None:
-        _guard_enumeration(p, depth)
+        _guard_rows(p, depth)
         codes = np.arange(p**depth, dtype=np.int64)
     cols = [((codes // p**j) % p).astype(np.float64) for j in range(depth)]
     return np.stack(cols, axis=1) if cols else np.zeros((len(codes), 0))
@@ -558,18 +564,9 @@ def rotate_digits(x: PAdic) -> PAdic:
         if lead is None:
             raise PrecisionError("rotation vanishes across a truncated window")
         return PAdic(p, lead, tuple(rles[lead:]))
-    width = max(x.window_top, 8)
-    head = sum(
-        Fraction((x.digit(n) + 1) % p) * Fraction(p) ** n for n in range(width)
-    )
-    if x.period:
-        block_start = x.v + x.preperiod
-        phase = (width - block_start) % len(x.period)
-        aligned = x.period[phase:] + x.period[:phase]
-        new_block = tuple((d + 1) % p for d in aligned)
-    else:
-        new_block = (1,)
-    if any(new_block):
-        b = sum(d * p**i for i, d in enumerate(new_block))
-        head += Fraction(b * p**width, 1 - p ** len(new_block))
-    return expand(head, p, width + len(new_block))
+    # from index `start` on the digits repeat `block` (zeros past a terminating window)
+    start = x.v + x.preperiod if x.period else x.window_top
+    block = x.period or (0,)
+    head = sum((x.digit(n) + 1) % p * p**n for n in range(start))
+    tail = sum((d + 1) % p * p**i for i, d in enumerate(block))
+    return expand(head + Fraction(tail * p**start, 1 - p ** len(block)), p, start + len(block))

@@ -1,10 +1,12 @@
-"""Windowed base-p digit expansions of rational numbers.
+"""Base-p digit expansions of rational numbers.
 
-A value is a finite digit window anchored at its valuation plus a tail
-descriptor: the tail is known to be all zeros, known to repeat a fixed
-block, or truncated (unknown).  Exact values (zero or periodic tail)
-carry their rational value, so arithmetic on them is exact; truncated
-values only support digit-wise work inside the stored window.
+An exact value is its rational plus the window width it was requested
+with: the valuation comes from the p-multiplicity of the rational, and
+the digit window, the preperiod and the repeating block are derived from
+the rational by long division on first use, so arithmetic on exact
+values is rational arithmetic.  A truncated value is a stored digit
+window anchored at its valuation whose tail is unknown; it only supports
+digit-wise work inside that window.
 
 The base p may be any integer >= 2; nothing here requires inverses of p,
 so composite bases work throughout.
@@ -13,8 +15,8 @@ so composite bases work throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Union
 
 Rational = Union[int, Fraction]
@@ -26,67 +28,76 @@ class PrecisionError(Exception):
     """An operation needed digits beyond a truncated window."""
 
 
-def _tail_value(p: int, start: int, block: tuple[int, ...]) -> Fraction:
-    # Value of the block repeated from digit position `start` upward:
-    # sum_{k>=0} B p^(start + k L) = B p^start / (1 - p^L), the (formally
-    # convergent) geometric series evaluated as a rational.
-    b = sum(d * p**i for i, d in enumerate(block))
-    return Fraction(b * p**start, 1 - p ** len(block))
-
-
-def _digit_stream(num: int, den: int, p: int) -> tuple[list[int], list[int]]:
-    """Digits of num/den (den coprime to p) with cycle detection.
-
-    Returns (preperiod digits, repeating block).  The block is at least
-    one digit long; an all-zero block means the expansion terminates.
-    """
-    binv = pow(den, -1, p)
-    seen: dict[int, int] = {}
-    digits: list[int] = []
-    while num not in seen:
-        seen[num] = len(digits)
-        d = (num * binv) % p
-        digits.append(d)
-        num = (num - d * den) // p
-    start = seen[num]
-    return digits[:start], digits[start:]
-
-
-@dataclass(frozen=True, eq=False)
 class PAdic:
     """One base-p number: a digit window from the valuation upward.
 
     digits[i] is the coefficient of p**(v + i).  `value` is the exact
     rational when the tail is known, None when truncated.  For periodic
     tails, `period` repeats starting at window offset `preperiod`.
+    PAdic(p, v, digits) builds a truncated value; exact values come from
+    expand() and from_int(), and their digits only from their rational.
     """
 
-    p: int
-    v: int
-    digits: tuple[int, ...]
-    value: Fraction | None = None
-    preperiod: int = 0
-    period: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError(f"base must be >= 2, got {self.p}")
-        if any(not 0 <= d < self.p for d in self.digits):
+    def __init__(self, p: int, v: int, digits: tuple[int, ...]) -> None:
+        digits = tuple(digits)
+        if p < 2:
+            raise ValueError(f"base must be >= 2, got {p}")
+        if any(not 0 <= d < p for d in digits):
             raise ValueError("digit out of range for the base")
-        if self.digits and self.digits[0] == 0:
-            raise ValueError("lowest stored digit must be nonzero")
-        if not self.digits and (self.value is None or self.value != 0):
+        if not digits:
             raise ValueError("empty digit window is reserved for exact zero")
-        if self.period:
-            if self.value is None:
-                raise ValueError("periodic tail requires an exact value")
-            if not 0 <= self.preperiod <= len(self.digits):
-                raise ValueError("periodic block must start inside the window")
+        if digits[0] == 0:
+            raise ValueError("lowest stored digit must be nonzero")
+        vars(self).update(p=p, v=v, value=None, _expansion=(digits, 0, ()))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PAdic is immutable; cannot set {name!r}")
+
+    @cached_property
+    def _expansion(self) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+        """(digits, preperiod, period) of an exact value.
+
+        Long division of the unit part num/den (den coprime to p) yields
+        the digits; the repeating block starts where a remainder recurs,
+        and an all-zero block means the expansion terminates.
+        """
+        if self.is_zero():
+            return (), 0, ()
+        p = self.p
+        unit = self.value / Fraction(p) ** self.v
+        num, den = unit.numerator, unit.denominator
+        binv = pow(den, -1, p)
+        seen: dict[int, int] = {}
+        stream: list[int] = []
+        while num not in seen:
+            seen[num] = len(stream)
+            d = (num * binv) % p
+            stream.append(d)
+            num = (num - d * den) // p
+        start = seen[num]
+        block = stream[start:]
+        width = max(self._width, start)
+        digits = tuple((stream + block * width)[:width])
+        if not any(block):
+            return digits, 0, ()
+        return digits, start, tuple(block)
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        return self._expansion[0]
+
+    @property
+    def preperiod(self) -> int:
+        return self._expansion[1]
+
+    @property
+    def period(self) -> tuple[int, ...]:
+        return self._expansion[2]
 
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.digits and self.value == 0
+        return self.value == 0
 
     @property
     def exactness(self) -> str:
@@ -114,10 +125,11 @@ class PAdic:
         if self.is_zero() or n < self.v:
             return 0
         i = n - self.v
-        if i < len(self.digits):
-            return self.digits[i]
-        if self.period:
-            return self.period[(i - self.preperiod) % len(self.period)]
+        digits, preperiod, period = self._expansion
+        if i < len(digits):
+            return digits[i]
+        if period:
+            return period[(i - preperiod) % len(period)]
         if self.value is not None:
             return 0
         raise PrecisionError(
@@ -131,14 +143,16 @@ class PAdic:
         """Fractional part in Q intersect [0, 1) and the integral remainder."""
         if self.is_zero() or self.v >= 0:
             return Fraction(0), self
+        if self.value is not None:
+            # the -v digits below p^0 are the unit part's residue mod p^-v
+            unit, mod = self.value * self.p ** -self.v, self.p ** -self.v
+            frac = Fraction(unit.numerator * pow(unit.denominator, -1, mod) % mod, mod)
+            return frac, _exact(self.value - frac, self.p, max(self.v + self._width, 1))
         frac = Fraction(0)
         for n in range(self.v, 0):
             d = self.digit(n)
             if d:
                 frac += Fraction(d, self.p ** (-n))
-        if self.value is not None:
-            width = max(self.window_top, 1)
-            return frac, expand(self.value - frac, self.p, width)
         sub = self.digits[-self.v:]
         lead = next((i for i, d in enumerate(sub) if d), None)
         if lead is None:
@@ -157,8 +171,9 @@ class PAdic:
         """Multiply by p**k (digit shift; the window moves with it)."""
         if self.is_zero() or k == 0:
             return self
-        val = None if self.value is None else self.value * Fraction(self.p) ** k
-        return replace(self, v=self.v + k, value=val)
+        if self.value is None:
+            return PAdic(self.p, self.v + k, self.digits)
+        return _exact(self.value * Fraction(self.p) ** k, self.p, self._width)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -168,26 +183,22 @@ class PAdic:
         if other.p != self.p:
             raise ValueError(f"incompatible bases {self.p} and {other.p}")
 
-    def _known_top(self) -> float:
-        return math.inf if self.value is not None else float(self.window_top)
-
     def __add__(self, other: "PAdic") -> "PAdic":
         self._check_compatible(other)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        if self.value is not None and other.value is not None:
-            lo = min(self.v, other.v)
-            hi = max(self.window_top, other.window_top)
-            return expand(self.value + other.value, self.p, max(hi - lo, 1))
         lo = min(self.v, other.v)
-        hi = min(self._known_top(), other._known_top())
+        if self.value is not None and other.value is not None:
+            hi = max(self.v + self._width, other.v + other._width)
+            return _exact(self.value + other.value, self.p, max(hi - lo, 1))
+        hi = min(x.window_top for x in (self, other) if x.value is None)
         if hi <= lo:
             raise PrecisionError("operands share no digit window")
         out: list[int] = []
         carry = 0
-        for n in range(lo, int(hi)):
+        for n in range(lo, hi):
             carry, d = divmod(self.digit(n) + other.digit(n) + carry, self.p)
             out.append(d)
         lead = next((i for i, d in enumerate(out) if d), None)
@@ -201,7 +212,7 @@ class PAdic:
         if self.is_zero():
             return self
         if self.value is not None:
-            return expand(-self.value, self.p, max(len(self.digits), 1))
+            return _exact(-self.value, self.p, self._width)
         head = self.p - self.digits[0]
         rest = tuple(self.p - 1 - d for d in self.digits[1:])
         return PAdic(self.p, self.v, (head,) + rest)
@@ -217,13 +228,9 @@ class PAdic:
             return NotImplemented
         if self.p != other.p:
             return False
-        if self.value is not None and other.value is not None:
+        if self.value is not None or other.value is not None:
             return self.value == other.value
-        return (
-            self.v == other.v
-            and self.digits == other.digits
-            and self.value == other.value
-        )
+        return self.v == other.v and self.digits == other.digits
 
     def __hash__(self) -> int:
         if self.value is not None:
@@ -246,70 +253,49 @@ class PAdic:
         )
 
 
-def expand(q: Rational, p: int, window: int) -> PAdic:
-    """Digit expansion of a rational in base p with the given window width.
+def _exact(q: Fraction, p: int, window: int) -> PAdic:
+    """The exact value q with the given window width.
 
-    The valuation is pulled out first: factors of p in the numerator
-    raise it, and denominator factors sharing a divisor g with p are
-    absorbed by multiplying through with p/g, lowering it.  After that
-    the denominator is coprime to p and plain long division yields the
-    digits, with the repeating block detected from the remainder cycle.
+    The valuation v is pulled out of q: denominator factors sharing a
+    divisor g with p are absorbed by multiplying through with p/g, each
+    lowering v, and factors of p left in the numerator raise it.  After
+    that q = p^v num/den with den coprime to p, which is what the long
+    division behind the digits needs.
     """
-    q = Fraction(q)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if p < 2:
-        raise ValueError("base must be >= 2")
-    if q == 0:
-        return PAdic(p, 0, (), Fraction(0))
-    num, den = q.numerator, q.denominator
     v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
+    num, den = q.numerator, q.denominator
     g = math.gcd(den, p)
     while g > 1:
         num *= p // g
         den //= g
         v -= 1
-        while num % p == 0:
-            num //= p
-            v += 1
         g = math.gcd(den, p)
-    pre, block = _digit_stream(num, den, p)
-    terminates = not any(block)
-    width = max(window, len(pre))
-    win: list[int] = []
-    for i in range(width):
-        if i < len(pre):
-            win.append(pre[i])
-        elif terminates:
-            win.append(0)
-        else:
-            win.append(block[(i - len(pre)) % len(block)])
-    if terminates:
-        return PAdic(p, v, tuple(win), q)
-    return PAdic(p, v, tuple(win), q, preperiod=len(pre), period=tuple(block))
+    while num and num % p == 0:
+        num //= p
+        v += 1
+    x = object.__new__(PAdic)
+    vars(x).update(p=p, v=v, value=q, _width=window)
+    return x
+
+
+def expand(q: Rational, p: int, window: int) -> PAdic:
+    """Digit expansion of a rational in base p with the given window width.
+
+    The window holds at least `window` digits from the valuation upward,
+    and at least the whole preperiod; the repeating block is detected
+    from the remainder cycle of the long division.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if p < 2:
+        raise ValueError("base must be >= 2")
+    return _exact(Fraction(q), p, window)
 
 
 def from_int(n: int, p: int, window: int | None = None) -> PAdic:
-    """Fast construction from an integer (negative ints repeat p-1)."""
-    if n == 0:
-        return PAdic(p, 0, (), Fraction(0))
-    if n < 0:
-        return expand(n, p, window or 1)
-    value = Fraction(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    digs: list[int] = []
-    while n:
-        n, d = divmod(n, p)
-        digs.append(d)
-    if window is not None and window > len(digs):
-        digs.extend([0] * (window - len(digs)))
-    return PAdic(p, v, tuple(digs), value)
+    """Construction from an integer (negative ints repeat p-1): the
+    window holds the integer's digits, padded to `window`."""
+    return expand(n, p, window or 1)
 
 
 def residues(p: int, depth: int) -> Iterator[PAdic]:

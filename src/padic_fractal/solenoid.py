@@ -23,6 +23,7 @@ from .complex_map import (
     code_valuations,
     delta_lower,
     residue_digit_matrix,
+    _guard_rows,
     _min_cross_distance,
 )
 from .padic import PAdic, from_int
@@ -163,12 +164,9 @@ class TorusMap:
         """Circle phase attached to level n; switched off once the level
         outruns the digit window that the ball coordinate can feel."""
         p, m = self.params.map.p, self.params.map.m
-        if m == math.inf:
-            return cmath.exp(2j * math.pi * xi / p ** (n + 1))
-        v = x.valuation()  # +inf for zero keeps the coupling on
-        if n > m + v:
+        if n > m + x.valuation():  # never at infinite order or for zero
             return 1.0 + 0.0j
-        return cmath.exp(2j * math.pi * xi / p ** (min(n, int(m)) + 1))
+        return cmath.exp(2j * math.pi * xi / p ** (min(n, m) + 1))
 
     def fiber_value(self, xi: float | Fraction, x: PAdic) -> complex:
         """Fiberwise series value; representatives are reduced first, so
@@ -178,12 +176,9 @@ class TorusMap:
             xi = xi - whole
             x = x + from_int(whole, x.p)
         xi_f = float(xi)
-        pmap = self.plane
         s = self.params.map.s
-        total = 0.0 + 0.0j
-        for n in range(0, self.params.map.depth + 1):
-            total += s**n * self._coupling(xi_f, x, n) * pmap.character(x, n)
-        return total
+        chis = self.plane._characters(x, 0, self.params.map.depth)
+        return sum((s**n * self._coupling(xi_f, x, n) * chi for n, chi in enumerate(chis)), 0j)
 
     def fiber_values(self, xi: float | Fraction, depth: int) -> np.ndarray:
         """Fiber series over every residue at the given depth, ascending.
@@ -206,6 +201,7 @@ class TorusMap:
         """
         params = self.params.map
         p, m = params.p, params.m
+        _guard_rows(p, depth, len(xis))
         ns = np.arange(params.depth + 1)
         chars = character_table(residue_digit_matrix(p, depth), 0, params)
         terms = params.s ** ns[:, None] * chars
@@ -221,21 +217,15 @@ class TorusMap:
 
     # -- the chart into 3-space ---------------------------------------------
 
-    def to_space(self, xi: float, z: complex) -> np.ndarray:
+    def to_space(self, xi, z) -> np.ndarray:
         """Torus chart: ring angle 2 pi xi, tube displacement z measured
-        relative to the complex parameter a."""
+        relative to the complex parameter a.  xi broadcasts against z and
+        the coordinates go on a new last axis."""
         a = self.params.a
-        w = z / a
-        ring = cmath.exp(2j * math.pi * xi) * abs(a) * (1.0 + w.real)
-        return np.array([ring.real, abs(a) * w.imag, ring.imag])
-
-    def to_space_batch(self, xi, z: np.ndarray) -> np.ndarray:
-        """Chart of many tube points; xi broadcasts against z and the
-        coordinates go on a new last axis."""
-        a = self.params.a
-        w = z / a
-        ring = np.exp(2j * math.pi * np.asarray(xi)) * abs(a) * (1.0 + w.real)
-        return np.stack([ring.real, abs(a) * w.imag, ring.imag], axis=-1)
+        w = np.asarray(z) / a
+        ring = np.exp(2j * math.pi * np.asarray(xi, dtype=np.float64)) * abs(a) * (1.0 + w.real)
+        height = np.broadcast_to(abs(a) * w.imag, ring.shape)
+        return np.stack([ring.real, height, ring.imag], axis=-1)
 
     def embed(self, f: SolenoidPoint) -> np.ndarray:
         """Full embedding of one solenoid point."""
@@ -250,7 +240,7 @@ class TorusMap:
         """Fibers at xi = i/xi_count for all residues; xi-major order."""
         per = self.params.map.p**depth
         xis = np.arange(xi_count) / xi_count
-        pts = self.to_space_batch(xis[:, None], self._fibers(xis, depth)).reshape(-1, 3)
+        pts = self.to_space(xis[:, None], self._fibers(xis, depth)).reshape(-1, 3)
         labels = np.column_stack(
             [np.repeat(np.arange(xi_count), per), np.tile(np.arange(per), xi_count)]
         )
@@ -322,9 +312,10 @@ def delta_tilde_certificate(
     lower = delta_lower(mp.p, mp.s)
     tmap = TorusMap(params)
     p = mp.p
+    fibers = tmap._fibers(np.arange(xi_count) / xi_count, search_depth)
     first = np.arange(p**search_depth, dtype=np.int64) % p
     empirical = math.inf
-    for vals in tmap._fibers(np.arange(xi_count) / xi_count, search_depth):
+    for vals in fibers:
         for da in range(p):
             va = vals[first == da]
             for db in range(da + 1, p):

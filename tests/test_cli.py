@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -315,6 +316,21 @@ class TestFieldChecks:
         assert code == 2
         assert bound in err and "int64" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv, size", [
+        (["render2d", "--p", "1000", "--depth", "3"], "1000^3 = 1000000000 rows"),
+        (["render3d", "--p", "10", "--depth", "7"], "64 x 10^7 = 640000000 rows"),
+        (["moments", "--p", "6", "--m", "0", "--depth", "12"], "6^12 = 2176782336 rows"),
+    ])
+    def test_enumeration_past_row_limit(self, argv, size, tmp_path, monkeypatch):
+        # each would ask for many GB; the row count is refused before any allocation
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        code, out, err = run_captured(argv + ["--out", "artifact"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert size in err and not FOREIGN.search(err)
+        assert out == "" and list(tmp_path.iterdir()) == []
 
     def test_presets_listing_written_to_out(self, tmp_path, capsys):
         out = tmp_path / "presets.txt"

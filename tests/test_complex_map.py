@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from padic_fractal.complex_map import (
     scaling_residuals,
     series_values,
 )
+from padic_fractal.solenoid import SolenoidParams, TorusMap
 
 EPS = 1e-12
 
@@ -447,3 +449,102 @@ def test_min_cross_distance_matches_brute_force():
     brute = float(np.abs(va[:, None] - vb[None, :]).min())
     assert _min_cross_distance(va, vb) == brute
     assert _min_cross_distance(vb, va) == brute
+
+
+def per_level_character(x: PAdic, n: int, p: int, m) -> complex:
+    """Reference: the per-level character loop the scalar oracle used,
+    re-reading the digits under level n as a float sum of p^-k weights."""
+    if x.is_zero() or n < x.v:
+        return 1.0 + 0.0j
+    kmax = n - x.v if m == math.inf else min(m, n - x.v)
+    units = 0.0
+    for k in range(int(kmax) + 1):
+        d = x.digit(n - k)
+        if d:
+            units += d * float(p) ** (-k)
+    return cmath.exp(2j * math.pi * units / p)
+
+
+def per_level_coupling(xi: float, x: PAdic, n: int, p: int, m) -> complex:
+    """Reference: the circle phase of level n in the fiber series."""
+    if m == math.inf:
+        return cmath.exp(2j * math.pi * xi / p ** (n + 1))
+    if n > m + x.valuation():
+        return 1.0 + 0.0j
+    return cmath.exp(2j * math.pi * xi / p ** (min(n, int(m)) + 1))
+
+
+def per_level_sums(x: PAdic, params: MapParams, weight):
+    """(negative levels, levels 0 .. depth) sums of weight(n) (chi_n - [n < 0])
+    and the sum of |weight(n)|, the scale of their rounding."""
+    lo = 0 if x.is_zero() else min(x.v, 0)
+    frac = integral = 0.0 + 0.0j
+    scale = 0.0
+    for n in range(lo, params.depth + 1):
+        chi = per_level_character(x, n, params.p, params.m)
+        if n < 0:
+            frac += weight(n) * (chi - 1.0)
+        else:
+            integral += weight(n) * chi
+        scale += abs(weight(n))
+    return frac, integral, scale
+
+
+def exact_points(p: int):
+    # negative valuations, periodic tails and composite-base denominators
+    return st.builds(
+        lambda num, den, k: expand(Fraction(num, den * p**k), p, 12),
+        st.integers(min_value=-500, max_value=500),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=3),
+    )
+
+
+def truncated_points(p: int, depth: int):
+    # a stored window that reaches past the series depth
+    return st.builds(
+        lambda v, lead, rest: PAdic(p, v, (lead, *rest)),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=1, max_value=p - 1),
+        st.lists(st.integers(min_value=0, max_value=p - 1), min_size=depth + 4, max_size=depth + 8),
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_single_digit_pass_matches_per_level_loop(data):
+    p = data.draw(st.sampled_from([2, 3, 6]))
+    m = data.draw(st.sampled_from([0, 1, 3, math.inf]))
+    s = data.draw(st.sampled_from([0.25, 0.4, 0.3 + 0.2j, -0.35]))
+    depth = data.draw(st.integers(min_value=1, max_value=30))
+    params = MapParams(p=p, m=m, s=s, depth=depth)
+    x = data.draw(st.one_of(exact_points(p), truncated_points(p, depth)))
+    pm = PlaneMap(params)
+    for n in range(min(x.valuation(), 0) - 2, depth + 1):
+        assert abs(pm.character(x, n) - per_level_character(x, n, p, m)) <= 1e-12
+    frac, integral, scale = per_level_sums(x, params, lambda n: s**n)
+    got_frac, got_integral = pm.parts(x)
+    assert abs(got_frac - frac) <= 1e-12 * scale
+    assert abs(got_integral - integral) <= 1e-12 * scale
+    assert abs(pm.value(x) - (frac + integral)) <= 1e-12 * scale
+    frac, integral, scale = per_level_sums(x, params, lambda n: n * s ** (n - 1))
+    assert abs(pm.derivative_in_s(x) - (frac + integral)) <= 1e-12 * scale
+    tm = TorusMap(SolenoidParams(map=params, a=2.0))
+    xi = data.draw(st.fractions(min_value=0, max_value=Fraction(996, 997), max_denominator=997))
+    want = sum(
+        s**n * per_level_coupling(float(xi), x, n, p, m) * per_level_character(x, n, p, m)
+        for n in range(depth + 1)
+    )
+    assert abs(tm.fiber_value(xi, x) - want) <= 1e-12 * sum(abs(s) ** n for n in range(depth + 1))
+    if x.value is None:
+        # the stored digits end at window_top: nothing reads past them
+        with pytest.raises(PrecisionError):
+            pm.character(x, x.window_top)
+        with pytest.raises(PrecisionError):
+            PlaneMap(replace(params, depth=x.window_top)).value(x)
+
+
+def test_exact_value_reads_the_digits_of_its_rational():
+    pm = PlaneMap(MapParams(p=2, m=0, s=0.3))
+    # 5 = 1 + 4: chi_n = -1, 1, -1 at levels 0, 1, 2 and 1 above
+    assert pm.value(expand(5, 2, 3)) == pytest.approx(-1 + 0.3 - 0.09 + 0.027 / 0.7, abs=EPS)

@@ -218,3 +218,120 @@ class TestEquality:
         x = from_int(5, 2)
         with pytest.raises(Exception):
             x.v = 3  # type: ignore[misc]
+
+    def test_window_and_value_cannot_both_be_given(self):
+        # an exact value's digits come only from its rational: a stored
+        # window cannot be paired with a value that disagrees with it
+        with pytest.raises(TypeError):
+            PAdic(2, 0, (1,), Fraction(5))  # type: ignore[call-arg]
+        five = expand(5, 2, 3)
+        assert five.digits == (1, 0, 1) and five.digit(2) == 1
+        assert from_int(125, 2).digits == (1, 0, 1, 1, 1, 1, 1)
+
+
+def long_division_expand(q: Fraction, p: int, window: int):
+    """Reference: the long-division expansion exact values used to store,
+    as (v, digits, preperiod, period)."""
+    if q == 0:
+        return 0, (), 0, ()
+    num, den = q.numerator, q.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    g = math.gcd(den, p)
+    while g > 1:
+        num *= p // g
+        den //= g
+        v -= 1
+        while num % p == 0:
+            num //= p
+            v += 1
+        g = math.gcd(den, p)
+    binv = pow(den, -1, p)
+    seen: dict[int, int] = {}
+    stream: list[int] = []
+    while num not in seen:
+        seen[num] = len(stream)
+        d = (num * binv) % p
+        stream.append(d)
+        num = (num - d * den) // p
+    pre, block = stream[: seen[num]], stream[seen[num]:]
+    terminates = not any(block)
+    win = []
+    for i in range(max(window, len(pre))):
+        if i < len(pre):
+            win.append(pre[i])
+        elif terminates:
+            win.append(0)
+        else:
+            win.append(block[(i - len(pre)) % len(block)])
+    if terminates:
+        return v, tuple(win), 0, ()
+    return v, tuple(win), len(pre), tuple(block)
+
+
+def long_division_digit(expansion, n: int) -> int:
+    v, digits, preperiod, period = expansion
+    i = n - v
+    if n < v or not digits:
+        return 0
+    if i < len(digits):
+        return digits[i]
+    return period[(i - preperiod) % len(period)] if period else 0
+
+
+def assert_long_division(x: PAdic, q: Fraction, window: int) -> None:
+    expansion = long_division_expand(q, x.p, window)
+    v, digits, preperiod, period = expansion
+    assert x.value == q
+    assert (x.v, x.digits, x.preperiod, x.period) == expansion
+    assert x.window_top == v + len(digits)
+    for n in range(v - 2, v + len(digits) + 2 * len(period) + 3):
+        assert x.digit(n) == long_division_digit(expansion, n)
+
+
+class TestRationalCore:
+    """Exact values are their rationals; their digits must agree with the
+    long-division expansion they used to store, results included."""
+
+    @given(
+        a=rationals,
+        b=rationals,
+        p=st.sampled_from(BASES),
+        wa=st.integers(min_value=1, max_value=24),
+        wb=st.integers(min_value=1, max_value=24),
+        k=st.integers(min_value=-6, max_value=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_long_division(self, a, b, p, wa, wb, k):
+        xa, xb = expand(a, p, wa), expand(b, p, wb)
+        assert_long_division(xa, a, wa)
+        assert_long_division(xb, b, wb)
+        # a sum's window spans both operands' requested windows
+        va, vb = xa.v, xb.v
+        for other, q, w in ((xb, b, wb), (-xb, -b, wb)):
+            if a == 0:
+                width = w
+            elif q == 0:
+                width = wa
+            else:
+                width = max(max(va + wa, vb + w) - min(va, vb), 1)
+            assert_long_division(xa + other, a + q, width)
+        assert_long_division(xa - xb, a - b, width)  # xa - xb is xa + (-xb)
+        assert_long_division(-xa, -a, wa)
+        assert_long_division(xa.shift(k), a * Fraction(p) ** k, wa)
+        frac, integral = xa.split()
+        expansion = long_division_expand(a, p, wa)
+        digits = [long_division_digit(expansion, n) for n in range(va, 0)]
+        assert frac == sum((d * Fraction(p) ** (va + i) for i, d in enumerate(digits)), Fraction(0))
+        assert_long_division(integral, a - frac, max(va + wa, 1) if va < 0 else wa)
+
+    @given(
+        n=st.integers(min_value=-10**6, max_value=10**6),
+        p=st.sampled_from(BASES),
+        window=st.one_of(st.none(), st.integers(min_value=1, max_value=24)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_from_int_matches_long_division(self, n, p, window):
+        assert_long_division(from_int(n, p, window), Fraction(n), window or 1)

@@ -250,6 +250,19 @@ class TestChart:
         assert a5[0] == pytest.approx(-a0[0], abs=EPS)
         assert a5[1] == pytest.approx(a0[1], abs=EPS)
 
+    def test_chart_broadcasts(self):
+        # one chart for single points and clouds: entries of a broadcast
+        # call are the single-point results, coordinates on the last axis
+        tm = TorusMap(SolenoidParams(map=MapParams(p=2, m=0, s=0.3), a=2.0 + 0.5j))
+        xis = np.array([0.0, 0.13, 0.5])
+        zs = np.array([0.3 + 0.4j, -0.2j, 0.7, 1.1 - 0.1j])
+        pts = tm.to_space(xis[:, None], zs)
+        assert pts.shape == (3, 4, 3)
+        for i, xi in enumerate(xis):
+            for j, z in enumerate(zs):
+                one = tm.to_space(float(xi), complex(z))
+                assert np.allclose(pts[i, j], one, rtol=0, atol=1e-14)
+
     def test_limit_examples(self):
         assert np.allclose(limit_to_space(0.0, 1 + 2j, 1.0), [1, 2, 0])
         assert np.allclose(limit_to_space(0.25, 1 + 0j, 1.0), [0, 0, 1], atol=1e-12)
@@ -301,7 +314,7 @@ class TestEmbedding:
         for i in range(1, 8):
             xi = i / 8
             vals = tm.fiber_values(Fraction(i, 8), 5)
-            pts = tm.to_space_batch(xi, vals)
+            pts = tm.to_space(xi, vals)
             normal = np.array([math.sin(2 * math.pi * xi), 0.0, -math.cos(2 * math.pi * xi)])
             assert float(np.max(np.abs(pts @ normal))) < 1e-9
 
