@@ -18,7 +18,7 @@ import numpy as np
 from .complex_map import (
     MapParams,
     PlaneMap,
-    _min_cross_distance,
+    _class_separation,
     character_table,
     delta_lower,
     residue_bound,
@@ -342,13 +342,7 @@ def measure_consistency(
     expected_fraction = Fraction(1, p**level)
     # (ii) cross-cluster separation on a sampled sub-depth
     sep_depth = separation_depth or min(depth, 12)
-    vals = pmap.values_on_residues(sep_depth)
-    group = np.arange(len(vals), dtype=np.int64) % p**level
-    sep = math.inf  # stays inf at level 0: a single cluster, nothing to separate
-    for ga in range(p**level):
-        va = vals[group == ga]
-        for gb in range(ga + 1, p**level):
-            sep = min(sep, _min_cross_distance(va, vals[group == gb]))
+    sep = _class_separation(pmap.values_on_residues(sep_depth), p**level)
     floor = (
         delta_lower(p, params.s) * abs(params.s) ** max(level - 1, 0)
         - 2.0 * params.tail_bound
@@ -365,7 +359,7 @@ def measure_consistency(
     median = float(np.median([r for _, r in ratios])) if ratios else math.nan
     passes = (
         ("fraction", fraction == expected_fraction),
-        ("separation", (not level) or sep >= floor),
+        ("separation", sep >= floor),
         ("box_ratio", bool(ratios) and abs(median - expected_ratio) <= 0.2 * expected_ratio),
     )
     return MeasureReport(

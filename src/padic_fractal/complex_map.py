@@ -4,7 +4,8 @@ The map sends x to sum_n s^n chi_n(x), where chi_n reads a window of m+1
 digits below index n (all of them for infinite order) as a phase.  For
 |s| below the base-dependent threshold the map is a bi-Lipschitz
 embedding and its image is a self-similar fractal of dimension
--log p / log|s|.
+-log p / log|s|.  Both embedding certificates and the measure
+consistency check share one separation search over residue classes.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
     "residue_bound",
 ]
 
-VERDICTS = ("certified-embedding", "empirically-injective", "unknown", "not-applicable")
+VERDICTS = ("certified-embedding", "empirically-injective", "unknown")
 
 
 def s_zero(p: int) -> float:
@@ -323,12 +324,12 @@ def _guard_rows(p: int, depth: int, fibers: int = 1) -> None:
 def residue_digit_matrix(
     p: int, depth: int, codes: np.ndarray | None = None
 ) -> np.ndarray:
-    """Digit columns of residues: column j holds the digit of p**j."""
+    """int64 digit columns of residues: column j holds the digit of p**j."""
     if codes is None:
         _guard_rows(p, depth)
         codes = np.arange(p**depth, dtype=np.int64)
-    cols = [((codes // p**j) % p).astype(np.float64) for j in range(depth)]
-    return np.stack(cols, axis=1) if cols else np.zeros((len(codes), 0))
+    digits = np.array(list(_code_digits(codes, p, depth)), dtype=np.int64)
+    return digits.reshape(depth, len(codes)).T
 
 
 def _code_digits(codes: np.ndarray, p: int, cols: int):
@@ -340,8 +341,11 @@ def _code_digits(codes: np.ndarray, p: int, cols: int):
         rest = quot
 
 
-def _matrix_digits(digit_mat: np.ndarray):
-    return (digit_mat[:, j].astype(np.int64) for j in range(digit_mat.shape[1]))
+def _int_digits(digit_mat: np.ndarray) -> np.ndarray:
+    """An integer digit matrix as int64; any other dtype is refused."""
+    if digit_mat.dtype.kind not in "iu":
+        raise ValueError(f"digit matrix has dtype {digit_mat.dtype}; digits must be integers")
+    return digit_mat.astype(np.int64, copy=False)
 
 
 def _last_level(cols: int, start: int, params: MapParams) -> int:
@@ -405,18 +409,20 @@ def series_values(digit_mat: np.ndarray, start: int, params: MapParams) -> np.nd
     Digits outside the stored columns are zero (rows represent exact
     scaled residues).  Levels below zero contribute s^n (chi_n - 1).
     """
+    digit_mat = _int_digits(digit_mat)
     rows, cols = digit_mat.shape
-    return _series(_matrix_digits(digit_mat), cols, rows, start, params)
+    return _series(iter(digit_mat.T), cols, rows, start, params)
 
 
 def character_table(
     digit_mat: np.ndarray, start: int, params: MapParams
 ) -> np.ndarray:
     """Character values chi_n per row, for n = start .. depth (row-major n)."""
+    digit_mat = _int_digits(digit_mat)
     rows, cols = digit_mat.shape
     out = np.ones((params.depth + 1 - start, rows), dtype=np.complex128)
     last = _last_level(cols, start, params)
-    levels = _levels(_matrix_digits(digit_mat), rows, start, start, last, params, lambda n, ph: ph)
+    levels = _levels(iter(digit_mat.T), rows, start, start, last, params, lambda n, ph: ph)
     for n, chi in levels:
         out[n - start] = chi
     return out
@@ -436,38 +442,50 @@ def _min_cross_distance(va: np.ndarray, vb: np.ndarray) -> float:
     return best
 
 
-def delta_certificate(params: MapParams, search_depth: int = 8) -> EmbeddingCertificate:
-    """Analytic separation bound plus a restricted empirical search.
+def _class_separation(vals: np.ndarray, modulus: int) -> float:
+    """min |a - b| over residues a, b in distinct classes mod modulus.
 
-    The search enumerates unit-ball pairs whose lowest digits differ, to
-    the given depth; the allowance accounts for the series tail and for
-    pairs hiding inside unexplored balls.  The verdict never relies on
-    the search.
+    Each row of vals holds the images of every residue at one depth, in
+    ascending order, so row.reshape(-1, modulus).T lists the classes.
+    Inf for a single class (modulus 1): there is nothing to separate.
     """
-    p = params.p
-    lower = delta_lower(p, params.s)
-    vals = PlaneMap(params).values_on_residues(search_depth)
-    first = np.arange(len(vals), dtype=np.int64) % p
-    empirical = math.inf
-    for a in range(p):
-        va = vals[first == a]
-        for b in range(a + 1, p):
-            empirical = min(empirical, _min_cross_distance(va, vals[first == b]))
+    vals = np.atleast_2d(vals)
+    if vals.shape[1] % modulus:
+        raise ValueError(f"the search depth must reach the class level: the residue "
+                         f"count {vals.shape[1]} is not a multiple of {modulus}")
+    best = math.inf
+    for row in vals:
+        classes = np.ascontiguousarray(row.reshape(-1, modulus).T)
+        for a in range(modulus):
+            for b in range(a + 1, modulus):
+                best = min(best, _min_cross_distance(classes[a], classes[b]))
+    return best
+
+
+def _search_certificate(
+    params: MapParams, empirical: float, search_depth: int, gamma: float | None = None
+) -> EmbeddingCertificate:
+    """Certificate from the analytic bound and a search minimum to the
+    given depth; the allowance accounts for the series tail and for pairs
+    hiding inside unexplored balls.  The verdict never relies on the
+    search while the bound is positive."""
+    lower = delta_lower(params.p, params.s)
     a_s = abs(params.s)
-    ball_tail = 4.0 * a_s**search_depth / (1.0 - a_s)
-    allowance = ball_tail + 2.0 * params.tail_bound
+    allowance = 4.0 * a_s**search_depth / (1.0 - a_s) + 2.0 * params.tail_bound
     if lower > 0.0:
         verdict = "certified-embedding"
     elif empirical - allowance > 0.0:
         verdict = "empirically-injective"
     else:
         verdict = "unknown"
-    return EmbeddingCertificate(
-        delta_lower=lower,
-        delta_empirical=float(empirical),
-        verdict=verdict,
-        allowance=allowance,
-    )
+    return EmbeddingCertificate(lower, float(empirical), verdict, allowance, gamma)
+
+
+def delta_certificate(params: MapParams, search_depth: int = 8) -> EmbeddingCertificate:
+    """Analytic separation bound plus a search over the unit-ball pairs
+    whose lowest digits differ, to the given depth."""
+    vals = PlaneMap(params).values_on_residues(search_depth)
+    return _search_certificate(params, _class_separation(vals, params.p), search_depth)
 
 
 def code_valuations(diff: np.ndarray, p: int, cap: int) -> np.ndarray:
@@ -538,7 +556,7 @@ def scaling_residuals(
     """|value(p x) - s value(x) - 1| over seeded random digit rows."""
     rng = np.random.default_rng(seed)
     digits = rng.integers(0, residue_bound(params.p, 1), size=(n_samples, digit_depth))
-    return _scaling_residuals(digits.astype(np.float64), params)
+    return _scaling_residuals(digits, params)
 
 
 def _scaling_residuals(digit_mat: np.ndarray, params: MapParams) -> np.ndarray:

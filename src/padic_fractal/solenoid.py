@@ -21,10 +21,10 @@ from .complex_map import (
     PlaneMap,
     character_table,
     code_valuations,
-    delta_lower,
     residue_digit_matrix,
+    _class_separation,
     _guard_rows,
-    _min_cross_distance,
+    _search_certificate,
 )
 from .padic import PAdic, from_int
 
@@ -298,9 +298,7 @@ def gamma_estimate(
 
 
 def delta_tilde_certificate(
-    params: SolenoidParams,
-    xi_count: int = 8,
-    search_depth: int = 6,
+    params: SolenoidParams, xi_count: int = 8, search_depth: int = 6
 ) -> EmbeddingCertificate:
     """Separation certificate for the fiberwise map.
 
@@ -308,34 +306,10 @@ def delta_tilde_certificate(
     search scans residue pairs with differing lowest digits across a
     circle grid, recording the gamma estimate alongside.
     """
-    mp = params.map
-    lower = delta_lower(mp.p, mp.s)
-    tmap = TorusMap(params)
-    p = mp.p
-    fibers = tmap._fibers(np.arange(xi_count) / xi_count, search_depth)
-    first = np.arange(p**search_depth, dtype=np.int64) % p
-    empirical = math.inf
-    for vals in fibers:
-        for da in range(p):
-            va = vals[first == da]
-            for db in range(da + 1, p):
-                empirical = min(empirical, _min_cross_distance(va, vals[first == db]))
-    a_s = abs(mp.s)
-    allowance = 4.0 * a_s**search_depth / (1.0 - a_s) + 2.0 * mp.tail_bound
-    if lower > 0.0:
-        verdict = "certified-embedding"
-    elif empirical - allowance > 0.0:
-        verdict = "empirically-injective"
-    else:
-        verdict = "unknown"
+    fibers = TorusMap(params)._fibers(np.arange(xi_count) / xi_count, search_depth)
+    empirical = _class_separation(fibers, params.map.p)
     gamma, _ = gamma_estimate(params, xi_count=max(xi_count, 16), depth=search_depth)
-    return EmbeddingCertificate(
-        delta_lower=lower,
-        delta_empirical=float(empirical),
-        verdict=verdict,
-        allowance=allowance,
-        gamma=gamma,
-    )
+    return _search_certificate(params.map, empirical, search_depth, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -348,14 +348,59 @@ def per_scale_ratios(params: MapParams, level: int, depth: int) -> tuple:
     return tuple(ratios)
 
 
-@pytest.mark.parametrize(
-    "params, level, depth",
-    [
-        (MapParams(p=2, m=0, s=0.3, depth=40), 0, 10),
-        (MapParams(p=2, m=0, s=0.3, depth=40), 1, 16),
-        (MapParams(p=3, m=0, s=0.2, depth=40), 2, 8),
-    ],
-)
+MEASURE_CASES = [
+    (MapParams(p=2, m=0, s=0.3, depth=40), 0, 10),
+    (MapParams(p=2, m=0, s=0.3, depth=40), 1, 16),
+    (MapParams(p=3, m=0, s=0.2, depth=40), 2, 8),
+]
+
+# The reports as the per-class-pair loop of step (ii) gave them, before the
+# certificates and this check shared one separation search.  A moved pin
+# is a change of results to explain, not a value to re-pin.
+MEASURE_REPRS = [
+    (
+        'MeasureReport(level=0, depth=10, fraction=Fraction(1, 1), '
+        'expected_fraction=Fraction(1, 1), separation_min=inf, '
+        'separation_floor=1.1428571428571428, box_ratios=((0.044642593531250004, 1.0), '
+        '(0.022321296765625002, 1.0), (0.011160648382812501, 1.0), (0.0055803241914062504, '
+        '1.0), (0.0027901620957031252, 1.0), (0.0013950810478515626, 1.0)), ratio_median=1.0,'
+        " expected_ratio=1.0, passes=(('fraction', True), ('separation', True), ('box_ratio',"
+        ' True)))'
+    ),
+    (
+        'MeasureReport(level=1, depth=16, fraction=Fraction(1, 2), '
+        'expected_fraction=Fraction(1, 2), separation_min=1.1428586612599998, '
+        'separation_floor=1.1428571428571428, box_ratios=((0.04464285695068429, '
+        '0.5238095238095238), (0.022321428475342145, 0.5151515151515151), '
+        '(0.011160714237671072, 0.5098039215686274), (0.005580357118835536, '
+        '0.5068493150684932), (0.002790178559417768, 0.504424778761062), '
+        '(0.001395089279708884, 0.5031446540880503)), ratio_median=0.5083266183185603, '
+        "expected_ratio=0.5, passes=(('fraction', True), ('separation', True), ('box_ratio', "
+        'True)))'
+    ),
+    (
+        'MeasureReport(level=2, depth=8, fraction=Fraction(1, 9), '
+        'expected_fraction=Fraction(1, 9), separation_min=0.25981316369791574, '
+        'separation_floor=0.24641016151377546, box_ratios=((0.06765806146557851, '
+        '0.12903225806451613), (0.033829030732789256, 0.16326530612244897), '
+        '(0.016914515366394628, 0.1518987341772152), (0.008457257683197314, '
+        '0.16296296296296298), (0.004228628841598657, 0.11981566820276497), '
+        '(0.0021143144207993285, 0.1046831955922865), (0.0010571572103996642, '
+        '0.12571428571428572)), ratio_median=0.12903225806451613, '
+        "expected_ratio=0.1111111111111111, passes=(('fraction', True), ('separation', True),"
+        " ('box_ratio', True)))"
+    ),
+]
+
+
+@pytest.mark.parametrize("params, level, depth", MEASURE_CASES)
 def test_measure_box_ratios_match_per_scale_count(params, level, depth):
     rep = measure_consistency(params, level, depth)
     assert rep.box_ratios == per_scale_ratios(params, level, depth)
+
+
+@pytest.mark.parametrize(
+    "case, want", list(zip(MEASURE_CASES, MEASURE_REPRS)), ids=["level0", "level1", "level2"]
+)
+def test_measure_report_pinned(case, want):
+    assert repr(measure_consistency(*case)) == want

@@ -429,3 +429,39 @@ def readme_commands():
 def test_readme_example_exits_zero(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
+# stdout as the separate plane and torus searches gave it, before both
+# certificates shared one separation search; a moved pin is a change of
+# results to explain, not a value to re-pin
+CERTIFY_STDOUT = {
+    "certify --p 2 --m 0 --s 0.3": (
+        "certify.delta_lower\t1.14285714286\t0\tPASS\n"
+        "certify.delta_empirical\t1.1430446\t0.000374914285714\tPASS\n"
+        "certify.verdict\tcertified-embedding\tcertified-embedding iff delta_lower>0\tPASS\n"
+        "certify.delta_tilde_lower\t1.14285714286\t0\tPASS\n"
+        "certify.delta_tilde_empirical\t1.14494\t0.00416571428571\tPASS\n"
+        "certify.gamma_estimate\t0.713425325861\t1\tPASS\n"
+        "certify.gamma_sufficient\ttrue\ta real > r_s\tPASS\n"
+    ),
+    "certify --p 3 --m inf --s 0.25": (
+        "certify.delta_lower\t1.0653841409\t0\tPASS\n"
+        "certify.delta_empirical\t1.14020614399\t8.13802083333e-05\tPASS\n"
+        "certify.verdict\tcertified-embedding\tcertified-embedding iff delta_lower>0\tPASS\n"
+        "certify.delta_tilde_lower\t1.0653841409\t0\tPASS\n"
+        "certify.delta_tilde_empirical\t1.13584674549\t0.00130208333333\tPASS\n"
+        "certify.gamma_estimate\t0.666404074487\t1\tPASS\n"
+        "certify.gamma_sufficient\ttrue\ta real > r_s\tPASS\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd", list(CERTIFY_STDOUT))
+def test_certify_stdout_pinned(cmd):
+    assert run_captured(shlex.split(cmd)) == (0, CERTIFY_STDOUT[cmd], "")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
 import hypothesis.strategies as st
 
 from padic_fractal.padic import PAdic, PrecisionError, expand, from_int
@@ -14,7 +15,9 @@ from padic_fractal.complex_map import (
     MapParams,
     PlaneMap,
     PointCloud2D,
+    _class_separation,
     _min_cross_distance,
+    character_table,
     delta_certificate,
     delta_lower,
     residue_bound,
@@ -25,7 +28,8 @@ from padic_fractal.complex_map import (
     scaling_residuals,
     series_values,
 )
-from padic_fractal.solenoid import SolenoidParams, TorusMap
+from padic_fractal.solenoid import SolenoidParams, TorusMap, delta_tilde_certificate
+from padic_fractal.analysis import measure_consistency
 
 EPS = 1e-12
 
@@ -177,6 +181,22 @@ class TestVectorized:
     def test_enumeration_guard(self):
         with pytest.raises(ValueError):
             residue_digit_matrix(2, 64)
+
+    def test_digit_matrix_is_int64(self):
+        mat = residue_digit_matrix(3, 4)
+        assert mat.dtype == np.int64
+        assert mat.shape == (81, 4)
+        assert [int(d) for d in mat[47]] == [2, 0, 2, 1]  # 47 = 2 + 2*9 + 27
+        empty = residue_digit_matrix(3, 0, np.arange(5, dtype=np.int64))
+        assert empty.shape == (5, 0) and empty.dtype == np.int64
+
+    @pytest.mark.parametrize("kernel", [series_values, character_table])
+    def test_non_integer_digits_refused(self, kernel):
+        params = MapParams(p=2, m=0, s=0.3, depth=8)
+        mat = residue_digit_matrix(2, 4)
+        with pytest.raises(ValueError, match="float64"):
+            kernel(mat.astype(np.float64), 0, params)
+        assert np.array_equal(kernel(mat.astype(np.int32), 0, params), kernel(mat, 0, params))
 
 
 class TestScalingLaw:
@@ -421,7 +441,7 @@ def test_level_loop_windows_wider_than_a_float(p, m):
     params = MapParams(p=p, m=m, s=0.9j, depth=80)
     pm = PlaneMap(params)
     mat = np.random.default_rng(5).integers(0, p, size=(3, 70))
-    got = series_values(mat.astype(np.float64), 0, params)
+    got = series_values(mat, 0, params)
     for row, value in zip(mat, got):
         code = sum(int(d) * p**j for j, d in enumerate(row))
         assert _close(value, pm.value(from_int(code, p, 70)))
@@ -449,6 +469,55 @@ def test_min_cross_distance_matches_brute_force():
     brute = float(np.abs(va[:, None] - vb[None, :]).min())
     assert _min_cross_distance(va, vb) == brute
     assert _min_cross_distance(vb, va) == brute
+
+
+def brute_class_separation(vals: np.ndarray, modulus: int) -> float:
+    """Reference: every pair of residues in distinct classes, one row at a time."""
+    best = math.inf
+    cls = np.arange(vals.shape[1]) % modulus
+    for row in vals:
+        dist = np.abs(row[:, None] - row[None, :])
+        dist[cls[:, None] == cls[None, :]] = math.inf
+        best = min(best, float(dist.min()))
+    return best
+
+
+@given(
+    case=st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (6, 1), (6, 2)]),
+    extra=st.integers(0, 2),
+    rows=st.integers(1, 3),
+    span=st.sampled_from([1, 3, 100]),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_class_separation_matches_brute_force(case, extra, rows, span, data):
+    # classes mod p or p**2; values on an integer grid, so exact ties (and,
+    # on the small grids, coincident points) are common
+    p, level = case
+    n = p ** (level + (extra if p < 6 else min(extra, 1)))
+    grid = st.integers(-span, span)
+    real, imag = data.draw(arrays(np.int64, (2, rows, n), elements=grid, fill=st.nothing()))
+    vals = real + 1j * imag
+    assert _class_separation(vals, p**level) == brute_class_separation(vals, p**level)
+    assert _class_separation(vals[0], p**level) == brute_class_separation(vals[:1], p**level)
+
+
+def test_class_separation_of_one_class_is_inf():
+    assert _class_separation(np.arange(8, dtype=complex), 1) == math.inf
+
+
+def test_shallow_searches_name_the_class_level():
+    # each search depth below its class level
+    params = MapParams(p=2, m=0, s=0.3)
+    calls = [
+        lambda: delta_certificate(params, search_depth=0),
+        lambda: delta_tilde_certificate(SolenoidParams(map=params, a=2.0), search_depth=0),
+        lambda: measure_consistency(params, level=5, depth=4),
+        lambda: measure_consistency(params, level=3, depth=10, separation_depth=2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="search depth must reach the class level"):
+            call()
 
 
 def per_level_character(x: PAdic, n: int, p: int, m) -> complex:
