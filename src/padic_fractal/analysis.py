@@ -341,7 +341,7 @@ def measure_consistency(
     fraction = Fraction(in_cluster, total)
     expected_fraction = Fraction(1, p**level)
     # (ii) cross-cluster separation on a sampled sub-depth
-    sep_depth = separation_depth or min(depth, 12)
+    sep_depth = min(depth, 12) if separation_depth is None else separation_depth
     sep = _class_separation(pmap.values_on_residues(sep_depth), p**level)
     floor = (
         delta_lower(p, params.s) * abs(params.s) ** max(level - 1, 0)

@@ -441,16 +441,18 @@ def _cmd_certify(cfg: Config) -> int:
     rep = Report()
     params = _map_params(cfg)
     cert = delta_certificate(params, search_depth=min(cfg.depth or 8, 10))
+    known = cert.verdict != "unknown"
     rep.add("certify.delta_lower", cert.delta_lower, 0.0, True)
-    rep.add("certify.delta_empirical", cert.delta_empirical, cert.allowance, True)
-    rep.add("certify.verdict", cert.verdict, "certified-embedding iff delta_lower>0", True)
+    rep.add("certify.delta_empirical", cert.delta_empirical, cert.allowance, known)
+    rep.add("certify.verdict", cert.verdict, "certified-embedding iff delta_lower>0", known)
     sp = SolenoidParams(map=params, a=cfg.a)
     tilde = delta_tilde_certificate(sp, xi_count=8, search_depth=min(cfg.depth or 6, 8))
     gamma, sufficient = gamma_estimate(sp, xi_count=64, depth=6)
     rep.add("certify.delta_tilde_lower", tilde.delta_lower, 0.0, True)
-    rep.add("certify.delta_tilde_empirical", tilde.delta_empirical, tilde.allowance, True)
+    rep.add("certify.delta_tilde_empirical", tilde.delta_empirical, tilde.allowance,
+            tilde.verdict != "unknown")
     rep.add("certify.gamma_estimate", gamma, 1.0, True)
-    rep.add("certify.gamma_sufficient", str(sufficient).lower(), "a real > r_s", True)
+    rep.add("certify.gamma_sufficient", str(sufficient).lower(), "a real > r_s", sufficient)
     rep.emit(cfg.out)
     return 1 if rep.failed else 0
 

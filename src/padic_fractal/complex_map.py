@@ -263,11 +263,16 @@ class PlaneMap:
         """Map values on p**scale * (residues at the given depth).
 
         codes selects specific residues; by default all p**depth of them
-        are evaluated in ascending order.
+        are evaluated in ascending order.  That full enumeration at finite
+        order and scale 0 comes from the self-similar recursion, one
+        broadcast add per digit; explicit codes, a nonzero scale and
+        infinite order read every digit of every row.
         """
         p = self.params.p
         if codes is None:
             _guard_rows(p, depth)
+            if scale == 0 and not self.params.infinite_order():
+                return _self_similar(self.params, depth)
             codes = np.arange(p**depth, dtype=np.int64)
         return _series(_code_digits(codes, p, depth), depth, len(codes), scale, self.params)
 
@@ -276,7 +281,9 @@ class PlaneMap:
 
         Labels are the absolute integer preimages center + p^level k; the
         point set therefore partitions into the p sub-clusters one level
-        down, which share labels with this one.
+        down, which share labels with this one.  At finite order the ball
+        comes from the self-similar recursion: its free digits are
+        enumerated, then the level low digits of center are prepended.
         """
         if depth < level:
             raise ValueError("depth must reach at least the cluster level")
@@ -285,7 +292,10 @@ class PlaneMap:
         center %= p**level
         codes = np.arange(p ** (depth - level), dtype=np.int64)
         labels = center + codes * p**level
-        vals = self.values_on_residues(depth, codes=labels)
+        if level and not self.params.infinite_order():
+            vals = _self_similar(self.params, depth, center, level)
+        else:
+            vals = self.values_on_residues(depth, codes=labels if level else None)
         return PointCloud2D(values=vals, labels=labels, level=level, params=self.params)
 
 
@@ -307,8 +317,9 @@ def residue_bound(p: int, depth: int) -> int:
     return bound
 
 
-# A full enumeration peaks near 100 bytes per row for a plane cloud and
-# 230 for a torus cloud exported to PLY (peak RSS at 2^20 to 2^22 rows).
+# A full enumeration peaks near 65 bytes per row for a plane cloud rendered
+# to PGM and 230 for a torus cloud exported to PLY (peak RSS above an idle
+# interpreter's, at 2^20 to 2^22 rows).
 MAX_ROWS = 1 << 23
 
 
@@ -401,6 +412,58 @@ def _series(digits, cols: int, rows: int, start: int, params: MapParams) -> np.n
     for _, term in _levels(digits, rows, start, min(start, 0), last, params, lift):
         total += term
     return total + sum(s**n for n in range(max(last + 1, 0), params.depth + 1))
+
+
+def _step_table(params: MapParams, t: int, k: int) -> np.ndarray:
+    """T for prepending a low digit a to residues y below p**(k-1).
+
+    At finite order m, x = a + p y gives f_t(x) = s f_(t-1)(y) +
+    T[x mod p**(q+1)], where f_t is the series truncated at level t and
+    q = min(m, t): the window of a level n > q reads the same digits of
+    x as level n-1 reads of y.  With c_n = (x mod p^(n+1)) / p^(n+1),
+    level n-1 of y reads c_n - a/p^(n+1), so
+    T[x] = e(a/p) + sum_{1<=n<=q} s^n e(c_n) (1 - e(-a/p^(n+1))), and
+    T = 0 for t < 0.  Level n has period p^(n+1) in x, so it is
+    exponentiated once per period and added by broadcasting.  Only the
+    p**min(q+1, k) entries below p**k are built.  q also stops where
+    (|s|/p)^n < 2^-53: the levels past it move T by under 2 pi 2^-53.
+    """
+    p, s = params.p, params.s
+    top = min(params.m, t, int(53 * math.log(2) / math.log(p / abs(s))))
+    table = np.zeros(p ** min(max(top, 0) + 1, k), dtype=np.complex128)
+    for n in range(top + 1):
+        mod = p ** (n + 1)
+        term = np.exp(2j * math.pi * np.arange(min(mod, len(table))) / mod).reshape(-1, p)
+        if n:
+            term *= 1.0 - np.exp(-2j * math.pi * np.arange(p) / mod)
+        periods = table.reshape(-1, term.size)
+        periods += s**n * term.ravel()
+    return table
+
+
+def _self_similar(params: MapParams, depth: int, center: int = 0, level: int = 0) -> np.ndarray:
+    """Finite-order values on center + p**level k for k < p**(depth-level),
+    ascending, built by prepending one low digit at a time.
+
+    The start is residue 0 below p**0, the series truncated at level
+    params.depth - depth: the sum of s^n up to it (0 when it is
+    negative).  Each free digit is one broadcast add of s times every
+    value and the step table, with no index array and no exp per point;
+    the level fixed low digits of center then gather their entries by
+    label.
+    """
+    p, s = params.p, params.s
+    vals = np.array([sum(s**n for n in range(params.depth - depth + 1))], dtype=np.complex128)
+    for k in range(1, depth + 1):
+        table = _step_table(params, params.depth - depth + k, k)
+        j = depth - k  # index of the prepended digit
+        if j >= level:
+            rows = len(table) // p  # T[a + p r] for the low digits r of y
+            vals = (s * vals.reshape(-1, rows)[:, :, None] + table.reshape(rows, p)).ravel()
+        else:
+            labels = center + p**level * np.arange(len(vals), dtype=np.int64)
+            vals = s * vals + table[labels // p**j % len(table)]
+    return vals
 
 
 def series_values(digit_mat: np.ndarray, start: int, params: MapParams) -> np.ndarray:

@@ -356,25 +356,28 @@ MEASURE_CASES = [
 
 # The reports as the per-class-pair loop of step (ii) gave them, before the
 # certificates and this check shared one separation search.  A moved pin
-# is a change of results to explain, not a value to re-pin.
+# is a change of results to explain, not a value to re-pin.  The level-0
+# box scales and the level-1 separation are the correctly rounded values
+# proved by test_measure_report_values_are_exact_rationals, and the
+# level-1 box scales the faithfully rounded ones it bounds.
 MEASURE_REPRS = [
     (
         'MeasureReport(level=0, depth=10, fraction=Fraction(1, 1), '
         'expected_fraction=Fraction(1, 1), separation_min=inf, '
-        'separation_floor=1.1428571428571428, box_ratios=((0.044642593531250004, 1.0), '
-        '(0.022321296765625002, 1.0), (0.011160648382812501, 1.0), (0.0055803241914062504, '
-        '1.0), (0.0027901620957031252, 1.0), (0.0013950810478515626, 1.0)), ratio_median=1.0,'
+        'separation_floor=1.1428571428571428, box_ratios=((0.04464259353125, 1.0), '
+        '(0.022321296765625, 1.0), (0.0111606483828125, 1.0), (0.00558032419140625, '
+        '1.0), (0.002790162095703125, 1.0), (0.0013950810478515624, 1.0)), ratio_median=1.0,'
         " expected_ratio=1.0, passes=(('fraction', True), ('separation', True), ('box_ratio',"
         ' True)))'
     ),
     (
         'MeasureReport(level=1, depth=16, fraction=Fraction(1, 2), '
-        'expected_fraction=Fraction(1, 2), separation_min=1.1428586612599998, '
-        'separation_floor=1.1428571428571428, box_ratios=((0.04464285695068429, '
-        '0.5238095238095238), (0.022321428475342145, 0.5151515151515151), '
-        '(0.011160714237671072, 0.5098039215686274), (0.005580357118835536, '
-        '0.5068493150684932), (0.002790178559417768, 0.504424778761062), '
-        '(0.001395089279708884, 0.5031446540880503)), ratio_median=0.5083266183185603, '
+        'expected_fraction=Fraction(1, 2), separation_min=1.14285866126, '
+        'separation_floor=1.1428571428571428, box_ratios=((0.044642856950684276, '
+        '0.5238095238095238), (0.022321428475342138, 0.5151515151515151), '
+        '(0.011160714237671069, 0.5098039215686274), (0.0055803571188355345, '
+        '0.5068493150684932), (0.0027901785594177672, 0.504424778761062), '
+        '(0.0013950892797088836, 0.5031446540880503)), ratio_median=0.5083266183185603, '
         "expected_ratio=0.5, passes=(('fraction', True), ('separation', True), ('box_ratio', "
         'True)))'
     ),
@@ -404,3 +407,32 @@ def test_measure_box_ratios_match_per_scale_count(params, level, depth):
 )
 def test_measure_report_pinned(case, want):
     assert repr(measure_consistency(*case)) == want
+
+
+def test_measure_report_values_are_exact_rationals():
+    # at p=2, m=0 every phase is +-1 (imaginary parts below 1e-15), so the
+    # cloud spans 2 sum_{n<depth} s^n on the real axis, the box scales are
+    # that span / 4 / 2^k, and the classes mod 2 at the separation depth 12
+    # sit 2 (1 - sum_{n=1}^{11} s^n) apart
+    s = Fraction(0.3)
+
+    def scales(depth):
+        eps0 = 2 * sum(s**n for n in range(depth)) / 4
+        return [eps0 / 2**k for k in range(10)]
+
+    level0 = measure_consistency(*MEASURE_CASES[0])
+    assert level0.box_ratios
+    assert {e for e, _ in level0.box_ratios} <= {float(e) for e in scales(10)}
+    level1 = measure_consistency(*MEASURE_CASES[1])
+    assert level1.separation_min == float(2 * (1 - sum(s**n for n in range(1, 12))))
+    # the depth-16 span comes from two rounded extremes: faithful, not exact
+    for got, _ in level1.box_ratios:
+        want = min(scales(16), key=lambda e: abs(e - Fraction(got)))
+        assert abs(Fraction(got) - want) < math.ulp(got)
+
+
+def test_measure_zero_separation_depth_is_a_search_depth():
+    # 0 is a depth below the class level, not a request for the default
+    params = MapParams(p=2, m=0, s=0.3, depth=40)
+    with pytest.raises(ValueError, match="search depth must reach the class level"):
+        measure_consistency(params, 1, 10, separation_depth=0)

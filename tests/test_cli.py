@@ -465,3 +465,19 @@ CERTIFY_STDOUT = {
 @pytest.mark.parametrize("cmd", list(CERTIFY_STDOUT))
 def test_certify_stdout_pinned(cmd):
     assert run_captured(shlex.split(cmd)) == (0, CERTIFY_STDOUT[cmd], "")
+
+
+@pytest.mark.parametrize("cmd, failing", [
+    # s above s_zero(4): no bound, and the depth-5 search is within its allowance
+    ("certify --p 4 --m 1 --s 0.5 --depth 5",
+     {"delta_empirical", "verdict", "delta_tilde_empirical", "gamma_sufficient"}),
+    # certified, but a = 1 sits inside the contraction radius 1/(1 - 0.3)
+    ("certify --p 2 --m 0 --s 0.3 --a 1", {"gamma_sufficient"}),
+])
+def test_certify_fails_what_it_cannot_certify(cmd, failing):
+    code, out, err = run_captured(shlex.split(cmd))
+    status = {line.split("\t")[0]: line.split("\t")[3] for line in out.splitlines()}
+    assert (code, err) == (1, "")
+    failed = {name.removeprefix("certify.") for name, mark in status.items() if mark == "FAIL"}
+    assert failed == failing
+    assert len(status) == 7

@@ -30,6 +30,7 @@ from padic_fractal.complex_map import (
 )
 from padic_fractal.solenoid import SolenoidParams, TorusMap, delta_tilde_certificate
 from padic_fractal.analysis import measure_consistency
+from padic_fractal.render import preset
 
 EPS = 1e-12
 
@@ -445,6 +446,79 @@ def test_level_loop_windows_wider_than_a_float(p, m):
     for row, value in zip(mat, got):
         code = sum(int(d) * p**j for j, d in enumerate(row))
         assert _close(value, pm.value(from_int(code, p, 70)))
+
+
+# -- the self-similar recursion against the level loop and the scalar oracle --
+
+RECURSION_M = st.sampled_from([0, 1, 3])
+ENUM_DEPTH = {2: 8, 3: 5, 6: 3}
+
+
+def _geometric_bound(params: MapParams) -> float:
+    return 1e-14 * sum(abs(params.s) ** n for n in range(params.depth + 1))
+
+
+@given(p=LOOP_P, m=RECURSION_M, s=LOOP_S, series_depth=st.integers(1, 40), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_recursion_matches_level_loop_and_scalar(p, m, s, series_depth, data):
+    # series depths from 1 up cover truncations below depth + m - 1
+    depth = ENUM_DEPTH[p]
+    params = MapParams(p=p, m=m, s=s, depth=series_depth)
+    pm = PlaneMap(params)
+    bound = _geometric_bound(params)
+    vals = pm.values_on_residues(depth)
+    loop = pm.values_on_residues(depth, codes=np.arange(p**depth, dtype=np.int64))
+    assert np.max(np.abs(vals - loop)) <= bound
+    for code in data.draw(st.lists(st.integers(0, p**depth - 1), min_size=1, max_size=4)):
+        assert abs(vals[code] - pm.value(from_int(code, p, depth))) <= bound
+
+
+@given(p=LOOP_P, m=RECURSION_M, s=LOOP_S, series_depth=st.integers(1, 40),
+       level=st.integers(0, 2), corner=st.sampled_from(["zero", "one", "top"]))
+@settings(max_examples=80, deadline=None)
+def test_recursion_clusters_match_level_loop(p, m, s, series_depth, level, corner):
+    depth = ENUM_DEPTH[p]
+    center = {"zero": 0, "one": 1, "top": p**level - 1}[corner]
+    params = MapParams(p=p, m=m, s=s, depth=series_depth)
+    pm = PlaneMap(params)
+    cloud = pm.cluster(center, level, depth)
+    loop = pm.values_on_residues(depth, codes=cloud.labels)
+    assert np.max(np.abs(cloud.values - loop)) <= _geometric_bound(params)
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+def test_level_loop_paths_unchanged_by_recursion(p):
+    # infinite order, explicit codes and a nonzero scale still read every
+    # digit of every row: bit-identical to the digit-matrix kernel
+    depth = ENUM_DEPTH[p]
+    finite = MapParams(p=p, m=1, s=0.3 - 0.2j, depth=30)
+    infinite = replace(finite, m=math.inf)
+    mat = residue_digit_matrix(p, depth)
+    codes = np.array([0, 5, p**depth - 1], dtype=np.int64)
+    same = np.array_equal
+    assert same(PlaneMap(infinite).values_on_residues(depth), series_values(mat, 0, infinite))
+    assert same(PlaneMap(infinite).cluster(1, 1, depth).values,
+                series_values(mat[1::p], 0, infinite))
+    assert same(PlaneMap(finite).values_on_residues(depth, scale=-2),
+                series_values(mat, -2, finite))
+    assert same(PlaneMap(finite).values_on_residues(depth, codes=codes),
+                series_values(residue_digit_matrix(p, depth, codes), 0, finite))
+
+
+def test_recursion_on_z4_within_a_few_ulps_of_exact():
+    # s is the double nearest 1/3 and the phases are +-1, +-i: every value lies in Q(i)
+    fp = preset("fig1-4-z4")
+    params = fp.map_params(4)
+    vals = PlaneMap(params).values_on_residues(4)
+    s, units = Fraction(params.s.real), [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    worst = 0.0
+    for code, got in enumerate(vals):
+        re = im = Fraction(0)
+        for n in range(params.depth + 1):
+            ur, ui = units[code // 4**n % 4]
+            re, im = re + s**n * ur, im + s**n * ui
+        worst = max(worst, math.hypot(Fraction(got.real) - re, Fraction(got.imag) - im))
+    assert worst <= 4 * 2.0**-52 * params.contraction_radius
 
 
 class TestPointCloud2D:
