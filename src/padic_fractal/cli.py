@@ -451,7 +451,7 @@ def _cmd_certify(cfg: Config) -> int:
     rep.add("certify.delta_tilde_lower", tilde.delta_lower, 0.0, True)
     rep.add("certify.delta_tilde_empirical", tilde.delta_empirical, tilde.allowance,
             tilde.verdict != "unknown")
-    rep.add("certify.gamma_estimate", gamma, 1.0, True)
+    rep.add("certify.gamma_estimate", gamma, 1.0, gamma < 1.0)
     rep.add("certify.gamma_sufficient", str(sufficient).lower(), "a real > r_s", sufficient)
     rep.emit(cfg.out)
     return 1 if rep.failed else 0

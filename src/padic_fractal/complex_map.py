@@ -198,12 +198,13 @@ class PlaneMap:
         if x.p != p:
             raise ValueError(f"operand base {x.p} does not match params p={p}")
         v = x.valuation()  # +inf for zero: chi = 1 at every level
+        digits = x.digit_run(v, last + 1) if v <= last else []
         chis = []
         sums, scale = [0], 1  # sums[k] = A_{v+k-1}; scale = p^(n-v+1)
         for n in range(min(first, v), last + 1):
             chi = 1.0 + 0.0j
             if n >= v:
-                sums.append(sums[-1] + x.digit(n) * scale)
+                sums.append(sums[-1] + digits[n - v] * scale)
                 scale *= p
                 low = sums[n - v - m] if n - m >= v else 0
                 chi = cmath.exp(2j * math.pi * ((sums[-1] - low) / scale))
@@ -639,8 +640,7 @@ def rotate_digits(x: PAdic) -> PAdic:
     if not x.is_zero() and x.v < 0:
         raise ValueError("digit rotation is defined on the unit ball")
     if x.value is None:
-        stream = [x.digit(n) for n in range(x.window_top)]
-        rles = [(d + 1) % p for d in stream]
+        rles = [(d + 1) % p for d in x.digit_run(0, x.window_top)]
         lead = next((i for i, d in enumerate(rles) if d), None)
         if lead is None:
             raise PrecisionError("rotation vanishes across a truncated window")
@@ -648,6 +648,6 @@ def rotate_digits(x: PAdic) -> PAdic:
     # from index `start` on the digits repeat `block` (zeros past a terminating window)
     start = x.v + x.preperiod if x.period else x.window_top
     block = x.period or (0,)
-    head = sum((x.digit(n) + 1) % p * p**n for n in range(start))
+    head = sum((d + 1) % p * p**n for n, d in enumerate(x.digit_run(0, start)))
     tail = sum((d + 1) % p * p**i for i, d in enumerate(block))
     return expand(head + Fraction(tail * p**start, 1 - p ** len(block)), p, start + len(block))

@@ -48,7 +48,7 @@ class PAdic:
             raise ValueError("empty digit window is reserved for exact zero")
         if digits[0] == 0:
             raise ValueError("lowest stored digit must be nonzero")
-        vars(self).update(p=p, v=v, value=None, _expansion=(digits, 0, ()))
+        vars(self).update(p=p, v=v, value=None, _zero=False, _expansion=(digits, 0, ()))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"PAdic is immutable; cannot set {name!r}")
@@ -97,7 +97,7 @@ class PAdic:
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.value == 0
+        return self._zero
 
     @property
     def exactness(self) -> str:
@@ -122,20 +122,31 @@ class PAdic:
 
     def digit(self, n: int) -> int:
         """Digit at index n, extending through a known tail if needed."""
-        if self.is_zero() or n < self.v:
-            return 0
-        i = n - self.v
+        return self.digit_run(n, n + 1)[0]
+
+    def digit_run(self, lo: int, hi: int) -> list[int]:
+        """The digits at indices lo .. hi-1, as digit(n) gives them one by
+        one: zeros below the valuation, then the stored window, then the
+        known tail; past a truncated window it raises PrecisionError."""
         digits, preperiod, period = self._expansion
-        if i < len(digits):
-            return digits[i]
-        if period:
-            return period[(i - preperiod) % len(period)]
-        if self.value is not None:
-            return 0
-        raise PrecisionError(
-            f"digit at p^{n} lies beyond the truncated window "
-            f"[{self.v}, {self.window_top})"
-        )
+        v = self.v
+        if hi <= v:
+            return [0] * max(hi - lo, 0)
+        run = [0] * (v - lo) if lo < v else []
+        start, stop = max(lo - v, 0), hi - v
+        run += digits[start:stop]
+        past = max(start, len(digits))  # first window offset not stored
+        if past < stop:
+            if period:
+                run += [period[(i - preperiod) % len(period)] for i in range(past, stop)]
+            elif self.value is not None:
+                run += [0] * (stop - past)
+            else:
+                raise PrecisionError(
+                    f"digit at p^{v + past} lies beyond the truncated window "
+                    f"[{v}, {self.window_top})"
+                )
+        return run
 
     # -- structure -------------------------------------------------------
 
@@ -149,8 +160,7 @@ class PAdic:
             frac = Fraction(unit.numerator * pow(unit.denominator, -1, mod) % mod, mod)
             return frac, _exact(self.value - frac, self.p, max(self.v + self._width, 1))
         frac = Fraction(0)
-        for n in range(self.v, 0):
-            d = self.digit(n)
+        for n, d in enumerate(self.digit_run(self.v, 0), self.v):
             if d:
                 frac += Fraction(d, self.p ** (-n))
         sub = self.digits[-self.v:]
@@ -161,11 +171,9 @@ class PAdic:
 
     def residue(self, depth: int) -> int:
         """The integer in [0, p^depth) congruent to this unit-ball element."""
-        if self.is_zero():
-            return 0
-        if self.v < 0:
+        if self.v < 0:  # zero has v = 0
             raise ValueError("residue is defined on the unit ball only")
-        return sum(self.digit(n) * self.p**n for n in range(depth))
+        return sum(d * self.p**n for n, d in enumerate(self.digit_run(0, depth)))
 
     def shift(self, k: int) -> "PAdic":
         """Multiply by p**k (digit shift; the window moves with it)."""
@@ -198,8 +206,8 @@ class PAdic:
             raise PrecisionError("operands share no digit window")
         out: list[int] = []
         carry = 0
-        for n in range(lo, hi):
-            carry, d = divmod(self.digit(n) + other.digit(n) + carry, self.p)
+        for a, b in zip(self.digit_run(lo, hi), other.digit_run(lo, hi)):
+            carry, d = divmod(a + b + carry, self.p)
             out.append(d)
         lead = next((i for i, d in enumerate(out) if d), None)
         if lead is None:
@@ -274,7 +282,7 @@ def _exact(q: Fraction, p: int, window: int) -> PAdic:
         num //= p
         v += 1
     x = object.__new__(PAdic)
-    vars(x).update(p=p, v=v, value=q, _width=window)
+    vars(x).update(p=p, v=v, value=q, _width=window, _zero=not num)
     return x
 
 

@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -53,44 +54,53 @@ class SolenoidPoint:
     x: PAdic
 
     def __post_init__(self) -> None:
-        xi = Fraction(self.xi)
-        object.__setattr__(self, "xi", xi)
+        xi = self.xi
+        if not isinstance(xi, Fraction):
+            xi = Fraction(xi)
+            object.__setattr__(self, "xi", xi)
         if not 0 <= xi < 1:
             raise ValueError(f"circle coordinate must lie in [0,1), got {xi}")
         if not self.x.is_zero() and self.x.v < 0:
             raise ValueError("second coordinate must lie in the unit ball")
 
 
+@cache
+def _one(p: int) -> PAdic:
+    """The unit of base p, shared by every carry."""
+    return from_int(1, p)
+
+
 def add(f: SolenoidPoint, g: SolenoidPoint) -> SolenoidPoint:
     """Component sum with the real carry moved into the ball coordinate."""
     t = f.xi + g.xi
-    carry = int(t)  # t in [0,2): carry is 0 or 1
     x = f.x + g.x
-    if carry:
-        x = x + from_int(carry, f.x.p)
-    return SolenoidPoint(t - carry, x)
+    if t >= 1:  # t in [0,2): the carry is 1
+        return SolenoidPoint(t - 1, x + _one(x.p))
+    return SolenoidPoint(t, x)
 
 
 def neg(f: SolenoidPoint) -> SolenoidPoint:
     """Group inverse: (1-xi, -x-1) off the seam, (0, -x) on it."""
     if f.xi == 0:
-        return SolenoidPoint(Fraction(0), -f.x)
-    return SolenoidPoint(1 - f.xi, -(f.x + from_int(1, f.x.p)))
-
-
-def sub(f: SolenoidPoint, g: SolenoidPoint) -> SolenoidPoint:
-    return add(f, neg(g))
-
-
-def _length(f: SolenoidPoint, alpha: float) -> float:
-    return max(float(f.xi), f.x.norm(alpha))
+        return SolenoidPoint(f.xi, -f.x)
+    return SolenoidPoint(1 - f.xi, -(f.x + _one(f.x.p)))
 
 
 def distance(f: SolenoidPoint, g: SolenoidPoint, alpha: float = 1.0) -> float:
-    """Invariant metric: the shorter of the two one-sided gauge lengths
-    (g - f is the group inverse of f - g)."""
-    d = sub(f, g)
-    return min(_length(d, alpha), _length(neg(d), alpha))
+    """Invariant metric: the shorter of the two one-sided gauge lengths.
+
+    The difference f - g is (xi, x) with xi = frac(f.xi - g.xi) and
+    x = f.x - g.x - [f.xi < g.xi]; its group inverse is (0, -x) on the
+    seam and (1 - xi, -(x + 1)) off it, and -y has the norm of y.
+    """
+    xi = (f.xi - g.xi) % 1
+    x = f.x - g.x
+    if f.xi < g.xi:
+        x = x - _one(x.p)
+    length = max(float(xi), x.norm(alpha))
+    if xi == 0:
+        return length
+    return min(length, max(float(1 - xi), (x + _one(x.p)).norm(alpha)))
 
 
 def from_padic(x: PAdic) -> SolenoidPoint:
@@ -160,25 +170,25 @@ class TorusMap:
 
     # -- the complex-valued layer ------------------------------------------
 
-    def _coupling(self, xi: float, x: PAdic, n: int) -> complex:
-        """Circle phase attached to level n; switched off once the level
-        outruns the digit window that the ball coordinate can feel."""
-        p, m = self.params.map.p, self.params.map.m
-        if n > m + x.valuation():  # never at infinite order or for zero
-            return 1.0 + 0.0j
-        return cmath.exp(2j * math.pi * xi / p ** (min(n, m) + 1))
-
     def fiber_value(self, xi: float | Fraction, x: PAdic) -> complex:
         """Fiberwise series value; representatives are reduced first, so
-        the result is constant on cosets (xi+l, x-l) by construction."""
+        the result is constant on cosets (xi+l, x-l) by construction.
+
+        Level n carries the circle phase e(xi / p^(min(n, m)+1)), switched
+        off once the level outruns the digit window that the ball
+        coordinate can feel (n > m + v: never at infinite order or for zero).
+        """
         whole = math.floor(xi)
         if whole:
             xi = xi - whole
             x = x + from_int(whole, x.p)
-        xi_f = float(xi)
-        s = self.params.map.s
-        chis = self.plane._characters(x, 0, self.params.map.depth)
-        return sum((s**n * self._coupling(xi_f, x, n) * chi for n, chi in enumerate(chis)), 0j)
+        p, m, s = self.params.map.p, self.params.map.m, self.params.map.s
+        turn, top = 2j * math.pi * float(xi), m + x.valuation()
+
+        def weight(n: int) -> complex:
+            return s**n * (1.0 + 0.0j if n > top else cmath.exp(turn / p ** (min(n, m) + 1)))
+
+        return self.plane._weighted(x, weight)[1]
 
     def fiber_values(self, xi: float | Fraction, depth: int) -> np.ndarray:
         """Fiber series over every residue at the given depth, ascending.

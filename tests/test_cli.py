@@ -467,12 +467,88 @@ def test_certify_stdout_pinned(cmd):
     assert run_captured(shlex.split(cmd)) == (0, CERTIFY_STDOUT[cmd], "")
 
 
+# the full report of every suite at the benchmark's four parameter sets:
+# the exact group law, digit runs and fiber series must not move a digit
+VERIFY_STDOUT = {
+    "verify --p 2 --m 0 --s 0.3 --seed 7": (
+        "scaling.max_residual\t9.99200722163e-16\t1.00000000208e-12\tPASS\n"
+        "sandwich.lower_violations\t0\t0\tPASS\n"
+        "sandwich.upper_violations\t0\t0\tPASS\n"
+        "sandwich.worst_lower_margin\t4.55520856963e-07\t0\tPASS\n"
+        "group.axiom_defect\t0\t0\tPASS\n"
+        "group.metric_defect\t1.11022302463e-16\t1e-12\tPASS\n"
+        "j.homomorphism_defect\t0\t1e-12\tPASS\n"
+        "j.isometry_defect\t0\t1e-12\tPASS\n"
+        "eq40.max_residual\t6.28036983474e-16\t1.00000000208e-12\tPASS\n"
+        "ode.fd_ratio_min\t99.9989842\t50\tPASS\n"
+        "ode.spot_value_gap\t8.881784197e-16\t1e-06\tPASS\n"
+        "kappa.m6\t0.00444116486228\t0.122718463031\tPASS\n"
+        "kappa.char_gap_m6\t0.0490704764295\t0.0981747704247\tPASS\n"
+        "symmetry.max_residual\t3.49892198407e-16\t1.00000000208e-12\tPASS\n"
+    ),
+    "verify --p 3 --m inf --s 0.25 --seed 7": (
+        "scaling.max_residual\t1.11022302463e-15\t1e-12\tPASS\n"
+        "sandwich.lower_violations\t0\t0\tPASS\n"
+        "sandwich.upper_violations\t0\t0\tPASS\n"
+        "sandwich.worst_lower_margin\t1.91542928616e-06\t0\tPASS\n"
+        "group.axiom_defect\t0\t0\tPASS\n"
+        "group.metric_defect\t1.11022302463e-16\t1e-12\tPASS\n"
+        "j.homomorphism_defect\t0\t1e-12\tPASS\n"
+        "j.isometry_defect\t0\t1e-12\tPASS\n"
+        "eq40.max_residual\t1.0235750533e-15\t1e-12\tPASS\n"
+        "ode.fd_ratio_min\t99.9995375938\t50\tPASS\n"
+        "ode.spot_value_gap\t4.4408920985e-16\t1e-06\tPASS\n"
+        "kappa.m6\t0.000258680071677\t0.0107866068278\tPASS\n"
+        "kappa.char_gap_m6\t0.00287165531747\t0.00861890988639\tPASS\n"
+        "symmetry.max_residual\t1.11886302283e-15\t1e-12\tPASS\n"
+    ),
+    "verify --p 6 --m 1 --s 0.2 --seed 7": (
+        "scaling.max_residual\t8.88286833301e-16\t1e-12\tPASS\n"
+        "sandwich.lower_violations\t0\t0\tPASS\n"
+        "sandwich.upper_violations\t0\t0\tPASS\n"
+        "sandwich.worst_lower_margin\t0.00117194287658\t0\tPASS\n"
+        "group.axiom_defect\t0\t0\tPASS\n"
+        "group.metric_defect\t0\t1e-12\tPASS\n"
+        "j.homomorphism_defect\t0\t1e-12\tPASS\n"
+        "j.isometry_defect\t0\t1e-12\tPASS\n"
+        "eq40.max_residual\t1.11022302463e-15\t1e-12\tPASS\n"
+        "ode.fd_ratio_min\t99.9995024848\t50\tPASS\n"
+        "ode.spot_value_gap\t0\t1e-06\tPASS\n"
+        "kappa.m1\t0.0373161730339\t2.61799387799\tPASS\n"
+        "kappa.char_gap_m1\t0.174177327095\t1.0471975512\tPASS\n"
+        "symmetry.max_residual\t9.93013661299e-16\t1e-12\tPASS\n"
+    ),
+    "verify --p 5 --m inf --s 0.1,0.2 --seed 7": (
+        "scaling.max_residual\t1.11576033092e-15\t1e-12\tPASS\n"
+        "sandwich.lower_violations\t0\t0\tPASS\n"
+        "sandwich.upper_violations\t0\t0\tPASS\n"
+        "sandwich.worst_lower_margin\t0.00023490843064\t0\tPASS\n"
+        "group.axiom_defect\t0\t0\tPASS\n"
+        "group.metric_defect\t0\t1e-12\tPASS\n"
+        "j.homomorphism_defect\t0\t1e-12\tPASS\n"
+        "j.isometry_defect\t0\t1e-12\tPASS\n"
+        "eq40.max_residual\t8.00593208497e-16\t1e-12\tPASS\n"
+        "ode.fd_ratio_min\t99.9995578967\t50\tPASS\n"
+        "ode.spot_value_gap\t2.22477863103e-16\t1e-06\tPASS\n"
+        "kappa.m6\t2.35942092859e-06\t0.00086386966599\tPASS\n"
+        "kappa.char_gap_m6\t8.03990359832e-05\t0.000402123859659\tPASS\n"
+        "symmetry.max_residual\t1.15910686703e-15\t1e-12\tPASS\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd", list(VERIFY_STDOUT))
+def test_verify_stdout_pinned(cmd):
+    assert run_captured(shlex.split(cmd)) == (0, VERIFY_STDOUT[cmd], "")
+
+
 @pytest.mark.parametrize("cmd, failing", [
     # s above s_zero(4): no bound, and the depth-5 search is within its allowance
     ("certify --p 4 --m 1 --s 0.5 --depth 5",
      {"delta_empirical", "verdict", "delta_tilde_empirical", "gamma_sufficient"}),
-    # certified, but a = 1 sits inside the contraction radius 1/(1 - 0.3)
-    ("certify --p 2 --m 0 --s 0.3 --a 1", {"gamma_sufficient"}),
+    # certified, but a = 1 sits inside the contraction radius 1/(1 - 0.3):
+    # a sampled fiber reaches past the torus core (gamma 1.427 >= 1)
+    ("certify --p 2 --m 0 --s 0.3 --a 1", {"gamma_estimate", "gamma_sufficient"}),
 ])
 def test_certify_fails_what_it_cannot_certify(cmd, failing):
     code, out, err = run_captured(shlex.split(cmd))

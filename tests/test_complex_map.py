@@ -338,6 +338,26 @@ class TestSymmetries:
     def test_rotation_of_negative_one_is_zero(self):
         assert rotate_digits(expand(-1, 2, 6)).is_zero()
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rotation_matches_per_index_digits(self, data):
+        p = data.draw(st.sampled_from([2, 3, 6]))
+        x = data.draw(st.one_of(
+            st.builds(lambda n, d, k: expand(Fraction(n * p**k, d), p, 6),
+                      st.integers(-300, 300), st.sampled_from([1, 7, 11, 13]), st.integers(0, 3)),
+            st.builds(lambda v, lead, rest: PAdic(p, v, (lead, *rest)),
+                      st.integers(0, 3), st.integers(1, p - 1),
+                      st.lists(st.sampled_from([0, p - 1]), max_size=6)),
+        ))
+        try:
+            want = per_index_rotation(x)
+        except PrecisionError as exc:
+            with pytest.raises(PrecisionError, match=str(exc)):
+                rotate_digits(x)
+            return
+        got = rotate_digits(x)
+        assert got == want and (got.value, got.window_top) == (want.value, want.window_top)
+
     def test_image_rotation_invariance_as_set(self):
         params = MapParams(p=3, m=0, s=0.2, depth=35)
         pm = PlaneMap(params)
@@ -592,6 +612,22 @@ def test_shallow_searches_name_the_class_level():
     for call in calls:
         with pytest.raises(ValueError, match="search depth must reach the class level"):
             call()
+
+
+def per_index_rotation(x: PAdic) -> PAdic:
+    """Reference: digit rotation reading one digit(n) per index."""
+    p = x.p
+    if x.value is None:
+        rles = [(x.digit(n) + 1) % p for n in range(x.window_top)]
+        lead = next((i for i, d in enumerate(rles) if d), None)
+        if lead is None:
+            raise PrecisionError("rotation vanishes across a truncated window")
+        return PAdic(p, lead, tuple(rles[lead:]))
+    start = x.v + x.preperiod if x.period else x.window_top
+    block = x.period or (0,)
+    head = sum((x.digit(n) + 1) % p * p**n for n in range(start))
+    tail = sum((d + 1) % p * p**i for i, d in enumerate(block))
+    return expand(head + Fraction(tail * p**start, 1 - p ** len(block)), p, start + len(block))
 
 
 def per_level_character(x: PAdic, n: int, p: int, m) -> complex:

@@ -335,3 +335,78 @@ class TestRationalCore:
     @settings(max_examples=200, deadline=None)
     def test_from_int_matches_long_division(self, n, p, window):
         assert_long_division(from_int(n, p, window), Fraction(n), window or 1)
+
+
+def old_digit(x: PAdic, n: int) -> int:
+    """Reference: the per-index digit reader that digit_run replaced."""
+    if x.value == 0 or n < x.v:
+        return 0
+    i = n - x.v
+    digits, preperiod, period = x._expansion
+    if i < len(digits):
+        return digits[i]
+    if period:
+        return period[(i - preperiod) % len(period)]
+    if x.value is not None:
+        return 0
+    raise PrecisionError(
+        f"digit at p^{n} lies beyond the truncated window [{x.v}, {x.window_top})"
+    )
+
+
+def digit_outcome(call):
+    try:
+        return call(), None
+    except PrecisionError as exc:
+        return None, str(exc)
+
+
+def any_values(p: int):
+    # terminating, periodic, negative-valuation, zero and truncated values
+    exact = st.builds(
+        lambda n, d, k, w: expand(Fraction(n, d) * Fraction(p) ** k, p, w),
+        st.integers(-300, 300), st.integers(1, 60), st.integers(-4, 4), st.integers(1, 12),
+    )
+    truncated = st.builds(
+        lambda v, lead, rest: PAdic(p, v, (lead, *rest)),
+        st.integers(-4, 4), st.integers(1, p - 1), st.lists(st.integers(0, p - 1), max_size=8),
+    )
+    return st.one_of(exact, truncated)
+
+
+class TestDigitRun:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_index_digits(self, data):
+        p = data.draw(st.sampled_from(BASES))
+        x = data.draw(any_values(p))
+        lo = data.draw(st.integers(-8, 12))
+        hi = data.draw(st.integers(lo - 2, lo + 30))
+        want = digit_outcome(lambda: [old_digit(x, n) for n in range(lo, hi)])
+        assert digit_outcome(lambda: x.digit_run(lo, hi)) == want
+        assert digit_outcome(lambda: x.digit(lo)) == digit_outcome(lambda: old_digit(x, lo))
+        assert x.is_zero() == (x.value == 0)
+
+    def test_below_the_valuation_and_through_the_period(self):
+        x = expand(Fraction(4, 3), 2, 2)  # 1/3 = 1 + 2 + 2^3 + 2^5 + ... in Z_2
+        assert x.v == 2
+        assert x.digit_run(-1, 9) == [0, 0, 0, 1, 1, 0, 1, 0, 1, 0]
+        assert expand(0, 3, 4).digit_run(-2, 3) == [0] * 5
+        assert expand(Fraction(1, 4), 2, 3).digit_run(-3, 2) == [0, 1, 0, 0, 0]
+
+    def test_truncated_window_raises_at_its_first_missing_digit(self):
+        x = PAdic(3, 1, (2, 0, 1))
+        assert x.digit_run(0, 4) == [0, 2, 0, 1]
+        with pytest.raises(PrecisionError, match=r"digit at p\^4 lies beyond .* \[1, 4\)"):
+            x.digit_run(0, 5)
+        with pytest.raises(PrecisionError, match=r"digit at p\^6 lies beyond"):
+            x.digit_run(6, 7)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_residue_matches_per_index_sum(self, data):
+        p = data.draw(st.sampled_from(BASES))
+        x = data.draw(any_values(p).filter(lambda y: y.is_zero() or y.v >= 0))
+        depth = data.draw(st.integers(0, 12))
+        want = digit_outcome(lambda: sum(old_digit(x, n) * p**n for n in range(depth)))
+        assert digit_outcome(lambda: x.residue(depth)) == want

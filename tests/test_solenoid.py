@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from padic_fractal.padic import expand, from_int
+from padic_fractal.padic import PAdic, PrecisionError, expand, from_int
 from padic_fractal.complex_map import MapParams, PlaneMap
 from padic_fractal.solenoid import (
     PointCloud3D,
@@ -59,10 +59,15 @@ class TestGroup:
         assert z.xi == 0 and z.x.is_zero()
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            SolenoidPoint(Fraction(3, 2), from_int(0, 2))
-        with pytest.raises(ValueError):
-            SolenoidPoint(Fraction(0), expand(Fraction(1, 2), 2, 4))
+        # refused whether xi arrives as a Fraction, an int or a float
+        for xi in (Fraction(3, 2), Fraction(-1, 5), 1.5, -0.2, 1, -1):
+            with pytest.raises(ValueError, match="circle coordinate"):
+                SolenoidPoint(xi, from_int(0, 2))
+        for xi in (Fraction(0), Fraction(1, 4), 0, 0.25):
+            with pytest.raises(ValueError, match="unit ball"):
+                SolenoidPoint(xi, expand(Fraction(1, 2), 2, 4))
+            with pytest.raises(ValueError, match="unit ball"):
+                SolenoidPoint(xi, PAdic(3, -1, (2, 1)))
 
     @given(f=solenoid_points, g=solenoid_points, h=solenoid_points)
     @settings(max_examples=150, deadline=None)
@@ -540,3 +545,171 @@ def test_cloud_matches_scalar_embedding(p, m):
         i, r = (int(v) for v in cloud.labels[idx])
         want = tm.embed(SolenoidPoint(Fraction(i, xi_count), from_int(r, p, depth)))
         assert np.max(np.abs(cloud.points[idx] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+# ---------------------------------------------------------------------------
+# the group law, the metric and the fiber series against the code they replaced
+
+
+def old_add(f: SolenoidPoint, g: SolenoidPoint) -> SolenoidPoint:
+    """Reference: the sum with a fresh carry element per call."""
+    t = f.xi + g.xi
+    carry = int(t)
+    x = f.x + g.x
+    if carry:
+        x = x + from_int(carry, f.x.p)
+    return SolenoidPoint(t - carry, x)
+
+
+def old_neg(f: SolenoidPoint) -> SolenoidPoint:
+    if f.xi == 0:
+        return SolenoidPoint(Fraction(0), -f.x)
+    return SolenoidPoint(1 - f.xi, -(f.x + from_int(1, f.x.p)))
+
+
+def old_length(f: SolenoidPoint, alpha: float) -> float:
+    return max(float(f.xi), f.x.norm(alpha))
+
+
+def old_distance(f: SolenoidPoint, g: SolenoidPoint, alpha: float) -> float:
+    """Reference: both gauge lengths of the built point f - g."""
+    d = old_add(f, old_neg(g))
+    return min(old_length(d, alpha), old_length(old_neg(d), alpha))
+
+
+def outcome(call):
+    """(value, None) or (None, message of the PrecisionError raised)."""
+    try:
+        return call(), None
+    except PrecisionError as exc:
+        return None, str(exc)
+
+
+def completions(x: PAdic) -> list[PAdic]:
+    """Exact values that agree with x on its stored window: zero tail and
+    all-(p-1) tail for a truncated x, x itself otherwise."""
+    if x.value is not None:
+        return [x]
+    p, top = x.p, x.window_top
+    low = sum(d * p ** (x.v + i) for i, d in enumerate(x.digits))
+    return [expand(low, p, top), expand(low - p**top, p, top)]
+
+
+def ball_coordinates(p: int):
+    # exact rationals of the unit ball (zero included) and truncated windows;
+    # short windows of high digits make the group law's sums vanish
+    exact = st.builds(
+        lambda n, d, k: expand(Fraction(n * p**k, d), p, 8),
+        st.integers(-300, 300), st.sampled_from([1, 7, 11, 13]), st.integers(0, 3),
+    )
+    truncated = st.builds(
+        lambda v, lead, rest: PAdic(p, v, (lead, *rest)),
+        st.integers(0, 3), st.integers(1, p - 1),
+        st.lists(st.sampled_from([0, 1, p - 1]), max_size=6),
+    )
+    return st.one_of(exact, truncated)
+
+
+@st.composite
+def point_pairs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 6]))
+    circle = st.builds(lambda den, num: Fraction(num % (den - 1) + 1, den),
+                       st.sampled_from([2, 3, 10, 997]), st.integers(0, 995))
+    fxi = draw(circle)
+    gxi = (fxi + draw(circle)) % 1
+    # off the seam, on equal circle coordinates, or with either one on the seam
+    seam = draw(st.sampled_from(["off", "equal", "f", "g", "both"]))
+    fxi = Fraction(0) if seam in ("f", "both") else fxi
+    gxi = {"equal": fxi, "g": Fraction(0), "both": Fraction(0)}.get(seam, gxi)
+    f = SolenoidPoint(fxi, draw(ball_coordinates(p)))
+    g = SolenoidPoint(gxi, draw(ball_coordinates(p)))
+    return f, g
+
+
+class TestReplacedPaths:
+    @given(pair=point_pairs(), alpha=st.sampled_from([0.5, 1.0, 2.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_distance_matches_built_difference(self, pair, alpha):
+        f, g = pair
+        got, got_err = outcome(lambda: distance(f, g, alpha))
+        want, want_err = outcome(lambda: old_distance(f, g, alpha))
+        if want_err is None or got_err is not None:
+            assert (got, got_err) == (want, want_err)
+            return
+        # the built difference also sums g.x + 1 and f.x - g.x - 1, which can
+        # vanish on a window where the distance itself is determined: then
+        # every completion of the windows gives the value returned
+        for fx in completions(f.x):
+            for gx in completions(g.x):
+                full = old_distance(SolenoidPoint(f.xi, fx), SolenoidPoint(g.xi, gx), alpha)
+                assert got == full
+
+    def test_distance_raises_where_the_difference_is_undetermined(self):
+        # f.x - g.x vanishes on the shared window [0, 2)
+        f = SolenoidPoint(Fraction(1, 3), PAdic(2, 0, (1, 1)))
+        g = SolenoidPoint(Fraction(1, 5), PAdic(2, 0, (1, 1)))
+        assert outcome(lambda: distance(f, g))[1] == outcome(lambda: old_distance(f, g, 1.0))[1]
+        with pytest.raises(PrecisionError, match="valuation undetermined"):
+            distance(f, g)
+
+    @given(pair=point_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_add_and_neg_match_fresh_carries(self, pair):
+        f, g = pair
+        for new, old in ((lambda: add(f, g), lambda: old_add(f, g)),
+                         (lambda: neg(f), lambda: old_neg(f)),
+                         (lambda: add(f, neg(g)), lambda: old_add(f, old_neg(g)))):
+            got, got_err = outcome(new)
+            want, want_err = outcome(old)
+            assert (got, got_err) == (want, want_err)
+            if got is not None:
+                assert hash(got) == hash(want)
+                assert type(got.xi) is Fraction
+
+    @pytest.mark.parametrize("xi, want", [(0, Fraction(0)), (0.25, Fraction(1, 4)),
+                                          (Fraction(2, 7), Fraction(2, 7))])
+    def test_point_keeps_circle_coordinates_as_fractions(self, xi, want):
+        f = SolenoidPoint(xi, from_int(3, 2))
+        assert type(f.xi) is Fraction and f.xi == want
+        assert f == SolenoidPoint(want, from_int(3, 2)) and hash(f) == hash(pt(want, 3))
+
+
+def old_fiber_value(tm: TorusMap, xi, x: PAdic) -> complex:
+    """Reference: the fiber series with one coupling call per level."""
+    p, m, s = tm.params.map.p, tm.params.map.m, tm.params.map.s
+
+    def coupling(xi_f: float, n: int) -> complex:
+        if n > m + x.valuation():
+            return 1.0 + 0.0j
+        return cmath.exp(2j * math.pi * xi_f / p ** (min(n, m) + 1))
+
+    whole = math.floor(xi)
+    if whole:
+        xi = xi - whole
+        x = x + from_int(whole, x.p)
+    xi_f = float(xi)
+    chis = tm.plane._characters(x, 0, tm.params.map.depth)
+    return sum((s**n * coupling(xi_f, n) * chi for n, chi in enumerate(chis)), 0j)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fiber_value_matches_per_level_coupling(data):
+    p = data.draw(st.sampled_from([2, 3, 6]))
+    m = data.draw(st.sampled_from([0, 1, 3, math.inf]))
+    s = data.draw(st.sampled_from([0.25, 0.3 + 0.2j, -0.35]))
+    depth = data.draw(st.integers(1, 30))
+    tm = TorusMap(SolenoidParams(map=MapParams(p=p, m=m, s=s, depth=depth), a=2.0))
+    x = data.draw(st.one_of(
+        st.builds(lambda n, d: expand(Fraction(n, d), p, 12),
+                  st.integers(-500, 500), st.integers(1, 60)),
+        st.builds(lambda v, lead, rest: PAdic(p, v, (lead, *rest)),
+                  st.integers(-2, 3), st.integers(1, p - 1),
+                  st.lists(st.integers(0, p - 1), min_size=max(depth - 2, 0), max_size=depth + 6)),
+    ))
+    xi = data.draw(st.one_of(
+        st.fractions(-2, 3, max_denominator=997),
+        st.floats(0, 1, exclude_max=True),
+    ))
+    got = outcome(lambda: tm.fiber_value(xi, x))
+    assert got == outcome(lambda: old_fiber_value(tm, xi, x))
