@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import PAdic, PrecisionError, expand
+from .padic import PAdic, _from_rational
 
 __all__ = [
     "MapParams",
@@ -103,14 +103,6 @@ class MapParams:
     def contraction_radius(self) -> float:
         """Disk radius 1/(1-|s|) containing every unit-ball image point."""
         return 1.0 / (1.0 - abs(self.s))
-
-    @property
-    def threshold(self) -> float:
-        return s_zero(self.p)
-
-    @property
-    def certified_separation(self) -> float:
-        return delta_lower(self.p, self.s)
 
     def infinite_order(self) -> bool:
         return self.m == math.inf
@@ -639,15 +631,14 @@ def rotate_digits(x: PAdic) -> PAdic:
     p = x.p
     if not x.is_zero() and x.v < 0:
         raise ValueError("digit rotation is defined on the unit ball")
-    if x.value is None:
-        rles = [(d + 1) % p for d in x.digit_run(0, x.window_top)]
-        lead = next((i for i, d in enumerate(rles) if d), None)
-        if lead is None:
-            raise PrecisionError("rotation vanishes across a truncated window")
-        return PAdic(p, lead, tuple(rles[lead:]))
-    # from index `start` on the digits repeat `block` (zeros past a terminating window)
+    # from index `start` on the digits repeat `block` (zeros past a terminating
+    # window); a truncated input has start = its top, so its result keeps the
+    # head and drops the tail
     start = x.v + x.preperiod if x.period else x.window_top
     block = x.period or (0,)
     head = sum((d + 1) % p * p**n for n, d in enumerate(x.digit_run(0, start)))
     tail = sum((d + 1) % p * p**i for i, d in enumerate(block))
-    return expand(head + Fraction(tail * p**start, 1 - p ** len(block)), p, start + len(block))
+    return _from_rational(
+        head + Fraction(tail * p**start, 1 - p ** len(block)), p, x._top, start + len(block),
+        "rotation vanishes across a truncated window",
+    )

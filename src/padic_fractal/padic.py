@@ -1,12 +1,14 @@
 """Base-p digit expansions of rational numbers.
 
-An exact value is its rational plus the window width it was requested
-with: the valuation comes from the p-multiplicity of the rational, and
-the digit window, the preperiod and the repeating block are derived from
-the rational by long division on first use, so arithmetic on exact
-values is rational arithmetic.  A truncated value is a stored digit
-window anchored at its valuation whose tail is unknown; it only supports
-digit-wise work inside that window.
+Every value is a rational q and the first digit index `top` that is not
+known.  An exact value knows every digit (top = inf) and also keeps the
+window width it was requested with; a truncated value is the digit
+window below top, and q is the value of that window.  The valuation
+comes from the p-multiplicity of q, and the digit window, the preperiod
+and the repeating block are derived from q by long division on first
+use.  So arithmetic is rational arithmetic for both kinds: each
+operation computes one rational, and a truncated result keeps only the
+digits below the lowest top its operands know.
 
 The base p may be any integer >= 2; nothing here requires inverses of p,
 so composite bases work throughout.
@@ -35,7 +37,9 @@ class PAdic:
     rational when the tail is known, None when truncated.  For periodic
     tails, `period` repeats starting at window offset `preperiod`.
     PAdic(p, v, digits) builds a truncated value; exact values come from
-    expand() and from_int(), and their digits only from their rational.
+    expand() and from_int().  Either kind holds its rational `_q` (for a
+    truncated value, the value of its window) and `_top`, the first digit
+    index not known, and its digits come only from those two.
     """
 
     def __init__(self, p: int, v: int, digits: tuple[int, ...]) -> None:
@@ -48,23 +52,30 @@ class PAdic:
             raise ValueError("empty digit window is reserved for exact zero")
         if digits[0] == 0:
             raise ValueError("lowest stored digit must be nonzero")
-        vars(self).update(p=p, v=v, value=None, _zero=False, _expansion=(digits, 0, ()))
+        r = 0
+        for d in reversed(digits):
+            r = r * p + d
+        vars(self).update(
+            p=p, v=v, value=None, _q=r * Fraction(p) ** v, _top=v + len(digits),
+            _width=len(digits), _zero=False, _expansion=(digits, 0, ()),
+        )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"PAdic is immutable; cannot set {name!r}")
 
     @cached_property
     def _expansion(self) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-        """(digits, preperiod, period) of an exact value.
+        """(digits, preperiod, period) of the rational.
 
         Long division of the unit part num/den (den coprime to p) yields
         the digits; the repeating block starts where a remainder recurs,
-        and an all-zero block means the expansion terminates.
+        and an all-zero block means the expansion terminates (as it does
+        for a truncated value, whose width reaches its top).
         """
         if self.is_zero():
             return (), 0, ()
         p = self.p
-        unit = self.value / Fraction(p) ** self.v
+        unit = self._q / Fraction(p) ** self.v
         num, den = unit.numerator, unit.denominator
         binv = pow(den, -1, p)
         seen: dict[int, int] = {}
@@ -128,10 +139,14 @@ class PAdic:
         """The digits at indices lo .. hi-1, as digit(n) gives them one by
         one: zeros below the valuation, then the stored window, then the
         known tail; past a truncated window it raises PrecisionError."""
-        digits, preperiod, period = self._expansion
-        v = self.v
+        v, top = self.v, self._top
+        if hi > top and hi > lo:
+            raise PrecisionError(
+                f"digit at p^{max(lo, top)} lies beyond the truncated window [{v}, {top})"
+            )
         if hi <= v:
             return [0] * max(hi - lo, 0)
+        digits, preperiod, period = self._expansion
         run = [0] * (v - lo) if lo < v else []
         start, stop = max(lo - v, 0), hi - v
         run += digits[start:stop]
@@ -139,13 +154,8 @@ class PAdic:
         if past < stop:
             if period:
                 run += [period[(i - preperiod) % len(period)] for i in range(past, stop)]
-            elif self.value is not None:
-                run += [0] * (stop - past)
             else:
-                raise PrecisionError(
-                    f"digit at p^{v + past} lies beyond the truncated window "
-                    f"[{v}, {self.window_top})"
-                )
+                run += [0] * (stop - past)
         return run
 
     # -- structure -------------------------------------------------------
@@ -154,20 +164,15 @@ class PAdic:
         """Fractional part in Q intersect [0, 1) and the integral remainder."""
         if self.is_zero() or self.v >= 0:
             return Fraction(0), self
-        if self.value is not None:
-            # the -v digits below p^0 are the unit part's residue mod p^-v
-            unit, mod = self.value * self.p ** -self.v, self.p ** -self.v
-            frac = Fraction(unit.numerator * pow(unit.denominator, -1, mod) % mod, mod)
-            return frac, _exact(self.value - frac, self.p, max(self.v + self._width, 1))
-        frac = Fraction(0)
-        for n, d in enumerate(self.digit_run(self.v, 0), self.v):
-            if d:
-                frac += Fraction(d, self.p ** (-n))
-        sub = self.digits[-self.v:]
-        lead = next((i for i, d in enumerate(sub) if d), None)
-        if lead is None:
-            raise PrecisionError("integral part vanishes across the window")
-        return frac, PAdic(self.p, lead, tuple(sub[lead:]))
+        if self._top < 0:
+            self.digit_run(self.v, 0)  # raises at the first unknown digit below p^0
+        # the -v digits below p^0 are the unit part's residue mod p^-v
+        unit, mod = self._q * self.p ** -self.v, self.p ** -self.v
+        frac = Fraction(unit.numerator * pow(unit.denominator, -1, mod) % mod, mod)
+        return frac, _from_rational(
+            self._q - frac, self.p, self._top, max(self.v + self._width, 1),
+            "integral part vanishes across the window",
+        )
 
     def residue(self, depth: int) -> int:
         """The integer in [0, p^depth) congruent to this unit-ball element."""
@@ -179,9 +184,7 @@ class PAdic:
         """Multiply by p**k (digit shift; the window moves with it)."""
         if self.is_zero() or k == 0:
             return self
-        if self.value is None:
-            return PAdic(self.p, self.v + k, self.digits)
-        return _exact(self.value * Fraction(self.p) ** k, self.p, self._width)
+        return _from_rational(self._q * Fraction(self.p) ** k, self.p, self._top + k, self._width)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -193,57 +196,39 @@ class PAdic:
 
     def __add__(self, other: "PAdic") -> "PAdic":
         self._check_compatible(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.v, other.v)
-        if self.value is not None and other.value is not None:
-            hi = max(self.v + self._width, other.v + other._width)
-            return _exact(self.value + other.value, self.p, max(hi - lo, 1))
-        hi = min(x.window_top for x in (self, other) if x.value is None)
-        if hi <= lo:
-            raise PrecisionError("operands share no digit window")
-        out: list[int] = []
-        carry = 0
-        for a, b in zip(self.digit_run(lo, hi), other.digit_run(lo, hi)):
-            carry, d = divmod(a + b + carry, self.p)
-            out.append(d)
-        lead = next((i for i, d in enumerate(out) if d), None)
-        if lead is None:
-            raise PrecisionError(
-                "sum vanishes across the shared window; valuation undetermined"
-            )
-        return PAdic(self.p, lo + lead, tuple(out[lead:]))
-
-    def __neg__(self) -> "PAdic":
-        if self.is_zero():
-            return self
-        if self.value is not None:
-            return _exact(-self.value, self.p, self._width)
-        head = self.p - self.digits[0]
-        rest = tuple(self.p - 1 - d for d in self.digits[1:])
-        return PAdic(self.p, self.v, (head,) + rest)
+        return self._combine(other, self._q + other._q)
 
     def __sub__(self, other: "PAdic") -> "PAdic":
         self._check_compatible(other)
-        return self + (-other)
+        return self._combine(other, self._q - other._q)
+
+    def _combine(self, other: "PAdic", q: Fraction) -> "PAdic":
+        """The sum or difference q of self and other, known below the lower
+        window top of the two (each top lies above its own valuation, so
+        the windows always share digits).  A zero operand adds nothing; a
+        zero self takes other's valuation, width and top, which negation
+        keeps."""
+        if other.is_zero():
+            return self
+        a = other if self.is_zero() else self
+        lo, hi = min(a.v, other.v), max(a.v + a._width, other.v + other._width)
+        return _from_rational(
+            q, self.p, min(a._top, other._top), max(hi - lo, 1),
+            "sum vanishes across the shared window; valuation undetermined",
+        )
+
+    def __neg__(self) -> "PAdic":
+        return _from_rational(-self._q, self.p, self._top, self._width)
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PAdic):
             return NotImplemented
-        if self.p != other.p:
-            return False
-        if self.value is not None or other.value is not None:
-            return self.value == other.value
-        return self.v == other.v and self.digits == other.digits
+        return (self.p, self._q, self._top) == (other.p, other._q, other._top)
 
     def __hash__(self) -> int:
-        if self.value is not None:
-            return hash((self.p, self.value))
-        return hash((self.p, self.v, self.digits))
+        return hash((self.p, self._q, self._top))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -261,14 +246,17 @@ class PAdic:
         )
 
 
-def _exact(q: Fraction, p: int, window: int) -> PAdic:
-    """The exact value q with the given window width.
+def _from_rational(q: Fraction, p: int, top: float, window: int, why: str = "") -> PAdic:
+    """The value q known below p^top: exact with the given window width
+    when top is inf, else truncated to its digits below top.
 
     The valuation v is pulled out of q: denominator factors sharing a
     divisor g with p are absorbed by multiplying through with p/g, each
     lowering v, and factors of p left in the numerator raise it.  After
     that q = p^v num/den with den coprime to p, which is what the long
-    division behind the digits needs.
+    division behind the digits needs.  The digits of q below top are the
+    unit part's residue mod p^(top - v); with none of them nonzero the
+    valuation is unknown, and PrecisionError(why) is raised.
     """
     v = 0
     num, den = q.numerator, q.denominator
@@ -282,7 +270,16 @@ def _exact(q: Fraction, p: int, window: int) -> PAdic:
         num //= p
         v += 1
     x = object.__new__(PAdic)
-    vars(x).update(p=p, v=v, value=q, _width=window, _zero=not num)
+    if top == math.inf:
+        vars(x).update(p=p, v=v, value=q, _q=q, _top=top, _width=window, _zero=not num)
+        return x
+    if not num or v >= top:
+        raise PrecisionError(why)
+    mod = p ** (top - v)
+    r = num * pow(den, -1, mod) % mod
+    vars(x).update(
+        p=p, v=v, value=None, _q=r * Fraction(p) ** v, _top=top, _width=top - v, _zero=False,
+    )
     return x
 
 
@@ -297,13 +294,13 @@ def expand(q: Rational, p: int, window: int) -> PAdic:
         raise ValueError("window must be >= 1")
     if p < 2:
         raise ValueError("base must be >= 2")
-    return _exact(Fraction(q), p, window)
+    return _from_rational(Fraction(q), p, math.inf, window)
 
 
 def from_int(n: int, p: int, window: int | None = None) -> PAdic:
     """Construction from an integer (negative ints repeat p-1): the
-    window holds the integer's digits, padded to `window`."""
-    return expand(n, p, window or 1)
+    window holds the integer's digits, padded to `window` (default 1)."""
+    return expand(n, p, 1 if window is None else window)
 
 
 def residues(p: int, depth: int) -> Iterator[PAdic]:

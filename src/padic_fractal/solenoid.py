@@ -345,17 +345,14 @@ def integrate_field(
     cloud = tmap.cloud(xi_count, depth)
     pts = cloud.points
     p = tmap.params.map.p
-    fibers = [
-        [SolenoidPoint(Fraction(i, xi_count), from_int(r, p, depth)) for r in range(p**depth)]
-        for i in range(xi_count)
-    ]
-    flat = [f for row in fibers for f in row]
     field_cache: dict[int, np.ndarray] = {}
 
     def field(r: np.ndarray) -> np.ndarray:
         idx = int(np.argmin(np.sum((pts - r) ** 2, axis=1)))
         if idx not in field_cache:
-            field_cache[idx] = tmap.vector_field(flat[idx])
+            i, res = (int(c) for c in cloud.labels[idx])
+            sample = SolenoidPoint(Fraction(i, xi_count), from_int(res, p, depth))
+            field_cache[idx] = tmap.vector_field(sample)
         return field_cache[idx]
 
     h = t_end / steps

@@ -410,3 +410,189 @@ class TestDigitRun:
         depth = data.draw(st.integers(0, 12))
         want = digit_outcome(lambda: sum(old_digit(x, n) * p**n for n in range(depth)))
         assert digit_outcome(lambda: x.residue(depth)) == want
+
+
+# -- the digit-wise truncated paths that one rational path replaced -------
+
+
+def old_eq(a: PAdic, b: PAdic) -> bool:
+    if a.p != b.p:
+        return False
+    if a.value is not None or b.value is not None:
+        return a.value == b.value
+    return a.v == b.v and a.digits == b.digits
+
+
+def leading(p: int, v: int, digits: list[int], why: str) -> PAdic:
+    lead = next((i for i, d in enumerate(digits) if d), None)
+    if lead is None:
+        raise PrecisionError(why)
+    return PAdic(p, v + lead, tuple(digits[lead:]))
+
+
+def old_add(a: PAdic, b: PAdic) -> PAdic:
+    """Reference: exact sums as rationals, truncated ones by a carry loop.
+    Its "share no digit window" raise is unreachable (a truncated window's
+    top lies above its valuation) and is kept as it was."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    lo = min(a.v, b.v)
+    if a.value is not None and b.value is not None:
+        hi = max(a.v + a._width, b.v + b._width)
+        return expand(a.value + b.value, a.p, max(hi - lo, 1))
+    hi = min(x.window_top for x in (a, b) if x.value is None)
+    if hi <= lo:
+        raise PrecisionError("operands share no digit window")
+    out, carry = [], 0
+    for da, db in zip(a.digit_run(lo, hi), b.digit_run(lo, hi)):
+        carry, d = divmod(da + db + carry, a.p)
+        out.append(d)
+    return leading(a.p, lo, out, "sum vanishes across the shared window; valuation undetermined")
+
+
+def old_neg(x: PAdic) -> PAdic:
+    if x.is_zero():
+        return x
+    if x.value is not None:
+        return expand(-x.value, x.p, x._width)
+    return PAdic(x.p, x.v, (x.p - x.digits[0],) + tuple(x.p - 1 - d for d in x.digits[1:]))
+
+
+def old_shift(x: PAdic, k: int) -> PAdic:
+    if x.is_zero() or k == 0:
+        return x
+    if x.value is None:
+        return PAdic(x.p, x.v + k, x.digits)
+    return expand(x.value * Fraction(x.p) ** k, x.p, x._width)
+
+
+def old_split(x: PAdic) -> tuple[Fraction, PAdic]:
+    if x.is_zero() or x.v >= 0:
+        return Fraction(0), x
+    if x.value is not None:
+        unit, mod = x.value * x.p ** -x.v, x.p ** -x.v
+        frac = Fraction(unit.numerator * pow(unit.denominator, -1, mod) % mod, mod)
+        return frac, expand(x.value - frac, x.p, max(x.v + x._width, 1))
+    frac = sum((Fraction(d, x.p ** -n) for n, d in enumerate(x.digit_run(x.v, 0), x.v)), Fraction(0))
+    return frac, leading(x.p, 0, list(x.digits[-x.v:]), "integral part vanishes across the window")
+
+
+def old_rotate(x: PAdic) -> PAdic:
+    p = x.p
+    if x.value is None:
+        rles = [(d + 1) % p for d in x.digit_run(0, x.window_top)]
+        return leading(p, 0, rles, "rotation vanishes across a truncated window")
+    start = x.v + x.preperiod if x.period else x.window_top
+    block = x.period or (0,)
+    head = sum((d + 1) % p * p**n for n, d in enumerate(x.digit_run(0, start)))
+    tail = sum((d + 1) % p * p**i for i, d in enumerate(block))
+    return expand(head + Fraction(tail * p**start, 1 - p ** len(block)), p, start + len(block))
+
+
+def fields(x: PAdic) -> tuple:
+    return (x.p, x.v, x.digits, x.window_top, x.exactness, x.value, x.period)
+
+
+def same_result(new, old) -> None:
+    """Equal fields, equal values under the replaced ==, equal hashes, or
+    identical PrecisionError messages."""
+    try:
+        want = old()
+    except PrecisionError as exc:
+        with pytest.raises(PrecisionError) as got:
+            new()
+        assert str(got.value) == str(exc)
+        return
+    got = new()
+    if isinstance(want, tuple):  # split: (fraction, integral part)
+        assert got[0] == want[0]
+        got, want = got[1], want[1]
+    assert fields(got) == fields(want)
+    assert got == want and old_eq(got, want) and hash(got) == hash(want)
+
+
+def mixed_operands(p: int):
+    # exact values with negative valuations and zero; truncated windows
+    # that sit apart, end below p^0, or are made of high digits so that
+    # sums and rotations vanish
+    exact = st.builds(
+        lambda n, d, k, w: expand(Fraction(n, d) * Fraction(p) ** k, p, w),
+        st.integers(-200, 200), st.sampled_from([1, 1, 2, 3, 7, 12, 25]),
+        st.integers(-4, 3), st.integers(1, 8),
+    )
+    truncated = st.builds(
+        lambda v, lead, rest: PAdic(p, v, (lead, *rest)),
+        st.integers(-7, 6), st.integers(1, p - 1),
+        st.lists(st.sampled_from([0, 1, p - 1]), max_size=6),
+    )
+    return st.one_of(exact, truncated, st.just(expand(0, p, 3)))
+
+
+class TestOneRationalPath:
+    """Exact and truncated values share one rational path for +, -,
+    negation, shift, split and rotate_digits; it must give what the
+    digit-wise truncated code gave, errors included."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_digitwise_truncated_paths(self, data):
+        from padic_fractal.complex_map import rotate_digits
+
+        p = data.draw(st.sampled_from([2, 3, 5, 6]))
+        a = data.draw(mixed_operands(p))
+        b = data.draw(st.one_of(
+            mixed_operands(p), st.just(a), st.just(old_neg(a)), st.just(old_neg(a).shift(1)),
+        ))
+        k = data.draw(st.integers(-5, 5))
+        same_result(lambda: a + b, lambda: old_add(a, b))
+        same_result(lambda: -a, lambda: old_neg(a))
+        same_result(lambda: a.shift(k), lambda: old_shift(a, k))
+        same_result(lambda: a.split(), lambda: old_split(a))
+        if a.is_zero() or a.v >= 0:
+            same_result(lambda: rotate_digits(a), lambda: old_rotate(a))
+        assert (a == b) == old_eq(a, b)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_difference_matches_sum_with_negation(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 6]))
+        a = data.draw(mixed_operands(p))
+        b = data.draw(st.one_of(mixed_operands(p), st.just(a), st.just(old_neg(a))))
+        same_result(lambda: a - b, lambda: old_add(a, old_neg(b)))
+
+    def test_examples(self):
+        # 11 + 13 = 24 = 2^3 * 3: only the digit at 2^3 lies below the top 4
+        w = PAdic(2, 0, (1, 1, 0, 1)) + PAdic(2, 0, (1, 0, 1, 1))
+        assert (w.v, w.digits, w.window_top, w.value) == (3, (1,), 4, None)
+        # a truncated minus an exact value keeps the truncated window's top
+        d = PAdic(3, -2, (1, 2, 0, 1)) - expand(Fraction(1, 9), 3, 2)
+        assert (d.v, d.digits, d.window_top) == (-1, (2, 0, 1), 2)
+        # windows apart: the higher one is zero below its valuation
+        s = PAdic(2, 0, (1, 1)) + PAdic(2, 5, (1,))
+        assert (s.v, s.digits, s.window_top) == (0, (1, 1), 2)
+        with pytest.raises(PrecisionError, match="integral part vanishes"):
+            PAdic(5, -2, (3, 4)).split()
+        with pytest.raises(PrecisionError, match=r"digit at p\^-2 lies beyond"):
+            PAdic(5, -3, (3,)).split()
+
+    def test_equality_and_hash_read_the_known_digits(self):
+        # the same window value known to different tops differs
+        assert PAdic(2, 0, (1, 0)) != PAdic(2, 0, (1,))
+        assert PAdic(2, 0, (1, 0)) != from_int(1, 2)
+        assert PAdic(3, 1, (2, 1)) == -(-PAdic(3, 1, (2, 1)))
+        assert hash(PAdic(3, 1, (2, 1))) == hash(-(-PAdic(3, 1, (2, 1))))
+
+
+class TestFromIntWindow:
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_non_positive_window_refused(self, window):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            from_int(5, 2, window)
+
+    def test_none_selects_one_digit(self):
+        assert from_int(5, 2, None) == from_int(5, 2, 1) == expand(5, 2, 1)
+        assert from_int(4, 2).digits == (1,) and from_int(0, 3).digits == ()

@@ -471,6 +471,43 @@ class TestFlow:
         assert report["max_image_drift"] < 1.5 * gap
         assert report["final_error"] < 0.05
 
+    def test_integration_builds_only_visited_samples(self, monkeypatch):
+        import padic_fractal.solenoid as solenoid
+
+        start = pt(Fraction(1, 7), 5, p=3, depth=5)
+        want = integrate_all_samples(self.tm, start, 0.5, 12, xi_count=16, depth=3)
+        built = []
+        monkeypatch.setattr(solenoid, "from_int", lambda *a: built.append(a) or from_int(*a))
+        assert integrate_field(self.tm, start, 0.5, 12, xi_count=16, depth=3) == want
+        # at most four field lookups a step, against 16 * 3^3 samples up front
+        assert len(built) <= 4 * 12 + 1
+
+
+def integrate_all_samples(tmap, start, t_end, steps, xi_count, depth):
+    """Reference: integrate_field building every sample point up front."""
+    cloud = tmap.cloud(xi_count, depth)
+    pts, p = cloud.points, tmap.params.map.p
+    flat = [SolenoidPoint(Fraction(i, xi_count), from_int(r, p, depth))
+            for i in range(xi_count) for r in range(p**depth)]
+    cache = {}
+
+    def field(r):
+        idx = int(np.argmin(np.sum((pts - r) ** 2, axis=1)))
+        if idx not in cache:
+            cache[idx] = tmap.vector_field(flat[idx])
+        return cache[idx]
+
+    h, r, drift = t_end / steps, tmap.embed(start), 0.0
+    for _ in range(steps):
+        k1 = field(r)
+        k2 = field(r + 0.5 * h * k1)
+        k3 = field(r + 0.5 * h * k2)
+        k4 = field(r + h * k3)
+        r = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        drift = max(drift, float(np.min(np.linalg.norm(pts - r, axis=1))))
+    exact = tmap.embed(orbit(start, Fraction(t_end).limit_denominator(10**9)))
+    return {"max_image_drift": drift, "final_error": float(np.linalg.norm(r - exact))}
+
 
 class TestPushThrough:
     def setup_method(self):
