@@ -246,49 +246,30 @@ class PlaneMap:
 
     # -- vectorized cloud generation --------------------------------------
 
-    def values_on_residues(
-        self,
-        depth: int,
-        *,
-        scale: int = 0,
-        codes: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Map values on p**scale * (residues at the given depth).
+    def values_on_residues(self, depth: int, *, codes: np.ndarray | None = None) -> np.ndarray:
+        """Map values on the residues at the given depth.
 
-        codes selects specific residues; by default all p**depth of them
-        are evaluated in ascending order.  That full enumeration at finite
-        order and scale 0 comes from the self-similar recursion, one
-        broadcast add per digit; explicit codes, a nonzero scale and
-        infinite order read every digit of every row.
+        codes selects specific residues, each read digit by digit by the
+        level loop; by default all p**depth of them are evaluated in
+        ascending order, the values of cluster(0, 0, depth).
         """
-        p = self.params.p
         if codes is None:
-            _guard_rows(p, depth)
-            if scale == 0 and not self.params.infinite_order():
-                return _self_similar(self.params, depth)
-            codes = np.arange(p**depth, dtype=np.int64)
-        return _series(_code_digits(codes, p, depth), depth, len(codes), scale, self.params)
+            return _split(self.params, 0, 0, depth)
+        return _series(_code_digits(codes, self.params.p, depth), depth, len(codes), 0, self.params)
 
     def cluster(self, center: int, level: int, depth: int) -> PointCloud2D:
         """Image of the ball |x - center| <= p^-level sampled to `depth`.
 
-        Labels are the absolute integer preimages center + p^level k; the
-        point set therefore partitions into the p sub-clusters one level
-        down, which share labels with this one.  At finite order the ball
-        comes from the self-similar recursion: its free digits are
-        enumerated, then the level low digits of center are prepended.
+        Labels are the absolute integer preimages center + p^level k in
+        ascending order; the point set therefore partitions into the p
+        sub-clusters one level down, which share labels with this one.  A
+        negative level is the ball of radius p^-level around 0, which
+        holds every integer center; its points p^level k are labelled k.
         """
-        if depth < level:
-            raise ValueError("depth must reach at least the cluster level")
-        p = self.params.p
-        _guard_rows(p, depth)
-        center %= p**level
-        codes = np.arange(p ** (depth - level), dtype=np.int64)
-        labels = center + codes * p**level
-        if level and not self.params.infinite_order():
-            vals = _self_similar(self.params, depth, center, level)
-        else:
-            vals = self.values_on_residues(depth, codes=labels if level else None)
+        step = self.params.p ** max(level, 0)
+        center %= step
+        vals = _split(self.params, center, level, depth)
+        labels = center + step * np.arange(len(vals), dtype=np.int64)
         return PointCloud2D(values=vals, labels=labels, level=level, params=self.params)
 
 
@@ -310,9 +291,9 @@ def residue_bound(p: int, depth: int) -> int:
     return bound
 
 
-# A full enumeration peaks near 65 bytes per row for a plane cloud rendered
-# to PGM and 230 for a torus cloud exported to PLY (peak RSS above an idle
-# interpreter's, at 2^20 to 2^22 rows).
+# A full enumeration peaks near 66 bytes per row for a plane cloud rendered
+# to PGM and 215 for a torus cloud exported to PLY (peak RSS above an idle
+# interpreter's, at 2^20 to 2^22 rows); the values alone take 16.
 MAX_ROWS = 1 << 23
 
 
@@ -407,56 +388,57 @@ def _series(digits, cols: int, rows: int, start: int, params: MapParams) -> np.n
     return total + sum(s**n for n in range(max(last + 1, 0), params.depth + 1))
 
 
-def _step_table(params: MapParams, t: int, k: int) -> np.ndarray:
-    """T for prepending a low digit a to residues y below p**(k-1).
+def _split(params: MapParams, center: int, level: int, depth: int) -> np.ndarray:
+    """Values on x = center + p**level k for k < p**(depth-level), ascending.
 
-    At finite order m, x = a + p y gives f_t(x) = s f_(t-1)(y) +
-    T[x mod p**(q+1)], where f_t is the series truncated at level t and
-    q = min(m, t): the window of a level n > q reads the same digits of
-    x as level n-1 reads of y.  With c_n = (x mod p^(n+1)) / p^(n+1),
-    level n-1 of y reads c_n - a/p^(n+1), so
-    T[x] = e(a/p) + sum_{1<=n<=q} s^n e(c_n) (1 - e(-a/p^(n+1))), and
-    T = 0 for t < 0.  Level n has period p^(n+1) in x, so it is
-    exponentiated once per period and added by broadcasting.  Only the
-    p**min(q+1, k) entries below p**k are built.  q also stops where
-    (|s|/p)^n < 2^-53: the levels past it move T by under 2 pi 2^-53.
+    Write x = c + p**top y with c = x mod p**top, whose lowest digit has
+    index lo = min(level, 0).  The levels below top read only c: the head
+    is their sum, negative levels as s^n (chi_n - 1).  Level top+n reads
+    y's window and, below m, the digits of c from index max(lo, top+n-m)
+    up, as the phase phi_c(n) = (those digits) / p**(top+n+1).  So
+    f(x) = head(c) + s**top g_c(y), g_c(y) = sum_n s^n e(phi_c(n)) chi_n(y),
+    the plane/solenoid identity.  The uncoupled levels n >= m sum to one
+    column, so g is one y-major (y x level) @ (level x c) product whose
+    last coupling row is ones.  top sits halfway up the free digits.
     """
-    p, s = params.p, params.s
-    top = min(params.m, t, int(53 * math.log(2) / math.log(p / abs(s))))
-    table = np.zeros(p ** min(max(top, 0) + 1, k), dtype=np.complex128)
-    for n in range(top + 1):
-        mod = p ** (n + 1)
-        term = np.exp(2j * math.pi * np.arange(min(mod, len(table))) / mod).reshape(-1, p)
-        if n:
-            term *= 1.0 - np.exp(-2j * math.pi * np.arange(p) / mod)
-        periods = table.reshape(-1, term.size)
-        periods += s**n * term.ravel()
-    return table
+    if depth < level:
+        raise ValueError("depth must reach at least the cluster level")
+    p, s, m = params.p, params.s, params.m
+    _guard_rows(p, depth - level)
+    lo = min(level, 0)
+    top = min(level + (depth - level) // 2, max(params.depth, level))
+    cs = center + p ** max(level, 0) * np.arange(p ** (top - level), dtype=np.int64)  # c / p**lo
+    ys = np.arange(p ** (depth - top), dtype=np.int64)
 
+    def phase(codes: np.ndarray, low: int, width: int, j: int, k: int) -> np.ndarray:
+        """e(w / p**(k-j)) for w the digits j .. k-1 of codes * p**low, whose
+        width digits start at index low.  A window inside them is read as a
+        signed residue, so no angle passes half a turn; one that passes
+        their top reads under 1/p of a turn."""
+        w = codes // p ** min(j - low, width)
+        if k - low > width:
+            return np.exp(w * (2j * math.pi * float(p) ** (j - k)))
+        q = p ** (k - j)
+        w %= q
+        return np.exp(np.where(2 * w > q, w - q, w) * (2j * math.pi / q))
 
-def _self_similar(params: MapParams, depth: int, center: int = 0, level: int = 0) -> np.ndarray:
-    """Finite-order values on center + p**level k for k < p**(depth-level),
-    ascending, built by prepending one low digit at a time.
-
-    The start is residue 0 below p**0, the series truncated at level
-    params.depth - depth: the sum of s^n up to it (0 when it is
-    negative).  Each free digit is one broadcast add of s times every
-    value and the step table, with no index array and no exp per point;
-    the level fixed low digits of center then gather their entries by
-    label.
-    """
-    p, s = params.p, params.s
-    vals = np.array([sum(s**n for n in range(params.depth - depth + 1))], dtype=np.complex128)
-    for k in range(1, depth + 1):
-        table = _step_table(params, params.depth - depth + k, k)
-        j = depth - k  # index of the prepended digit
-        if j >= level:
-            rows = len(table) // p  # T[a + p r] for the low digits r of y
-            vals = (s * vals.reshape(-1, rows)[:, :, None] + table.reshape(rows, p)).ravel()
-        else:
-            labels = center + p**level * np.arange(len(vals), dtype=np.int64)
-            vals = s * vals + table[labels // p**j % len(table)]
-    return vals
+    head = np.zeros(len(cs), dtype=np.complex128)
+    for n in reversed(range(lo, min(top, params.depth + 1))):  # Horner from the top level down
+        head *= s
+        head += phase(cs, lo, top - lo, max(lo, n - m), n + 1) - (n < 0)
+    head *= s**lo
+    head -= sum(s**n for n in range(top, 0))  # the -1 of g's negative levels
+    levels = max(params.depth - top + 1, 0)
+    coupled = min(m, levels)
+    terms = np.zeros((len(ys), coupled + 1), dtype=np.complex128)
+    for n in range(levels):
+        terms[:, min(n, coupled)] += s ** (top + n) * phase(ys, 0, depth - top, max(0, n - m), n + 1)
+    coupling = np.ones((coupled + 1, len(cs)), dtype=np.complex128)
+    for n in range(coupled):
+        coupling[n] = phase(cs, lo, top - lo, max(lo, top + n - m), top + n + 1)
+    out = terms @ coupling
+    out += head
+    return out.ravel()
 
 
 def series_values(digit_mat: np.ndarray, start: int, params: MapParams) -> np.ndarray:

@@ -243,11 +243,6 @@ def build_cloud(fp: FigurePreset, depth: int | None = None, xi_count: int | None
     if d < 1:
         raise ValueError(f"depth must be >= 1, got {d}")
     if fp.kind == "plane":
-        pmap = PlaneMap(fp.map_params(d))
-        if fp.ball_scale:
-            vals = pmap.values_on_residues(d, scale=-fp.ball_scale)
-            labels = np.arange(fp.p**d, dtype=np.int64)
-            return PointCloud2D(values=vals, labels=labels, level=-fp.ball_scale, params=pmap.params)
-        return pmap.cluster(0, 0, d)
+        return PlaneMap(fp.map_params(d)).cluster(0, -fp.ball_scale, d - fp.ball_scale)
     tmap = TorusMap(fp.solenoid_params(d))
     return tmap.cloud(xi_count or fp.xi_count, d)

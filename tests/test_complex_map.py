@@ -313,6 +313,14 @@ class TestClusters:
         with pytest.raises(ValueError):
             pm.cluster(0, 5, 3)
 
+    def test_row_guard_counts_the_rows_built(self):
+        # a level-5 ball to depth 25 holds 2^20 points; the unit ball to
+        # depth 24 holds 2^24, past the 2^23 limit
+        pm = PlaneMap(MapParams(p=2, m=0, s=0.3))
+        assert len(pm.cluster(0, 5, 25)) == 2**20
+        with pytest.raises(ValueError, match=r"2\^24 = 16777216 rows"):
+            pm.cluster(0, 0, 24)
+
 
 class TestSymmetries:
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -433,7 +441,7 @@ def test_level_loop_table_regime_matches_oracles(p, m, s, scale, data):
     depth = {2: 6, 3: 5, 6: 4}[p]
     params = MapParams(p=p, m=m, s=s, depth=24)
     pm = PlaneMap(params)
-    vals = pm.values_on_residues(depth, scale=scale)
+    vals = pm.cluster(0, scale, depth + scale).values
     via_matrix = series_values(residue_digit_matrix(p, depth), scale, params)
     assert all(_close(g, w) for g, w in zip(vals, via_matrix))
     for code in data.draw(st.lists(st.integers(0, p**depth - 1), min_size=1, max_size=4)):
@@ -449,10 +457,10 @@ def test_level_loop_exp_regime_matches_oracles(p, m, s, scale, data):
     pm = PlaneMap(params)
     code = data.draw(st.integers(0, p**depth - 1))
     codes = np.array([code], dtype=np.int64)
-    got = pm.values_on_residues(depth, scale=scale, codes=codes)[0]
+    got = series_values(residue_digit_matrix(p, depth, codes), scale, params)[0]
     assert _close(got, _scalar(pm, code, scale))
-    via_matrix = series_values(residue_digit_matrix(p, depth, codes), scale, params)[0]
-    assert _close(got, via_matrix)
+    if scale >= 0:
+        assert _close(pm.values_on_residues(depth + scale, codes=codes * p**scale)[0], got)
 
 
 @pytest.mark.parametrize("p,m", [(2, math.inf), (2, 60), (6, math.inf), (6, 30)])
@@ -468,14 +476,14 @@ def test_level_loop_windows_wider_than_a_float(p, m):
         assert _close(value, pm.value(from_int(code, p, 70)))
 
 
-# -- the self-similar recursion against the level loop and the scalar oracle --
+# -- the split product against the level loop and the scalar oracle ---------
 
 RECURSION_M = st.sampled_from([0, 1, 3])
-ENUM_DEPTH = {2: 8, 3: 5, 6: 3}
+ENUM_DEPTH = {2: 8, 3: 5, 5: 4, 6: 3}
 
 
-def _geometric_bound(params: MapParams) -> float:
-    return 1e-14 * sum(abs(params.s) ** n for n in range(params.depth + 1))
+def _geometric_bound(params: MapParams, low: int = 0) -> float:
+    return 1e-14 * sum(abs(params.s) ** n for n in range(low, params.depth + 1))
 
 
 @given(p=LOOP_P, m=RECURSION_M, s=LOOP_S, series_depth=st.integers(1, 40), data=st.data())
@@ -508,21 +516,39 @@ def test_recursion_clusters_match_level_loop(p, m, s, series_depth, level, corne
 
 @pytest.mark.parametrize("p", [2, 3, 6])
 def test_level_loop_paths_unchanged_by_recursion(p):
-    # infinite order, explicit codes and a nonzero scale still read every
-    # digit of every row: bit-identical to the digit-matrix kernel
+    # explicit codes still read every digit of every row: bit-identical to
+    # the digit-matrix kernel
     depth = ENUM_DEPTH[p]
     finite = MapParams(p=p, m=1, s=0.3 - 0.2j, depth=30)
-    infinite = replace(finite, m=math.inf)
-    mat = residue_digit_matrix(p, depth)
     codes = np.array([0, 5, p**depth - 1], dtype=np.int64)
-    same = np.array_equal
-    assert same(PlaneMap(infinite).values_on_residues(depth), series_values(mat, 0, infinite))
-    assert same(PlaneMap(infinite).cluster(1, 1, depth).values,
-                series_values(mat[1::p], 0, infinite))
-    assert same(PlaneMap(finite).values_on_residues(depth, scale=-2),
-                series_values(mat, -2, finite))
-    assert same(PlaneMap(finite).values_on_residues(depth, codes=codes),
-                series_values(residue_digit_matrix(p, depth, codes), 0, finite))
+    assert np.array_equal(PlaneMap(finite).values_on_residues(depth, codes=codes),
+                          series_values(residue_digit_matrix(p, depth, codes), 0, finite))
+
+
+@given(p=st.sampled_from([2, 3, 5, 6]), m=LOOP_M, s=LOOP_S, series_depth=st.integers(1, 40),
+       corner=st.sampled_from(["zero", "one", "top"]), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_split_matches_level_loop_and_scalar(p, m, s, series_depth, corner, data):
+    # every order, series depths from 1 up, and balls from radius p^3 down
+    # to single points, whose split may fall below level 0; a negative
+    # level is the ball around 0, labelled by p^-level x
+    level = data.draw(st.integers(-3, ENUM_DEPTH[p]))
+    depth = level + data.draw(st.integers(0, ENUM_DEPTH[p]))
+    step = p ** max(level, 0)
+    center = {"zero": 0, "one": 1, "top": step - 1}[corner]
+    params = MapParams(p=p, m=m, s=s, depth=series_depth)
+    pm = PlaneMap(params)
+    low = min(level, 0)
+    bound = _geometric_bound(params, low)
+    cloud = pm.cluster(center, level, depth)
+    assert cloud.level == level
+    # at level <= 0 every integer center lies in the ball around 0
+    assert np.array_equal(cloud.labels, center % step + step * np.arange(p ** (depth - level)))
+    loop = series_values(residue_digit_matrix(p, depth - low, cloud.labels), low, params)
+    assert np.max(np.abs(cloud.values - loop)) <= bound
+    for k in data.draw(st.lists(st.integers(0, len(cloud) - 1), min_size=1, max_size=4)):
+        x = expand(Fraction(int(cloud.labels[k])) * Fraction(p) ** low, p, depth - low + 1)
+        assert abs(cloud.values[k] - pm.value(x)) <= bound
 
 
 def test_recursion_on_z4_within_a_few_ulps_of_exact():
