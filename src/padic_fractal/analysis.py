@@ -9,6 +9,7 @@ carries a rigorous error bound from the map's Lipschitz modulus.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,63 +160,69 @@ class DimensionEstimate:
             raise ValueError("scale window must be increasing")
 
 
-def _as_points(cloud) -> np.ndarray:
-    pts = getattr(cloud, "points", cloud)
-    if callable(pts):
-        pts = pts()
-    pts = np.asarray(pts)
-    if np.iscomplexobj(pts):
-        pts = np.column_stack([pts.real, pts.imag])
-    if pts.ndim != 2:
-        raise ValueError("expected an (n, d) coordinate array")
-    return pts.astype(np.float64)
+def _columns(cloud) -> list[np.ndarray]:
+    """Coordinate columns of a cloud, its complex values or an (n, d) array: float64 views."""
+    pts = np.asarray(getattr(cloud, "values", getattr(cloud, "points", cloud)))
+    plane = np.iscomplexobj(pts)
+    if pts.ndim != 2 - plane:
+        raise ValueError("expected an (n, d) coordinate array or n complex values")
+    return [c.astype(np.float64, copy=False) for c in ((pts.real, pts.imag) if plane else pts.T)]
 
 
-def _ladder_counts(pts: np.ndarray, eps0: float, n_scales: int, corner=None) -> np.ndarray:
+@functools.cache
+def _spread(d: int) -> np.ndarray:
+    """Each byte with d-1 zero bits after each of its bits: bit i moves to bit d*i."""
+    return sum(((np.arange(256, dtype=np.int64) >> i) & 1) << (d * i) for i in range(8))
+
+
+def _ladder_counts(cols: list[np.ndarray], eps0: float, n_scales: int, corner=None) -> np.ndarray:
     """Occupied cells at each pitch eps0 * 2^-k, k < n_scales, of the grid anchored at
     corner (default: the bounding corner).  Halving eps is exact for normal floats, so a
     scale-k cell is a finest cell >> j, j = n_scales-1-k: with the axis bits interleaved
-    into one Morton key, key >> d*j names it, and one sort of the keys serves all scales."""
-    d, top = pts.shape[1], n_scales - 1
-    cells = np.floor((pts - (pts.min(axis=0) if corner is None else corner)) / (eps0 * 2.0**-top))
-    cells -= np.floor(cells.min(axis=0) * 2.0**-top) * 2.0**top  # whole coarsest cells: edges kept
-    hi = float(cells.max())
-    if not hi < 2.0 ** (63 // d):
-        raise ValueError(f"cell index {hi:.6g} at pitch {eps0 * 2.0**-top:.6g}: {d} axes of "
-                         f"over {63 // d} bits each overflow the 63-bit cell key")
-    cells, key = cells.astype(np.int64), np.zeros(len(pts), dtype=np.int64)
-    for b in range(int(hi).bit_length()):
-        for a in range(d):
-            key |= ((cells[:, a] >> b) & 1) << (d * b + a)
+    into one Morton key, key >> d*j names it, and one sort of the keys serves all scales.
+    Each column enters the key on its own, a byte at a time through _spread(d)."""
+    d, top = len(cols), n_scales - 1
+    table, key = _spread(d), np.zeros(len(cols[0]), dtype=np.int64)
+    lows = [c.min() for c in cols] if corner is None else np.broadcast_to(corner, d)
+    for a, (col, low) in enumerate(zip(cols, lows)):
+        cells = np.floor((col - low) / (eps0 * 2.0**-top))
+        cells -= np.floor(cells.min() * 2.0**-top) * 2.0**top  # whole coarsest cells: edges kept
+        if not (hi := float(cells.max())) < 2.0 ** (63 // d):
+            raise ValueError(f"cell index {hi:.6g} at pitch {eps0 * 2.0**-top:.6g}: {d} axes of "
+                             f"over {63 // d} bits each overflow the 63-bit cell key")
+        cells = cells.astype(np.int64)
+        for b in range(0, int(hi).bit_length(), 8):
+            key |= table[(cells >> b) & 255] << (d * b + a)
     key.sort()
     change = key[1:] ^ key[:-1]
-    return np.array([1 + np.count_nonzero(change >> (d * j)) for j in range(top, -1, -1)])
+    return np.array([1 + np.count_nonzero(change >= 1 << (d * j)) for j in range(top, -1, -1)])
 
 
-def box_counts(points: np.ndarray, eps: float, corner: np.ndarray | None = None) -> int:
-    """Occupied cells of the grid of pitch eps anchored at corner (by
-    default the bounding corner of the points)."""
-    return int(_ladder_counts(_as_points(points), eps, 1, corner)[0])
+def box_counts(points, eps: float, corner: np.ndarray | None = None) -> int:
+    """Occupied cells of the grid of pitch eps anchored at corner (default: the bounding
+    corner) of a cloud, its complex values or an (n, d) array, read column by column."""
+    return int(_ladder_counts(_columns(points), eps, 1, corner)[0])
 
 
 def box_dimension(cloud, n_scales: int = 12, saturation: float = 0.25) -> DimensionEstimate:
     """Least-squares slope of log N(eps) against log(1/eps).
 
-    The ladder starts at a quarter of the diameter and descends
-    geometrically; the extreme octaves are dropped, as are scales where
-    the count approaches the raw point count (grid resolving individual
-    samples rather than structure).
+    The ladder starts at a quarter of the widest column extent and descends
+    geometrically; the extreme octaves are dropped, as are scales where the
+    count approaches the raw point count (grid resolving individual samples
+    rather than structure).  A cloud, its points and its complex values give
+    one estimate: each is read as views of its coordinate columns.
     """
-    pts = _as_points(cloud)
-    if len(pts) < 16:
+    cols = _columns(cloud)
+    if len(cols[0]) < 16:
         raise ValueError("too few points for a dimension estimate")
-    diam = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    diam = float(np.max([np.ptp(c) for c in cols]))
     if diam <= 0:
         raise ValueError("degenerate cloud: zero diameter")
     eps0 = diam / 4.0
     scales = eps0 * 2.0 ** (-np.arange(n_scales, dtype=np.float64))
-    counts = _ladder_counts(pts, eps0, n_scales).astype(np.float64)
-    keep = counts <= saturation * len(pts)
+    counts = _ladder_counts(cols, eps0, n_scales).astype(np.float64)
+    keep = counts <= saturation * len(cols[0])
     keep[0] = False
     last = np.nonzero(keep)[0]
     if len(last):
@@ -234,7 +241,7 @@ def box_dimension(cloud, n_scales: int = 12, saturation: float = 0.25) -> Dimens
         slope=float(slope),
         scale_window=(float(kept_scales.min()), float(kept_scales.max())),
         r2=r2,
-        point_count=len(pts),
+        point_count=len(cols[0]),
     )
 
 
@@ -348,13 +355,13 @@ def measure_consistency(
         - 2.0 * params.tail_bound
     )
     # (iii) box-count ratio child/parent on the parent's grid anchor
-    ppts = pmap.cluster(0, 0, depth).points()
-    cpts = pmap.cluster(0, level, depth).points() if level else ppts
-    corner = ppts.min(axis=0)
-    eps0 = float(np.max(ppts.max(axis=0) - corner)) / 4.0
-    counts = zip(_ladder_counts(ppts, eps0, 10, corner), _ladder_counts(cpts, eps0, 10, corner))
+    parent = _columns(pmap.cluster(0, 0, depth))
+    child = _columns(pmap.cluster(0, level, depth)) if level else parent
+    corner = [c.min() for c in parent]
+    eps0 = float(np.max([c.max() - low for c, low in zip(parent, corner)])) / 4.0
+    counts = zip(_ladder_counts(parent, eps0, 10, corner), _ladder_counts(child, eps0, 10, corner))
     ratios = [(eps0 / 2.0**k, int(nc) / int(npar)) for k, (npar, nc) in enumerate(counts)
-              if 16 <= npar <= 0.25 * len(ppts)]
+              if 16 <= npar <= 0.25 * len(parent[0])]
     expected_ratio = float(p) ** (-level)
     median = float(np.median([r for _, r in ratios])) if ratios else math.nan
     passes = (

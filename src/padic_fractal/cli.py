@@ -214,15 +214,15 @@ def _build_config(args: argparse.Namespace) -> Config:
     raw.update({name: v for name in _FIELDS if (v := getattr(args, name)) is not None})
     values = _parse_fields(raw)
     command = _COMMANDS[args.command]
-    fmt = values.setdefault("format", command.formats[0] if command.formats else None)
-    if fmt not in (command.formats or (None,)):
-        allowed = " or ".join(command.formats) or "no format"
-        raise UsageError(f"field 'format': {args.command} takes {allowed}, got {fmt!r}")
-    fp = preset(values["preset"]) if "preset" in values else None
-    if fp and fp.kind not in command.kinds:
-        takes = f"a {' or '.join(command.kinds)} preset" if command.kinds else "no preset"
-        raise UsageError(f"field 'preset': {args.command} takes {takes}, "
-                         f"{fp.name} is a {fp.kind} preset")
+    if unread := [name for name in values if name not in command.reads.split()]:
+        raise UsageError(f"field {unread[0]!r}: {args.command} does not read it; "
+                         f"it reads {', '.join(command.reads.split())}")
+    if command.formats and values.setdefault("format", command.formats[0]) not in command.formats:
+        raise UsageError(f"field 'format': {args.command} takes {' or '.join(command.formats)}, "
+                         f"got {values['format']!r}")
+    if "preset" in values and (fp := preset(values["preset"])).kind not in command.kinds:
+        raise UsageError(f"field 'preset': {args.command} takes a {' or '.join(command.kinds)} "
+                         f"preset, {fp.name} is a {fp.kind} preset")
     if command.needs_out and "out" not in values:
         raise UsageError(f"{args.command} requires --out")
     return Config(command=args.command, **values)
@@ -552,25 +552,28 @@ def _cmd_presets(cfg: Config) -> int:
 
 @dataclass(frozen=True)
 class _Command:
-    """A subcommand: its function, its --format values (the first is
-    the default; none for reports), whether it needs --out, and the
-    kinds of preset it takes (none: --preset is refused)."""
+    """A subcommand: its function, the fields it reads (any other is refused; all
+    take seed, so one seeded argv suffix fits every command), its --format values
+    (the first is the default), whether it needs --out, and its kinds of preset."""
 
     run: Callable[[Config], int]
+    reads: str
     formats: tuple[str, ...] = ()
     needs_out: bool = False
     kinds: tuple[str, ...] = ()
 
 
 _COMMANDS = {
-    "certify": _Command(_cmd_certify),
-    "verify": _Command(_cmd_verify),
-    "render2d": _Command(_cmd_render2d, ("pgm", "svg"), needs_out=True, kinds=("plane",)),
-    "render3d": _Command(_cmd_render3d, ("ply", "csv"), needs_out=True, kinds=("torus",)),
-    "dimension": _Command(_cmd_dimension, kinds=("plane", "torus")),
-    "moments": _Command(_cmd_moments),
-    "orbit": _Command(_cmd_orbit, ("csv", "ply"), needs_out=True),
-    "presets": _Command(_cmd_presets),
+    "certify": _Command(_cmd_certify, "p m s a depth seed out"),
+    "verify": _Command(_cmd_verify, "suite exhaustive p m s a alpha depth seed out"),
+    "render2d": _Command(_cmd_render2d, "preset p m s depth format seed out", ("pgm", "svg"),
+                         needs_out=True, kinds=("plane",)),
+    "render3d": _Command(_cmd_render3d, "preset p m s a depth format seed out", ("ply", "csv"),
+                         needs_out=True, kinds=("torus",)),
+    "dimension": _Command(_cmd_dimension, "preset p m s depth seed out", kinds=("plane", "torus")),
+    "moments": _Command(_cmd_moments, "p m s depth seed out"),
+    "orbit": _Command(_cmd_orbit, "p m s a depth format seed out", ("csv", "ply"), needs_out=True),
+    "presets": _Command(_cmd_presets, "seed out"),
 }
 
 

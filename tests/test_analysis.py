@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis.extra.numpy import arrays
 
 from padic_fractal.complex_map import MapParams, PlaneMap
+from padic_fractal.render import build_cloud, preset
 from padic_fractal.analysis import (
     DimensionEstimate,
+    _columns,
     _ladder_counts,
+    _spread,
     box_counts,
     box_dimension,
     character_order_gap,
@@ -307,21 +310,53 @@ EDGE_COORD = st.integers(-64, 64).map(lambda i: i / 16.0)
 FREE_COORD = st.floats(-4.0, 4.0, allow_nan=False).map(lambda x: x if abs(x) >= 1e-6 else 0.0)
 
 
+LAYOUTS = {
+    "C": lambda pts: pts,
+    "Fortran": np.asfortranarray,
+    "strided": lambda pts: np.repeat(pts, 2, axis=0)[::2],  # every other row of a twice-longer array
+}
+
+
 @given(
-    d=st.sampled_from([2, 3]),
+    d=st.sampled_from([1, 2, 3]),
     n_scales=st.integers(1, 14),
     on_edges=st.booleans(),
     explicit_corner=st.booleans(),
     eps0=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(0.25, 4.0)),
+    layout=st.sampled_from(sorted(LAYOUTS)),
     data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_ladder_counts_match_per_scale_count(d, n_scales, on_edges, explicit_corner, eps0, data):
+def test_ladder_counts_match_per_scale_count(d, n_scales, on_edges, explicit_corner, eps0,
+                                             layout, data):
     coord = EDGE_COORD if on_edges else FREE_COORD
     pts = data.draw(arrays(np.float64, (data.draw(st.integers(1, 120)), d), elements=coord))
     corner = data.draw(arrays(np.float64, d, elements=coord)) if explicit_corner else None
-    got = _ladder_counts(pts, eps0, n_scales, corner)
+    laid = LAYOUTS[layout](pts)
+    cols = _columns(laid)
+    assert np.array_equal(laid, pts) and all(np.shares_memory(c, laid) for c in cols)
+    got = _ladder_counts(cols, eps0, n_scales, corner)
     assert list(got) == brute_counts(pts, eps0, n_scales, corner)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spreading_table_matches_bit_loop(d):
+    table = _spread(d)
+    for byte in range(256):
+        want = 0
+        for b in range(8):
+            want |= ((byte >> b) & 1) << (d * b)
+        assert table[byte] == want
+
+
+def test_one_estimate_for_every_form_of_a_cloud():
+    plane = PlaneMap(MapParams(p=3, m=0, s=0.5, depth=45)).cluster(0, 0, 8)
+    assert all(np.shares_memory(c, plane.values) for c in _columns(plane))
+    est = box_dimension(plane)
+    assert box_dimension(plane.points()) == est
+    assert box_dimension(plane.values) == est
+    torus = build_cloud(preset("fig2a-t2"), depth=7)
+    assert box_dimension(torus.points) == box_dimension(torus)
 
 
 def test_box_counts_refuses_key_overflow():

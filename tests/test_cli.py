@@ -244,6 +244,11 @@ class TestFieldChecks:
         (["moments", "--preset", "fig1-1-cantor"], "preset"),
         (["orbit", "--preset", "fig2b-t3"], "preset"),
         (["presets", "--preset", "fig1-12"], "preset"),
+        # fields the command does not read
+        (["moments", "--suite", "group", "--depth", "4"], "suite"),
+        (["certify", "--exhaustive", "--depth", "3"], "exhaustive"),
+        (["presets", "--alpha", "5"], "alpha"),
+        (["dimension", "--preset", "fig2a-t2", "--a", "3"], "a"),
     ])
     def test_bad_flag_exits_two_naming_field(self, argv, name, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -284,6 +289,15 @@ class TestFieldChecks:
         from_flag = run_captured(["verify", "--alpha", "-1"])
         assert from_config == from_flag
         assert from_flag[2] == "error: field 'alpha': must be > 0 and finite, got '-1'\n"
+
+    def test_unread_field_refused_from_flag_and_config(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"exhaustive": True}))
+        from_config = run_captured(["certify", "--config", str(path)])
+        from_flag = run_captured(["certify", "--exhaustive"])
+        assert from_config == from_flag
+        assert from_flag[2] == ("error: field 'exhaustive': certify does not read it; "
+                                "it reads p, m, s, a, depth, seed, out\n")
 
     def test_config_booleans_are_json_booleans(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -352,8 +366,9 @@ FIELD_VALUES = {
     "exhaustive": ([True, False], ["false", 1, None]),
     "mystery": ([], [1]),
 }
-# every draw passes --depth, and a valid one is small, so no draw reaches
-# a large enumeration (certify --p 6 at its default depth is ~10^12 pairs)
+# every draw of a command that reads depth passes --depth, and a valid one is
+# small, so no draw reaches a large enumeration (certify --p 6 at its default
+# depth is ~10^12 pairs)
 DEPTHS = (["1", "2", "3", "4"], ["0", "-5", "abc", "2.5", ""])
 
 
@@ -388,11 +403,14 @@ class TestRandomArgv:
                                           if preset(n).kind not in spec.kinds]),
                 out=([out_path], [str(Path(tmp, "no", "artifact")), tmp, "", None]),
             )
-            # at most one field carries an invalid value
+            # at most one field is broken: it carries an invalid value, or it is
+            # a field the command does not read and carries any value
+            reads = spec.reads.split()
             broken = data.draw(st.sampled_from([None, None, None, *fields]))
             argv, config = [command], {}
             for name, (valid, invalid) in fields.items():
-                pool = invalid if name == broken else valid
+                pool = (valid if name in reads else []) if name != broken else (
+                    invalid if name in reads else valid + invalid)
                 if not pool or (name != broken and name != "depth" and data.draw(st.booleans())):
                     continue
                 value = data.draw(st.sampled_from(pool))
@@ -400,11 +418,14 @@ class TestRandomArgv:
                     argv += [f"--{name}", value]
                 else:
                     config[name] = value
-            if "--depth" not in argv and "depth" not in config:
+            if "depth" in reads and "--depth" not in argv and "depth" not in config:
                 argv += ["--depth", data.draw(st.sampled_from(DEPTHS[0]))]
-            # these flags would override a broken config value
-            if broken not in ("suite", "exhaustive") and data.draw(st.booleans()):
-                argv.append(data.draw(st.sampled_from(["--exhaustive", "--all"])))
+            # these flags would override a broken config value of a field the
+            # command reads, and set a field it does not read
+            flags = [flag for name, flag in (("exhaustive", "--exhaustive"), ("suite", "--all"))
+                     if (name in reads) != (name == broken)]
+            if flags and data.draw(st.booleans()):
+                argv.append(data.draw(st.sampled_from(flags)))
             if config:
                 Path(tmp, "c.json").write_text(json.dumps(config))
                 argv += ["--config", str(Path(tmp, "c.json"))]
