@@ -1,10 +1,10 @@
 """Command-line front end: renders, certificates, verification suites,
 dimension estimates, moments, and orbit export.
 
-Exit codes: 0 all checks passed, 1 a check failed (reports still
-written), 2 usage or configuration error.  Every report line carries
-the measured value and the bound it is compared against, tab-separated:
-name<TAB>value<TAB>bound<TAB>PASS|FAIL.
+Every subcommand yields report rows and `main` alone writes them, one per
+line: name<TAB>value<TAB>bound<TAB>PASS|FAIL, so each value carries its
+bound (name<TAB>text in the preset listing).  Exit codes: 0 all checks
+passed, 1 a check failed (reports still written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .complex_map import (
 )
 from .padic import expand, from_int
 from .render import (
+    FigurePreset,
     RasterConfig,
     auto_viewport,
     build_cloud,
@@ -66,8 +67,6 @@ from .solenoid import (
 )
 
 WORKING_EPS = 1e-12  # floating-point slack added to analytic series bounds
-
-SUITES = ("scaling", "sandwich", "group", "j", "eq40", "ode", "kappa", "symmetry")
 
 
 class UsageError(Exception):
@@ -170,7 +169,7 @@ class Config:
     out: str | None = _field(None, _out_path)
     format: str | None = _field(None, _text)
     preset: str | None = _field(None, _one_of(*preset_names()))
-    suite: str = _field("all", _one_of(*SUITES, "all"))
+    suite: str = _field("all", lambda raw: _one_of(*SUITES, "all")(raw))  # SUITES: below
     exhaustive: bool = _field(False, _boolean)
 
 
@@ -213,16 +212,24 @@ def _build_config(args: argparse.Namespace) -> Config:
     # explicit flags override file values
     raw.update({name: v for name in _FIELDS if (v := getattr(args, name)) is not None})
     values = _parse_fields(raw)
-    command = _COMMANDS[args.command]
-    if unread := [name for name in values if name not in command.reads.split()]:
-        raise UsageError(f"field {unread[0]!r}: {args.command} does not read it; "
-                         f"it reads {', '.join(command.reads.split())}")
+    command, who, suite = _COMMANDS[args.command], args.command, values.get("suite", "all")
+    reads = set(command.reads.split())
+    if "suite" in reads:  # verify also reads the fields of the suites it runs
+        reads.update(*(SUITES[name].reads.split() for name in SUITES if suite in ("all", name)))
+        if suite != "all":
+            who += f" --suite {suite}"
+    if "preset" in reads and "preset" in values:
+        if (fp := preset(values["preset"])).kind not in command.kinds:
+            raise UsageError(f"field 'preset': {who} takes a {' or '.join(command.kinds)} "
+                             f"preset, {fp.name} is a {fp.kind} preset")
+        reads -= {"p", "m", "s", "a"}  # the preset fixes the map
+        who += f" --preset {fp.name}"
+    if unread := [name for name in values if name not in reads]:
+        raise UsageError(f"field {unread[0]!r}: {who} does not read it; "
+                         f"it reads {', '.join(name for name in _FIELDS if name in reads)}")
     if command.formats and values.setdefault("format", command.formats[0]) not in command.formats:
         raise UsageError(f"field 'format': {args.command} takes {' or '.join(command.formats)}, "
                          f"got {values['format']!r}")
-    if "preset" in values and (fp := preset(values["preset"])).kind not in command.kinds:
-        raise UsageError(f"field 'preset': {args.command} takes a {' or '.join(command.kinds)} "
-                         f"preset, {fp.name} is a {fp.kind} preset")
     if command.needs_out and "out" not in values:
         raise UsageError(f"{args.command} requires --out")
     return Config(command=args.command, **values)
@@ -233,23 +240,15 @@ def _map_params(cfg: Config, depth: int = 40) -> MapParams:
 
 
 # ---------------------------------------------------------------------------
-# report plumbing
+# report rows: (name, value, bound, ok) for a check, (name, text) for a
+# listing; main alone formats and writes them
 
 
-class Report:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.failed = False
-
-    def add(self, name: str, value, bound, ok: bool) -> None:
-        self.failed |= not ok
-        self.lines.append(f"{name}\t{_fmt(value)}\t{_fmt(bound)}\t{'PASS' if ok else 'FAIL'}")
-
-    def emit(self, out: str | None) -> None:
-        text = "\n".join(self.lines) + "\n"
-        if out:
-            Path(out).write_bytes(text.encode("ascii"))
-        sys.stdout.write(text)
+def _line(row: tuple) -> str:
+    if len(row) == 2:
+        return "\t".join(row)
+    name, value, bound, ok = row
+    return f"{name}\t{_fmt(value)}\t{_fmt(bound)}\t{'PASS' if ok else 'FAIL'}"
 
 
 def _fmt(v) -> str:
@@ -262,11 +261,34 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _at_most(name: str, value, bound) -> tuple:
+    return name, value, bound, value <= bound
+
+
+def _tail_slack(params: MapParams) -> float:
+    """How far two truncations of one series may differ."""
+    return 2.0 * params.tail_bound + WORKING_EPS
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand or a verify suite: its function, which yields report rows;
+    the fields it reads, any other being refused (all read seed, so one seeded
+    argv suffix fits all); its --format values, the first the default; whether
+    --out is its artifact, and required; its kinds of preset."""
+
+    run: Callable[[Config], Iterator[tuple]]
+    reads: str
+    formats: tuple[str, ...] = ()
+    needs_out: bool = False
+    kinds: tuple[str, ...] = ()
+
+
 # ---------------------------------------------------------------------------
 # verification suites
 
 
-def _suite_scaling(cfg: Config, rep: Report) -> None:
+def _suite_scaling(cfg: Config) -> Iterator[tuple]:
     params = _map_params(cfg)
     if cfg.exhaustive:
         # every residue at a capped depth instead of a seeded sample
@@ -274,9 +296,7 @@ def _suite_scaling(cfg: Config, rep: Report) -> None:
         res = _scaling_residuals(residue_digit_matrix(cfg.p, depth), params)
     else:
         res = scaling_residuals(params, n_samples=1000, digit_depth=cfg.depth or 30, seed=cfg.seed)
-    bound = 2.0 * params.tail_bound + WORKING_EPS
-    worst = float(res.max())
-    rep.add("scaling.max_residual", worst, bound, worst <= bound)
+    yield _at_most("scaling.max_residual", float(res.max()), _tail_slack(params))
 
 
 def _exhaustive_depth_cap(p: int) -> int:
@@ -286,7 +306,7 @@ def _exhaustive_depth_cap(p: int) -> int:
     return depth
 
 
-def _suite_sandwich(cfg: Config, rep: Report) -> None:
+def _suite_sandwich(cfg: Config) -> Iterator[tuple]:
     params = _map_params(cfg)
     if cfg.exhaustive:
         depth = min(cfg.depth or 6, _exhaustive_depth_cap(cfg.p))
@@ -295,12 +315,13 @@ def _suite_sandwich(cfg: Config, rep: Report) -> None:
         out = _sandwich_margins(params, np.abs(vals[a] - vals[b]), a - b, depth)
     else:
         out = sandwich_check(params, n_pairs=10_000, residue_depth=cfg.depth or 14, seed=cfg.seed)
-    rep.add("sandwich.lower_violations", out["lower_violations"], 0, out["lower_violations"] == 0)
-    rep.add("sandwich.upper_violations", out["upper_violations"], 0, out["upper_violations"] == 0)
-    rep.add("sandwich.worst_lower_margin", out["worst_lower_margin"], 0.0, out["worst_lower_margin"] >= 0)
+    yield _at_most("sandwich.lower_violations", out["lower_violations"], 0)
+    yield _at_most("sandwich.upper_violations", out["upper_violations"], 0)
+    margin = out["worst_lower_margin"]
+    yield "sandwich.worst_lower_margin", margin, 0.0, margin >= 0
 
 
-def _suite_group(cfg: Config, rep: Report) -> None:
+def _suite_group(cfg: Config) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
     p = cfg.p
     depth = 8
@@ -314,23 +335,18 @@ def _suite_group(cfg: Config, rep: Report) -> None:
         pts.append(SolenoidPoint(xi, x))
     for i in range(n):
         f, g, h = pts[3 * i], pts[3 * i + 1], pts[3 * i + 2]
-        lhs, rhs = add(add(f, g), h), add(f, add(g, h))
-        if lhs.xi != rhs.xi or lhs.x != rhs.x:
-            worst_assoc = max(worst_assoc, 1.0)
-        z = add(f, neg(f))
-        if z.xi != 0 or not z.x.is_zero():
-            worst_assoc = max(worst_assoc, 1.0)
+        lhs, rhs, z = add(add(f, g), h), add(f, add(g, h)), add(f, neg(f))
+        if lhs.xi != rhs.xi or lhs.x != rhs.x or z.xi != 0 or not z.x.is_zero():
+            worst_assoc = 1.0
         dfg = distance(f, g, cfg.alpha)
-        worst_metric = max(worst_metric, abs(dfg - distance(g, f, cfg.alpha)))
-        tri = distance(f, h, cfg.alpha) - (dfg + distance(g, h, cfg.alpha))
-        worst_metric = max(worst_metric, tri)
-        shift_gap = abs(distance(add(f, h), add(g, h), cfg.alpha) - dfg)
-        worst_metric = max(worst_metric, shift_gap)
-    rep.add("group.axiom_defect", worst_assoc, 0.0, worst_assoc == 0.0)
-    rep.add("group.metric_defect", worst_metric, WORKING_EPS, worst_metric <= WORKING_EPS)
+        worst_metric = max(worst_metric, abs(dfg - distance(g, f, cfg.alpha)),
+                           distance(f, h, cfg.alpha) - (dfg + distance(g, h, cfg.alpha)),
+                           abs(distance(add(f, h), add(g, h), cfg.alpha) - dfg))
+    yield _at_most("group.axiom_defect", worst_assoc, 0.0)
+    yield _at_most("group.metric_defect", worst_metric, WORKING_EPS)
 
 
-def _suite_j(cfg: Config, rep: Report) -> None:
+def _suite_j(cfg: Config) -> Iterator[tuple]:
     rng = np.random.default_rng(cfg.seed)
     p = cfg.p
     worst_hom = 0.0
@@ -347,11 +363,11 @@ def _suite_j(cfg: Config, rep: Report) -> None:
         ya, yb = from_int(num_a, p, 10), from_int(num_b, p, 10)
         gap = abs(distance(from_padic(ya), from_padic(yb), cfg.alpha) - (ya - yb).norm(cfg.alpha))
         worst_iso = max(worst_iso, gap)
-    rep.add("j.homomorphism_defect", worst_hom, WORKING_EPS, worst_hom <= WORKING_EPS)
-    rep.add("j.isometry_defect", worst_iso, WORKING_EPS, worst_iso <= WORKING_EPS)
+    yield _at_most("j.homomorphism_defect", worst_hom, WORKING_EPS)
+    yield _at_most("j.isometry_defect", worst_iso, WORKING_EPS)
 
 
-def _suite_eq40(cfg: Config, rep: Report) -> None:
+def _suite_eq40(cfg: Config) -> Iterator[tuple]:
     params = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=40)
     tmap = TorusMap(SolenoidParams(map=params, a=cfg.a))
     pmap = PlaneMap(params)
@@ -365,11 +381,10 @@ def _suite_eq40(cfg: Config, rep: Report) -> None:
         lhs = pmap.parts(x)[1]
         rhs = tmap.fiber_value(frac, integral_part)
         worst = max(worst, abs(lhs - rhs))
-    bound = 2.0 * params.tail_bound + WORKING_EPS
-    rep.add("eq40.max_residual", worst, bound, worst <= bound)
+    yield _at_most("eq40.max_residual", worst, _tail_slack(params))
 
 
-def _suite_ode(cfg: Config, rep: Report) -> None:
+def _suite_ode(cfg: Config) -> Iterator[tuple]:
     params = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=50)
     tmap = TorusMap(SolenoidParams(map=params, a=cfg.a))
     rng = np.random.default_rng(cfg.seed)
@@ -389,26 +404,25 @@ def _suite_ode(cfg: Config, rep: Report) -> None:
 
         ratios.append(fd(1e-3) / max(fd(1e-4), 1e-300))
     worst = min(ratios)
-    rep.add("ode.fd_ratio_min", worst, 50.0, worst >= 50.0)
+    yield "ode.fd_ratio_min", worst, 50.0, worst >= 50.0
     sub = tmap.scaled(1.0 / p)
     spot = (2j * math.pi / p) * sub.fiber_value(0.0, from_int(0, p))
     closed = (2j * math.pi / p) / (1.0 - cfg.s / p)
-    gap = abs(spot - closed)
-    rep.add("ode.spot_value_gap", gap, 1e-6, gap <= 1e-6)
+    yield _at_most("ode.spot_value_gap", abs(spot - closed), 1e-6)
 
 
-def _suite_kappa(cfg: Config, rep: Report) -> None:
+def _suite_kappa(cfg: Config) -> Iterator[tuple]:
     m = cfg.m if cfg.m != math.inf and cfg.m and cfg.m >= 1 else 6
     fm = MapParams(p=cfg.p, m=int(m), s=cfg.s, depth=45)
     fi = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=45)
     kappa, bound = metric_divergence(fm, fi, n_samples=300, sample_depth=14, seed=cfg.seed)
-    rep.add(f"kappa.m{int(m)}", kappa, bound, kappa <= bound)
+    yield _at_most(f"kappa.m{int(m)}", kappa, bound)
     gap = character_order_gap(fm, fi, depth=14)
     gap_bound = 2.0 * math.pi * cfg.p ** (-int(m))
-    rep.add(f"kappa.char_gap_m{int(m)}", gap, gap_bound, gap < gap_bound)
+    yield f"kappa.char_gap_m{int(m)}", gap, gap_bound, gap < gap_bound
 
 
-def _suite_symmetry(cfg: Config, rep: Report) -> None:
+def _suite_symmetry(cfg: Config) -> Iterator[tuple]:
     params = MapParams(p=cfg.p, m=0, s=cfg.s, depth=40)
     pmap = PlaneMap(params)
     rng = np.random.default_rng(cfg.seed)
@@ -417,19 +431,20 @@ def _suite_symmetry(cfg: Config, rep: Report) -> None:
     for _ in range(200):
         x = from_int(int(rng.integers(0, residue_bound(cfg.p, 10))), cfg.p, 10)
         worst = max(worst, abs(pmap.value(rotate_digits(x)) - phase * pmap.value(x)))
-    bound = 2.0 * params.tail_bound + WORKING_EPS
-    rep.add("symmetry.max_residual", worst, bound, worst <= bound)
+    yield _at_most("symmetry.max_residual", worst, _tail_slack(params))
 
 
-_SUITE_FUNCS = {
-    "scaling": _suite_scaling,
-    "sandwich": _suite_sandwich,
-    "group": _suite_group,
-    "j": _suite_j,
-    "eq40": _suite_eq40,
-    "ode": _suite_ode,
-    "kappa": _suite_kappa,
-    "symmetry": _suite_symmetry,
+# in the order `verify --all` runs them; a suite reads a field when its
+# report can change with it
+SUITES = {
+    "scaling": _Command(_suite_scaling, "exhaustive p m s depth seed"),
+    "sandwich": _Command(_suite_sandwich, "exhaustive p m s depth seed"),
+    "group": _Command(_suite_group, "p alpha seed"),
+    "j": _Command(_suite_j, "p alpha seed"),
+    "eq40": _Command(_suite_eq40, "p s seed"),
+    "ode": _Command(_suite_ode, "p s a seed"),
+    "kappa": _Command(_suite_kappa, "p m s seed"),
+    "symmetry": _Command(_suite_symmetry, "p s seed"),
 }
 
 
@@ -437,35 +452,29 @@ _SUITE_FUNCS = {
 # subcommands
 
 
-def _cmd_certify(cfg: Config) -> int:
-    rep = Report()
+def _cmd_certify(cfg: Config) -> Iterator[tuple]:
     params = _map_params(cfg)
     cert = delta_certificate(params, search_depth=min(cfg.depth or 8, 10))
     known = cert.verdict != "unknown"
-    rep.add("certify.delta_lower", cert.delta_lower, 0.0, True)
-    rep.add("certify.delta_empirical", cert.delta_empirical, cert.allowance, known)
-    rep.add("certify.verdict", cert.verdict, "certified-embedding iff delta_lower>0", known)
+    yield "certify.delta_lower", cert.delta_lower, 0.0, True
+    yield "certify.delta_empirical", cert.delta_empirical, cert.allowance, known
+    yield "certify.verdict", cert.verdict, "certified-embedding iff delta_lower>0", known
     sp = SolenoidParams(map=params, a=cfg.a)
     tilde = delta_tilde_certificate(sp, xi_count=8, search_depth=min(cfg.depth or 6, 8))
+    yield "certify.delta_tilde_lower", tilde.delta_lower, 0.0, True
+    yield ("certify.delta_tilde_empirical", tilde.delta_empirical, tilde.allowance,
+           tilde.verdict != "unknown")
     gamma, sufficient = gamma_estimate(sp, xi_count=64, depth=6)
-    rep.add("certify.delta_tilde_lower", tilde.delta_lower, 0.0, True)
-    rep.add("certify.delta_tilde_empirical", tilde.delta_empirical, tilde.allowance,
-            tilde.verdict != "unknown")
-    rep.add("certify.gamma_estimate", gamma, 1.0, gamma < 1.0)
-    rep.add("certify.gamma_sufficient", str(sufficient).lower(), "a real > r_s", sufficient)
-    rep.emit(cfg.out)
-    return 1 if rep.failed else 0
+    yield "certify.gamma_estimate", gamma, 1.0, gamma < 1.0
+    yield "certify.gamma_sufficient", str(sufficient).lower(), "a real > r_s", sufficient
 
 
-def _cmd_verify(cfg: Config) -> int:
-    rep = Report()
+def _cmd_verify(cfg: Config) -> Iterator[tuple]:
     for name in SUITES if cfg.suite == "all" else (cfg.suite,):
-        _SUITE_FUNCS[name](cfg, rep)
-    rep.emit(cfg.out)
-    return 1 if rep.failed else 0
+        yield from SUITES[name].run(cfg)
 
 
-def _cmd_render2d(cfg: Config) -> int:
+def _cmd_render2d(cfg: Config) -> Iterator[tuple]:
     if cfg.preset:
         cloud = build_cloud(preset(cfg.preset), depth=cfg.depth)
     else:
@@ -473,11 +482,10 @@ def _cmd_render2d(cfg: Config) -> int:
     raster = RasterConfig(viewport=auto_viewport(cloud.values))
     encode = rasterize if cfg.format == "pgm" else to_svg
     Path(cfg.out).write_bytes(encode(cloud, raster))
-    sys.stdout.write(f"render2d\t{cfg.out}\t{len(cloud)} points\tPASS\n")
-    return 0
+    yield "render2d", cfg.out, f"{len(cloud)} points", True
 
 
-def _cmd_render3d(cfg: Config) -> int:
+def _cmd_render3d(cfg: Config) -> Iterator[tuple]:
     if cfg.preset:
         cloud = build_cloud(preset(cfg.preset), depth=cfg.depth)
     else:
@@ -485,15 +493,24 @@ def _cmd_render3d(cfg: Config) -> int:
         cloud = TorusMap(params).cloud(64, cfg.depth or 6)
     encode = export_ply if cfg.format == "ply" else export_csv
     Path(cfg.out).write_bytes(encode(cloud))
-    sys.stdout.write(f"render3d\t{cfg.out}\t{len(cloud)} points\tPASS\n")
-    return 0
+    yield "render3d", cfg.out, f"{len(cloud)} points", True
 
 
-def _cmd_dimension(cfg: Config) -> int:
-    rep = Report()
+def _matched_torus_cloud(fp: FigurePreset, depth: int):
+    """The preset's xi_count * p^depth torus points at the largest residue
+    depth d <= depth whose n fibers lie no farther apart, 2 pi |a| / n, than
+    a depth-d ball is wide, 2 |s|^d / (1 - |s|)."""
+    budget, a_s, d = fp.xi_count * fp.p**depth, abs(fp.s), depth
+    while d > 1 and budget // fp.p**d < math.pi * abs(fp.a) * (1.0 - a_s) / a_s**d:
+        d -= 1
+    return build_cloud(fp, depth=d, xi_count=budget // fp.p**d)
+
+
+def _cmd_dimension(cfg: Config) -> Iterator[tuple]:
     if cfg.preset:
         fp = preset(cfg.preset)
-        cloud = build_cloud(fp, depth=cfg.depth)
+        cloud = (_matched_torus_cloud(fp, cfg.depth or fp.depth) if fp.kind == "torus"
+                 else build_cloud(fp, depth=cfg.depth))
         params = fp.map_params()
         target = params.scaling_dimension + (1.0 if fp.kind == "torus" else 0.0)
     else:
@@ -501,15 +518,12 @@ def _cmd_dimension(cfg: Config) -> int:
         cloud = PlaneMap(params).cluster(0, 0, cfg.depth or 12)
         target = params.scaling_dimension
     est = box_dimension(cloud)
-    rep.add("dimension.slope", est.slope, target, abs(est.slope - target) <= 0.15)
-    rep.add("dimension.r2", est.r2, 0.98, est.r2 >= 0.98)
-    rep.add("dimension.points", est.point_count, 10_000, est.point_count >= 10_000)
-    rep.emit(cfg.out)
-    return 1 if rep.failed else 0
+    yield "dimension.slope", est.slope, target, abs(est.slope - target) <= 0.15
+    yield "dimension.r2", est.r2, 0.98, est.r2 >= 0.98
+    yield "dimension.points", est.point_count, 10_000, est.point_count >= 10_000
 
 
-def _cmd_moments(cfg: Config) -> int:
-    rep = Report()
+def _cmd_moments(cfg: Config) -> Iterator[tuple]:
     params = _map_params(cfg)
     depth = cfg.depth or 12
     for L, Lbar in ((0, 0), (1, 0), (1, 1), (2, 0)):
@@ -517,12 +531,10 @@ def _cmd_moments(cfg: Config) -> int:
         series = moment_series(params, L, Lbar, cutoff=16)
         gap = abs(mres.value - series)
         tol = mres.error_bound + 10.0 * abs(params.s) ** 17 + WORKING_EPS
-        rep.add(f"moment.{L}.{Lbar}", mres.value, tol, gap <= tol)
-    rep.emit(cfg.out)
-    return 1 if rep.failed else 0
+        yield f"moment.{L}.{Lbar}", mres.value, tol, gap <= tol
 
 
-def _cmd_orbit(cfg: Config) -> int:
+def _cmd_orbit(cfg: Config) -> Iterator[tuple]:
     tmap = TorusMap(SolenoidParams(map=_map_params(cfg), a=cfg.a))
     steps = cfg.depth or 400
     f0 = SolenoidPoint(Fraction(0), from_int(0, cfg.p))
@@ -533,39 +545,22 @@ def _cmd_orbit(cfg: Config) -> int:
     else:
         data = export_ply(pts)
     Path(cfg.out).write_bytes(data)
-    sys.stdout.write(f"orbit\t{cfg.out}\t{len(pts)} samples\tPASS\n")
-    return 0
+    yield "orbit", cfg.out, f"{len(pts)} samples", True
 
 
-def _cmd_presets(cfg: Config) -> int:
-    rep = Report()
+def _cmd_presets(cfg: Config) -> Iterator[tuple]:
     for name in preset_names():
         fp = preset(name)
         extra = f" a={_fmt(fp.a)} xi_count={fp.xi_count}" if fp.kind == "torus" else ""
         if fp.ball_scale:
             extra += f" ball_scale={fp.ball_scale}"
-        rep.lines.append(f"{name}\tkind={fp.kind} p={fp.p} m={fp.m} s={_fmt(complex(fp.s))} "
-                         f"depth={fp.depth}{extra}")
-    rep.emit(cfg.out)
-    return 0
-
-
-@dataclass(frozen=True)
-class _Command:
-    """A subcommand: its function, the fields it reads (any other is refused; all
-    take seed, so one seeded argv suffix fits every command), its --format values
-    (the first is the default), whether it needs --out, and its kinds of preset."""
-
-    run: Callable[[Config], int]
-    reads: str
-    formats: tuple[str, ...] = ()
-    needs_out: bool = False
-    kinds: tuple[str, ...] = ()
+        yield name, (f"kind={fp.kind} p={fp.p} m={fp.m} s={_fmt(complex(fp.s))} "
+                     f"depth={fp.depth}{extra}")
 
 
 _COMMANDS = {
     "certify": _Command(_cmd_certify, "p m s a depth seed out"),
-    "verify": _Command(_cmd_verify, "suite exhaustive p m s a alpha depth seed out"),
+    "verify": _Command(_cmd_verify, "suite seed out"),
     "render2d": _Command(_cmd_render2d, "preset p m s depth format seed out", ("pgm", "svg"),
                          needs_out=True, kinds=("plane",)),
     "render3d": _Command(_cmd_render3d, "preset p m s a depth format seed out", ("ply", "csv"),
@@ -600,10 +595,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command].run(_build_config(args))
+        cfg, command = _build_config(args), _COMMANDS[args.command]
+        rows = list(command.run(cfg))  # all of them before any is written
+        report = "".join(f"{_line(row)}\n" for row in rows)
+        if cfg.out and not command.needs_out:
+            Path(cfg.out).write_bytes(report.encode("ascii"))
     except (UsageError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    sys.stdout.write(report)
+    return 1 if any(len(row) == 4 and not row[3] for row in rows) else 0
 
 
 if __name__ == "__main__":

@@ -132,7 +132,6 @@ class EmbeddingCertificate:
     delta_empirical: float
     verdict: str
     allowance: float = 0.0
-    gamma: float | None = None
 
     def __post_init__(self) -> None:
         if self.verdict not in VERDICTS:
@@ -501,7 +500,7 @@ def _class_separation(vals: np.ndarray, modulus: int) -> float:
 
 
 def _search_certificate(
-    params: MapParams, empirical: float, search_depth: int, gamma: float | None = None
+    params: MapParams, empirical: float, search_depth: int
 ) -> EmbeddingCertificate:
     """Certificate from the analytic bound and a search minimum to the
     given depth; the allowance accounts for the series tail and for pairs
@@ -516,7 +515,7 @@ def _search_certificate(
         verdict = "empirically-injective"
     else:
         verdict = "unknown"
-    return EmbeddingCertificate(lower, float(empirical), verdict, allowance, gamma)
+    return EmbeddingCertificate(lower, float(empirical), verdict, allowance)
 
 
 def delta_certificate(params: MapParams, search_depth: int = 8) -> EmbeddingCertificate:

@@ -314,12 +314,11 @@ def delta_tilde_certificate(
 
     The analytic lower bound is the same as for the plane map; the
     search scans residue pairs with differing lowest digits across a
-    circle grid, recording the gamma estimate alongside.
+    circle grid.
     """
     fibers = TorusMap(params)._fibers(np.arange(xi_count) / xi_count, search_depth)
     empirical = _class_separation(fibers, params.map.p)
-    gamma, _ = gamma_estimate(params, xi_count=max(xi_count, 16), depth=search_depth)
-    return _search_certificate(params.map, empirical, search_depth, gamma)
+    return _search_certificate(params.map, empirical, search_depth)
 
 
 # ---------------------------------------------------------------------------

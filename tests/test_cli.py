@@ -14,8 +14,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from padic_fractal.cli import _COMMANDS, SUITES, UsageError, main, parse_config
-from padic_fractal.render import preset, preset_names
+from padic_fractal.cli import _COMMANDS, SUITES, Config, UsageError, main, parse_config
+from padic_fractal.render import build_cloud, preset, preset_names
 
 
 def run_cli(args, tmp_path=None, capsys=None):
@@ -105,6 +105,9 @@ class TestArtifacts:
                      "--out", str(out)]) == 0
         payload = out.read_bytes()
         assert payload.startswith(b"P5\n")
+        # stdout is the artifact's one row, and --out holds only the artifact
+        assert capsys.readouterr().out == f"render2d\t{out}\t1024 points\tPASS\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_render2d_svg(self, tmp_path):
         out = tmp_path / "z4.svg"
@@ -112,11 +115,13 @@ class TestArtifacts:
                      "--format", "svg", "--out", str(out)]) == 0
         assert out.read_bytes().startswith(b"<?xml")
 
-    def test_render3d_ply_and_csv(self, tmp_path):
+    def test_render3d_ply_and_csv(self, tmp_path, capsys):
         ply = tmp_path / "t2.ply"
         assert main(["render3d", "--preset", "fig2a-t2", "--depth", "4",
                      "--out", str(ply)]) == 0
         assert ply.read_bytes().startswith(b"ply\nformat ascii 1.0\n")
+        assert capsys.readouterr().out == f"render3d\t{ply}\t8192 points\tPASS\n"
+        assert list(tmp_path.iterdir()) == [ply]
         csv = tmp_path / "t3.csv"
         assert main(["render3d", "--preset", "fig2b-t3", "--depth", "2",
                      "--format", "csv", "--out", str(csv)]) == 0
@@ -129,13 +134,15 @@ class TestArtifacts:
         assert main(["render2d", "--preset", "fig2a-t2", "--out", str(tmp_path / "x.pgm")]) == 2
         assert main(["render3d", "--preset", "fig1-1-cantor", "--out", str(tmp_path / "x.ply")]) == 2
 
-    def test_orbit_export(self, tmp_path):
+    def test_orbit_export(self, tmp_path, capsys):
         out = tmp_path / "orbit.csv"
         assert main(["orbit", "--p", "2", "--s", "0.3", "--m", "inf", "--a", "3",
                      "--depth", "50", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "x,y,z,label"
         assert len(lines) == 52
+        assert capsys.readouterr().out == f"orbit\t{out}\t51 samples\tPASS\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_moments_command(self, capsys):
         assert main(["moments", "--p", "2", "--s", "0.3", "--m", "inf", "--depth", "12"]) == 0
@@ -249,6 +256,9 @@ class TestFieldChecks:
         (["certify", "--exhaustive", "--depth", "3"], "exhaustive"),
         (["presets", "--alpha", "5"], "alpha"),
         (["dimension", "--preset", "fig2a-t2", "--a", "3"], "a"),
+        # fields the suite run does not read, and the map a preset fixes
+        (["verify", "--suite", "group", "--depth", "4", "--s", "0.9", "--m", "5"], "m"),
+        (["render2d", "--preset", "fig1-1-cantor", "--depth", "6", "--p", "3", "--s", "0.9"], "p"),
     ])
     def test_bad_flag_exits_two_naming_field(self, argv, name, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -404,14 +414,28 @@ class TestRandomArgv:
                 out=([out_path], [str(Path(tmp, "no", "artifact")), tmp, "", None]),
             )
             # at most one field is broken: it carries an invalid value, or it is
-            # a field the command does not read and carries any value
-            reads = spec.reads.split()
+            # a field the run does not read and carries any value
+            reads = set(spec.reads.split())
             broken = data.draw(st.sampled_from([None, None, None, *fields]))
+            # the suite and the preset are drawn first: verify reads the fields
+            # of the suites it runs, and a preset fixes p m s a
+            chosen = {name: data.draw(st.sampled_from(fields[name][0]))
+                      for name in ("suite", "preset")
+                      if name in reads and name != broken and data.draw(st.booleans())}
+            if command == "verify":
+                suite = chosen.get("suite", "all")
+                reads.update(*(SUITES[n].reads.split() for n in SUITES if suite in ("all", n)))
+            if "preset" in chosen:
+                reads -= {"p", "m", "s", "a"}
             argv, config = [command], {}
             for name, (valid, invalid) in fields.items():
                 pool = (valid if name in reads else []) if name != broken else (
                     invalid if name in reads else valid + invalid)
-                if not pool or (name != broken and name != "depth" and data.draw(st.booleans())):
+                if name in ("suite", "preset") and name != broken:
+                    if name not in chosen:
+                        continue
+                    pool = [chosen[name]]
+                elif not pool or (name != broken and name != "depth" and data.draw(st.booleans())):
                     continue
                 value = data.draw(st.sampled_from(pool))
                 if isinstance(value, str) and name != "exhaustive" and data.draw(st.booleans()):
@@ -421,9 +445,10 @@ class TestRandomArgv:
             if "depth" in reads and "--depth" not in argv and "depth" not in config:
                 argv += ["--depth", data.draw(st.sampled_from(DEPTHS[0]))]
             # these flags would override a broken config value of a field the
-            # command reads, and set a field it does not read
+            # run reads, and set a field it does not read; --all would widen
+            # the fields a chosen suite reads
             flags = [flag for name, flag in (("exhaustive", "--exhaustive"), ("suite", "--all"))
-                     if (name in reads) != (name == broken)]
+                     if (name in reads) != (name == broken) and chosen.get(name) in (None, "all")]
             if flags and data.draw(st.booleans()):
                 argv.append(data.draw(st.sampled_from(flags)))
             if config:
@@ -578,3 +603,53 @@ def test_certify_fails_what_it_cannot_certify(cmd, failing):
     failed = {name.removeprefix("certify.") for name, mark in status.items() if mark == "FAIL"}
     assert failed == failing
     assert len(status) == 7
+
+
+# one report path: main writes every report, and its --out copy, from the rows
+@pytest.mark.parametrize("cmd", [
+    "certify --p 2 --m 0 --s 0.3",
+    "certify --p 2 --m 0 --s 0.3 --a 1",
+    "verify --suite scaling",
+    "dimension --preset fig1-1-cantor --depth 14",
+    "dimension",
+    "moments --p 2 --s 0.3 --m inf --depth 12",
+])
+def test_report_out_is_stdout(cmd, tmp_path):
+    out = tmp_path / "report.txt"
+    code, stdout, err = run_captured([*shlex.split(cmd), "--out", str(out)])
+    assert err == "" and out.read_text() == stdout
+    # exit 1 exactly when a line fails
+    assert code == (1 if any(line.endswith("\tFAIL") for line in stdout.splitlines()) else 0)
+
+
+# the other fields each suite might read: its report must not move with them
+UNREAD_VALUES = {"p": 3, "m": 2, "s": complex(0.2), "a": complex(3.0), "alpha": 0.5,
+                 "depth": 5, "exhaustive": True}
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suite_reads_every_field_it_uses(name):
+    unread = {k: v for k, v in UNREAD_VALUES.items() if k not in SUITES[name].reads.split()}
+    base = list(SUITES[name].run(Config(command="verify", suite=name)))
+    moved = list(SUITES[name].run(Config(command="verify", suite=name, **unread)))
+    assert moved == base
+
+
+@pytest.mark.parametrize("name, depth, xi_count", [("fig2a-t2", 7, 2048), ("fig2b-t3", 5, 729)])
+def test_torus_dimension_at_matched_resolution(name, depth, xi_count, monkeypatch):
+    # the preset's points, sampled at the depth whose fibers lie no farther
+    # apart than a ball of that depth is wide
+    calls = []
+
+    def spy(fp, **kwargs):
+        calls.append(kwargs)
+        return build_cloud(fp, **kwargs)
+
+    monkeypatch.setattr("padic_fractal.cli.build_cloud", spy)
+    code, out, err = run_captured(["dimension", "--preset", name])
+    rows = {line.split("\t")[0]: line.split("\t")[1:] for line in out.splitlines()}
+    fp = preset(name)
+    assert (code, err) == (0, "")
+    assert calls == [{"depth": depth, "xi_count": xi_count}]
+    # the same point count as the preset's own cloud
+    assert rows["dimension.points"][0] == str(fp.xi_count * fp.p**fp.depth)

@@ -381,7 +381,6 @@ class TestGammaDeltaTilde:
         cert = delta_tilde_certificate(SolenoidParams(map=mp, a=2.0), xi_count=4, search_depth=6)
         assert cert.delta_lower == pytest.approx(8 / 7, abs=1e-12)
         assert cert.verdict == "certified-embedding"
-        assert cert.gamma is not None
 
     def test_delta_tilde_equals_delta_infinite_order(self):
         from padic_fractal.complex_map import delta_certificate
