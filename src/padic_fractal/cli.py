@@ -31,6 +31,7 @@ from .analysis import (
 from .complex_map import (
     MapParams,
     PlaneMap,
+    _guard_rows,
     _sandwich_margins,
     _scaling_residuals,
     delta_certificate,
@@ -169,7 +170,7 @@ class Config:
     out: str | None = _field(None, _out_path)
     format: str | None = _field(None, _text)
     preset: str | None = _field(None, _one_of(*preset_names()))
-    suite: str = _field("all", lambda raw: _one_of(*SUITES, "all")(raw))  # SUITES: below
+    suite: str = _field("all", _text)  # checked against SUITES, below
     exhaustive: bool = _field(False, _boolean)
 
 
@@ -253,9 +254,7 @@ def _line(row: tuple) -> str:
 
 def _fmt(v) -> str:
     if isinstance(v, complex):
-        if v.imag == 0:
-            return f"{v.real:.12g}"
-        return f"{v.real:.12g}{v.imag:+.12g}i"
+        return f"{v.real:.12g}" + (f"{v.imag:+.12g}i" if v.imag else "")
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
@@ -446,6 +445,7 @@ SUITES = {
     "kappa": _Command(_suite_kappa, "p m s seed"),
     "symmetry": _Command(_suite_symmetry, "p s seed"),
 }
+_FIELDS["suite"] = _one_of(*SUITES, "all")
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +500,7 @@ def _matched_torus_cloud(fp: FigurePreset, depth: int):
     """The preset's xi_count * p^depth torus points at the largest residue
     depth d <= depth whose n fibers lie no farther apart, 2 pi |a| / n, than
     a depth-d ball is wide, 2 |s|^d / (1 - |s|)."""
+    _guard_rows(fp.p, depth, fp.xi_count)  # the budget, refused before any allocation
     budget, a_s, d = fp.xi_count * fp.p**depth, abs(fp.s), depth
     while d > 1 and budget // fp.p**d < math.pi * abs(fp.a) * (1.0 - a_s) / a_s**d:
         d -= 1
@@ -540,11 +541,8 @@ def _cmd_orbit(cfg: Config) -> Iterator[tuple]:
     f0 = SolenoidPoint(Fraction(0), from_int(0, cfg.p))
     times = [Fraction(3 * k, steps) for k in range(steps + 1)]
     pts = np.array([tmap.embed(orbit(f0, t)) for t in times])
-    if cfg.format == "csv":
-        data = export_csv(pts, [f"t={float(t):.9g}" for t in times])
-    else:
-        data = export_ply(pts)
-    Path(cfg.out).write_bytes(data)
+    Path(cfg.out).write_bytes(export_csv(pts, [f"t={float(t):.9g}" for t in times])
+                              if cfg.format == "csv" else export_ply(pts))
     yield "orbit", cfg.out, f"{len(pts)} samples", True
 
 

@@ -345,6 +345,10 @@ class TestFieldChecks:
         (["render2d", "--p", "1000", "--depth", "3"], "1000^3 = 1000000000 rows"),
         (["render3d", "--p", "10", "--depth", "7"], "64 x 10^7 = 640000000 rows"),
         (["moments", "--p", "6", "--m", "0", "--depth", "12"], "6^12 = 2176782336 rows"),
+        (["dimension", "--preset", "fig2b-t3", "--depth", "40"],
+         f"81 x 3^40 = {81 * 3**40} rows exceeds the limit of"),
+        (["dimension", "--preset", "fig2b-t3", "--depth", "1000"],
+         f"81 x 3^1000 = {81 * 3**1000} rows exceeds the limit of"),
     ])
     def test_enumeration_past_row_limit(self, argv, size, tmp_path, monkeypatch):
         # each would ask for many GB; the row count is refused before any allocation
@@ -653,3 +657,12 @@ def test_torus_dimension_at_matched_resolution(name, depth, xi_count, monkeypatc
     assert calls == [{"depth": depth, "xi_count": xi_count}]
     # the same point count as the preset's own cloud
     assert rows["dimension.points"][0] == str(fp.xi_count * fp.p**fp.depth)
+
+
+@pytest.mark.parametrize("depth", [6, 7, 8, 9])
+def test_torus_dimension_passes_past_the_preset_depth(depth):
+    # the matching rule holds its tolerance when --depth asks for more points
+    code, out, err = run_captured(["dimension", "--preset", "fig2b-t3", "--depth", str(depth)])
+    rows = {line.split("\t")[0]: line.split("\t")[1:] for line in out.splitlines()}
+    assert (code, err) == (0, "")
+    assert rows["dimension.points"][0] == str(81 * 3**depth)
