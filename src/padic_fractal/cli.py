@@ -367,6 +367,10 @@ def _suite_j(cfg: Config) -> Iterator[tuple]:
 
 
 def _suite_eq40(cfg: Config) -> Iterator[tuple]:
+    # samples num / p^4 reach level -4: four terms s^n (chi_n - 1), each up to 2 |s|^-4
+    if abs(cfg.s) < (floor := (8.0 / sys.float_info.max) ** 0.25):
+        raise UsageError(f"field 's': eq40 weighs level -4 by s^-4, which needs "
+                         f"|s| >= {floor:.3g}, got {_fmt(cfg.s)}")
     params = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=40)
     tmap = TorusMap(SolenoidParams(map=params, a=cfg.a))
     pmap = PlaneMap(params)

@@ -333,57 +333,52 @@ def _int_digits(digit_mat: np.ndarray) -> np.ndarray:
 
 
 def _last_level(cols: int, start: int, params: MapParams) -> int:
-    """Last level whose window reads a stored digit; chi_n = 1 above it
-    at finite order, whose window is m+1 digits wide."""
-    if params.m == math.inf:
-        return params.depth
-    return min(params.depth, start + cols - 1 + int(params.m))
+    """Last level whose window reads a stored digit: level n reads from
+    index max(start, n - m) up, so chi_n = 1 past start + cols - 1 + m."""
+    return min(params.depth, start + cols - 1 + params.m)
 
 
-def _levels(digits, rows: int, start: int, first: int, last: int, params: MapParams, lift):
+def _turn(w: np.ndarray, q: int) -> np.ndarray:
+    """e(w / q), w read as its residue in (-q/2, q/2] so that no angle
+    passes half a turn: the one phase of an integer window."""
+    w = w % q
+    return np.exp(np.where(2 * w > q, w - q, w) * (2j * math.pi / q))
+
+
+def _levels(digits, rows: int, start: int, first: int, last: int, params: MapParams):
     """The level loop behind every vectorized character evaluation.
 
     digits yields the digit columns of indices start, start+1, ...; the
-    digits past them are zero.  At level n the int64 window w holds the k
-    digits under the character, the newest on top, so chi_n = e(w / p**k).
-    k is m+1 at finite order and n-start+1 at infinite order, capped at
-    the widest window a float holds exactly: the digits cut off weigh
-    less than 2**-53 of a turn.  While p**k <= rows the phase is read from
-    a p**k-entry table, above that it is exponentiated.  Yields
-    (n, lift(n, phases)) for n = first .. last; lift acts on the table
-    when there is one, so weighting a level costs p**k operations.
+    digits past them are zero.  Level n reads the k digits of indices
+    max(start, n-m) .. n, capped at the widest window a float holds
+    exactly (the digits cut off weigh less than 2**-53 of a turn), into an
+    int64 window w, the newest on top, so chi_n = _turn(w, p**k).  While
+    p**k <= rows the phases are looked up in the table _turn(arange(p**k)),
+    which returns the same bits.  Yields (n, chi_n) for n = first .. last.
     """
-    p, finite = params.p, params.m != math.inf
-    widest = 1
-    while p ** (widest + 1) <= 2**53:
-        widest += 1
+    p = params.p
+    widest = max((k for k in range(2, 54) if p**k <= 2**53), default=1)
     w = np.zeros(rows, dtype=np.int64)
-    table_k = table = None
+    k = table_q = table = 0
     for n in range(first, last + 1):
-        k = min(int(params.m) + 1 if finite else max(n - start + 1, 0), widest)
-        if finite or n - start + 1 > widest:
-            w //= p  # the window is full: its lowest digit leaves
+        prev, k = k, min(max(min(n - start, params.m) + 1, 0), widest)
+        if k == prev:
+            w //= p  # the window did not grow: its lowest digit leaves
         digit = next(digits, None) if n >= start else None
         if digit is not None:
             w += digit * p ** (k - 1)
-        if p**k > rows:
-            yield n, lift(n, np.exp(w * (2j * math.pi / p**k)))
-            continue
-        if k != table_k:
-            table_k, table = k, np.exp(2j * math.pi * np.arange(p**k) / p**k)
-        yield n, lift(n, table)[w]
+        q = p**k
+        if q <= rows and q != table_q:
+            table_q, table = q, _turn(np.arange(q), q)
+        yield n, table[w] if q <= rows else _turn(w, q)
 
 
 def _series(digits, cols: int, rows: int, start: int, params: MapParams) -> np.ndarray:
     s = params.s
-
-    def lift(n: int, phases: np.ndarray) -> np.ndarray:
-        return s**n * (phases - 1.0) if n < 0 else s**n * phases
-
     last = _last_level(cols, start, params)
     total = np.zeros(rows, dtype=np.complex128)
-    for _, term in _levels(digits, rows, start, min(start, 0), last, params, lift):
-        total += term
+    for n, chi in _levels(digits, rows, start, min(start, 0), last, params):
+        total += s**n * (chi - 1.0) if n < 0 else s**n * chi
     return total + sum(s**n for n in range(max(last + 1, 0), params.depth + 1))
 
 
@@ -391,14 +386,15 @@ def _split(params: MapParams, center: int, level: int, depth: int) -> np.ndarray
     """Values on x = center + p**level k for k < p**(depth-level), ascending.
 
     Write x = c + p**top y with c = x mod p**top, whose lowest digit has
-    index lo = min(level, 0).  The levels below top read only c: the head
-    is their sum, negative levels as s^n (chi_n - 1).  Level top+n reads
-    y's window and, below m, the digits of c from index max(lo, top+n-m)
-    up, as the phase phi_c(n) = (those digits) / p**(top+n+1).  So
-    f(x) = head(c) + s**top g_c(y), g_c(y) = sum_n s^n e(phi_c(n)) chi_n(y),
-    the plane/solenoid identity.  The uncoupled levels n >= m sum to one
-    column, so g is one y-major (y x level) @ (level x c) product whose
-    last coupling row is ones.  top sits halfway up the free digits.
+    index lo = min(level, 0).  No carry crosses top, so every window splits
+    into c's digits and y's: chi_(top+n)(x) = chi_(top+n)(c) chi_n(y).  One
+    character table of c serves twice: its levels below top sum to the
+    head, negative levels as s^n (chi_n - 1), and its levels top+n are the
+    couplings, 1 from n = m on, as c has no digit at or above top.  So
+    f(x) = head(c) + s**top g_c(y), g_c(y) = sum_n s^n chi_(top+n)(c) chi_n(y),
+    the plane/solenoid identity.  The levels n >= m sum to one column, so
+    g is one y-major (y x level) @ (level x c) product whose terms come
+    from the level loop over y's digits.  top sits halfway up the free digits.
     """
     if depth < level:
         raise ValueError("depth must reach at least the cluster level")
@@ -408,33 +404,19 @@ def _split(params: MapParams, center: int, level: int, depth: int) -> np.ndarray
     top = min(level + (depth - level) // 2, max(params.depth, level))
     cs = center + p ** max(level, 0) * np.arange(p ** (top - level), dtype=np.int64)  # c / p**lo
     ys = np.arange(p ** (depth - top), dtype=np.int64)
-
-    def phase(codes: np.ndarray, low: int, width: int, j: int, k: int) -> np.ndarray:
-        """e(w / p**(k-j)) for w the digits j .. k-1 of codes * p**low, whose
-        width digits start at index low.  A window inside them is read as a
-        signed residue, so no angle passes half a turn; one that passes
-        their top reads under 1/p of a turn."""
-        w = codes // p ** min(j - low, width)
-        if k - low > width:
-            return np.exp(w * (2j * math.pi * float(p) ** (j - k)))
-        q = p ** (k - j)
-        w %= q
-        return np.exp(np.where(2 * w > q, w - q, w) * (2j * math.pi / q))
-
+    chars = character_table(residue_digit_matrix(p, top - lo, cs), lo, params)
     head = np.zeros(len(cs), dtype=np.complex128)
     for n in reversed(range(lo, min(top, params.depth + 1))):  # Horner from the top level down
         head *= s
-        head += phase(cs, lo, top - lo, max(lo, n - m), n + 1) - (n < 0)
+        head += chars[n - lo] - (n < 0)
     head *= s**lo
     head -= sum(s**n for n in range(top, 0))  # the -1 of g's negative levels
     levels = max(params.depth - top + 1, 0)
     coupled = min(m, levels)
-    terms = np.zeros((len(ys), coupled + 1), dtype=np.complex128)
-    for n in range(levels):
-        terms[:, min(n, coupled)] += s ** (top + n) * phase(ys, 0, depth - top, max(0, n - m), n + 1)
-    coupling = np.ones((coupled + 1, len(cs)), dtype=np.complex128)
-    for n in range(coupled):
-        coupling[n] = phase(cs, lo, top - lo, max(lo, top + n - m), top + n + 1)
+    coupling = chars[top - lo : top - lo + coupled + 1]  # last row ones if a level is uncoupled
+    terms = np.zeros((len(ys), len(coupling)), dtype=np.complex128)
+    for n, chi in _levels(_code_digits(ys, p, depth - top), len(ys), 0, 0, levels - 1, params):
+        terms[:, min(n, coupled)] += s ** (top + n) * chi
     out = terms @ coupling
     out += head
     return out.ravel()
@@ -451,16 +433,13 @@ def series_values(digit_mat: np.ndarray, start: int, params: MapParams) -> np.nd
     return _series(iter(digit_mat.T), cols, rows, start, params)
 
 
-def character_table(
-    digit_mat: np.ndarray, start: int, params: MapParams
-) -> np.ndarray:
+def character_table(digit_mat: np.ndarray, start: int, params: MapParams) -> np.ndarray:
     """Character values chi_n per row, for n = start .. depth (row-major n)."""
     digit_mat = _int_digits(digit_mat)
     rows, cols = digit_mat.shape
     out = np.ones((params.depth + 1 - start, rows), dtype=np.complex128)
     last = _last_level(cols, start, params)
-    levels = _levels(iter(digit_mat.T), rows, start, start, last, params, lambda n, ph: ph)
-    for n, chi in levels:
+    for n, chi in _levels(iter(digit_mat.T), rows, start, start, last, params):
         out[n - start] = chi
     return out
 
@@ -548,7 +527,8 @@ def sandwich_check(
 
     Checks lower * |s|^v <= dist + allowance and
     dist <= 2 |s|^v / (1-|s|) + allowance, where v is the valuation of
-    the difference of the integer preimages.
+    the difference of the integer preimages; the allowance covers the two
+    series tails and the rounding of the two values (_sandwich_margins).
     """
     p = params.p
     hi = residue_bound(p, residue_depth)
@@ -557,21 +537,26 @@ def sandwich_check(
     b = rng.integers(0, hi, size=n_pairs, dtype=np.int64)
     keep = a != b
     a, b = a[keep], b[keep]
-    pmap = PlaneMap(params)
-    dist = np.abs(
-        pmap.values_on_residues(residue_depth, codes=a)
-        - pmap.values_on_residues(residue_depth, codes=b)
-    )
-    return _sandwich_margins(params, dist, a - b, residue_depth)
+    va, vb = (PlaneMap(params).values_on_residues(residue_depth, codes=c) for c in (a, b))
+    return _sandwich_margins(params, np.abs(va - vb), a - b, residue_depth)
 
 
 def _sandwich_margins(
     params: MapParams, dist: np.ndarray, diff: np.ndarray, depth: int
 ) -> dict[str, float]:
     """Sandwich margins of explicit pairs: image distances and the
-    differences of their depth-level integer preimages."""
+    differences of their depth-level integer preimages.
+
+    Besides the two tails, 2 tail_bound, a distance carries the rounding
+    of its two values.  Each adds at most D+1 terms s^n chi_n (D =
+    params.depth) whose moduli total at most r = contraction_radius: the
+    additions err by at most D u r (u = 2^-53) to first order, and the
+    terms, each a rounded phase times a rounded power of s, by a few u of
+    their moduli, 5 u r in all.  So the distance errs by 2 (D+5) u r.
+    """
     sv = abs(params.s) ** code_valuations(diff, params.p, depth)
-    allowance = 2.0 * params.tail_bound
+    rounding = 2.0 * (params.depth + 5) * 2.0**-53 * params.contraction_radius
+    allowance = 2.0 * params.tail_bound + rounding
     lower_margin = dist + allowance - delta_lower(params.p, params.s) * sv
     upper_margin = 2.0 * sv / (1.0 - abs(params.s)) + allowance - dist
     return {

@@ -259,6 +259,9 @@ class TestFieldChecks:
         # fields the suite run does not read, and the map a preset fixes
         (["verify", "--suite", "group", "--depth", "4", "--s", "0.9", "--m", "5"], "m"),
         (["render2d", "--preset", "fig1-1-cantor", "--depth", "6", "--p", "3", "--s", "0.9"], "p"),
+        # eq40 weighs level -4 by s^-4, past the float range
+        (["verify", "--suite", "eq40", "--s", "1e-80"], "s"),
+        (["verify", "--s", "1e-80"], "s"),
     ])
     def test_bad_flag_exits_two_naming_field(self, argv, name, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -524,7 +527,7 @@ VERIFY_STDOUT = {
         "scaling.max_residual\t9.99200722163e-16\t1.00000000208e-12\tPASS\n"
         "sandwich.lower_violations\t0\t0\tPASS\n"
         "sandwich.upper_violations\t0\t0\tPASS\n"
-        "sandwich.worst_lower_margin\t4.55520856963e-07\t0\tPASS\n"
+        "sandwich.worst_lower_margin\t4.55520871237e-07\t0\tPASS\n"
         "group.axiom_defect\t0\t0\tPASS\n"
         "group.metric_defect\t1.11022302463e-16\t1e-12\tPASS\n"
         "j.homomorphism_defect\t0\t1e-12\tPASS\n"
@@ -540,7 +543,7 @@ VERIFY_STDOUT = {
         "scaling.max_residual\t1.11022302463e-15\t1e-12\tPASS\n"
         "sandwich.lower_violations\t0\t0\tPASS\n"
         "sandwich.upper_violations\t0\t0\tPASS\n"
-        "sandwich.worst_lower_margin\t1.91542928616e-06\t0\tPASS\n"
+        "sandwich.worst_lower_margin\t1.91542929948e-06\t0\tPASS\n"
         "group.axiom_defect\t0\t0\tPASS\n"
         "group.metric_defect\t1.11022302463e-16\t1e-12\tPASS\n"
         "j.homomorphism_defect\t0\t1e-12\tPASS\n"
@@ -553,10 +556,10 @@ VERIFY_STDOUT = {
         "symmetry.max_residual\t1.11886302283e-15\t1e-12\tPASS\n"
     ),
     "verify --p 6 --m 1 --s 0.2 --seed 7": (
-        "scaling.max_residual\t8.88286833301e-16\t1e-12\tPASS\n"
+        "scaling.max_residual\t8.89911452411e-16\t1e-12\tPASS\n"
         "sandwich.lower_violations\t0\t0\tPASS\n"
         "sandwich.upper_violations\t0\t0\tPASS\n"
-        "sandwich.worst_lower_margin\t0.00117194287658\t0\tPASS\n"
+        "sandwich.worst_lower_margin\t0.0011719428766\t0\tPASS\n"
         "group.axiom_defect\t0\t0\tPASS\n"
         "group.metric_defect\t0\t1e-12\tPASS\n"
         "j.homomorphism_defect\t0\t1e-12\tPASS\n"
@@ -569,10 +572,10 @@ VERIFY_STDOUT = {
         "symmetry.max_residual\t9.93013661299e-16\t1e-12\tPASS\n"
     ),
     "verify --p 5 --m inf --s 0.1,0.2 --seed 7": (
-        "scaling.max_residual\t1.11576033092e-15\t1e-12\tPASS\n"
+        "scaling.max_residual\t9.03656071977e-16\t1e-12\tPASS\n"
         "sandwich.lower_violations\t0\t0\tPASS\n"
         "sandwich.upper_violations\t0\t0\tPASS\n"
-        "sandwich.worst_lower_margin\t0.00023490843064\t0\tPASS\n"
+        "sandwich.worst_lower_margin\t0.000234908430653\t0\tPASS\n"
         "group.axiom_defect\t0\t0\tPASS\n"
         "group.metric_defect\t0\t1e-12\tPASS\n"
         "j.homomorphism_defect\t0\t1e-12\tPASS\n"

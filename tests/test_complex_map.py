@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis.extra.numpy import arrays
 import hypothesis.strategies as st
 
+from padic_fractal import complex_map
 from padic_fractal.padic import PAdic, PrecisionError, expand, from_int
 from padic_fractal.complex_map import (
     EmbeddingCertificate,
@@ -260,6 +261,20 @@ class TestSandwich:
         assert out["lower_violations"] == 0
         assert out["upper_violations"] == 0
 
+    @pytest.mark.parametrize("s", [0.05, 0.02, 0.01])
+    def test_no_violations_below_rounding(self, s):
+        # certified, and the distances of deep pairs fall below rounding
+        out = sandwich_check(MapParams(p=2, m=0, s=s), 10_000, 14, seed=7)
+        assert out["lower_violations"] == 0
+        assert out["upper_violations"] == 0
+
+    def test_inflated_lower_bound_fails(self, monkeypatch):
+        # the rounding allowance leaves the check its power: 1.2 delta is refuted
+        true_bound = complex_map.delta_lower
+        monkeypatch.setattr(complex_map, "delta_lower", lambda p, s: 1.2 * true_bound(p, s))
+        out = sandwich_check(MapParams(p=2, m=0, s=0.3), 10_000, 14, seed=7)
+        assert out["lower_violations"] > 0
+
     def test_complex_s(self):
         out = sandwich_check(MapParams(p=3, m=math.inf, s=0.25 + 0.1j), 4000, 10, seed=3)
         assert out["lower_violations"] == 0
@@ -461,6 +476,21 @@ def test_level_loop_exp_regime_matches_oracles(p, m, s, scale, data):
     assert _close(got, _scalar(pm, code, scale))
     if scale >= 0:
         assert _close(pm.values_on_residues(depth + scale, codes=codes * p**scale)[0], got)
+    # the same row in a batch whose narrow windows read the phase tables
+    batch = np.append(np.arange(4095, dtype=np.int64), code)
+    whole = character_table(residue_digit_matrix(p, depth, batch), scale, params)
+    alone = character_table(residue_digit_matrix(p, depth, codes), scale, params)
+    assert np.array_equal(alone[:, 0], whole[:, -1])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 9])
+def test_characters_of_negatives_are_exact_conjugates(p):
+    # every window is read as a signed residue, so -x turns by exactly the opposite angle
+    params = MapParams(p=p, m=math.inf, s=0.3, depth=2)
+    codes = np.arange(p**3, dtype=np.int64)
+    chars = character_table(residue_digit_matrix(p, 3, codes), 0, params)
+    negated = character_table(residue_digit_matrix(p, 3, -codes % p**3), 0, params)
+    assert np.array_equal(negated, np.conj(chars))
 
 
 @pytest.mark.parametrize("p,m", [(2, math.inf), (2, 60), (6, math.inf), (6, 30)])
