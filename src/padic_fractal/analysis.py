@@ -293,7 +293,7 @@ def character_order_gap(
     params_m: MapParams, params_inf: MapParams, depth: int = 14
 ) -> float:
     """Largest pointwise gap between finite- and infinite-order characters
-    over all residues and levels; stays below 2 pi p^-m."""
+    at every level over the residues below min(p^depth, 4096); below 2 pi p^-m."""
     p = params_m.p
     codes = np.arange(min(p**depth, 4096), dtype=np.int64)
     mat = residue_digit_matrix(p, depth, codes)

@@ -290,25 +290,27 @@ class _Command:
 def _suite_scaling(cfg: Config) -> Iterator[tuple]:
     params = _map_params(cfg)
     if cfg.exhaustive:
-        # every residue at a capped depth instead of a seeded sample
-        depth = min(cfg.depth or 10, _exhaustive_depth_cap(cfg.p))
-        res = _scaling_residuals(residue_digit_matrix(cfg.p, depth), params)
+        res = _scaling_residuals(residue_digit_matrix(cfg.p, _exhaustive_depth(cfg, 10)), params)
     else:
         res = scaling_residuals(params, n_samples=1000, digit_depth=cfg.depth or 30, seed=cfg.seed)
     yield _at_most("scaling.max_residual", float(res.max()), _tail_slack(params))
 
 
-def _exhaustive_depth_cap(p: int) -> int:
-    depth = 1
-    while p ** (depth + 1) <= 4096:
-        depth += 1
-    return depth
+def _exhaustive_depth(cfg: Config, default: int) -> int:
+    """--depth, else the default, capped to 4096 residues; a larger --depth is refused."""
+    cap = 1
+    while cfg.p ** (cap + 1) <= 4096:
+        cap += 1
+    if (cfg.depth or 0) > cap:
+        raise UsageError(f"field 'depth': --exhaustive enumerates at most 4096 residues, "
+                         f"depth {cap} at p={cfg.p}, got {cfg.depth}")
+    return cfg.depth or min(default, cap)
 
 
 def _suite_sandwich(cfg: Config) -> Iterator[tuple]:
     params = _map_params(cfg)
     if cfg.exhaustive:
-        depth = min(cfg.depth or 6, _exhaustive_depth_cap(cfg.p))
+        depth = _exhaustive_depth(cfg, 6)
         a, b = np.triu_indices(cfg.p**depth, k=1)
         vals = PlaneMap(params).values_on_residues(depth)
         out = _sandwich_margins(params, np.abs(vals[a] - vals[b]), a - b, depth)
@@ -388,6 +390,9 @@ def _suite_eq40(cfg: Config) -> Iterator[tuple]:
 
 
 def _suite_ode(cfg: Config) -> Iterator[tuple]:
+    if cfg.s * (1.0 / cfg.p) == 0:  # as TorusMap.scaled computes it
+        raise UsageError(f"field 's': ode evaluates the map at s/p, which rounds to 0 "
+                         f"at p={cfg.p}, got {_fmt(cfg.s)}")
     params = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=50)
     tmap = TorusMap(SolenoidParams(map=params, a=cfg.a))
     rng = np.random.default_rng(cfg.seed)
@@ -478,11 +483,15 @@ def _cmd_verify(cfg: Config) -> Iterator[tuple]:
         yield from SUITES[name].run(cfg)
 
 
-def _cmd_render2d(cfg: Config) -> Iterator[tuple]:
+def _figure(cfg: Config, kind: str, depth: int) -> FigurePreset:
+    """The preset, else the map fields' unit ball (on 64 fibers of a torus)."""
     if cfg.preset:
-        cloud = build_cloud(preset(cfg.preset), depth=cfg.depth)
-    else:
-        cloud = PlaneMap(_map_params(cfg)).cluster(0, 0, cfg.depth or 10)
+        return preset(cfg.preset)
+    return FigurePreset("map fields", kind, cfg.p, cfg.m, cfg.s, depth, cfg.a, xi_count=64)
+
+
+def _cmd_render2d(cfg: Config) -> Iterator[tuple]:
+    cloud = build_cloud(_figure(cfg, "plane", 10), depth=cfg.depth)
     raster = RasterConfig(viewport=auto_viewport(cloud.values))
     encode = rasterize if cfg.format == "pgm" else to_svg
     Path(cfg.out).write_bytes(encode(cloud, raster))
@@ -490,11 +499,7 @@ def _cmd_render2d(cfg: Config) -> Iterator[tuple]:
 
 
 def _cmd_render3d(cfg: Config) -> Iterator[tuple]:
-    if cfg.preset:
-        cloud = build_cloud(preset(cfg.preset), depth=cfg.depth)
-    else:
-        params = SolenoidParams(map=_map_params(cfg), a=cfg.a)
-        cloud = TorusMap(params).cloud(64, cfg.depth or 6)
+    cloud = build_cloud(_figure(cfg, "torus", 6), depth=cfg.depth)
     encode = export_ply if cfg.format == "ply" else export_csv
     Path(cfg.out).write_bytes(encode(cloud))
     yield "render3d", cfg.out, f"{len(cloud)} points", True
@@ -512,16 +517,10 @@ def _matched_torus_cloud(fp: FigurePreset, depth: int):
 
 
 def _cmd_dimension(cfg: Config) -> Iterator[tuple]:
-    if cfg.preset:
-        fp = preset(cfg.preset)
-        cloud = (_matched_torus_cloud(fp, cfg.depth or fp.depth) if fp.kind == "torus"
-                 else build_cloud(fp, depth=cfg.depth))
-        params = fp.map_params()
-        target = params.scaling_dimension + (1.0 if fp.kind == "torus" else 0.0)
-    else:
-        params = _map_params(cfg)
-        cloud = PlaneMap(params).cluster(0, 0, cfg.depth or 12)
-        target = params.scaling_dimension
+    fp = _figure(cfg, "plane", 12)
+    cloud = (_matched_torus_cloud(fp, cfg.depth or fp.depth) if fp.kind == "torus"
+             else build_cloud(fp, depth=cfg.depth))
+    target = fp.map_params().scaling_dimension + (fp.kind == "torus")
     est = box_dimension(cloud)
     yield "dimension.slope", est.slope, target, abs(est.slope - target) <= 0.15
     yield "dimension.r2", est.r2, 0.98, est.r2 >= 0.98

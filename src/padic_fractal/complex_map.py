@@ -33,7 +33,6 @@ __all__ = [
     "character_table",
     "sandwich_check",
     "scaling_residuals",
-    "code_valuations",
     "residue_bound",
 ]
 
@@ -209,12 +208,16 @@ class PlaneMap:
 
     def _weighted(self, x: PAdic, weight) -> tuple[complex, complex]:
         """Sums of weight(n) (chi_n - [n < 0]) over the negative levels
-        and over the levels 0 .. depth."""
+        and over the levels 0 .. depth.  The weights, powers of s, peak at
+        the lowest level: one past the float range is refused there."""
         levels = range(min(x.valuation(), 0), self.params.depth + 1)
         chis = self._characters(x, levels.start, levels.stop - 1)
-        terms = list(zip(levels, chis))
-        negative = sum((weight(n) * (chi - 1.0) for n, chi in terms if n < 0), 0j)
-        return negative, sum((weight(n) * chi for n, chi in terms if n >= 0), 0j)
+        try:
+            terms = [weight(n) * (chi - 1.0 if n < 0 else chi) for n, chi in zip(levels, chis)]
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"the weight of level {levels.start} at s={self.params.s} "
+                             "is past the float range") from None
+        return sum(terms[: -levels.start], 0j), sum(terms[-levels.start :], 0j)
 
     def value(self, x: PAdic) -> complex:
         """Series value; negative levels contribute s^n (chi_n - 1).
@@ -294,6 +297,8 @@ def residue_bound(p: int, depth: int) -> int:
 # to PGM and 215 for a torus cloud exported to PLY (peak RSS above an idle
 # interpreter's, at 2^20 to 2^22 rows); the values alone take 16.
 MAX_ROWS = 1 << 23
+# The most residue pairs a class separation search compares (p <= 4 at depth 8).
+MAX_PAIRS = 1 << 31
 
 
 def _guard_rows(p: int, depth: int, fibers: int = 1) -> None:
@@ -325,10 +330,13 @@ def _code_digits(codes: np.ndarray, p: int, cols: int):
         rest = quot
 
 
-def _int_digits(digit_mat: np.ndarray) -> np.ndarray:
-    """An integer digit matrix as int64; any other dtype is refused."""
+def _int_digits(digit_mat: np.ndarray, p: int) -> np.ndarray:
+    """An integer digit matrix as int64; any other dtype, and any digit
+    outside 0 .. p-1, is refused."""
     if digit_mat.dtype.kind not in "iu":
         raise ValueError(f"digit matrix has dtype {digit_mat.dtype}; digits must be integers")
+    if digit_mat.size and not 0 <= (low := digit_mat.min()) <= (high := digit_mat.max()) < p:
+        raise ValueError(f"digit {low if low < 0 else high} lies outside 0 .. {p - 1} for p={p}")
     return digit_mat.astype(np.int64, copy=False)
 
 
@@ -428,14 +436,14 @@ def series_values(digit_mat: np.ndarray, start: int, params: MapParams) -> np.nd
     Digits outside the stored columns are zero (rows represent exact
     scaled residues).  Levels below zero contribute s^n (chi_n - 1).
     """
-    digit_mat = _int_digits(digit_mat)
+    digit_mat = _int_digits(digit_mat, params.p)
     rows, cols = digit_mat.shape
     return _series(iter(digit_mat.T), cols, rows, start, params)
 
 
 def character_table(digit_mat: np.ndarray, start: int, params: MapParams) -> np.ndarray:
     """Character values chi_n per row, for n = start .. depth (row-major n)."""
-    digit_mat = _int_digits(digit_mat)
+    digit_mat = _int_digits(digit_mat, params.p)
     rows, cols = digit_mat.shape
     out = np.ones((params.depth + 1 - start, rows), dtype=np.complex128)
     last = _last_level(cols, start, params)
@@ -464,11 +472,16 @@ def _class_separation(vals: np.ndarray, modulus: int) -> float:
     Each row of vals holds the images of every residue at one depth, in
     ascending order, so row.reshape(-1, modulus).T lists the classes.
     Inf for a single class (modulus 1): there is nothing to separate.
+    A search past MAX_PAIRS pairs is refused before it starts.
     """
     vals = np.atleast_2d(vals)
-    if vals.shape[1] % modulus:
+    rows, count = vals.shape
+    if count % modulus:
         raise ValueError(f"the search depth must reach the class level: the residue "
-                         f"count {vals.shape[1]} is not a multiple of {modulus}")
+                         f"count {count} is not a multiple of {modulus}")
+    if (pairs := rows * modulus * (modulus - 1) // 2 * (count // modulus) ** 2) > MAX_PAIRS:
+        raise ValueError(f"separating {modulus} residue classes compares {pairs} pairs, "
+                         f"past the limit of {MAX_PAIRS}; lower the search depth")
     best = math.inf
     for row in vals:
         classes = np.ascontiguousarray(row.reshape(-1, modulus).T)
@@ -502,19 +515,6 @@ def delta_certificate(params: MapParams, search_depth: int = 8) -> EmbeddingCert
     whose lowest digits differ, to the given depth."""
     vals = PlaneMap(params).values_on_residues(search_depth)
     return _search_certificate(params, _class_separation(vals, params.p), search_depth)
-
-
-def code_valuations(diff: np.ndarray, p: int, cap: int) -> np.ndarray:
-    """Multiplicity of p in each nonzero integer (capped; zero stays zero)."""
-    vals = np.zeros(diff.shape, dtype=np.int64)
-    work = np.abs(diff)
-    for _ in range(cap):
-        mask = (work % p == 0) & (work > 0)
-        if not mask.any():
-            break
-        vals[mask] += 1
-        work = np.where(mask, work // p, work)
-    return vals
 
 
 def sandwich_check(
@@ -553,8 +553,10 @@ def _sandwich_margins(
     additions err by at most D u r (u = 2^-53) to first order, and the
     terms, each a rounded phase times a rounded power of s, by a few u of
     their moduli, 5 u r in all.  So the distance errs by 2 (D+5) u r.
+    The multiplicity of p in a nonzero difference below p^depth counts the
+    powers p^k, k < depth, that divide it.
     """
-    sv = abs(params.s) ** code_valuations(diff, params.p, depth)
+    sv = abs(params.s) ** sum(diff % params.p**k == 0 for k in range(1, depth))
     rounding = 2.0 * (params.depth + 5) * 2.0**-53 * params.contraction_radius
     allowance = 2.0 * params.tail_bound + rounding
     lower_margin = dist + allowance - delta_lower(params.p, params.s) * sv

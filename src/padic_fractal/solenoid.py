@@ -21,7 +21,6 @@ from .complex_map import (
     MapParams,
     PlaneMap,
     character_table,
-    code_valuations,
     residue_digit_matrix,
     _class_separation,
     _guard_rows,
@@ -206,8 +205,9 @@ class TorusMap:
 
         The characters do not depend on xi, so one table of s^n chi_n
         serves every fiber: the fibers are coupling(xi x level) @ terms.
-        At finite order the coupling of level n is on only while
-        n <= m + v, v the residue's valuation.
+        The coupling of level n is on while n <= m + v, v the residue's
+        valuation: while p^(n-m) divides it (only zero, below p^depth, is
+        divisible by p^depth), so always at infinite order.
         """
         params = self.params.map
         p, m = params.p, params.m
@@ -216,13 +216,9 @@ class TorusMap:
         chars = character_table(residue_digit_matrix(p, depth), 0, params)
         terms = params.s ** ns[:, None] * chars
         turns = 2j * math.pi * np.asarray(xis, dtype=np.float64)[:, None]
-        if m == math.inf:
-            return np.exp(turns / float(p) ** (ns + 1)) @ terms
-        codes = np.arange(p**depth, dtype=np.int64)
-        v = code_valuations(codes, p, depth)
-        v[codes == 0] = depth + 64  # zero has infinite valuation: coupling stays on
-        on = ns[:, None] <= int(m) + v
-        coupling = np.exp(turns / float(p) ** (np.minimum(ns, int(m)) + 1))
+        shift = np.clip(ns - m, 0, depth).astype(np.int64)
+        on = np.arange(p**depth, dtype=np.int64) % p ** shift[:, None] == 0
+        coupling = np.exp(turns / float(p) ** (np.minimum(ns, m) + 1))
         return coupling @ np.where(on, terms, 0) + np.where(on, 0, terms).sum(axis=0)
 
     # -- the chart into 3-space ---------------------------------------------

@@ -15,7 +15,20 @@ import pytest
 from hypothesis import given, settings
 
 from padic_fractal.cli import _COMMANDS, SUITES, Config, UsageError, main, parse_config
-from padic_fractal.render import build_cloud, preset, preset_names
+from padic_fractal.analysis import box_dimension
+from padic_fractal.complex_map import MapParams, PlaneMap
+from padic_fractal.render import (
+    RasterConfig,
+    auto_viewport,
+    build_cloud,
+    export_csv,
+    export_ply,
+    preset,
+    preset_names,
+    rasterize,
+    to_svg,
+)
+from padic_fractal.solenoid import SolenoidParams, TorusMap
 
 
 def run_cli(args, tmp_path=None, capsys=None):
@@ -262,6 +275,11 @@ class TestFieldChecks:
         # eq40 weighs level -4 by s^-4, past the float range
         (["verify", "--suite", "eq40", "--s", "1e-80"], "s"),
         (["verify", "--s", "1e-80"], "s"),
+        # an exhaustive suite enumerates at most 4096 residues: depth 12 at p=2, 7 at p=3
+        (["verify", "--suite", "scaling", "--exhaustive", "--depth", "30"], "depth"),
+        (["verify", "--suite", "sandwich", "--exhaustive", "--p", "3", "--depth", "30"], "depth"),
+        # ode evaluates the map at s/p, which rounds to 0
+        (["verify", "--suite", "ode", "--s", "5e-324"], "s"),
     ])
     def test_bad_flag_exits_two_naming_field(self, argv, name, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -669,3 +687,47 @@ def test_torus_dimension_passes_past_the_preset_depth(depth):
     rows = {line.split("\t")[0]: line.split("\t")[1:] for line in out.splitlines()}
     assert (code, err) == (0, "")
     assert rows["dimension.points"][0] == str(81 * 3**depth)
+
+
+@pytest.mark.parametrize("m", ["2", "inf"])
+def test_map_fields_build_the_unit_ball_figure(m, tmp_path):
+    # without a preset the fields describe the unit ball: the plane cluster,
+    # or 64 fibers of the torus, at the command's default depth
+    mp = MapParams(p=3, m=2 if m == "2" else math.inf, s=0.4)
+    fields = ["--p", "3", "--m", m, "--s", "0.4"]
+    for fmt, depth, encode in (("pgm", "8", rasterize), ("svg", None, to_svg)):
+        out = tmp_path / f"plane.{fmt}"
+        argv = ["render2d", *fields, "--format", fmt, "--out", str(out)]
+        code, stdout, err = run_captured(argv + (["--depth", depth] if depth else []))
+        cloud = PlaneMap(mp).cluster(0, 0, int(depth or 10))
+        assert (code, err) == (0, "")
+        assert stdout == f"render2d\t{out}\t{len(cloud)} points\tPASS\n"
+        raster = RasterConfig(viewport=auto_viewport(cloud.values))
+        assert out.read_bytes() == encode(cloud, raster)
+    for fmt, depth, encode in (("ply", "3", export_ply), ("csv", None, export_csv)):
+        out = tmp_path / f"torus.{fmt}"
+        argv = ["render3d", *fields, "--a", "2.5", "--format", fmt, "--out", str(out)]
+        code, stdout, err = run_captured(argv + (["--depth", depth] if depth else []))
+        cloud = TorusMap(SolenoidParams(map=mp, a=2.5)).cloud(64, int(depth or 6))
+        assert (code, err) == (0, "")
+        assert stdout == f"render3d\t{out}\t{len(cloud)} points\tPASS\n"
+        assert out.read_bytes() == encode(cloud)
+    for depth in ("9", None):
+        argv = ["dimension", *fields] + (["--depth", depth] if depth else [])
+        code, stdout, err = run_captured(argv)
+        est = box_dimension(PlaneMap(mp).cluster(0, 0, int(depth or 12)))
+        values = [line.split("\t")[:3] for line in stdout.splitlines()]
+        assert (code, err) == (0, "")
+        assert values == [["dimension.slope", f"{est.slope:.12g}", f"{mp.scaling_dimension:.12g}"],
+                          ["dimension.r2", f"{est.r2:.12g}", "0.98"],
+                          ["dimension.points", str(est.point_count), "10000"]]
+
+
+def test_certify_refuses_a_search_past_the_pair_budget():
+    # at p=5 the default plane search compares 10 (5^7)^2 pairs: refused at once
+    start = time.perf_counter()
+    code, out, err = run_captured(["certify", "--p", "5", "--m", "0", "--s", "0.2"])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: separating 5 residue classes compares {10 * 5**14} pairs")
+    assert not FOREIGN.search(err)

@@ -15,8 +15,10 @@ from padic_fractal.complex_map import (
     EmbeddingCertificate,
     MapParams,
     PlaneMap,
+    MAX_PAIRS,
     PointCloud2D,
     _class_separation,
+    _sandwich_margins,
     _min_cross_distance,
     character_table,
     delta_certificate,
@@ -199,6 +201,14 @@ class TestVectorized:
         with pytest.raises(ValueError, match="float64"):
             kernel(mat.astype(np.float64), 0, params)
         assert np.array_equal(kernel(mat.astype(np.int32), 0, params), kernel(mat, 0, params))
+
+    @pytest.mark.parametrize("kernel", [series_values, character_table])
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("digit", [5, 2, -1])
+    def test_out_of_range_digits_refused_at_any_row_count(self, kernel, rows, digit):
+        # one row would read its phase from the window, four from the table
+        with pytest.raises(ValueError, match=rf"digit {digit} lies outside 0 \.\. 1 for p=2"):
+            kernel(np.full((rows, 1), digit), 0, MapParams(p=2))
 
 
 class TestScalingLaw:
@@ -652,6 +662,16 @@ def test_class_separation_matches_brute_force(case, extra, rows, span, data):
     assert _class_separation(vals[0], p**level) == brute_class_separation(vals[:1], p**level)
 
 
+def test_class_separation_refuses_a_search_past_the_pair_budget():
+    # two classes of 2^16 residues: 2^32 pairs, refused before the search
+    with pytest.raises(ValueError, match=f"compares {2**32} pairs, past the limit of {MAX_PAIRS}"):
+        _class_separation(np.zeros((1, 2**17), dtype=complex), 2)
+    # three rows of 2^15-residue classes, 3 x 2^28 pairs; two rows fit
+    with pytest.raises(ValueError, match="pairs, past the limit"):
+        _class_separation(np.zeros((3, 2**16), dtype=complex), 2)
+    assert MAX_PAIRS == 2**31
+
+
 def test_class_separation_of_one_class_is_inf():
     assert _class_separation(np.arange(8, dtype=complex), 1) == math.inf
 
@@ -783,3 +803,79 @@ def test_exact_value_reads_the_digits_of_its_rational():
     pm = PlaneMap(MapParams(p=2, m=0, s=0.3))
     # 5 = 1 + 4: chi_n = -1, 1, -1 at levels 0, 1, 2 and 1 above
     assert pm.value(expand(5, 2, 3)) == pytest.approx(-1 + 0.3 - 0.09 + 0.027 / 0.7, abs=EPS)
+
+
+def valuation_counter(diff: np.ndarray, p: int, cap: int) -> np.ndarray:
+    """Reference: the multiplicity of p in each nonzero integer, divided out
+    one factor at a time (capped; zero stays zero)."""
+    vals = np.zeros(diff.shape, dtype=np.int64)
+    work = np.abs(diff)
+    for _ in range(cap):
+        mask = (work % p == 0) & (work > 0)
+        if not mask.any():
+            break
+        vals[mask] += 1
+        work = np.where(mask, work // p, work)
+    return vals
+
+
+def two_branch_fibers(tm: TorusMap, xis: np.ndarray, depth: int) -> np.ndarray:
+    """Reference: the fibers with the coupling switched by residue valuations,
+    and a separate product at infinite order."""
+    params = tm.params.map
+    p, m = params.p, params.m
+    ns = np.arange(params.depth + 1)
+    chars = character_table(residue_digit_matrix(p, depth), 0, params)
+    terms = params.s ** ns[:, None] * chars
+    turns = 2j * math.pi * np.asarray(xis, dtype=np.float64)[:, None]
+    if m == math.inf:
+        return np.exp(turns / float(p) ** (ns + 1)) @ terms
+    codes = np.arange(p**depth, dtype=np.int64)
+    v = valuation_counter(codes, p, depth)
+    v[codes == 0] = depth + 64
+    on = ns[:, None] <= int(m) + v
+    coupling = np.exp(turns / float(p) ** (np.minimum(ns, int(m)) + 1))
+    return coupling @ np.where(on, terms, 0) + np.where(on, 0, terms).sum(axis=0)
+
+
+@pytest.mark.parametrize("s", [0.37 * cmath.exp(0.4j), 0.3, 0.45])
+@pytest.mark.parametrize("p", [2, 3, 5, 6])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, math.inf])
+def test_fibers_divisibility_coupling_matches_valuations(s, p, m):
+    # level n couples while p^(n-m) divides the residue: the same bits as
+    # comparing n with m + v, zero's valuation infinite, at every order
+    tm = TorusMap(SolenoidParams(map=MapParams(p=p, m=m, s=s), a=2.0))
+    xis = np.append(np.arange(8) / 8, 0.7071)
+    for depth in (1, 3, 5):
+        got = tm._fibers(xis, depth)
+        assert got.tobytes() == two_branch_fibers(tm, xis, depth).tobytes()
+
+
+@pytest.mark.parametrize("p, depth", [(2, 1), (2, 14), (2, 63), (3, 9), (3, 39), (5, 27), (6, 24)])
+def test_sandwich_divisibility_count_matches_valuation_counter(p, depth):
+    # the multiplicity of p in a nonzero difference below p^depth counts the
+    # powers p^k, k < depth, that divide it; at |s| = 0.9 and a series past
+    # any tail, the upper margin 2 |s|^v / (1-|s|) + allowance shows v
+    params = MapParams(p=p, m=0, s=0.9, depth=2000)
+    rng = np.random.default_rng(depth)
+    a, b = (rng.integers(0, p**depth, size=300, dtype=np.int64) for _ in range(2))
+    units, powers = rng.integers(1, p, 60), rng.integers(0, depth, 60)
+    deep = [int(c) * p ** int(k) for c, k in zip(units, powers)]
+    top, edge = p**depth - 1, p ** (depth - 1)
+    diffs = [d for d in (a - b).tolist() if d] + deep + [top, -top, edge, -edge, 1, -1]
+    for d in diffs:
+        out = _sandwich_margins(params, np.zeros(1), np.array([d], dtype=np.int64), depth)
+        sv = 0.9 ** valuation_counter(np.array([d]), p, depth)
+        assert out["worst_upper_margin"] == pytest.approx(2.0 * sv[0] / 0.1 + out["allowance"],
+                                                          rel=1e-12)
+
+
+def test_series_weights_past_the_float_range_name_s_and_the_level():
+    # x = 1/81 reaches level -4, weighed s^-4 = 1e320 (s^-5 for the derivative)
+    pm = PlaneMap(MapParams(p=3, s=1e-80))
+    x = expand(Fraction(1, 81), 3, 8)
+    for evaluate in (pm.value, pm.parts, pm.derivative_in_s):
+        with pytest.raises(ValueError, match=r"level -4 at s=\(1e-80\+0j\)"):
+            evaluate(x)
+    # the same s weighs the unit ball's levels 0 .. depth without trouble
+    assert pm.value(from_int(1, 3, 8)) == pytest.approx(-0.5 + 0.8660254037844386j)
