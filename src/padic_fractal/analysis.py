@@ -131,11 +131,15 @@ def tuple_coefficient(
 
 
 def moment_series(params: MapParams, L: int, Lbar: int, cutoff: int) -> complex:
-    """Partial sum of the coefficient expansion, for cross-validation."""
+    """Partial sum of the coefficient expansion, for cross-validation.
+
+    Zero parts sum only to 0, so with L = 0 only n = 0 has tuples (and with
+    Lbar = 0 only nbar = 0); the totals without any are skipped.
+    """
     s, sb = params.s, params.s.conjugate()
     total = 0.0 + 0.0j
-    for n in range(cutoff + 1):
-        for nbar in range(cutoff + 1):
+    for n in range(cutoff + 1 if L else 1):
+        for nbar in range(cutoff + 1 if Lbar else 1):
             c, _ = tuple_coefficient(params.p, L, Lbar, n, nbar, m=params.m)
             if c:
                 total += c * s**n * sb**nbar

@@ -462,14 +462,16 @@ _FIELDS["suite"] = _one_of(*SUITES, "all")
 
 
 def _cmd_certify(cfg: Config) -> Iterator[tuple]:
+    if (cfg.depth or 0) > 8:  # --depth sets both searches, plane (default 8) and torus (6)
+        raise UsageError(f"field 'depth': certify searches at most depth 8, got {cfg.depth}")
     params = _map_params(cfg)
-    cert = delta_certificate(params, search_depth=min(cfg.depth or 8, 10))
+    cert = delta_certificate(params, search_depth=cfg.depth or 8)
     known = cert.verdict != "unknown"
     yield "certify.delta_lower", cert.delta_lower, 0.0, True
     yield "certify.delta_empirical", cert.delta_empirical, cert.allowance, known
     yield "certify.verdict", cert.verdict, "certified-embedding iff delta_lower>0", known
     sp = SolenoidParams(map=params, a=cfg.a)
-    tilde = delta_tilde_certificate(sp, xi_count=8, search_depth=min(cfg.depth or 6, 8))
+    tilde = delta_tilde_certificate(sp, xi_count=8, search_depth=cfg.depth or 6)
     yield "certify.delta_tilde_lower", tilde.delta_lower, 0.0, True
     yield ("certify.delta_tilde_empirical", tilde.delta_empirical, tilde.allowance,
            tilde.verdict != "unknown")
@@ -578,15 +580,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="padic-fractal",
         description="fractal images of base-p digit expansions: render, certify, verify",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        c = sub.add_parser(name)
-        # values stay strings: the field table parses flags and config alike
-        for name in (*_FIELDS, "config"):
-            if name != "exhaustive":
-                c.add_argument(f"--{name}")
-        c.add_argument("--all", dest="suite", action="store_const", const="all")
-        c.add_argument("--exhaustive", action="store_true", default=None)
+    parser.add_argument("command", choices=_COMMANDS)
+    # values stay strings: the field table parses flags and config alike, and
+    # each command's reads decide which fields it takes
+    for name in (*_FIELDS, "config"):
+        if name != "exhaustive":
+            parser.add_argument(f"--{name}")
+    parser.add_argument("--all", dest="suite", action="store_const", const="all")
+    parser.add_argument("--exhaustive", action="store_true", default=None)
     return parser
 
 

@@ -34,7 +34,6 @@ class RasterConfig:
     width: int = 800
     height: int = 800
     viewport: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0)
-    mode: str = "binary"
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -42,8 +41,6 @@ class RasterConfig:
         re0, re1, im0, im1 = self.viewport
         if not (re0 < re1 and im0 < im1):
             raise ValueError("viewport must be a nonempty rectangle")
-        if self.mode not in ("binary", "density"):
-            raise ValueError(f"unknown intensity mode {self.mode!r}")
 
 
 def auto_viewport(values: np.ndarray, margin: float = 0.05) -> tuple[float, float, float, float]:
@@ -72,40 +69,20 @@ def auto_viewport(values: np.ndarray, margin: float = 0.05) -> tuple[float, floa
     return (re0, re1, im0, im1)
 
 
-def _pixel_counts(values: np.ndarray, cfg: RasterConfig) -> np.ndarray:
+def rasterize(cloud, cfg: RasterConfig) -> bytes:
+    """Grayscale PGM (binary P5, maxval 255): a pixel is 255 iff at least
+    one point falls in it, else 0.  Byte-identical for identical inputs."""
+    values = cloud.values if isinstance(cloud, PointCloud2D) else np.asarray(cloud)
     re0, re1, im0, im1 = cfg.viewport
     u = (values.real - re0) / (re1 - re0)
     v = (values.imag - im0) / (im1 - im0)
     keep = (u >= 0) & (u <= 1) & (v >= 0) & (v <= 1)
+    img = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
     if not keep.any():
         warnings.warn("no points intersect the viewport; emitting a blank image")
-        return np.zeros((cfg.height, cfg.width), dtype=np.int64)
     cols = np.minimum((u[keep] * cfg.width).astype(np.int64), cfg.width - 1)
-    rows = np.minimum((v[keep] * cfg.height).astype(np.int64), cfg.height - 1)
-    rows = cfg.height - 1 - rows
-    grid = np.zeros((cfg.height, cfg.width), dtype=np.int64)
-    np.add.at(grid, (rows, cols), 1)
-    return grid
-
-
-def rasterize(cloud, cfg: RasterConfig) -> bytes:
-    """Grayscale PGM (binary P5, maxval 255).
-
-    Binary mode lights a pixel iff at least one point falls in it;
-    density mode scales counts linearly to 0..255.  Byte-identical for
-    identical inputs.
-    """
-    values = cloud.values if isinstance(cloud, PointCloud2D) else np.asarray(cloud)
-    grid = _pixel_counts(values, cfg)
-    if cfg.mode == "binary":
-        img = np.where(grid > 0, 255, 0).astype(np.uint8)
-    else:
-        top = int(grid.max())
-        img = (
-            (grid * 255 // top).astype(np.uint8)
-            if top > 0
-            else np.zeros_like(grid, dtype=np.uint8)
-        )
+    rows = cfg.height - 1 - np.minimum((v[keep] * cfg.height).astype(np.int64), cfg.height - 1)
+    img.ravel()[rows * cfg.width + cols] = 255
     header = f"P5\n{cfg.width} {cfg.height}\n255\n".encode("ascii")
     return header + img.tobytes()
 

@@ -291,6 +291,27 @@ def test_composite_base_cube_moment():
     assert abs(res.value - moment_series(params, 3, 0, cutoff=10)) <= res.error_bound
 
 
+def full_moment_series(params: MapParams, L: int, Lbar: int, cutoff: int) -> complex:
+    """The series summed over every (n, nbar) total, with or without tuples."""
+    s, sb = params.s, params.s.conjugate()
+    total = 0.0 + 0.0j
+    for n in range(cutoff + 1):
+        for nbar in range(cutoff + 1):
+            c, _ = tuple_coefficient(params.p, L, Lbar, n, nbar, m=params.m)
+            if c:
+                total += c * s**n * sb**nbar
+    return total
+
+
+@pytest.mark.parametrize("cutoff", [6, 10])
+@pytest.mark.parametrize("m", [0, 1, math.inf])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("L, Lbar", [(L, Lbar) for L in range(3) for Lbar in range(3)])
+def test_series_skips_only_totals_without_tuples(L, Lbar, p, m, cutoff):
+    params = MapParams(p=p, m=m, s=0.3 + 0.2j)
+    assert moment_series(params, L, Lbar, cutoff) == full_moment_series(params, L, Lbar, cutoff)
+
+
 # -- the box-counting ladder against a per-scale count -----------------------
 
 

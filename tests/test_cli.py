@@ -14,7 +14,16 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from padic_fractal.cli import _COMMANDS, SUITES, Config, UsageError, main, parse_config
+from padic_fractal.cli import (
+    _COMMANDS,
+    _FIELDS,
+    SUITES,
+    Config,
+    UsageError,
+    _build_parser,
+    main,
+    parse_config,
+)
 from padic_fractal.analysis import box_dimension
 from padic_fractal.complex_map import MapParams, PlaneMap
 from padic_fractal.render import (
@@ -237,6 +246,47 @@ def run_captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+VALUE_FLAGS = [name for name in (*_FIELDS, "config") if name != "exhaustive"]
+
+
+class TestParser:
+    """One parser takes every field flag, before or after the command; the
+    field table and each command's reads decide what the command accepts."""
+
+    @pytest.mark.parametrize("name", VALUE_FLAGS)
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_field_flag_parses_with_every_command(self, command, name):
+        for argv in ([command, f"--{name}", "v"], [f"--{name}", "v", command]):
+            args = _build_parser().parse_args(argv)
+            assert (args.command, getattr(args, name)) == (command, "v")
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_switches(self, command):
+        parse = _build_parser().parse_args
+        assert parse([command, "--all"]).suite == "all"
+        assert parse(["--all", command]).suite == "all"
+        assert parse([command, "--exhaustive"]).exhaustive is True
+        assert parse(["--exhaustive", command]).exhaustive is True
+        assert vars(parse([command])) == {"command": command, "exhaustive": None,
+                                          **{name: None for name in VALUE_FLAGS}}
+
+    def test_flags_before_the_command_give_the_same_report(self):
+        after = run_captured(["verify", "--suite", "group", "--p", "3", "--seed", "11"])
+        before = run_captured(["--p", "3", "--seed", "11", "verify", "--suite", "group"])
+        assert before == after and after[0] == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["--p", "3"], "the following arguments are required: command"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+        (["verify", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ])
+    def test_usage_errors_exit_two_with_the_parser_message(self, argv, message):
+        code, out, err = run_captured(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: padic-fractal ") and message in err
+
+
 class TestFieldChecks:
     """Flags and config files pass one check per field, before any work."""
 
@@ -280,6 +330,8 @@ class TestFieldChecks:
         (["verify", "--suite", "sandwich", "--exhaustive", "--p", "3", "--depth", "30"], "depth"),
         # ode evaluates the map at s/p, which rounds to 0
         (["verify", "--suite", "ode", "--s", "5e-324"], "s"),
+        # --depth sets both certificate searches, at most 8
+        (["certify", "--depth", "9"], "depth"),
     ])
     def test_bad_flag_exits_two_naming_field(self, argv, name, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

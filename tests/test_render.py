@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -62,12 +63,6 @@ class TestRaster:
         cfg = RasterConfig(width=48, height=48, viewport=auto_viewport(cloud.values))
         assert rasterize(cloud, cfg) == rasterize(cloud, cfg)
 
-    def test_density_mode_scales_counts(self):
-        cfg = RasterConfig(width=4, height=4, viewport=(0, 1, 0, 1), mode="density")
-        pts = np.array([0.1 + 0.1j, 0.1 + 0.1j, 0.9 + 0.9j])
-        img = lit_pixels(rasterize(pts, cfg), cfg)
-        assert img.max() == 255 and 0 < img[0, 3] < 255 or img[0, 3] == 127
-
     def test_blank_on_empty_intersection(self):
         cfg = RasterConfig(width=8, height=8, viewport=(10, 11, 10, 11))
         with pytest.warns(UserWarning):
@@ -89,8 +84,6 @@ class TestRaster:
             RasterConfig(width=0, height=4)
         with pytest.raises(ValueError):
             RasterConfig(viewport=(1, 0, 0, 1))
-        with pytest.raises(ValueError):
-            RasterConfig(mode="technicolor")
 
 
 class TestVectorAndMeshFormats:
@@ -174,6 +167,21 @@ def reference_svg(cloud, cfg: RasterConfig, radius=None) -> bytes:
             lines.append(f'<circle cx="{z.real:.9g}" cy="{-z.imag:.9g}" r="{r:.9g}"/>')
     lines.append("</svg>")
     return "\n".join(lines).encode("ascii")
+
+
+def reference_pgm(cloud, cfg: RasterConfig) -> bytes:
+    """The count-grid raster: points per pixel, then 255 where the count is positive."""
+    values = cloud.values if isinstance(cloud, PointCloud2D) else np.asarray(cloud)
+    re0, re1, im0, im1 = cfg.viewport
+    u = (values.real - re0) / (re1 - re0)
+    v = (values.imag - im0) / (im1 - im0)
+    keep = (u >= 0) & (u <= 1) & (v >= 0) & (v <= 1)
+    grid = np.zeros((cfg.height, cfg.width), dtype=np.int64)
+    cols = np.minimum((u[keep] * cfg.width).astype(np.int64), cfg.width - 1)
+    rows = np.minimum((v[keep] * cfg.height).astype(np.int64), cfg.height - 1)
+    np.add.at(grid, (cfg.height - 1 - rows, cols), 1)
+    img = np.where(grid > 0, 255, 0).astype(np.uint8)
+    return f"P5\n{cfg.width} {cfg.height}\n255\n".encode("ascii") + img.tobytes()
 
 
 # zeros of both signs, subnormals, non-finite values, and the values on
@@ -281,6 +289,38 @@ class TestBulkEmitters:
         assert export_ply(empty) == reference_ply(empty)
         assert export_csv(empty) == reference_csv(empty)
         assert to_svg(empty, cfg) == reference_svg(empty, cfg)
+
+    @given(case=svg_cases(), width=st.integers(1, 40), height=st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_pgm(self, case, width, height):
+        values, cfg, _ = case
+        cfg = RasterConfig(width=width, height=height, viewport=cfg.viewport)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert rasterize(values, cfg) == reference_pgm(values, cfg)
+
+    @pytest.mark.parametrize("name", [n for n in preset_names() if preset(n).kind == "plane"])
+    def test_pgm_plane_presets(self, name):
+        cloud = build_cloud(preset(name))
+        cfg = RasterConfig(viewport=auto_viewport(cloud.values))
+        assert rasterize(cloud, cfg) == reference_pgm(cloud, cfg)
+
+    def test_pgm_points_on_the_far_edges_and_outside(self):
+        cfg = RasterConfig(width=5, height=3, viewport=(0.0, 1.0, 0.0, 1.0))
+        # u = 1 lands in the last column and v = 1 in the top row, two points at 0
+        # light one pixel, and the last five lie outside
+        values = np.array([1 + 0.5j, 0.5 + 1j, 1 + 1j, 0j, 0j, 1.5 + 0.5j, -0.1 + 0.5j,
+                           0.5 + 1.5j, 0.5 - 1e-300j, complex(math.nan, 0.5)])
+        pgm = rasterize(values, cfg)
+        assert pgm == reference_pgm(values, cfg)
+        assert np.argwhere(lit_pixels(pgm, cfg)).tolist() == [[0, 2], [0, 4], [1, 4], [2, 0]]
+
+    def test_pgm_empty_intersection(self):
+        cfg = RasterConfig(width=8, height=8, viewport=(10, 11, 10, 11))
+        for values in (np.array([0j, 12 + 10.5j]), np.empty(0, complex)):
+            with pytest.warns(UserWarning, match="no points intersect the viewport"):
+                pgm = rasterize(values, cfg)
+            assert pgm == reference_pgm(values, cfg)
 
     @pytest.mark.parametrize("name, depth, emit, digest", [
         ("fig2a-t2", 3, export_ply,
