@@ -297,10 +297,12 @@ def _suite_scaling(cfg: Config) -> Iterator[tuple]:
 
 
 def _exhaustive_depth(cfg: Config, default: int) -> int:
-    """--depth, else the default, capped to 4096 residues; a larger --depth is refused."""
-    cap = 1
-    while cfg.p ** (cap + 1) <= 4096:
-        cap += 1
+    """--depth, else the default, capped to 4096 residues; a larger --depth,
+    or a p past 4096, is refused."""
+    cap = max((k for k in range(1, 13) if cfg.p**k <= 4096), default=0)
+    if not cap:
+        raise UsageError(f"field 'p': --exhaustive enumerates at most 4096 residues, "
+                         f"so p at most 4096, got {cfg.p}")
     if (cfg.depth or 0) > cap:
         raise UsageError(f"field 'depth': --exhaustive enumerates at most 4096 residues, "
                          f"depth {cap} at p={cfg.p}, got {cfg.depth}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -58,15 +58,13 @@ class MapParams:
     m is the smoothing order (math.inf uses every digit below the level,
     which makes each term a continuous additive character).  depth is
     the series truncation index; the geometric tail beyond it is bounded
-    by tail_bound, and tol records the accuracy target the depth must
-    support.
+    by tail_bound.
     """
 
     p: int
     m: int | float = 0
     s: complex = 0.3
     depth: int = 40
-    tol: float | None = None
 
     def __post_init__(self) -> None:
         if self.p < 2:
@@ -79,13 +77,6 @@ class MapParams:
             raise ValueError(f"s must satisfy 0 < |s| < 1, got {s}")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.tol is None:
-            object.__setattr__(self, "tol", self.tail_bound)
-        elif self.tail_bound > self.tol:
-            raise ValueError(
-                f"depth {self.depth} leaves tail {self.tail_bound:.3g} "
-                f"above tol {self.tol:.3g}"
-            )
 
     @property
     def tail_bound(self) -> float:
@@ -102,20 +93,6 @@ class MapParams:
     def contraction_radius(self) -> float:
         """Disk radius 1/(1-|s|) containing every unit-ball image point."""
         return 1.0 / (1.0 - abs(self.s))
-
-    def infinite_order(self) -> bool:
-        return self.m == math.inf
-
-    def scaled_s(self, factor: complex) -> "MapParams":
-        return replace(self, s=self.s * factor, tol=None)
-
-    @classmethod
-    def for_tolerance(cls, p: int, m: int | float, s: complex, tol: float) -> "MapParams":
-        a = abs(complex(s))
-        depth = 1
-        while 2.0 * a ** (depth + 1) / (1.0 - a) > tol:
-            depth += 1
-        return cls(p=p, m=m, s=s, depth=depth, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -229,22 +206,10 @@ class PlaneMap:
         s = self.params.s
         return sum(self._weighted(x, lambda n: s**n))
 
-    __call__ = value
-
     def parts(self, x: PAdic) -> tuple[complex, complex]:
         """(fractional, integral) split of the series value."""
         s = self.params.s
         return self._weighted(x, lambda n: s**n)
-
-    def derivative_in_s(self, x: PAdic) -> complex:
-        """Term-wise derivative of the series with respect to s."""
-        s = self.params.s
-        return sum(self._weighted(x, lambda n: n * s ** (n - 1)))
-
-    def scaling_residual(self, x: PAdic) -> float:
-        """|value(p x) - s value(x) - 1|; bounded by twice the tail."""
-        s = self.params.s
-        return abs(self.value(x.shift(1)) - s * self.value(x) - 1.0)
 
     # -- vectorized cloud generation --------------------------------------
 

@@ -41,7 +41,6 @@ __all__ = [
     "limit_to_space",
     "gamma_estimate",
     "delta_tilde_certificate",
-    "integrate_field",
 ]
 
 
@@ -189,16 +188,6 @@ class TorusMap:
 
         return self.plane._weighted(x, weight)[1]
 
-    def fiber_values(self, xi: float | Fraction, depth: int) -> np.ndarray:
-        """Fiber series over every residue at the given depth, ascending.
-
-        Expects the canonical circle coordinate in [0,1); the scalar
-        fiber_value() reduces arbitrary representatives.
-        """
-        if not 0 <= xi < 1:
-            raise ValueError("fiber coordinate must lie in [0,1)")
-        return self._fibers(np.array([float(xi)]), depth)[0]
-
     def _fibers(self, xis: np.ndarray, depth: int) -> np.ndarray:
         """Fiber series at each circle coordinate (rows) over every
         residue at the given depth (columns).
@@ -237,11 +226,6 @@ class TorusMap:
         """Full embedding of one solenoid point."""
         return self.to_space(float(f.xi), self.fiber_value(f.xi, f.x))
 
-    def push_plane(self, x: PAdic) -> np.ndarray:
-        """Embed a plane-map preimage through the solenoid: the composite
-        agrees fiberwise with the integral part of the plane series."""
-        return self.embed(from_padic(x))
-
     def cloud(self, xi_count: int, depth: int) -> PointCloud3D:
         """Fibers at xi = i/xi_count for all residues; xi-major order."""
         per = self.params.map.p**depth
@@ -255,7 +239,8 @@ class TorusMap:
     # -- dynamics -------------------------------------------------------------
 
     def scaled(self, factor: complex) -> "TorusMap":
-        return TorusMap(replace(self.params, map=self.params.map.scaled_s(factor)))
+        prm = self.params.map
+        return TorusMap(replace(self.params, map=replace(prm, s=prm.s * factor)))
 
     def vector_field(self, f: SolenoidPoint) -> np.ndarray:
         """Velocity of the embedded flow at the image of f.
@@ -316,53 +301,3 @@ def delta_tilde_certificate(
     empirical = _class_separation(fibers, params.map.p)
     return _search_certificate(params.map, empirical, search_depth)
 
-
-# ---------------------------------------------------------------------------
-# flow integration against the sampled image
-
-
-def integrate_field(
-    tmap: TorusMap,
-    start: SolenoidPoint,
-    t_end: float,
-    steps: int,
-    xi_count: int = 64,
-    depth: int = 5,
-) -> dict[str, float]:
-    """Fourth-order integration of the flow using the nearest sampled
-    preimage to evaluate the field off the exact image.
-
-    Returns the maximum distance of the numeric trajectory from the
-    sampled image and its final deviation from the exactly computed
-    orbit.  The field away from the image is only defined up to an
-    extension, so this is a monitoring tool rather than a certificate.
-    """
-    cloud = tmap.cloud(xi_count, depth)
-    pts = cloud.points
-    p = tmap.params.map.p
-    field_cache: dict[int, np.ndarray] = {}
-
-    def field(r: np.ndarray) -> np.ndarray:
-        idx = int(np.argmin(np.sum((pts - r) ** 2, axis=1)))
-        if idx not in field_cache:
-            i, res = (int(c) for c in cloud.labels[idx])
-            sample = SolenoidPoint(Fraction(i, xi_count), from_int(res, p, depth))
-            field_cache[idx] = tmap.vector_field(sample)
-        return field_cache[idx]
-
-    h = t_end / steps
-    r = tmap.embed(start)
-    max_drift = 0.0
-    for _ in range(steps):
-        k1 = field(r)
-        k2 = field(r + 0.5 * h * k1)
-        k3 = field(r + 0.5 * h * k2)
-        k4 = field(r + h * k3)
-        r = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        drift = float(np.min(np.linalg.norm(pts - r, axis=1)))
-        max_drift = max(max_drift, drift)
-    exact = tmap.embed(orbit(start, Fraction(t_end).limit_denominator(10**9)))
-    return {
-        "max_image_drift": max_drift,
-        "final_error": float(np.linalg.norm(r - exact)),
-    }

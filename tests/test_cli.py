@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -332,6 +334,9 @@ class TestFieldChecks:
         (["verify", "--suite", "ode", "--s", "5e-324"], "s"),
         # --depth sets both certificate searches, at most 8
         (["certify", "--depth", "9"], "depth"),
+        # past p=4096 even depth 1 enumerates more than 4096 residues
+        (["verify", "--suite", "scaling", "--exhaustive", "--p", "5000"], "p"),
+        (["verify", "--suite", "sandwich", "--exhaustive", "--p", "100000"], "p"),
     ])
     def test_bad_flag_exits_two_naming_field(self, argv, name, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -558,6 +563,17 @@ def test_readme_library_example_runs():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_public_names_resolve():
+    # a deleted function left in an __all__ fails here, and so would `import *`
+    for module in ("", ".padic", ".complex_map", ".solenoid", ".analysis", ".render"):
+        mod = importlib.import_module(f"padic_fractal{module}")
+        assert mod.__all__, module
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"padic_fractal{module}.__all__ names {name}"
+    assert [f.name for f in fields(MapParams)] == ["p", "m", "s", "depth"]
+    assert "__call__" not in vars(PlaneMap)
 
 
 # stdout as the separate plane and torus searches gave it, before both

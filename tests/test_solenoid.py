@@ -19,7 +19,6 @@ from padic_fractal.solenoid import (
     distance,
     from_padic,
     gamma_estimate,
-    integrate_field,
     limit_to_space,
     neg,
     orbit,
@@ -209,7 +208,7 @@ class TestOmega:
         mp = MapParams(p=3, m=2, s=0.4)
         tm = TorusMap(SolenoidParams(map=mp, a=1.0))
         for i in range(7):
-            vals = tm.fiber_values(Fraction(i, 7), 4)
+            vals = tm._fibers(np.array([i / 7]), 4)[0]
             assert np.max(np.abs(vals)) <= mp.contraction_radius + EPS
 
     @pytest.mark.parametrize("m", [math.inf, 0, 2])
@@ -226,16 +225,11 @@ class TestOmega:
     def test_fiber_matches_scalar(self, m):
         mp = MapParams(p=3, m=m, s=0.2, depth=30)
         tm = TorusMap(SolenoidParams(map=mp, a=2.0))
-        vals = tm.fiber_values(Fraction(1, 3), 3)
+        vals = tm._fibers(np.array([1 / 3]), 3)[0]
         for r in range(27):
             assert vals[r] == pytest.approx(
                 tm.fiber_value(Fraction(1, 3), from_int(r, 3, 3)), abs=1e-10
             )
-
-    def test_fiber_range_check(self):
-        tm = TorusMap(SolenoidParams(map=MapParams(p=2, m=0, s=0.3), a=2.0))
-        with pytest.raises(ValueError):
-            tm.fiber_values(1.5, 3)
 
 
 class TestChart:
@@ -318,7 +312,7 @@ class TestEmbedding:
         tm = TorusMap(SolenoidParams(map=mp, a=2.0))
         for i in range(1, 8):
             xi = i / 8
-            vals = tm.fiber_values(Fraction(i, 8), 5)
+            vals = tm._fibers(np.array([xi]), 5)[0]
             pts = tm.to_space(xi, vals)
             normal = np.array([math.sin(2 * math.pi * xi), 0.0, -math.cos(2 * math.pi * xi)])
             assert float(np.max(np.abs(pts @ normal))) < 1e-9
@@ -326,7 +320,7 @@ class TestEmbedding:
     def test_fiber_at_zero_is_plane_image(self):
         mp = MapParams(p=2, m=math.inf, s=0.3)
         tm = TorusMap(SolenoidParams(map=mp, a=2.0))
-        fib = tm.fiber_values(Fraction(0), 6)
+        fib = tm._fibers(np.array([0.0]), 6)[0]
         plane = PlaneMap(mp).values_on_residues(6)
         assert np.max(np.abs(fib - plane)) < EPS
 
@@ -459,54 +453,6 @@ class TestFlow:
             r1 = float(np.linalg.norm(self._fd(ft, 1e-3) - gam))
             assert r1 < 1e-3
 
-    def test_rk4_integration_stays_near_image(self):
-        xi_count = 128
-        report = integrate_field(
-            self.tm, pt(0, 0, p=3, depth=5), t_end=0.5, steps=80, xi_count=xi_count, depth=4
-        )
-        # drift against the sampled image is bounded by the circle-sampling
-        # gap of the lookup cloud; the endpoint compares to the exact orbit
-        gap = 2 * math.pi * abs(self.params.a) / xi_count
-        assert report["max_image_drift"] < 1.5 * gap
-        assert report["final_error"] < 0.05
-
-    def test_integration_builds_only_visited_samples(self, monkeypatch):
-        import padic_fractal.solenoid as solenoid
-
-        start = pt(Fraction(1, 7), 5, p=3, depth=5)
-        want = integrate_all_samples(self.tm, start, 0.5, 12, xi_count=16, depth=3)
-        built = []
-        monkeypatch.setattr(solenoid, "from_int", lambda *a: built.append(a) or from_int(*a))
-        assert integrate_field(self.tm, start, 0.5, 12, xi_count=16, depth=3) == want
-        # at most four field lookups a step, against 16 * 3^3 samples up front
-        assert len(built) <= 4 * 12 + 1
-
-
-def integrate_all_samples(tmap, start, t_end, steps, xi_count, depth):
-    """Reference: integrate_field building every sample point up front."""
-    cloud = tmap.cloud(xi_count, depth)
-    pts, p = cloud.points, tmap.params.map.p
-    flat = [SolenoidPoint(Fraction(i, xi_count), from_int(r, p, depth))
-            for i in range(xi_count) for r in range(p**depth)]
-    cache = {}
-
-    def field(r):
-        idx = int(np.argmin(np.sum((pts - r) ** 2, axis=1)))
-        if idx not in cache:
-            cache[idx] = tmap.vector_field(flat[idx])
-        return cache[idx]
-
-    h, r, drift = t_end / steps, tmap.embed(start), 0.0
-    for _ in range(steps):
-        k1 = field(r)
-        k2 = field(r + 0.5 * h * k1)
-        k3 = field(r + 0.5 * h * k2)
-        k4 = field(r + h * k3)
-        r = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        drift = max(drift, float(np.min(np.linalg.norm(pts - r, axis=1))))
-    exact = tmap.embed(orbit(start, Fraction(t_end).limit_denominator(10**9)))
-    return {"max_image_drift": drift, "final_error": float(np.linalg.norm(r - exact))}
-
 
 class TestPushThrough:
     def setup_method(self):
@@ -517,7 +463,7 @@ class TestPushThrough:
     def test_unit_ball_composition(self):
         for r in (0, 5, 11):
             x = from_int(r, 3, 6)
-            via_j = self.tm.push_plane(x)
+            via_j = self.tm.embed(from_padic(x))
             direct = self.tm.embed(SolenoidPoint(Fraction(0), x))
             assert np.allclose(via_j, direct, atol=EPS)
             assert self.tm.fiber_value(0, x) == pytest.approx(self.pm.value(x), abs=EPS)
@@ -543,7 +489,8 @@ class TestPushThrough:
             ra, rb = int(rng.integers(0, 3**6)), int(rng.integers(0, 3**6))
             xa = expand(shift + ra, 3, 14)
             xb = expand(shift + rb, 3, 14)
-            d3 = float(np.linalg.norm(self.tm.push_plane(xa) - self.tm.push_plane(xb)))
+            ya, yb = (self.tm.embed(from_padic(x)) for x in (xa, xb))
+            d3 = float(np.linalg.norm(ya - yb))
             d2 = abs(self.pm.value(xa) - self.pm.value(xb))
             assert d3 == pytest.approx(d2, abs=1e-9)
 
