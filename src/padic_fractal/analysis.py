@@ -134,12 +134,14 @@ def moment_series(params: MapParams, L: int, Lbar: int, cutoff: int) -> complex:
     """Partial sum of the coefficient expansion, for cross-validation.
 
     Zero parts sum only to 0, so with L = 0 only n = 0 has tuples (and with
-    Lbar = 0 only nbar = 0); the totals without any are skipped.
+    Lbar = 0 only nbar = 0); the totals without any are skipped.  At m = inf
+    characters of distinct levels are orthogonal: with L = Lbar = 1 only nbar = n.
     """
     s, sb = params.s, params.s.conjugate()
     total = 0.0 + 0.0j
+    diagonal = params.m == math.inf and L == Lbar == 1
     for n in range(cutoff + 1 if L else 1):
-        for nbar in range(cutoff + 1 if Lbar else 1):
+        for nbar in (n,) if diagonal else range(cutoff + 1 if Lbar else 1):
             c, _ = tuple_coefficient(params.p, L, Lbar, n, nbar, m=params.m)
             if c:
                 total += c * s**n * sb**nbar
@@ -353,7 +355,7 @@ def measure_consistency(
     expected_fraction = Fraction(1, p**level)
     # (ii) cross-cluster separation on a sampled sub-depth
     sep_depth = min(depth, 12) if separation_depth is None else separation_depth
-    sep = _class_separation(pmap.values_on_residues(sep_depth), p**level)
+    sep = _class_separation(pmap.values_on_residues(sep_depth), p, level)
     floor = (
         delta_lower(p, params.s) * abs(params.s) ** max(level - 1, 0)
         - 2.0 * params.tail_bound

@@ -421,38 +421,53 @@ def character_table(digit_mat: np.ndarray, start: int, params: MapParams) -> np.
 # certificates and structural checks
 
 
-def _min_cross_distance(va: np.ndarray, vb: np.ndarray) -> float:
-    """min |a - b| over a in va, b in vb, in blocks of about 2**20 pairs."""
-    rows = max(1, 2**20 // max(len(vb), 1))
-    best = math.inf
-    for i in range(0, len(va), rows):
-        block = np.abs(va[i : i + rows, None] - vb[None, :])
-        best = min(best, float(block.min()))
-    return best
-
-
-def _class_separation(vals: np.ndarray, modulus: int) -> float:
-    """min |a - b| over residues a, b in distinct classes mod modulus.
+def _class_separation(vals: np.ndarray, p: int, level: int = 1) -> float:
+    """min |a - b| over residues a, b in distinct classes mod p**level.
 
     Each row of vals holds the images of every residue at one depth, in
-    ascending order, so row.reshape(-1, modulus).T lists the classes.
-    Inf for a single class (modulus 1): there is nothing to separate.
-    A search past MAX_PAIRS pairs is refused before it starts.
+    ascending order, so the residues c mod k form column c of
+    row.reshape(-1, k): a ball with center row[c] and a radius measured
+    from its points.  A pair of balls in distinct classes is dropped once
+    its centers' distance less both radii passes the best center distance
+    plus a rounding slack of 64 eps (max|row| + 1); the others split into
+    p**2 child pairs while the children hold 64 points or more.  The last
+    balls are compared pair by pair with the same |a - b| as an all-pairs
+    search, so the minimum is exactly its minimum.  Inf for one class; a
+    search past MAX_PAIRS pairs, all counted, is refused before it starts.
     """
     vals = np.atleast_2d(vals)
     rows, count = vals.shape
-    if count % modulus:
+    q = p**level
+    if count % q:
         raise ValueError(f"the search depth must reach the class level: the residue "
-                         f"count {count} is not a multiple of {modulus}")
-    if (pairs := rows * modulus * (modulus - 1) // 2 * (count // modulus) ** 2) > MAX_PAIRS:
-        raise ValueError(f"separating {modulus} residue classes compares {pairs} pairs, "
+                         f"count {count} is not a multiple of {q}")
+    if (pairs := rows * q * (q - 1) // 2 * (count // q) ** 2) > MAX_PAIRS:
+        raise ValueError(f"separating {q} residue classes compares {pairs} pairs, "
                          f"past the limit of {MAX_PAIRS}; lower the search depth")
-    best = math.inf
+    if q == 1 or not count:
+        return math.inf
+    slack = 64 * np.finfo(float).eps * (float(np.abs(vals).max()) + 1.0)
+    levels = [q]
+    while count // levels[-1] % p == 0 and count // levels[-1] // p >= 64:
+        levels.append(levels[-1] * p)
+    i, j = np.divmod(np.arange(p * p), p)
+    best, width = math.inf, max(1, 2**16 // q)
     for row in vals:
-        classes = np.ascontiguousarray(row.reshape(-1, modulus).T)
-        for a in range(modulus):
-            for b in range(a + 1, modulus):
-                best = min(best, _min_cross_distance(classes[a], classes[b]))
+        radii = [np.abs(row.reshape(-1, k) - row[:k]).max(axis=0) for k in levels]
+        for lo in range(0, q - 1, width):  # the class pairs a < b with lo <= a < lo + width
+            a, b = np.divmod(np.arange(lo * q, min(lo + width, q) * q), q)
+            a, b = a[a < b], b[a < b]
+            for k, radius in zip(levels, radii):
+                if k > q:
+                    a, b = (a[:, None] + k // p * i).ravel(), (b[:, None] + k // p * j).ravel()
+                gap = np.abs(row[a] - row[b])
+                best = min(best, float(gap.min(initial=math.inf)))
+                keep = gap - radius[a] - radius[b] <= best + slack
+                a, b = a[keep], b[keep]
+            balls, step = row.reshape(-1, k).T, max(1, 2**16 // (count // k) ** 2)
+            for n in range(0, len(a), step):
+                left, right = balls[a[n : n + step]], balls[b[n : n + step]]
+                best = min(best, float(np.abs(left[:, :, None] - right[:, None, :]).min()))
     return best
 
 

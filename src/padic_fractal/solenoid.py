@@ -293,9 +293,10 @@ def delta_tilde_certificate(
 ) -> EmbeddingCertificate:
     """Separation certificate for the fiberwise map.
 
-    The analytic lower bound is the same as for the plane map; the
-    search scans residue pairs with differing lowest digits across a
-    circle grid.
+    The analytic lower bound is the same as for the plane map.  Each fiber
+    of a circle grid is one row of _class_separation's ball-pair search over
+    residues with differing lowest digits; its rounding slack only keeps
+    more pairs, so the minimum is exact.
     """
     fibers = TorusMap(params)._fibers(np.arange(xi_count) / xi_count, search_depth)
     empirical = _class_separation(fibers, params.map.p)

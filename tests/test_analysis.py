@@ -303,8 +303,10 @@ def full_moment_series(params: MapParams, L: int, Lbar: int, cutoff: int) -> com
     return total
 
 
-@pytest.mark.parametrize("cutoff", [6, 10])
-@pytest.mark.parametrize("m", [0, 1, math.inf])
+# cutoff 16 at m = inf covers the diagonal loop of L = Lbar = 1 deep into the levels
+@pytest.mark.parametrize(
+    "m, cutoff", [(m, c) for m in (0, 1, math.inf) for c in (6, 10)] + [(math.inf, 16)]
+)
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("L, Lbar", [(L, Lbar) for L in range(3) for Lbar in range(3)])
 def test_series_skips_only_totals_without_tuples(L, Lbar, p, m, cutoff):

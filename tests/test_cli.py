@@ -791,6 +791,15 @@ def test_map_fields_build_the_unit_ball_figure(m, tmp_path):
                           ["dimension.points", str(est.point_count), "10000"]]
 
 
+def test_certify_at_p4_finishes_within_two_seconds():
+    # 6 (4^7)^2 = 1.6e9 residue pairs under the budget: the ball-pair search
+    # prunes nearly all of them
+    start = time.perf_counter()
+    code, out, err = run_captured(["certify", "--p", "4", "--m", "0", "--s", "0.2"])
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "") and "certify.delta_empirical\t1.06066469726\t" in out
+
+
 def test_certify_refuses_a_search_past_the_pair_budget():
     # at p=5 the default plane search compares 10 (5^7)^2 pairs: refused at once
     start = time.perf_counter()

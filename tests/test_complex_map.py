@@ -19,7 +19,6 @@ from padic_fractal.complex_map import (
     PointCloud2D,
     _class_separation,
     _sandwich_margins,
-    _min_cross_distance,
     character_table,
     delta_certificate,
     delta_lower,
@@ -601,24 +600,16 @@ class TestPointCloud2D:
         assert len(self._cloud([5, 0, 2, 1])) == 4
 
 
-def test_min_cross_distance_matches_brute_force():
-    # sizes that split both orders into several blocks of about 2**20 pairs
-    rng = np.random.default_rng(3)
-    va = rng.normal(size=70) + 1j * rng.normal(size=70)
-    vb = rng.normal(size=40_000) + 1j * rng.normal(size=40_000)
-    brute = float(np.abs(va[:, None] - vb[None, :]).min())
-    assert _min_cross_distance(va, vb) == brute
-    assert _min_cross_distance(vb, va) == brute
-
-
 def brute_class_separation(vals: np.ndarray, modulus: int) -> float:
-    """Reference: every pair of residues in distinct classes, one row at a time."""
+    """Reference: every pair of residues in distinct classes, one row and
+    512 residues at a time."""
     best = math.inf
     cls = np.arange(vals.shape[1]) % modulus
     for row in vals:
-        dist = np.abs(row[:, None] - row[None, :])
-        dist[cls[:, None] == cls[None, :]] = math.inf
-        best = min(best, float(dist.min()))
+        for k in range(0, len(row), 512):
+            dist = np.abs(row[k : k + 512, None] - row[None, :])
+            dist[cls[k : k + 512, None] == cls[None, :]] = math.inf
+            best = min(best, float(dist.min()))
     return best
 
 
@@ -638,8 +629,45 @@ def test_class_separation_matches_brute_force(case, extra, rows, span, data):
     grid = st.integers(-span, span)
     real, imag = data.draw(arrays(np.int64, (2, rows, n), elements=grid, fill=st.nothing()))
     vals = real + 1j * imag
-    assert _class_separation(vals, p**level) == brute_class_separation(vals, p**level)
-    assert _class_separation(vals[0], p**level) == brute_class_separation(vals[:1], p**level)
+    assert _class_separation(vals, p, level) == brute_class_separation(vals, p**level)
+    assert _class_separation(vals[0], p, level) == brute_class_separation(vals[:1], p**level)
+
+
+# per base: the residue depth at class level 1 and 2, for 36 to 256 residues per class
+MAP_ROW_DEPTHS = {2: (9, 10), 3: (6, 7), 4: (5, 6), 6: (4, 4)}
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, math.inf])
+@pytest.mark.parametrize("p", sorted(MAP_ROW_DEPTHS))
+def test_class_separation_matches_brute_force_on_map_rows(p, m):
+    # map images, where the search prunes most ball pairs: real s below and
+    # above s_zero (real rows are collinear, so the ball bounds are often
+    # tight), a complex s, one plane row and four torus fibers
+    for s in (0.5 * s_zero(p), min(1.5 * s_zero(p), 0.9), 0.3 + 0.25j):
+        params = MapParams(p=p, m=m, s=s)
+        torus = TorusMap(SolenoidParams(map=params, a=2.0))
+        for level, depth in enumerate(MAP_ROW_DEPTHS[p], 1):
+            row = PlaneMap(params).values_on_residues(depth)
+            assert _class_separation(row, p, level) == brute_class_separation(row[None, :], p**level)
+            fibers = torus._fibers(np.arange(4) / 4, depth - 1)
+            assert _class_separation(fibers, p, level) == brute_class_separation(fibers, p**level)
+
+
+def test_class_separation_keeps_a_pair_whose_bound_rounds_past_the_best():
+    # two points per class mod 4, on a line: the closest pair (residues 4
+    # and 5, 1.5 apart) lies in the ball pair of residues 0 and 1, whose
+    # lower bound rounds to above the best center distance 1.75 (residues
+    # 2 and 3) at this magnitude; only the rounding slack keeps that pair
+    row = np.array([0.0, 4790092359390103.0, -10.0, -11.75, 2231561033556955.25,
+                    2231561033556956.75, -10.0, -11.75], dtype=complex)
+    assert _class_separation(row, 2, 2) == brute_class_separation(row[None, :], 4) == 1.5
+
+
+def test_class_separation_of_constant_rows_is_zero():
+    # every ball pair touches, so nothing prunes and every leaf pair is compared
+    vals = np.full((2, 2**10), 0.25 - 1.5j)
+    assert _class_separation(vals, 2) == brute_class_separation(vals, 2) == 0.0
+    assert _class_separation(vals, 2, 2) == 0.0
 
 
 def test_class_separation_refuses_a_search_past_the_pair_budget():
