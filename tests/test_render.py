@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import hypothesis.strategies as st
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from padic_fractal.cli import main
 from padic_fractal.complex_map import PointCloud2D, s_zero
 from padic_fractal.render import (
     PRESETS,
@@ -184,11 +186,18 @@ def reference_pgm(cloud, cfg: RasterConfig) -> bytes:
     return f"P5\n{cfg.width} {cfg.height}\n255\n".encode("ascii") + img.tobytes()
 
 
-# zeros of both signs, subnormals, non-finite values, and the values on
-# either side of where %.9g switches to exponent notation (1e-4, 1e9)
+# zeros of both signs, subnormals, non-finite values, the values on either
+# side of where %.9g switches to exponent notation (1e-4, 1e9), exact ties at
+# the 9th digit that round down and up, decade carries, the neighbours of the
+# powers of ten, and the rounding noise of the torus coordinates
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, math.nan, math.inf,
            -math.inf, 1e-4, -1e-4, 9.99999999e-5, 9.999999995e-5, 9.9999999949e-5, 1.00000001e-4,
-           1e9, -1e9, 999999999.0, 999999999.4, 999999999.5, 999999999.6, 1000000001.0, 1.5]
+           1e9, -1e9, 999999999.0, 999999999.4, 999999999.5, 999999999.6, 1000000001.0, 1.5,
+           123456788.5, 123456789.5, 9.9999999951, 99999.99995,
+           *[float(np.nextafter(10.0**k, edge)) for k in range(-5, 10) for edge in (0, math.inf)],
+           1e-16, -2.0e-16, 1.1102230246251565e-16, 2.220446049250313e-16, -4.440892098500626e-16]
+# ints on either side of the 10**9 that the label path writes from its tables
+LABEL_INTS = [0, 1, 999, 1000, 999_999, 1_000_000, 999_999_999, 10**9, -1]
 
 
 def coordinates(finite: bool = False):
@@ -209,7 +218,8 @@ SOLENOID = preset("fig2a-t2").solenoid_params(2)
 @st.composite
 def solenoid_clouds(draw):
     pts = draw(point_arrays(finite=True))
-    pair = st.tuples(st.integers(0, 2**62), st.integers(0, 2**62))
+    label = st.sampled_from(LABEL_INTS) | st.integers(0, 2**62)
+    pair = st.tuples(label, label)
     labels = draw(st.lists(pair, min_size=len(pts), max_size=len(pts), unique=True))
     return PointCloud3D(points=pts, labels=np.array(labels, dtype=np.int64).reshape(-1, 2),
                         params=SOLENOID)
@@ -343,6 +353,56 @@ class TestBulkEmitters:
             data, ref = emit(cloud), (reference_ply if emit is export_ply else reference_csv)(cloud)
         assert data == ref
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("emit, shape", [
+        (export_ply, (3, 2)), (export_csv, (3, 2)), (export_csv, (6,)), (export_ply, (2, 3, 1)),
+        (export_ply, (6,)), (export_csv, (2, 3, 1)),
+    ])
+    def test_rejects_points_that_are_not_n_by_3(self, emit, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            emit(np.zeros(shape))
+
+    def test_rows_past_one_block(self):
+        cloud = build_cloud(preset("fig2a-t2"), depth=8)
+        assert len(cloud) == 131_072
+        assert export_ply(cloud) == reference_ply(cloud)
+        cloud = build_cloud(preset("fig2b-t3"), depth=5)
+        assert export_csv(cloud) == reference_csv(cloud)
+        cloud = build_cloud(preset("fig1-12"), depth=9)
+        cfg = RasterConfig(viewport=auto_viewport(cloud.values))
+        assert to_svg(cloud, cfg) == reference_svg(cloud, cfg)
+
+    def test_formatted_rows_spliced_in_place_across_blocks(self):
+        rng = np.random.default_rng(7)
+        pts = rng.standard_normal((50_000, 3)) * 10.0 ** rng.integers(-20, 20, (50_000, 3))
+        rows = rng.choice(len(pts), 400, replace=False)
+        pts[rows, rng.integers(0, 3, 400)] = rng.choice(SPECIAL, 400)
+        pts[[0, -1], 1] = math.nan, 123456789.5
+        assert export_ply(pts) == reference_ply(pts)
+        assert export_csv(pts) == reference_csv(pts)
+        labels = [f"t={i}" for i in range(len(pts))]
+        assert export_csv(pts, labels) == reference_csv(pts, labels)
+
+    def test_refuses_complex_points_and_nul_labels(self):
+        for emit in (export_ply, export_csv):
+            with pytest.raises(TypeError, match="real"):
+                emit(np.ones((2, 3), dtype=complex))
+        with pytest.raises(ValueError, match="NUL"):
+            export_csv(np.zeros((2, 3)), ["a", "b\0"])
+
+    # the artifacts of the README's gallery commands, at full size
+    @pytest.mark.parametrize("argv, digest", [
+        (["render3d", "--preset", "fig2a-t2"],
+         "e25ac7ee2579e2e6e4abd38891777daff62f3e4d287a4660ce0344a21fffb67f"),
+        (["render3d", "--preset", "fig2b-t3", "--format", "csv"],
+         "ad33ee75f3c314146433ed1fdec6b1368b4ec88881be0756ecea3560e94b5ade"),
+        (["render2d", "--preset", "fig1-12", "--format", "svg"],
+         "60ef9e322051503b2349d870aa8782e5f70a33a33f283db243e37e09d4b5d5f2"),
+    ])
+    def test_full_size_artifacts_pinned(self, tmp_path, capsys, argv, digest):
+        out = tmp_path / "artifact"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestPresets:
