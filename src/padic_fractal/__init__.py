@@ -24,7 +24,7 @@ from .complex_map import (
     rotate_digits,
     s_zero,
 )
-from .padic import PAdic, PrecisionError, expand, from_int, residues
+from .padic import PAdic, expand, from_int, residues
 from .render import PRESETS, FigurePreset, RasterConfig, build_cloud, preset
 from .solenoid import (
     PointCloud3D,
@@ -39,7 +39,6 @@ from .solenoid import (
 
 __all__ = [
     "PAdic",
-    "PrecisionError",
     "expand",
     "from_int",
     "residues",

@@ -4,7 +4,8 @@ dimension estimates, moments, and orbit export.
 Every subcommand yields report rows and `main` alone writes them, one per
 line: name<TAB>value<TAB>bound<TAB>PASS|FAIL, so each value carries its
 bound (name<TAB>text in the preset listing).  Exit codes: 0 all checks
-passed, 1 a check failed (reports still written), 2 usage error.
+passed, 1 a check failed (reports still written), 2 usage error or a
+config that cannot be read or an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -207,9 +208,11 @@ def parse_config(raw: bytes) -> dict:
 def _build_config(args: argparse.Namespace) -> Config:
     raw = {}
     if args.config is not None:
-        if not Path(args.config).is_file():
-            raise UsageError(f"config file {args.config} does not exist")
-        raw = _read_config(Path(args.config).read_bytes())
+        try:
+            data = Path(args.config).read_bytes()
+        except OSError as exc:
+            raise UsageError(f"cannot read {args.config}: {exc.strerror or exc}") from None
+        raw = _read_config(data)
     # explicit flags override file values
     raw.update({name: v for name in _FIELDS if (v := getattr(args, name)) is not None})
     values = _parse_fields(raw)
@@ -236,8 +239,16 @@ def _build_config(args: argparse.Namespace) -> Config:
     return Config(command=args.command, **values)
 
 
-def _map_params(cfg: Config, depth: int = 40) -> MapParams:
-    return MapParams(p=cfg.p, m=cfg.m, s=cfg.s, depth=max(depth, cfg.depth or 0))
+def _write(path: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _map_params(cfg: Config) -> MapParams:
+    """The map fields, summed to depth 40 or to --depth if that is deeper."""
+    return MapParams(p=cfg.p, m=cfg.m, s=cfg.s, depth=max(40, cfg.depth or 0))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +276,7 @@ def _at_most(name: str, value, bound) -> tuple:
 
 
 def _tail_slack(params: MapParams) -> float:
-    """How far two truncations of one series may differ."""
+    """How far one series summed to two different depths may differ."""
     return 2.0 * params.tail_bound + WORKING_EPS
 
 
@@ -498,14 +509,14 @@ def _cmd_render2d(cfg: Config) -> Iterator[tuple]:
     cloud = build_cloud(_figure(cfg, "plane", 10), depth=cfg.depth)
     raster = RasterConfig(viewport=auto_viewport(cloud.values))
     encode = rasterize if cfg.format == "pgm" else to_svg
-    Path(cfg.out).write_bytes(encode(cloud, raster))
+    _write(cfg.out, encode(cloud, raster))
     yield "render2d", cfg.out, f"{len(cloud)} points", True
 
 
 def _cmd_render3d(cfg: Config) -> Iterator[tuple]:
     cloud = build_cloud(_figure(cfg, "torus", 6), depth=cfg.depth)
     encode = export_ply if cfg.format == "ply" else export_csv
-    Path(cfg.out).write_bytes(encode(cloud))
+    _write(cfg.out, encode(cloud))
     yield "render3d", cfg.out, f"{len(cloud)} points", True
 
 
@@ -543,13 +554,14 @@ def _cmd_moments(cfg: Config) -> Iterator[tuple]:
 
 
 def _cmd_orbit(cfg: Config) -> Iterator[tuple]:
-    tmap = TorusMap(SolenoidParams(map=_map_params(cfg), a=cfg.a))
+    # --depth counts the steps here; the series stays at its default depth
+    tmap = TorusMap(SolenoidParams(map=MapParams(p=cfg.p, m=cfg.m, s=cfg.s), a=cfg.a))
     steps = cfg.depth or 400
     f0 = SolenoidPoint(Fraction(0), from_int(0, cfg.p))
     times = [Fraction(3 * k, steps) for k in range(steps + 1)]
     pts = np.array([tmap.embed(orbit(f0, t)) for t in times])
-    Path(cfg.out).write_bytes(export_csv(pts, [f"t={float(t):.9g}" for t in times])
-                              if cfg.format == "csv" else export_ply(pts))
+    _write(cfg.out, export_csv(pts, [f"t={float(t):.9g}" for t in times])
+           if cfg.format == "csv" else export_ply(pts))
     yield "orbit", cfg.out, f"{len(pts)} samples", True
 
 
@@ -603,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
         rows = list(command.run(cfg))  # all of them before any is written
         report = "".join(f"{_line(row)}\n" for row in rows)
         if cfg.out and not command.needs_out:
-            Path(cfg.out).write_bytes(report.encode("ascii"))
+            _write(cfg.out, report.encode("ascii"))
     except (UsageError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import PAdic, _from_rational
+from .padic import PAdic, expand
 
 __all__ = [
     "MapParams",
@@ -57,7 +57,7 @@ class MapParams:
 
     m is the smoothing order (math.inf uses every digit below the level,
     which makes each term a continuous additive character).  depth is
-    the series truncation index; the geometric tail beyond it is bounded
+    the last series level summed; the geometric tail beyond it is bounded
     by tail_bound.
     """
 
@@ -100,8 +100,8 @@ class EmbeddingCertificate:
     """Outcome of a separation search plus the analytic bound.
 
     delta_lower is certified; delta_empirical is the search minimum over
-    the enumerated pairs; allowance covers series truncation and the
-    unexplored ball tails.  The verdict relies only on the bound.
+    the enumerated pairs; allowance covers the series tail past depth and
+    the unexplored ball tails.  The verdict relies only on the bound.
     """
 
     delta_lower: float
@@ -203,8 +203,7 @@ class PlaneMap:
         (1 - s^v)/(1 - s) + sum_{n>=v} s^n chi_n and handles the zero
         element (empty negative part) without a valuation convention.
         """
-        s = self.params.s
-        return sum(self._weighted(x, lambda n: s**n))
+        return sum(self.parts(x))
 
     def parts(self, x: PAdic) -> tuple[complex, complex]:
         """(fractional, integral) split of the series value."""
@@ -580,13 +579,9 @@ def rotate_digits(x: PAdic) -> PAdic:
     if not x.is_zero() and x.v < 0:
         raise ValueError("digit rotation is defined on the unit ball")
     # from index `start` on the digits repeat `block` (zeros past a terminating
-    # window); a truncated input has start = its top, so its result keeps the
-    # head and drops the tail
-    start = x.v + x.preperiod if x.period else x.window_top
+    # window)
+    start = x.v + (x.preperiod if x.period else len(x.digits))
     block = x.period or (0,)
     head = sum((d + 1) % p * p**n for n, d in enumerate(x.digit_run(0, start)))
     tail = sum((d + 1) % p * p**i for i, d in enumerate(block))
-    return _from_rational(
-        head + Fraction(tail * p**start, 1 - p ** len(block)), p, x._top, start + len(block),
-        "rotation vanishes across a truncated window",
-    )
+    return expand(head + Fraction(tail * p**start, 1 - p ** len(block)), p, start + len(block))

@@ -1,14 +1,10 @@
 """Base-p digit expansions of rational numbers.
 
-Every value is a rational q and the first digit index `top` that is not
-known.  An exact value knows every digit (top = inf) and also keeps the
-window width it was requested with; a truncated value is the digit
-window below top, and q is the value of that window.  The valuation
-comes from the p-multiplicity of q, and the digit window, the preperiod
-and the repeating block are derived from q by long division on first
-use.  So arithmetic is rational arithmetic for both kinds: each
-operation computes one rational, and a truncated result keeps only the
-digits below the lowest top its operands know.
+Every value is its exact rational, together with the window width it
+was requested with.  The valuation comes from the p-multiplicity of the
+rational, and the digit window, the preperiod and the repeating block
+are derived from it by long division on first use.  So arithmetic is
+rational arithmetic: each operation computes one rational.
 
 The base p may be any integer >= 2; nothing here requires inverses of p,
 so composite bases work throughout.
@@ -23,42 +19,17 @@ from typing import Iterator, Union
 
 Rational = Union[int, Fraction]
 
-__all__ = ["PAdic", "PrecisionError", "expand", "from_int", "residues"]
-
-
-class PrecisionError(Exception):
-    """An operation needed digits beyond a truncated window."""
+__all__ = ["PAdic", "expand", "from_int", "residues"]
 
 
 class PAdic:
     """One base-p number: a digit window from the valuation upward.
 
-    digits[i] is the coefficient of p**(v + i).  `value` is the exact
-    rational when the tail is known, None when truncated.  For periodic
-    tails, `period` repeats starting at window offset `preperiod`.
-    PAdic(p, v, digits) builds a truncated value; exact values come from
-    expand() and from_int().  Either kind holds its rational `_q` (for a
-    truncated value, the value of its window) and `_top`, the first digit
-    index not known, and its digits come only from those two.
+    digits[i] is the coefficient of p**(v + i) and `value` is the exact
+    rational.  For periodic tails, `period` repeats starting at window
+    offset `preperiod`.  Values come from expand() and from_int(); the
+    digits come only from `value` and the window width `_width`.
     """
-
-    def __init__(self, p: int, v: int, digits: tuple[int, ...]) -> None:
-        digits = tuple(digits)
-        if p < 2:
-            raise ValueError(f"base must be >= 2, got {p}")
-        if any(not 0 <= d < p for d in digits):
-            raise ValueError("digit out of range for the base")
-        if not digits:
-            raise ValueError("empty digit window is reserved for exact zero")
-        if digits[0] == 0:
-            raise ValueError("lowest stored digit must be nonzero")
-        r = 0
-        for d in reversed(digits):
-            r = r * p + d
-        vars(self).update(
-            p=p, v=v, value=None, _q=r * Fraction(p) ** v, _top=v + len(digits),
-            _width=len(digits), _zero=False, _expansion=(digits, 0, ()),
-        )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"PAdic is immutable; cannot set {name!r}")
@@ -69,13 +40,12 @@ class PAdic:
 
         Long division of the unit part num/den (den coprime to p) yields
         the digits; the repeating block starts where a remainder recurs,
-        and an all-zero block means the expansion terminates (as it does
-        for a truncated value, whose width reaches its top).
+        and an all-zero block means the expansion terminates.
         """
         if self.is_zero():
             return (), 0, ()
         p = self.p
-        unit = self._q / Fraction(p) ** self.v
+        unit = self.value / Fraction(p) ** self.v
         num, den = unit.numerator, unit.denominator
         binv = pow(den, -1, p)
         seen: dict[int, int] = {}
@@ -108,13 +78,7 @@ class PAdic:
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self._zero
-
-    @property
-    def exactness(self) -> str:
-        if self.value is None:
-            return "truncated"
-        return "periodic" if self.period else "zero"
+        return not self.value
 
     def valuation(self) -> int | float:
         """Index of the lowest nonzero digit; +inf for the zero element."""
@@ -126,11 +90,6 @@ class PAdic:
             return 0.0
         return float(self.p) ** (-alpha * self.v)
 
-    @property
-    def window_top(self) -> int:
-        """First digit index not covered by the stored window."""
-        return self.v + len(self.digits)
-
     def digit(self, n: int) -> int:
         """Digit at index n, extending through a known tail if needed."""
         return self.digit_run(n, n + 1)[0]
@@ -138,12 +97,8 @@ class PAdic:
     def digit_run(self, lo: int, hi: int) -> list[int]:
         """The digits at indices lo .. hi-1, as digit(n) gives them one by
         one: zeros below the valuation, then the stored window, then the
-        known tail; past a truncated window it raises PrecisionError."""
-        v, top = self.v, self._top
-        if hi > top and hi > lo:
-            raise PrecisionError(
-                f"digit at p^{max(lo, top)} lies beyond the truncated window [{v}, {top})"
-            )
+        tail (the period, or zeros)."""
+        v = self.v
         if hi <= v:
             return [0] * max(hi - lo, 0)
         digits, preperiod, period = self._expansion
@@ -164,27 +119,16 @@ class PAdic:
         """Fractional part in Q intersect [0, 1) and the integral remainder."""
         if self.is_zero() or self.v >= 0:
             return Fraction(0), self
-        if self._top < 0:
-            self.digit_run(self.v, 0)  # raises at the first unknown digit below p^0
         # the -v digits below p^0 are the unit part's residue mod p^-v
-        unit, mod = self._q * self.p ** -self.v, self.p ** -self.v
+        unit, mod = self.value * self.p ** -self.v, self.p ** -self.v
         frac = Fraction(unit.numerator * pow(unit.denominator, -1, mod) % mod, mod)
-        return frac, _from_rational(
-            self._q - frac, self.p, self._top, max(self.v + self._width, 1),
-            "integral part vanishes across the window",
-        )
+        return frac, _from_rational(self.value - frac, self.p, max(self.v + self._width, 1))
 
     def residue(self, depth: int) -> int:
         """The integer in [0, p^depth) congruent to this unit-ball element."""
         if self.v < 0:  # zero has v = 0
             raise ValueError("residue is defined on the unit ball only")
         return sum(d * self.p**n for n, d in enumerate(self.digit_run(0, depth)))
-
-    def shift(self, k: int) -> "PAdic":
-        """Multiply by p**k (digit shift; the window moves with it)."""
-        if self.is_zero() or k == 0:
-            return self
-        return _from_rational(self._q * Fraction(self.p) ** k, self.p, self._top + k, self._width)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -196,67 +140,54 @@ class PAdic:
 
     def __add__(self, other: "PAdic") -> "PAdic":
         self._check_compatible(other)
-        return self._combine(other, self._q + other._q)
+        return self._combine(other, self.value + other.value)
 
     def __sub__(self, other: "PAdic") -> "PAdic":
         self._check_compatible(other)
-        return self._combine(other, self._q - other._q)
+        return self._combine(other, self.value - other.value)
 
     def _combine(self, other: "PAdic", q: Fraction) -> "PAdic":
-        """The sum or difference q of self and other, known below the lower
-        window top of the two (each top lies above its own valuation, so
-        the windows always share digits).  A zero operand adds nothing; a
-        zero self takes other's valuation, width and top, which negation
-        keeps."""
+        """The sum or difference q of self and other, with a window that
+        spans both operands' windows.  A zero operand adds nothing; a zero
+        self takes other's valuation and width, which negation keeps."""
         if other.is_zero():
             return self
         a = other if self.is_zero() else self
         lo, hi = min(a.v, other.v), max(a.v + a._width, other.v + other._width)
-        return _from_rational(
-            q, self.p, min(a._top, other._top), max(hi - lo, 1),
-            "sum vanishes across the shared window; valuation undetermined",
-        )
+        return _from_rational(q, self.p, max(hi - lo, 1))
 
     def __neg__(self) -> "PAdic":
-        return _from_rational(-self._q, self.p, self._top, self._width)
+        return _from_rational(-self.value, self.p, self._width)
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PAdic):
             return NotImplemented
-        return (self.p, self._q, self._top) == (other.p, other._q, other._top)
+        return (self.p, self.value) == (other.p, other.value)
 
     def __hash__(self) -> int:
-        return hash((self.p, self._q, self._top))
+        return hash((self.p, self.value))
 
     def __str__(self) -> str:
         if self.is_zero():
             return f"0 (base {self.p})"
         body = " ".join(str(d) for d in self.digits)
-        tail = {"zero": "", "truncated": " ...?", "periodic": ""}[self.exactness]
-        if self.period:
-            tail = " period " + " ".join(str(d) for d in self.period)
+        tail = " period " + " ".join(str(d) for d in self.period) if self.period else ""
         return f"({body}){tail} * {self.p}^{self.v}"
 
     def __repr__(self) -> str:
-        return (
-            f"PAdic(p={self.p}, v={self.v}, digits={self.digits}, "
-            f"exactness={self.exactness!r})"
-        )
+        return f"PAdic(p={self.p}, v={self.v}, digits={self.digits}, value={self.value})"
 
 
-def _from_rational(q: Fraction, p: int, top: float, window: int, why: str = "") -> PAdic:
-    """The value q known below p^top: exact with the given window width
-    when top is inf, else truncated to its digits below top.
+def _from_rational(q: Fraction, p: int, window: int) -> PAdic:
+    """The value q with the given window width.
 
     The valuation v is pulled out of q: denominator factors sharing a
     divisor g with p are absorbed by multiplying through with p/g, each
     lowering v, and factors of p left in the numerator raise it.  After
     that q = p^v num/den with den coprime to p, which is what the long
-    division behind the digits needs.  The digits of q below top are the
-    unit part's residue mod p^(top - v); with none of them nonzero the
-    valuation is unknown, and PrecisionError(why) is raised.
+    division behind the digits needs.
     """
     v = 0
     num, den = q.numerator, q.denominator
@@ -270,16 +201,7 @@ def _from_rational(q: Fraction, p: int, top: float, window: int, why: str = "") 
         num //= p
         v += 1
     x = object.__new__(PAdic)
-    if top == math.inf:
-        vars(x).update(p=p, v=v, value=q, _q=q, _top=top, _width=window, _zero=not num)
-        return x
-    if not num or v >= top:
-        raise PrecisionError(why)
-    mod = p ** (top - v)
-    r = num * pow(den, -1, mod) % mod
-    vars(x).update(
-        p=p, v=v, value=None, _q=r * Fraction(p) ** v, _top=top, _width=top - v, _zero=False,
-    )
+    vars(x).update(p=p, v=v, value=q, _width=window)
     return x
 
 
@@ -294,7 +216,7 @@ def expand(q: Rational, p: int, window: int) -> PAdic:
         raise ValueError("window must be >= 1")
     if p < 2:
         raise ValueError("base must be >= 2")
-    return _from_rational(Fraction(q), p, math.inf, window)
+    return _from_rational(Fraction(q), p, window)
 
 
 def from_int(n: int, p: int, window: int | None = None) -> PAdic:

@@ -28,6 +28,7 @@ from padic_fractal.cli import (
 )
 from padic_fractal.analysis import box_dimension
 from padic_fractal.complex_map import MapParams, PlaneMap
+from padic_fractal.padic import PAdic
 from padic_fractal.render import (
     RasterConfig,
     auto_viewport,
@@ -167,6 +168,22 @@ class TestArtifacts:
         assert len(lines) == 52
         assert capsys.readouterr().out == f"orbit\t{out}\t51 samples\tPASS\n"
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_orbit_depth_sets_the_steps_only(self, tmp_path):
+        # 400 steps either way: the series stays at depth 40
+        implicit, explicit = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ["orbit", "--p", "2", "--s", "0.9", "--m", "inf"]
+        assert main([*base, "--out", str(implicit)]) == 0
+        assert main([*base, "--depth", "400", "--out", str(explicit)]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+        assert implicit.read_text().splitlines()[4].startswith("11.7453928,")
+
+    def test_orbit_past_a_thousand_steps(self, tmp_path, capsys):
+        out = tmp_path / "orbit.csv"
+        assert main(["orbit", "--p", "2", "--s", "0.3", "--m", "inf", "--depth", "1100",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1102
+        assert capsys.readouterr().out == f"orbit\t{out}\t1101 samples\tPASS\n"
 
     def test_moments_command(self, capsys):
         assert main(["moments", "--p", "2", "--s", "0.3", "--m", "inf", "--depth", "12"]) == 0
@@ -393,6 +410,28 @@ class TestFieldChecks:
         assert main(["verify", "--suite", "sandwich", "--config", str(path)]) == 0
         assert parse_config(b'{"exhaustive": false}') == {"exhaustive": False}
 
+    def test_unreadable_config_exits_two(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        assert run_captured(["presets", "--config", str(missing)]) == (
+            2, "", f"error: cannot read {missing}: No such file or directory\n")
+        assert run_captured(["presets", "--config", str(tmp_path)]) == (
+            2, "", f"error: cannot read {tmp_path}: Is a directory\n")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["presets"], ["render2d", "--preset", "fig1-4-z4"]])
+    def test_full_device_exits_two(self, argv):
+        assert run_captured([*argv, "--out", "/dev/full"]) == (
+            2, "", "error: cannot write /dev/full: No space left on device\n")
+
+    def test_failed_write_exits_two(self, tmp_path, monkeypatch):
+        def no_space(self, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", no_space)
+        out = tmp_path / "orbit.csv"
+        assert run_captured(["orbit", "--depth", "3", "--out", str(out)]) == (
+            2, "", f"error: cannot write {out}: No space left on device\n")
+
     def test_format_and_out_checked_before_the_cloud(self, monkeypatch):
         def no_cloud(*args, **kwargs):
             raise AssertionError("cloud built before the checks")
@@ -572,8 +611,11 @@ def test_public_names_resolve():
         assert mod.__all__, module
         for name in mod.__all__:
             assert hasattr(mod, name), f"padic_fractal{module}.__all__ names {name}"
+        assert "PrecisionError" not in mod.__all__, module
     assert [f.name for f in fields(MapParams)] == ["p", "m", "s", "depth"]
     assert "__call__" not in vars(PlaneMap)
+    with pytest.raises(TypeError):  # every value is exact: from expand or from_int
+        PAdic(2, 0, (1,))
 
 
 # stdout as the separate plane and torus searches gave it, before both

@@ -1,6 +1,5 @@
 import cmath
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 import hypothesis.strategies as st
 
 from padic_fractal import complex_map
-from padic_fractal.padic import PAdic, PrecisionError, expand, from_int
+from padic_fractal.padic import PAdic, expand, from_int
 from padic_fractal.complex_map import (
     EmbeddingCertificate,
     MapParams,
@@ -82,12 +81,6 @@ class TestCharacter:
                     cmath.exp(2j * math.pi * frac)
                 )
 
-    def test_truncated_window_raises(self):
-        pm = PlaneMap(MapParams(p=2, m=math.inf, s=0.3))
-        x = PAdic(2, 0, (1, 0, 1))
-        with pytest.raises(PrecisionError):
-            pm.character(x, 5)
-
     def test_unit_modulus(self):
         pm = PlaneMap(MapParams(p=3, m=2, s=0.2))
         for r in range(20):
@@ -114,11 +107,7 @@ class TestSeriesMap:
         # the geometric base point minus twice the sparse subseries
         s = 0.41
         depth = 40
-        digits = [0] * (depth + 1)
-        for k in (1, 2, 4, 8, 16, 32):
-            digits[k] = 1
-        digits[1] = 1
-        x = PAdic(2, 1, tuple(digits[1:]))
+        x = expand(sum(2**k for k in (1, 2, 4, 8, 16, 32)), 2, depth)
         pm = PlaneMap(MapParams(p=2, m=0, s=s, depth=depth))
         expected = 1.0 / (1.0 - s) - 2.0 * sum(s ** (2**k) for k in range(6))
         assert pm.value(x) == pytest.approx(expected, abs=4 * pm.params.tail_bound + EPS)
@@ -370,18 +359,12 @@ class TestSymmetries:
         x = data.draw(st.one_of(
             st.builds(lambda n, d, k: expand(Fraction(n * p**k, d), p, 6),
                       st.integers(-300, 300), st.sampled_from([1, 7, 11, 13]), st.integers(0, 3)),
-            st.builds(lambda v, lead, rest: PAdic(p, v, (lead, *rest)),
+            st.builds(lambda v, lead, rest: digit_window(p, v, (lead, *rest)),
                       st.integers(0, 3), st.integers(1, p - 1),
                       st.lists(st.sampled_from([0, p - 1]), max_size=6)),
         ))
-        try:
-            want = per_index_rotation(x)
-        except PrecisionError as exc:
-            with pytest.raises(PrecisionError, match=str(exc)):
-                rotate_digits(x)
-            return
-        got = rotate_digits(x)
-        assert got == want and (got.value, got.window_top) == (want.value, want.window_top)
+        got, want = rotate_digits(x), per_index_rotation(x)
+        assert got == want and (got.value, got.digits) == (want.value, want.digits)
 
     def test_image_rotation_invariance_as_set(self):
         params = MapParams(p=3, m=0, s=0.2, depth=35)
@@ -701,13 +684,7 @@ def test_shallow_searches_name_the_class_level():
 def per_index_rotation(x: PAdic) -> PAdic:
     """Reference: digit rotation reading one digit(n) per index."""
     p = x.p
-    if x.value is None:
-        rles = [(x.digit(n) + 1) % p for n in range(x.window_top)]
-        lead = next((i for i, d in enumerate(rles) if d), None)
-        if lead is None:
-            raise PrecisionError("rotation vanishes across a truncated window")
-        return PAdic(p, lead, tuple(rles[lead:]))
-    start = x.v + x.preperiod if x.period else x.window_top
+    start = x.v + (x.preperiod if x.period else len(x.digits))
     block = x.period or (0,)
     head = sum((x.digit(n) + 1) % p * p**n for n in range(start))
     tail = sum((d + 1) % p * p**i for i, d in enumerate(block))
@@ -764,10 +741,15 @@ def exact_points(p: int):
     )
 
 
-def truncated_points(p: int, depth: int):
-    # a stored window that reaches past the series depth
+def digit_window(p: int, v: int, digits: tuple[int, ...]) -> PAdic:
+    """The terminating value whose digits from p^v upward are `digits`."""
+    return expand(sum(d * Fraction(p) ** (v + i) for i, d in enumerate(digits)), p, len(digits))
+
+
+def long_window_points(p: int, depth: int):
+    # a digit window that reaches past the series depth
     return st.builds(
-        lambda v, lead, rest: PAdic(p, v, (lead, *rest)),
+        lambda v, lead, rest: digit_window(p, v, (lead, *rest)),
         st.integers(min_value=-3, max_value=3),
         st.integers(min_value=1, max_value=p - 1),
         st.lists(st.integers(min_value=0, max_value=p - 1), min_size=depth + 4, max_size=depth + 8),
@@ -782,7 +764,7 @@ def test_single_digit_pass_matches_per_level_loop(data):
     s = data.draw(st.sampled_from([0.25, 0.4, 0.3 + 0.2j, -0.35]))
     depth = data.draw(st.integers(min_value=1, max_value=30))
     params = MapParams(p=p, m=m, s=s, depth=depth)
-    x = data.draw(st.one_of(exact_points(p), truncated_points(p, depth)))
+    x = data.draw(st.one_of(exact_points(p), long_window_points(p, depth)))
     pm = PlaneMap(params)
     for n in range(min(x.valuation(), 0) - 2, depth + 1):
         assert abs(pm.character(x, n) - per_level_character(x, n, p, m)) <= 1e-12
@@ -798,12 +780,6 @@ def test_single_digit_pass_matches_per_level_loop(data):
         for n in range(depth + 1)
     )
     assert abs(tm.fiber_value(xi, x) - want) <= 1e-12 * sum(abs(s) ** n for n in range(depth + 1))
-    if x.value is None:
-        # the stored digits end at window_top: nothing reads past them
-        with pytest.raises(PrecisionError):
-            pm.character(x, x.window_top)
-        with pytest.raises(PrecisionError):
-            PlaneMap(replace(params, depth=x.window_top)).value(x)
 
 
 def test_exact_value_reads_the_digits_of_its_rational():

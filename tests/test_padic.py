@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from padic_fractal.padic import PAdic, PrecisionError, expand, from_int, residues
+from padic_fractal.padic import PAdic, expand, from_int, residues
 
 
 BASES = [2, 3, 5, 6, 10]
@@ -147,23 +147,10 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             from_int(1, 2) + 1  # type: ignore[operator]
 
-    def test_truncated_addition_digitwise(self):
-        a = PAdic(2, 0, (1, 1, 0, 1))  # 11 + unknown tail
-        b = PAdic(2, 0, (1, 0, 1, 1))  # 13 + unknown tail
-        c = a + b
-        assert c.value is None
-        assert c.v == 3 and c.digits == (1,)  # 24 = 2^3 * 3, window-limited
-
-    def test_truncated_vanishing_sum(self):
-        a = PAdic(2, 0, (1, 1))
-        b = PAdic(2, 0, (1, 1))
-        with pytest.raises(PrecisionError):
-            _ = a + (-b)
-
     def test_negation_window(self):
-        x = PAdic(3, 1, (2, 1, 0))
+        x = expand(15, 3, 3)  # digits 2 1 0 from 3^1
         y = -x
-        assert y.v == 1 and y.digits == (1, 1, 2)
+        assert y.v == 1 and y.digits == (1, 1, 2) and y.period == (2,)
 
     @given(a=rationals, b=rationals, p=st.sampled_from(BASES))
     @settings(max_examples=100, deadline=None)
@@ -180,11 +167,6 @@ class TestArithmetic:
         back = expand(f, p, 10) + i
         assert back.value == q
 
-    def test_shift(self):
-        x = from_int(3, 2)
-        assert x.shift(2).value == 12 and x.shift(2).v == 2
-        assert x.shift(-1).value == Fraction(3, 2)
-
 
 class TestResidues:
     def test_small_enumerations(self):
@@ -200,12 +182,6 @@ class TestResidues:
         for l in range(min(p**k, 9)):
             count = sum(1 for r in range(p**depth) if r % p**k == l % p**k)
             assert Fraction(count, p**depth) == Fraction(1, p**k)
-
-    def test_precision_error_beyond_truncated_window(self):
-        x = PAdic(2, 0, (1, 0, 1))
-        assert x.digit(2) == 1
-        with pytest.raises(PrecisionError):
-            x.digit(3)
 
 
 class TestEquality:
@@ -286,7 +262,6 @@ def assert_long_division(x: PAdic, q: Fraction, window: int) -> None:
     v, digits, preperiod, period = expansion
     assert x.value == q
     assert (x.v, x.digits, x.preperiod, x.period) == expansion
-    assert x.window_top == v + len(digits)
     for n in range(v - 2, v + len(digits) + 2 * len(period) + 3):
         assert x.digit(n) == long_division_digit(expansion, n)
 
@@ -301,10 +276,9 @@ class TestRationalCore:
         p=st.sampled_from(BASES),
         wa=st.integers(min_value=1, max_value=24),
         wb=st.integers(min_value=1, max_value=24),
-        k=st.integers(min_value=-6, max_value=6),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_long_division(self, a, b, p, wa, wb, k):
+    def test_matches_long_division(self, a, b, p, wa, wb):
         xa, xb = expand(a, p, wa), expand(b, p, wb)
         assert_long_division(xa, a, wa)
         assert_long_division(xb, b, wb)
@@ -320,7 +294,6 @@ class TestRationalCore:
             assert_long_division(xa + other, a + q, width)
         assert_long_division(xa - xb, a - b, width)  # xa - xb is xa + (-xb)
         assert_long_division(-xa, -a, wa)
-        assert_long_division(xa.shift(k), a * Fraction(p) ** k, wa)
         frac, integral = xa.split()
         expansion = long_division_expand(a, p, wa)
         digits = [long_division_digit(expansion, n) for n in range(va, 0)]
@@ -347,31 +320,26 @@ def old_digit(x: PAdic, n: int) -> int:
         return digits[i]
     if period:
         return period[(i - preperiod) % len(period)]
-    if x.value is not None:
-        return 0
-    raise PrecisionError(
-        f"digit at p^{n} lies beyond the truncated window [{x.v}, {x.window_top})"
-    )
+    return 0
 
 
-def digit_outcome(call):
-    try:
-        return call(), None
-    except PrecisionError as exc:
-        return None, str(exc)
+def digit_window(p: int, v: int, digits: tuple[int, ...]) -> PAdic:
+    """The terminating value whose digits from p^v upward are `digits`."""
+    return expand(sum(d * Fraction(p) ** (v + i) for i, d in enumerate(digits)), p, len(digits))
 
 
 def any_values(p: int):
-    # terminating, periodic, negative-valuation, zero and truncated values
-    exact = st.builds(
+    # terminating, periodic, negative-valuation and zero values, and digit
+    # windows of any digits
+    fractions = st.builds(
         lambda n, d, k, w: expand(Fraction(n, d) * Fraction(p) ** k, p, w),
         st.integers(-300, 300), st.integers(1, 60), st.integers(-4, 4), st.integers(1, 12),
     )
-    truncated = st.builds(
-        lambda v, lead, rest: PAdic(p, v, (lead, *rest)),
+    windows = st.builds(
+        lambda v, lead, rest: digit_window(p, v, (lead, *rest)),
         st.integers(-4, 4), st.integers(1, p - 1), st.lists(st.integers(0, p - 1), max_size=8),
     )
-    return st.one_of(exact, truncated)
+    return st.one_of(fractions, windows)
 
 
 class TestDigitRun:
@@ -382,9 +350,8 @@ class TestDigitRun:
         x = data.draw(any_values(p))
         lo = data.draw(st.integers(-8, 12))
         hi = data.draw(st.integers(lo - 2, lo + 30))
-        want = digit_outcome(lambda: [old_digit(x, n) for n in range(lo, hi)])
-        assert digit_outcome(lambda: x.digit_run(lo, hi)) == want
-        assert digit_outcome(lambda: x.digit(lo)) == digit_outcome(lambda: old_digit(x, lo))
+        assert x.digit_run(lo, hi) == [old_digit(x, n) for n in range(lo, hi)]
+        assert x.digit(lo) == old_digit(x, lo)
         assert x.is_zero() == (x.value == 0)
 
     def test_below_the_valuation_and_through_the_period(self):
@@ -394,97 +361,43 @@ class TestDigitRun:
         assert expand(0, 3, 4).digit_run(-2, 3) == [0] * 5
         assert expand(Fraction(1, 4), 2, 3).digit_run(-3, 2) == [0, 1, 0, 0, 0]
 
-    def test_truncated_window_raises_at_its_first_missing_digit(self):
-        x = PAdic(3, 1, (2, 0, 1))
-        assert x.digit_run(0, 4) == [0, 2, 0, 1]
-        with pytest.raises(PrecisionError, match=r"digit at p\^4 lies beyond .* \[1, 4\)"):
-            x.digit_run(0, 5)
-        with pytest.raises(PrecisionError, match=r"digit at p\^6 lies beyond"):
-            x.digit_run(6, 7)
-
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_residue_matches_per_index_sum(self, data):
         p = data.draw(st.sampled_from(BASES))
         x = data.draw(any_values(p).filter(lambda y: y.is_zero() or y.v >= 0))
         depth = data.draw(st.integers(0, 12))
-        want = digit_outcome(lambda: sum(old_digit(x, n) * p**n for n in range(depth)))
-        assert digit_outcome(lambda: x.residue(depth)) == want
+        assert x.residue(depth) == sum(old_digit(x, n) * p**n for n in range(depth))
 
 
-# -- the digit-wise truncated paths that one rational path replaced -------
-
-
-def old_eq(a: PAdic, b: PAdic) -> bool:
-    if a.p != b.p:
-        return False
-    if a.value is not None or b.value is not None:
-        return a.value == b.value
-    return a.v == b.v and a.digits == b.digits
-
-
-def leading(p: int, v: int, digits: list[int], why: str) -> PAdic:
-    lead = next((i for i, d in enumerate(digits) if d), None)
-    if lead is None:
-        raise PrecisionError(why)
-    return PAdic(p, v + lead, tuple(digits[lead:]))
+# -- the per-operation paths that one rational path replaced ---------------
 
 
 def old_add(a: PAdic, b: PAdic) -> PAdic:
-    """Reference: exact sums as rationals, truncated ones by a carry loop.
-    Its "share no digit window" raise is unreachable (a truncated window's
-    top lies above its valuation) and is kept as it was."""
+    """Reference: the sum as a rational, with a window spanning both."""
     if a.is_zero():
         return b
     if b.is_zero():
         return a
-    lo = min(a.v, b.v)
-    if a.value is not None and b.value is not None:
-        hi = max(a.v + a._width, b.v + b._width)
-        return expand(a.value + b.value, a.p, max(hi - lo, 1))
-    hi = min(x.window_top for x in (a, b) if x.value is None)
-    if hi <= lo:
-        raise PrecisionError("operands share no digit window")
-    out, carry = [], 0
-    for da, db in zip(a.digit_run(lo, hi), b.digit_run(lo, hi)):
-        carry, d = divmod(da + db + carry, a.p)
-        out.append(d)
-    return leading(a.p, lo, out, "sum vanishes across the shared window; valuation undetermined")
+    lo, hi = min(a.v, b.v), max(a.v + a._width, b.v + b._width)
+    return expand(a.value + b.value, a.p, max(hi - lo, 1))
 
 
 def old_neg(x: PAdic) -> PAdic:
-    if x.is_zero():
-        return x
-    if x.value is not None:
-        return expand(-x.value, x.p, x._width)
-    return PAdic(x.p, x.v, (x.p - x.digits[0],) + tuple(x.p - 1 - d for d in x.digits[1:]))
-
-
-def old_shift(x: PAdic, k: int) -> PAdic:
-    if x.is_zero() or k == 0:
-        return x
-    if x.value is None:
-        return PAdic(x.p, x.v + k, x.digits)
-    return expand(x.value * Fraction(x.p) ** k, x.p, x._width)
+    return x if x.is_zero() else expand(-x.value, x.p, x._width)
 
 
 def old_split(x: PAdic) -> tuple[Fraction, PAdic]:
+    """Reference: the fractional part summed from the digits below p^0."""
     if x.is_zero() or x.v >= 0:
         return Fraction(0), x
-    if x.value is not None:
-        unit, mod = x.value * x.p ** -x.v, x.p ** -x.v
-        frac = Fraction(unit.numerator * pow(unit.denominator, -1, mod) % mod, mod)
-        return frac, expand(x.value - frac, x.p, max(x.v + x._width, 1))
     frac = sum((Fraction(d, x.p ** -n) for n, d in enumerate(x.digit_run(x.v, 0), x.v)), Fraction(0))
-    return frac, leading(x.p, 0, list(x.digits[-x.v:]), "integral part vanishes across the window")
+    return frac, expand(x.value - frac, x.p, max(x.v + x._width, 1))
 
 
 def old_rotate(x: PAdic) -> PAdic:
     p = x.p
-    if x.value is None:
-        rles = [(d + 1) % p for d in x.digit_run(0, x.window_top)]
-        return leading(p, 0, rles, "rotation vanishes across a truncated window")
-    start = x.v + x.preperiod if x.period else x.window_top
+    start = x.v + x.preperiod if x.period else x.v + len(x.digits)
     block = x.period or (0,)
     head = sum((d + 1) % p * p**n for n, d in enumerate(x.digit_run(0, start)))
     tail = sum((d + 1) % p * p**i for i, d in enumerate(block))
@@ -492,48 +405,39 @@ def old_rotate(x: PAdic) -> PAdic:
 
 
 def fields(x: PAdic) -> tuple:
-    return (x.p, x.v, x.digits, x.window_top, x.exactness, x.value, x.period)
+    return (x.p, x.v, x.digits, x.preperiod, x.period, x.value)
 
 
 def same_result(new, old) -> None:
-    """Equal fields, equal values under the replaced ==, equal hashes, or
-    identical PrecisionError messages."""
-    try:
-        want = old()
-    except PrecisionError as exc:
-        with pytest.raises(PrecisionError) as got:
-            new()
-        assert str(got.value) == str(exc)
-        return
-    got = new()
+    """Equal fields, equal values and equal hashes."""
+    got, want = new(), old()
     if isinstance(want, tuple):  # split: (fraction, integral part)
         assert got[0] == want[0]
         got, want = got[1], want[1]
     assert fields(got) == fields(want)
-    assert got == want and old_eq(got, want) and hash(got) == hash(want)
+    assert got == want and hash(got) == hash(want)
 
 
 def mixed_operands(p: int):
-    # exact values with negative valuations and zero; truncated windows
-    # that sit apart, end below p^0, or are made of high digits so that
-    # sums and rotations vanish
-    exact = st.builds(
+    # values with negative valuations, zero, and digit windows that sit
+    # apart, end below p^0, or are made of high digits so that sums and
+    # rotations carry far or vanish
+    fractions = st.builds(
         lambda n, d, k, w: expand(Fraction(n, d) * Fraction(p) ** k, p, w),
         st.integers(-200, 200), st.sampled_from([1, 1, 2, 3, 7, 12, 25]),
         st.integers(-4, 3), st.integers(1, 8),
     )
-    truncated = st.builds(
-        lambda v, lead, rest: PAdic(p, v, (lead, *rest)),
+    windows = st.builds(
+        lambda v, lead, rest: digit_window(p, v, (lead, *rest)),
         st.integers(-7, 6), st.integers(1, p - 1),
         st.lists(st.sampled_from([0, 1, p - 1]), max_size=6),
     )
-    return st.one_of(exact, truncated, st.just(expand(0, p, 3)))
+    return st.one_of(fractions, windows, st.just(expand(0, p, 3)))
 
 
 class TestOneRationalPath:
-    """Exact and truncated values share one rational path for +, -,
-    negation, shift, split and rotate_digits; it must give what the
-    digit-wise truncated code gave, errors included."""
+    """+, -, negation, split and rotate_digits each compute one rational;
+    each must give what its reference path gives, window included."""
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -543,16 +447,15 @@ class TestOneRationalPath:
         p = data.draw(st.sampled_from([2, 3, 5, 6]))
         a = data.draw(mixed_operands(p))
         b = data.draw(st.one_of(
-            mixed_operands(p), st.just(a), st.just(old_neg(a)), st.just(old_neg(a).shift(1)),
+            mixed_operands(p), st.just(a), st.just(old_neg(a)),
+            st.just(old_neg(a) + old_neg(a)),
         ))
-        k = data.draw(st.integers(-5, 5))
         same_result(lambda: a + b, lambda: old_add(a, b))
         same_result(lambda: -a, lambda: old_neg(a))
-        same_result(lambda: a.shift(k), lambda: old_shift(a, k))
         same_result(lambda: a.split(), lambda: old_split(a))
         if a.is_zero() or a.v >= 0:
             same_result(lambda: rotate_digits(a), lambda: old_rotate(a))
-        assert (a == b) == old_eq(a, b)
+        assert (a == b) == (a.value == b.value)
         if a == b:
             assert hash(a) == hash(b)
 
@@ -565,26 +468,25 @@ class TestOneRationalPath:
         same_result(lambda: a - b, lambda: old_add(a, old_neg(b)))
 
     def test_examples(self):
-        # 11 + 13 = 24 = 2^3 * 3: only the digit at 2^3 lies below the top 4
-        w = PAdic(2, 0, (1, 1, 0, 1)) + PAdic(2, 0, (1, 0, 1, 1))
-        assert (w.v, w.digits, w.window_top, w.value) == (3, (1,), 4, None)
-        # a truncated minus an exact value keeps the truncated window's top
-        d = PAdic(3, -2, (1, 2, 0, 1)) - expand(Fraction(1, 9), 3, 2)
-        assert (d.v, d.digits, d.window_top) == (-1, (2, 0, 1), 2)
-        # windows apart: the higher one is zero below its valuation
-        s = PAdic(2, 0, (1, 1)) + PAdic(2, 5, (1,))
-        assert (s.v, s.digits, s.window_top) == (0, (1, 1), 2)
-        with pytest.raises(PrecisionError, match="integral part vanishes"):
-            PAdic(5, -2, (3, 4)).split()
-        with pytest.raises(PrecisionError, match=r"digit at p\^-2 lies beyond"):
-            PAdic(5, -3, (3,)).split()
+        # 11 + 13 = 24 = 2^3 * 3
+        w = from_int(11, 2) + from_int(13, 2)
+        assert (w.v, w.digits, w.value) == (3, (1, 1), 24)
+        # windows apart: the sum's window spans both
+        s = from_int(3, 2) + expand(32, 2, 1)
+        assert (s.v, s.digits, s.value) == (0, (1, 1, 0, 0, 0, 1), 35)
+        # 7/9 - 1/9 = 2/3 keeps the wider operand's window from 3^-2
+        d = expand(Fraction(7, 9), 3, 4) - expand(Fraction(1, 9), 3, 2)
+        assert (d.v, d.digits, d.value) == (-1, (2, 0, 0, 0), Fraction(2, 3))
+        f, i = expand(Fraction(94, 25), 5, 4).split()
+        assert (f, i.v, i.digits, i.value) == (Fraction(19, 25), 0, (3, 0), 3)
 
     def test_equality_and_hash_read_the_known_digits(self):
-        # the same window value known to different tops differs
-        assert PAdic(2, 0, (1, 0)) != PAdic(2, 0, (1,))
-        assert PAdic(2, 0, (1, 0)) != from_int(1, 2)
-        assert PAdic(3, 1, (2, 1)) == -(-PAdic(3, 1, (2, 1)))
-        assert hash(PAdic(3, 1, (2, 1))) == hash(-(-PAdic(3, 1, (2, 1))))
+        # equality reads the value, not the window it was requested with
+        assert expand(1, 2, 2) == from_int(1, 2)
+        assert hash(expand(1, 2, 2)) == hash(from_int(1, 2))
+        assert expand(2, 2, 2) != from_int(1, 2) and expand(1, 3, 2) != from_int(1, 2)
+        x = expand(Fraction(5, 9), 3, 3)
+        assert x == -(-x) and hash(x) == hash(-(-x))
 
 
 class TestFromIntWindow:
