@@ -18,7 +18,6 @@ from .complex_map import (
     EmbeddingCertificate,
     MapParams,
     PlaneMap,
-    PointCloud2D,
     delta_certificate,
     delta_lower,
     rotate_digits,
@@ -27,7 +26,6 @@ from .complex_map import (
 from .padic import PAdic, expand, from_int, residues
 from .render import PRESETS, FigurePreset, RasterConfig, build_cloud, preset
 from .solenoid import (
-    PointCloud3D,
     SolenoidParams,
     SolenoidPoint,
     TorusMap,
@@ -44,7 +42,6 @@ __all__ = [
     "residues",
     "MapParams",
     "PlaneMap",
-    "PointCloud2D",
     "EmbeddingCertificate",
     "s_zero",
     "delta_lower",
@@ -52,7 +49,6 @@ __all__ = [
     "rotate_digits",
     "SolenoidPoint",
     "SolenoidParams",
-    "PointCloud3D",
     "TorusMap",
     "distance",
     "from_padic",

@@ -166,9 +166,9 @@ class DimensionEstimate:
             raise ValueError("scale window must be increasing")
 
 
-def _columns(cloud) -> list[np.ndarray]:
-    """Coordinate columns of a cloud, its complex values or an (n, d) array: float64 views."""
-    pts = np.asarray(getattr(cloud, "values", getattr(cloud, "points", cloud)))
+def _columns(points) -> list[np.ndarray]:
+    """Coordinate columns of n complex values or an (n, d) array: float64 views."""
+    pts = np.asarray(points)
     plane = np.iscomplexobj(pts)
     if pts.ndim != 2 - plane:
         raise ValueError("expected an (n, d) coordinate array or n complex values")
@@ -206,7 +206,7 @@ def _ladder_counts(cols: list[np.ndarray], eps0: float, n_scales: int, corner=No
 
 def box_counts(points, eps: float, corner: np.ndarray | None = None) -> int:
     """Occupied cells of the grid of pitch eps anchored at corner (default: the bounding
-    corner) of a cloud, its complex values or an (n, d) array, read column by column."""
+    corner) of n complex values or an (n, d) array, read column by column."""
     return int(_ladder_counts(_columns(points), eps, 1, corner)[0])
 
 
@@ -216,8 +216,8 @@ def box_dimension(cloud, n_scales: int = 12, saturation: float = 0.25) -> Dimens
     The ladder starts at a quarter of the widest column extent and descends
     geometrically; the extreme octaves are dropped, as are scales where the
     count approaches the raw point count (grid resolving individual samples
-    rather than structure).  A cloud, its points and its complex values give
-    one estimate: each is read as views of its coordinate columns.
+    rather than structure).  Complex values and their (n, 2) real
+    coordinates give one estimate: each is read as views of its columns.
     """
     cols = _columns(cloud)
     if len(cols[0]) < 16:
@@ -280,6 +280,12 @@ def metric_divergence(
     """Empirical sup of |rho_m - rho_inf| / (rho_m + rho_inf) over seeded
     residue pairs, together with the analytic bound."""
     bound = divergence_bound(params_m, params_inf)
+    return _divergence(params_m, params_inf, n_samples, sample_depth, seed), bound
+
+
+def _divergence(params_m: MapParams, params_inf: MapParams, n_samples: int,
+                sample_depth: int, seed: int) -> float:
+    """The sup of metric_divergence, with or without a bound to meet."""
     hi = residue_bound(params_m.p, sample_depth)
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, hi, size=n_samples, dtype=np.int64)
@@ -291,8 +297,7 @@ def metric_divergence(
     denom = dm + di
     num = np.abs(dm - di)
     mask = denom > 0
-    kappa = float((num[mask] / denom[mask]).max()) if mask.any() else 0.0
-    return kappa, bound
+    return float((num[mask] / denom[mask]).max()) if mask.any() else 0.0
 
 
 def character_order_gap(

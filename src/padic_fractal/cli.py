@@ -23,6 +23,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .analysis import (
+    _divergence,
     box_dimension,
     character_order_gap,
     metric_divergence,
@@ -36,9 +37,11 @@ from .complex_map import (
     _sandwich_margins,
     _scaling_residuals,
     delta_certificate,
+    delta_lower,
     residue_bound,
     residue_digit_matrix,
     rotate_digits,
+    s_zero,
     sandwich_check,
     scaling_residuals,
 )
@@ -436,8 +439,13 @@ def _suite_kappa(cfg: Config) -> Iterator[tuple]:
     m = cfg.m if cfg.m != math.inf and cfg.m and cfg.m >= 1 else 6
     fm = MapParams(p=cfg.p, m=int(m), s=cfg.s, depth=45)
     fi = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=45)
-    kappa, bound = metric_divergence(fm, fi, n_samples=300, sample_depth=14, seed=cfg.seed)
-    yield _at_most(f"kappa.m{int(m)}", kappa, bound)
+    depth = max((k for k in range(2, 15) if cfg.p**k <= 1 << 63), default=1)  # int64 codes
+    if delta_lower(cfg.p, cfg.s) > 0:
+        kappa, bound = metric_divergence(fm, fi, n_samples=300, sample_depth=depth, seed=cfg.seed)
+        yield _at_most(f"kappa.m{int(m)}", kappa, bound)
+    else:  # past s_zero(p) no certified separation bounds the divergence
+        kappa = _divergence(fm, fi, 300, depth, cfg.seed)
+        yield f"kappa.m{int(m)}", kappa, f"|s| < s_zero({cfg.p}) = {_fmt(s_zero(cfg.p))}", False
     gap = character_order_gap(fm, fi, depth=14)
     gap_bound = 2.0 * math.pi * cfg.p ** (-int(m))
     yield f"kappa.char_gap_m{int(m)}", gap, gap_bound, gap < gap_bound
@@ -507,16 +515,21 @@ def _figure(cfg: Config, kind: str, depth: int) -> FigurePreset:
 
 def _cmd_render2d(cfg: Config) -> Iterator[tuple]:
     cloud = build_cloud(_figure(cfg, "plane", 10), depth=cfg.depth)
-    raster = RasterConfig(viewport=auto_viewport(cloud.values))
+    raster = RasterConfig(viewport=auto_viewport(cloud))
     encode = rasterize if cfg.format == "pgm" else to_svg
     _write(cfg.out, encode(cloud, raster))
     yield "render2d", cfg.out, f"{len(cloud)} points", True
 
 
 def _cmd_render3d(cfg: Config) -> Iterator[tuple]:
-    cloud = build_cloud(_figure(cfg, "torus", 6), depth=cfg.depth)
-    encode = export_ply if cfg.format == "ply" else export_csv
-    _write(cfg.out, encode(cloud))
+    fp = _figure(cfg, "torus", 6)
+    cloud = build_cloud(fp, depth=cfg.depth)
+    if cfg.format == "ply":
+        data = export_ply(cloud)
+    else:  # row i is fiber i // p^depth at residue i % p^depth, labelled i:r
+        per = fp.p ** (cfg.depth or fp.depth)
+        data = export_csv(cloud, np.stack(np.divmod(np.arange(len(cloud)), per), axis=1))
+    _write(cfg.out, data)
     yield "render3d", cfg.out, f"{len(cloud)} points", True
 
 

@@ -22,7 +22,6 @@ from .padic import PAdic, expand
 __all__ = [
     "MapParams",
     "EmbeddingCertificate",
-    "PointCloud2D",
     "PlaneMap",
     "s_zero",
     "delta_lower",
@@ -116,33 +115,6 @@ class EmbeddingCertificate:
             raise ValueError("certified bound exceeds the observed minimum")
 
 
-@dataclass(frozen=True)
-class PointCloud2D:
-    """Image points tagged with their integer preimages."""
-
-    values: np.ndarray
-    labels: np.ndarray
-    level: int
-    params: MapParams
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.labels):
-            raise ValueError("values and labels must align")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite image point")
-        labels = self.labels
-        ascending = np.all(labels[1:] > labels[:-1])
-        if not ascending and len(np.unique(labels)) != len(labels):
-            raise ValueError("duplicate preimage labels")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def points(self) -> np.ndarray:
-        """(n, 2) array of real coordinates."""
-        return np.column_stack([self.values.real, self.values.imag])
-
-
 # ---------------------------------------------------------------------------
 # scalar evaluation
 
@@ -185,15 +157,11 @@ class PlaneMap:
 
     def _weighted(self, x: PAdic, weight) -> tuple[complex, complex]:
         """Sums of weight(n) (chi_n - [n < 0]) over the negative levels
-        and over the levels 0 .. depth.  The weights, powers of s, peak at
-        the lowest level: one past the float range is refused there."""
+        and over the levels 0 .. depth; weight(n) is s^n times a phase."""
         levels = range(min(x.valuation(), 0), self.params.depth + 1)
+        _check_negative_levels(self.params.s, levels.start)
         chis = self._characters(x, levels.start, levels.stop - 1)
-        try:
-            terms = [weight(n) * (chi - 1.0 if n < 0 else chi) for n, chi in zip(levels, chis)]
-        except (OverflowError, ZeroDivisionError):
-            raise ValueError(f"the weight of level {levels.start} at s={self.params.s} "
-                             "is past the float range") from None
+        terms = [weight(n) * (chi - 1.0 if n < 0 else chi) for n, chi in zip(levels, chis)]
         return sum(terms[: -levels.start], 0j), sum(terms[-levels.start :], 0j)
 
     def value(self, x: PAdic) -> complex:
@@ -223,20 +191,16 @@ class PlaneMap:
             return _split(self.params, 0, 0, depth)
         return _series(_code_digits(codes, self.params.p, depth), depth, len(codes), 0, self.params)
 
-    def cluster(self, center: int, level: int, depth: int) -> PointCloud2D:
+    def cluster(self, center: int, level: int, depth: int) -> np.ndarray:
         """Image of the ball |x - center| <= p^-level sampled to `depth`.
 
-        Labels are the absolute integer preimages center + p^level k in
-        ascending order; the point set therefore partitions into the p
-        sub-clusters one level down, which share labels with this one.  A
-        negative level is the ball of radius p^-level around 0, which
-        holds every integer center; its points p^level k are labelled k.
+        Value k is the image of center + p^level k (center reduced mod
+        p^level), k < p^(depth-level) ascending; so the point set
+        partitions into the p sub-clusters one level down.  A negative
+        level is the ball of radius p^-level around 0, which holds every
+        integer center; its value k is the image of p^level k.
         """
-        step = self.params.p ** max(level, 0)
-        center %= step
-        vals = _split(self.params, center, level, depth)
-        labels = center + step * np.arange(len(vals), dtype=np.int64)
-        return PointCloud2D(values=vals, labels=labels, level=level, params=self.params)
+        return _split(self.params, center % self.params.p ** max(level, 0), level, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +236,20 @@ def _guard_rows(p: int, depth: int, fibers: int = 1) -> None:
         raise ValueError(
             f"enumerating {size} = {fibers * p**depth} rows exceeds the limit of {MAX_ROWS}"
         )
+
+
+def _check_negative_levels(s: complex, lo: int) -> None:
+    """Refuse a lowest level lo < 0 whose terms s^n (chi_n - 1), n = lo .. -1,
+    may pass the float range, before any allocation: they total at most
+    2|s|^lo / (1 - |s|)."""
+    if lo < 0:
+        a = abs(s)
+        try:
+            total = 2.0 * a**lo / (1.0 - a)
+        except OverflowError:
+            total = math.inf
+        if math.isinf(total):
+            raise ValueError(f"the weight of level {lo} at s={s} is past the float range")
 
 
 def residue_digit_matrix(
@@ -347,6 +325,7 @@ def _levels(digits, rows: int, start: int, first: int, last: int, params: MapPar
 
 def _series(digits, cols: int, rows: int, start: int, params: MapParams) -> np.ndarray:
     s = params.s
+    _check_negative_levels(s, start)
     last = _last_level(cols, start, params)
     total = np.zeros(rows, dtype=np.complex128)
     for n, chi in _levels(digits, rows, start, min(start, 0), last, params):
@@ -373,6 +352,7 @@ def _split(params: MapParams, center: int, level: int, depth: int) -> np.ndarray
     p, s, m = params.p, params.s, params.m
     _guard_rows(p, depth - level)
     lo = min(level, 0)
+    _check_negative_levels(s, lo)
     top = min(level + (depth - level) // 2, max(params.depth, level))
     cs = center + p ** max(level, 0) * np.arange(p ** (top - level), dtype=np.int64)  # c / p**lo
     ys = np.arange(p ** (depth - top), dtype=np.int64)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_map import MapParams, PlaneMap, PointCloud2D, s_zero
-from .solenoid import PointCloud3D, SolenoidParams, TorusMap
+from .complex_map import MapParams, PlaneMap, s_zero
+from .solenoid import SolenoidParams, TorusMap
 
 __all__ = [
     "RasterConfig",
@@ -69,10 +69,11 @@ def auto_viewport(values: np.ndarray, margin: float = 0.05) -> tuple[float, floa
     return (re0, re1, im0, im1)
 
 
-def rasterize(cloud, cfg: RasterConfig) -> bytes:
-    """Grayscale PGM (binary P5, maxval 255): a pixel is 255 iff at least
-    one point falls in it, else 0.  Byte-identical for identical inputs."""
-    values = (cloud.values if isinstance(cloud, PointCloud2D) else np.asarray(cloud)).ravel()
+def rasterize(values: np.ndarray, cfg: RasterConfig) -> bytes:
+    """Grayscale PGM (binary P5, maxval 255) of complex values: a pixel is
+    255 iff at least one point falls in it, else 0.  Byte-identical for
+    identical inputs."""
+    values = np.asarray(values).ravel()
     re0, re1, im0, im1 = cfg.viewport
     img = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
     # a block of points at a time: full-length temporaries would double the
@@ -206,7 +207,7 @@ def _int_words(v: np.ndarray):
     """%d of each int as word columns, and the rows outside [0, 10**9)."""
     table = _int_table()
     bad = (v < 0) | (v >= 10**9)
-    v = np.where(bad, 0, v)
+    v = np.where(bad, 0, v).astype(np.int64, copy=False)  # uint64 rows too
     hi = v // 10**6
     rest = v - hi * 10**6
     mid = rest // 1000
@@ -258,9 +259,9 @@ def _rows(n: int, *columns) -> list[bytes]:
     return out
 
 
-def _points(cloud) -> np.ndarray:
-    """The (n, 3) float coordinates of a cloud; any empty array has none."""
-    pts = cloud.points if isinstance(cloud, PointCloud3D) else np.asarray(cloud)
+def _points(points) -> np.ndarray:
+    """The (n, 3) float coordinates of an array; any empty array has none."""
+    pts = np.asarray(points)
     if pts.size == 0:
         return np.empty((0, 3))
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -270,9 +271,9 @@ def _points(cloud) -> np.ndarray:
     return pts.astype(np.float64, copy=False)
 
 
-def to_svg(cloud, cfg: RasterConfig, radius: float | None = None) -> bytes:
-    """SVG 1.1 document with one circle per point (viewport units)."""
-    values = cloud.values if isinstance(cloud, PointCloud2D) else np.asarray(cloud)
+def to_svg(values: np.ndarray, cfg: RasterConfig, radius: float | None = None) -> bytes:
+    """SVG 1.1 document with one circle per complex value (viewport units)."""
+    values = np.asarray(values)
     re0, re1, im0, im1 = cfg.viewport
     w, h = re1 - re0, im1 - im0
     r = radius if radius is not None else min(w, h) / 800.0
@@ -285,31 +286,33 @@ def to_svg(cloud, cfg: RasterConfig, radius: float | None = None) -> bytes:
     return b"".join([head.encode("ascii"), *rows, b"</svg>"])
 
 
-def export_ply(cloud) -> bytes:
-    """ascii PLY 1.0 with float x/y/z vertices in cloud order."""
-    pts = _points(cloud)
+def export_ply(points: np.ndarray) -> bytes:
+    """ascii PLY 1.0 with float x/y/z vertices in row order."""
+    pts = _points(points)
     head = (f"ply\nformat ascii 1.0\nelement vertex {len(pts)}\n"
             "property float x\nproperty float y\nproperty float z\nend_header\n")
     x, y, z = pts.T
     return b"".join([head.encode("ascii"), *_rows(len(pts), x, b" ", y, b" ", z, b"\n")])
 
 
-def export_csv(cloud, labels: Sequence[str] | None = None) -> bytes:
-    """CSV with header x,y,z,label; each label is one token: the given
-    labels, one per point, else i:r for a PointCloud3D and the row index
-    for an array."""
-    pts = _points(cloud)
-    if labels is not None:
-        if len(labels) != len(pts):
-            raise ValueError(f"{len(labels)} labels for {len(pts)} points")
+def export_csv(points: np.ndarray, labels: Sequence[str] | np.ndarray | None = None) -> bytes:
+    """CSV with header x,y,z,label; each label is one token, one per point:
+    the given strings, or the rows (i, r) of an (n, 2) integer array
+    written i:r; else the row index."""
+    pts = _points(points)
+    if labels is not None and len(labels) != len(pts):
+        raise ValueError(f"{len(labels)} labels for {len(pts)} points")
+    if labels is None:
+        tags = (np.arange(len(pts)),)
+    elif isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+        if labels.shape[1:] != (2,):
+            raise ValueError(f"integer labels must be an (n, 2) array, got shape {labels.shape}")
+        tags = (labels[:, 0], b":", labels[:, 1])
+    else:
         tokens = [t.encode("ascii") for t in labels]
         if any(b"\0" in t for t in tokens):
             raise ValueError("labels must not hold NUL characters")
         tags = (np.array(tokens, dtype=bytes),)
-    elif isinstance(cloud, PointCloud3D):
-        tags = (cloud.labels[:, 0], b":", cloud.labels[:, 1])
-    else:
-        tags = (np.arange(len(pts)),)
     x, y, z = pts.T
     rows = _rows(len(pts), x, b",", y, b",", z, b",", *tags, b"\n")
     return b"".join([b"x,y,z,label\n", *rows])
@@ -334,14 +337,13 @@ class FigurePreset:
     ball_scale: int = 0
     notes: str = ""
 
-    def map_params(self, depth: int | None = None) -> MapParams:
-        d = self.depth if depth is None else depth
-        return MapParams(p=self.p, m=self.m, s=self.s, depth=max(40, d + 4))
+    def map_params(self) -> MapParams:
+        return MapParams(p=self.p, m=self.m, s=self.s)
 
-    def solenoid_params(self, depth: int | None = None) -> SolenoidParams:
+    def solenoid_params(self) -> SolenoidParams:
         if self.a is None:
             raise ValueError(f"preset {self.name} has no torus parameter")
-        return SolenoidParams(map=self.map_params(depth), a=self.a)
+        return SolenoidParams(map=self.map_params(), a=self.a)
 
 
 _S_FIG2B = s_zero(3) - 0.02
@@ -393,8 +395,10 @@ def preset(name: str) -> FigurePreset:
         ) from None
 
 
-def build_cloud(fp: FigurePreset, depth: int | None = None, xi_count: int | None = None):
-    """Materialize the preset's point cloud (2D for plane, 3D for torus).
+def build_cloud(fp: FigurePreset, depth: int | None = None,
+                xi_count: int | None = None) -> np.ndarray:
+    """The preset's points: complex values of its ball for a plane preset,
+    the (n, 3) xi-major TorusMap.cloud for a torus preset.
 
     depth and xi_count default to the preset's own; depth must be >= 1.
     """
@@ -402,6 +406,5 @@ def build_cloud(fp: FigurePreset, depth: int | None = None, xi_count: int | None
     if d < 1:
         raise ValueError(f"depth must be >= 1, got {d}")
     if fp.kind == "plane":
-        return PlaneMap(fp.map_params(d)).cluster(0, -fp.ball_scale, d - fp.ball_scale)
-    tmap = TorusMap(fp.solenoid_params(d))
-    return tmap.cloud(xi_count or fp.xi_count, d)
+        return PlaneMap(fp.map_params()).cluster(0, -fp.ball_scale, d - fp.ball_scale)
+    return TorusMap(fp.solenoid_params()).cloud(xi_count or fp.xi_count, d)

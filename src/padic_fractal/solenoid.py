@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -31,7 +32,6 @@ from .padic import PAdic, from_int
 __all__ = [
     "SolenoidPoint",
     "SolenoidParams",
-    "PointCloud3D",
     "TorusMap",
     "add",
     "neg",
@@ -116,37 +116,24 @@ def orbit(f: SolenoidPoint, t: float | Fraction) -> SolenoidPoint:
 
 @dataclass(frozen=True)
 class SolenoidParams:
+    """The series map and the torus radius a.
+
+    The chart scales a fiber value z, |z| <= r_s = 1/(1-|s|), by 1/a and
+    its coordinates lie within |a| + r_s of the axis; so r_s/|a| and the
+    image's diameter 2 (|a| + r_s) must stay in the float range.
+    """
+
     map: MapParams
     a: complex = 2.0
 
     def __post_init__(self) -> None:
         a = complex(self.a)
         object.__setattr__(self, "a", a)
-        if a == 0:
-            raise ValueError("torus radius parameter a must be nonzero")
-
-
-@dataclass(frozen=True)
-class PointCloud3D:
-    """Embedded points tagged with (circle index, residue) preimages."""
-
-    points: np.ndarray
-    labels: np.ndarray
-    params: SolenoidParams
-
-    def __post_init__(self) -> None:
-        if self.points.shape[0] != self.labels.shape[0]:
-            raise ValueError("points and labels must align")
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("non-finite embedded point")
-        prev, nxt = self.labels[:-1], self.labels[1:]
-        same_fiber = nxt[:, 0] == prev[:, 0]
-        ascending = np.all((nxt[:, 0] > prev[:, 0]) | (same_fiber & (nxt[:, 1] > prev[:, 1])))
-        if not ascending and len(np.unique(self.labels, axis=0)) != len(self.labels):
-            raise ValueError("duplicate preimage labels")
-
-    def __len__(self) -> int:
-        return len(self.points)
+        r, top = self.map.contraction_radius, sys.float_info.max
+        if not r / top <= math.hypot(a.real, a.imag) <= top / 2 - r:
+            raise ValueError(f"torus radius a={a} is outside the range the chart represents "
+                             f"at |s|={abs(self.map.s):.6g}: {r / top:.6g} <= |a| <= "
+                             f"{top / 2 - r:.6g}")
 
 
 def limit_to_space(xi: float, z: complex, direction: complex) -> np.ndarray:
@@ -226,15 +213,12 @@ class TorusMap:
         """Full embedding of one solenoid point."""
         return self.to_space(float(f.xi), self.fiber_value(f.xi, f.x))
 
-    def cloud(self, xi_count: int, depth: int) -> PointCloud3D:
-        """Fibers at xi = i/xi_count for all residues; xi-major order."""
-        per = self.params.map.p**depth
+    def cloud(self, xi_count: int, depth: int) -> np.ndarray:
+        """(xi_count * p^depth, 3) points of the fibers at xi = i/xi_count over
+        every residue below p^depth, xi-major: row i is fiber i // p^depth at
+        residue i % p^depth."""
         xis = np.arange(xi_count) / xi_count
-        pts = self.to_space(xis[:, None], self._fibers(xis, depth)).reshape(-1, 3)
-        labels = np.column_stack(
-            [np.repeat(np.arange(xi_count), per), np.tile(np.arange(per), xi_count)]
-        )
-        return PointCloud3D(points=pts, labels=labels, params=self.params)
+        return self.to_space(xis[:, None], self._fibers(xis, depth)).reshape(-1, 3)
 
     # -- dynamics -------------------------------------------------------------
 

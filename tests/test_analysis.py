@@ -373,13 +373,14 @@ def test_spreading_table_matches_bit_loop(d):
 
 
 def test_one_estimate_for_every_form_of_a_cloud():
+    # complex values and their (n, 2) coordinates: views of the same columns
     plane = PlaneMap(MapParams(p=3, m=0, s=0.5, depth=45)).cluster(0, 0, 8)
-    assert all(np.shares_memory(c, plane.values) for c in _columns(plane))
+    assert all(np.shares_memory(c, plane) for c in _columns(plane))
     est = box_dimension(plane)
-    assert box_dimension(plane.points()) == est
-    assert box_dimension(plane.values) == est
+    assert box_dimension(np.column_stack([plane.real, plane.imag])) == est
     torus = build_cloud(preset("fig2a-t2"), depth=7)
-    assert box_dimension(torus.points) == box_dimension(torus)
+    assert all(np.shares_memory(c, torus) for c in _columns(torus))
+    assert box_dimension(torus.copy(order="F")) == box_dimension(torus)
 
 
 def test_box_counts_refuses_key_overflow():
@@ -392,8 +393,8 @@ def test_box_counts_refuses_key_overflow():
 
 def per_scale_ratios(params: MapParams, level: int, depth: int) -> tuple:
     pm = PlaneMap(params)
-    ppts = pm.cluster(0, 0, depth).points()
-    cpts = pm.cluster(0, level, depth).points()
+    ppts, cpts = (np.column_stack([v.real, v.imag]) for v in
+                  (pm.cluster(0, 0, depth), pm.cluster(0, level, depth)))
     corner = ppts.min(axis=0)
     span = float(np.max(ppts.max(axis=0) - corner))
     ratios = []

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -121,6 +123,23 @@ class TestSuites:
 
     def test_kappa_suite(self, capsys):
         assert main(["verify", "--suite", "kappa", "--p", "2", "--m", "6", "--s", "0.3"]) == 0
+
+    @pytest.mark.parametrize("argv, m, threshold", [
+        (["verify", "--p", "2", "--s", "0.999", "--m", "inf"], 6, "s_zero(2) = 0.5"),
+        (["verify", "--suite", "kappa", "--p", "50", "--m", "1", "--s", "0.3"], 1,
+         "s_zero(50) = 0.0590808050839"),
+    ])
+    def test_kappa_past_the_threshold_fails_with_its_value(self, argv, m, threshold):
+        # no certified separation bounds the divergence: a FAIL row, not a refusal
+        code, out, err = run_captured(argv)
+        assert (code, err) == (1, "")
+        rows = {line.split("\t")[0]: line.split("\t")[1:] for line in out.splitlines()}
+        value, bound, status = rows[f"kappa.m{m}"]
+        assert 0 <= float(value) < 1 and (bound, status) == (f"|s| < {threshold}", "FAIL")
+        assert rows[f"kappa.char_gap_m{m}"][2] == "PASS"
+        suites = SUITES if "--suite" not in argv else ["kappa"]
+        assert {name.split(".")[0] for name in rows} == set(suites)
+        assert [name for name, row in rows.items() if row[2] == "FAIL"] == [f"kappa.m{m}"]
 
 
 class TestArtifacts:
@@ -612,6 +631,7 @@ def test_public_names_resolve():
         for name in mod.__all__:
             assert hasattr(mod, name), f"padic_fractal{module}.__all__ names {name}"
         assert "PrecisionError" not in mod.__all__, module
+        assert not {"PointCloud2D", "PointCloud3D"} & set(mod.__all__), module
     assert [f.name for f in fields(MapParams)] == ["p", "m", "s", "depth"]
     assert "__call__" not in vars(PlaneMap)
     with pytest.raises(TypeError):  # every value is exact: from expand or from_int
@@ -812,16 +832,19 @@ def test_map_fields_build_the_unit_ball_figure(m, tmp_path):
         cloud = PlaneMap(mp).cluster(0, 0, int(depth or 10))
         assert (code, err) == (0, "")
         assert stdout == f"render2d\t{out}\t{len(cloud)} points\tPASS\n"
-        raster = RasterConfig(viewport=auto_viewport(cloud.values))
+        raster = RasterConfig(viewport=auto_viewport(cloud))
         assert out.read_bytes() == encode(cloud, raster)
-    for fmt, depth, encode in (("ply", "3", export_ply), ("csv", None, export_csv)):
+    for fmt, depth in (("ply", "3"), ("csv", None)):
         out = tmp_path / f"torus.{fmt}"
         argv = ["render3d", *fields, "--a", "2.5", "--format", fmt, "--out", str(out)]
         code, stdout, err = run_captured(argv + (["--depth", depth] if depth else []))
+        per = 3 ** int(depth or 6)
         cloud = TorusMap(SolenoidParams(map=mp, a=2.5)).cloud(64, int(depth or 6))
         assert (code, err) == (0, "")
         assert stdout == f"render3d\t{out}\t{len(cloud)} points\tPASS\n"
-        assert out.read_bytes() == encode(cloud)
+        # the CSV labels row k with its fiber and residue, k // 3^depth : k % 3^depth
+        labels = ["%d:%d" % divmod(k, per) for k in range(len(cloud))]
+        assert out.read_bytes() == (export_ply(cloud) if fmt == "ply" else export_csv(cloud, labels))
     for depth in ("9", None):
         argv = ["dimension", *fields] + (["--depth", depth] if depth else [])
         code, stdout, err = run_captured(argv)
@@ -831,6 +854,53 @@ def test_map_fields_build_the_unit_ball_figure(m, tmp_path):
         assert values == [["dimension.slope", f"{est.slope:.12g}", f"{mp.scaling_dimension:.12g}"],
                           ["dimension.r2", f"{est.r2:.12g}", "0.98"],
                           ["dimension.points", str(est.point_count), "10000"]]
+
+
+# radii the torus chart cannot hold: r_s/|a| or 2 (|a| + r_s) past the float range
+@pytest.mark.parametrize("argv", [
+    ["render3d", "--p", "2", "--s", "0.3", "--a=1e-320", "--depth", "3", "--out", "OUT"],
+    ["render3d", "--p", "2", "--s", "0.3", "--a=1e-310", "--depth", "3", "--out", "OUT"],
+    ["render3d", "--p", "2", "--s", "0.3", "--a=1e308,1e308", "--depth", "3", "--out", "OUT"],
+    ["render3d", "--p", "2", "--s", "0.3", "--a=1.7e308,1.7e308", "--out", "OUT"],
+    ["verify", "--suite", "ode", "--a=1e-320"],
+    ["certify", "--a=1e-320"],
+], ids=" ".join)
+def test_torus_radius_outside_the_chart_exits_two(argv, tmp_path):
+    out = tmp_path / "torus.ply"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_captured([str(out) if a == "OUT" else a for a in argv])
+    assert (code, stdout) == (2, "") and not out.exists()
+    assert err.startswith("error: torus radius a=(") and err.count("\n") == 1
+    assert not FOREIGN.search(err)
+
+
+# sha256 of the render3d CSV and of certify's stdout at radii inside the
+# chart's range, pinned from the code before that range was enforced
+RADIUS_BYTES = {
+    "2": ("2f52e2802b171f69cb91b57b80298e8959c67ed5c315b38e5146c3de435af91d",
+          "fadc0f8b5dcaa38a37d29b360ee5e4c442ab00be22765352e6172a0bbd45e75f"),
+    "2.5": ("5ae33199b0a6bdef440e9b64aa9a45215a732c553e8d2b5a13bc7df33b3808ec",
+            "0ab16f47ea9ce5302bf738339d8bd9ff2ec3511a2d7852c0edd690ca8e26611a"),
+    "3": ("e883449bb986ac1151c053c396824a8b59aa9634dfb8aabad4be7df6604b5325",
+          "e140a61f6df124711cb2eb0869c7da41467c6bca0fd19fb7cfb01bfc3d3bfda7"),
+    "1": ("4db8a9b398c60010824d394794ea94689eb9fd99ecf9eacd177dc192b4eb423a",
+          "6cc62975092c0536a79007f07721258ac68ae43b3bfbc4cfbcc2524fe0e79b5a"),
+    "0,2": ("2cf15d2b0f6285d7e84b2f67ac1ffc89908364e83108299805417703809e522c",
+            "2de3a5baa5e9a1177eda1fa4b80020c9be2bb5252b0452d182fcf7061941b831"),
+}
+
+
+@pytest.mark.parametrize("a", RADIUS_BYTES)
+def test_torus_radius_inside_the_chart_keeps_its_bytes(a, tmp_path):
+    out = tmp_path / "torus.csv"
+    code, _, err = run_captured(["render3d", "--p", "2", "--s", "0.3", f"--a={a}", "--depth", "3",
+                                 "--format", "csv", "--out", str(out)])
+    assert (code, err) == (0, "")
+    code, stdout, err = run_captured(["certify", f"--a={a}"])
+    assert err == "" and code == (1 if a in ("1", "0,2") else 0)
+    digests = hashlib.sha256(out.read_bytes()).hexdigest(), hashlib.sha256(stdout.encode()).hexdigest()
+    assert digests == RADIUS_BYTES[a]
 
 
 def test_certify_at_p4_finishes_within_two_seconds():

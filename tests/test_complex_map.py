@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from padic_fractal.complex_map import (
     MapParams,
     PlaneMap,
     MAX_PAIRS,
-    PointCloud2D,
     _class_separation,
     _sandwich_margins,
     character_table,
@@ -34,6 +34,14 @@ from padic_fractal.analysis import measure_consistency
 from padic_fractal.render import preset
 
 EPS = 1e-12
+
+
+def preimages(p: int, center: int, level: int, depth: int) -> np.ndarray:
+    """The integer preimages of the values of PlaneMap.cluster(center,
+    level, depth), in its order: center mod p^level plus p^level k; at a
+    negative level k itself, which stands for the preimage p^level k."""
+    step = p ** max(level, 0)
+    return center % step + step * np.arange(p ** (depth - level), dtype=np.int64)
 
 
 class TestParams:
@@ -277,24 +285,55 @@ class TestSandwich:
             sandwich_check(MapParams(p=1000, m=0, s=0.3), 10, 7, seed=0)
 
 
+# levels below 0 weigh s^n (chi_n - 1): at tiny s their terms pass the float range
+PAST_THE_FLOAT_RANGE = {
+    "cluster-1e-77": lambda: PlaneMap(MapParams(p=2, s=1e-77)).cluster(0, -4, 2),
+    "cluster-1e-78": lambda: PlaneMap(MapParams(p=2, s=1e-78)).cluster(0, -4, 2),
+    "cluster-1e-200": lambda: PlaneMap(MapParams(p=2, s=1e-200)).cluster(0, -4, 2),
+    "series-1e-200": lambda: series_values(np.ones((2, 6), int), -4, MapParams(p=2, s=1e-200)),
+    "value-1e-77": lambda: PlaneMap(MapParams(p=2, s=1e-77)).value(expand(Fraction(1, 16), 2, 8)),
+}
+
+
+@pytest.mark.parametrize("call", PAST_THE_FLOAT_RANGE.values(), ids=PAST_THE_FLOAT_RANGE)
+def test_negative_levels_past_the_float_range_are_refused(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the weight of level -4 at s=\(1e-\d+\+0j\) is "
+                                             r"past the float range$"):
+            call()
+
+
+def test_negative_levels_inside_the_float_range_agree():
+    # 2|s|^-4/(1-|s|) = 2e304 is finite: the scalar and vectorized paths both run
+    pm = PlaneMap(MapParams(p=2, s=1e-76))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cloud = pm.cluster(0, -4, 2)
+        one = pm.value(expand(Fraction(1, 16), 2, 8))
+    assert np.all(np.isfinite(cloud)) and abs(one) > 1e304
+    assert abs(cloud[1] - one) <= 1e-12 * abs(one)
+
+
 class TestClusters:
     def test_count_and_realness(self):
         pm = PlaneMap(MapParams(p=2, m=0, s=1 / 3, depth=40))
         cloud = pm.cluster(0, 0, 10)
         assert len(cloud) == 1024
-        assert np.max(np.abs(cloud.values.imag)) < 1e-12
+        assert np.max(np.abs(cloud.imag)) < 1e-12
 
     def test_partition_property(self):
         pm = PlaneMap(MapParams(p=3, m=0, s=0.2, depth=30))
         parent = pm.cluster(0, 1, 7)
-        kids = [pm.cluster(0 + d * 3, 2, 7) for d in range(3)]
-        union_labels = np.sort(np.concatenate([k.labels for k in kids]))
-        assert np.array_equal(union_labels, np.sort(parent.labels))
+        centers = [0 + d * 3 for d in range(3)]
+        kids = [pm.cluster(c, 2, 7) for c in centers]
+        union_labels = np.sort(np.concatenate([preimages(3, c, 2, 7) for c in centers]))
+        assert np.array_equal(union_labels, preimages(3, 0, 1, 7))
         by_label = {}
-        for k in kids:
-            for lab, val in zip(k.labels, k.values):
+        for c, k in zip(centers, kids):
+            for lab, val in zip(preimages(3, c, 2, 7), k):
                 by_label[int(lab)] = val
-        for lab, val in zip(parent.labels, parent.values):
+        for lab, val in zip(preimages(3, 0, 1, 7), parent):
             assert by_label[int(lab)] == pytest.approx(val, abs=1e-12)
 
     def test_ifs_decomposition_order_zero(self):
@@ -303,14 +342,14 @@ class TestClusters:
         parent = pm.cluster(0, 0, 5)
         for d in range(5):
             child = pm.cluster(d, 1, 6)
-            pred = cmath.exp(2j * math.pi * d / 5) + 0.21 * parent.values
-            assert np.max(np.abs(child.values - pred)) < 1e-9
+            pred = cmath.exp(2j * math.pi * d / 5) + 0.21 * parent
+            assert np.max(np.abs(child - pred)) < 1e-9
 
     def test_cluster_separation_certified(self):
         params = MapParams(p=2, m=0, s=0.3, depth=40)
         pm = PlaneMap(params)
-        a = pm.cluster(0, 1, 9).values
-        b = pm.cluster(1, 1, 9).values
+        a = pm.cluster(0, 1, 9)
+        b = pm.cluster(1, 1, 9)
         gap = np.min(np.abs(a[:, None] - b[None, :]))
         assert gap >= delta_lower(2, 0.3) - 2 * params.tail_bound
 
@@ -428,7 +467,7 @@ def test_level_loop_table_regime_matches_oracles(p, m, s, scale, data):
     depth = {2: 6, 3: 5, 6: 4}[p]
     params = MapParams(p=p, m=m, s=s, depth=24)
     pm = PlaneMap(params)
-    vals = pm.cluster(0, scale, depth + scale).values
+    vals = pm.cluster(0, scale, depth + scale)
     via_matrix = series_values(residue_digit_matrix(p, depth), scale, params)
     assert all(_close(g, w) for g, w in zip(vals, via_matrix))
     for code in data.draw(st.lists(st.integers(0, p**depth - 1), min_size=1, max_size=4)):
@@ -512,8 +551,8 @@ def test_recursion_clusters_match_level_loop(p, m, s, series_depth, level, corne
     params = MapParams(p=p, m=m, s=s, depth=series_depth)
     pm = PlaneMap(params)
     cloud = pm.cluster(center, level, depth)
-    loop = pm.values_on_residues(depth, codes=cloud.labels)
-    assert np.max(np.abs(cloud.values - loop)) <= _geometric_bound(params)
+    loop = pm.values_on_residues(depth, codes=preimages(p, center, level, depth))
+    assert np.max(np.abs(cloud - loop)) <= _geometric_bound(params)
 
 
 @pytest.mark.parametrize("p", [2, 3, 6])
@@ -533,30 +572,29 @@ def test_level_loop_paths_unchanged_by_recursion(p):
 def test_split_matches_level_loop_and_scalar(p, m, s, series_depth, corner, data):
     # every order, series depths from 1 up, and balls from radius p^3 down
     # to single points, whose split may fall below level 0; a negative
-    # level is the ball around 0, labelled by p^-level x
+    # level is the ball around 0, whose value k is the image of p^level k
     level = data.draw(st.integers(-3, ENUM_DEPTH[p]))
     depth = level + data.draw(st.integers(0, ENUM_DEPTH[p]))
-    step = p ** max(level, 0)
-    center = {"zero": 0, "one": 1, "top": step - 1}[corner]
+    center = {"zero": 0, "one": 1, "top": p ** max(level, 0) - 1}[corner]
     params = MapParams(p=p, m=m, s=s, depth=series_depth)
     pm = PlaneMap(params)
     low = min(level, 0)
     bound = _geometric_bound(params, low)
     cloud = pm.cluster(center, level, depth)
-    assert cloud.level == level
+    assert len(cloud) == p ** (depth - level)
     # at level <= 0 every integer center lies in the ball around 0
-    assert np.array_equal(cloud.labels, center % step + step * np.arange(p ** (depth - level)))
-    loop = series_values(residue_digit_matrix(p, depth - low, cloud.labels), low, params)
-    assert np.max(np.abs(cloud.values - loop)) <= bound
+    labels = preimages(p, center, level, depth)
+    loop = series_values(residue_digit_matrix(p, depth - low, labels), low, params)
+    assert np.max(np.abs(cloud - loop)) <= bound
     for k in data.draw(st.lists(st.integers(0, len(cloud) - 1), min_size=1, max_size=4)):
-        x = expand(Fraction(int(cloud.labels[k])) * Fraction(p) ** low, p, depth - low + 1)
-        assert abs(cloud.values[k] - pm.value(x)) <= bound
+        x = expand(Fraction(int(labels[k])) * Fraction(p) ** low, p, depth - low + 1)
+        assert abs(cloud[k] - pm.value(x)) <= bound
 
 
 def test_recursion_on_z4_within_a_few_ulps_of_exact():
     # s is the double nearest 1/3 and the phases are +-1, +-i: every value lies in Q(i)
     fp = preset("fig1-4-z4")
-    params = fp.map_params(4)
+    params = fp.map_params()
     vals = PlaneMap(params).values_on_residues(4)
     s, units = Fraction(params.s.real), [(1, 0), (0, 1), (-1, 0), (0, -1)]
     worst = 0.0
@@ -567,20 +605,6 @@ def test_recursion_on_z4_within_a_few_ulps_of_exact():
             re, im = re + s**n * ur, im + s**n * ui
         worst = max(worst, math.hypot(Fraction(got.real) - re, Fraction(got.imag) - im))
     assert worst <= 4 * 2.0**-52 * params.contraction_radius
-
-
-class TestPointCloud2D:
-    def _cloud(self, labels) -> PointCloud2D:
-        params = MapParams(p=2, m=0, s=0.3)
-        vals = np.arange(len(labels), dtype=np.complex128)
-        return PointCloud2D(values=vals, labels=np.array(labels), level=0, params=params)
-
-    def test_rejects_duplicate_labels(self):
-        with pytest.raises(ValueError):
-            self._cloud([0, 3, 1, 3])
-
-    def test_accepts_unsorted_unique_labels(self):
-        assert len(self._cloud([5, 0, 2, 1])) == 4
 
 
 def brute_class_separation(vals: np.ndarray, modulus: int) -> float:

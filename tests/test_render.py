@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 from padic_fractal.cli import main
-from padic_fractal.complex_map import PointCloud2D, s_zero
+from padic_fractal.complex_map import MapParams, PlaneMap, s_zero
+from padic_fractal.padic import expand
 from padic_fractal.render import (
     PRESETS,
     RasterConfig,
@@ -22,7 +24,7 @@ from padic_fractal.render import (
     rasterize,
     to_svg,
 )
-from padic_fractal.solenoid import PointCloud3D, SolenoidParams, TorusMap
+from padic_fractal.solenoid import SolenoidParams, TorusMap
 
 
 def lit_pixels(pgm: bytes, cfg: RasterConfig) -> np.ndarray:
@@ -47,7 +49,7 @@ class TestRaster:
 
     def test_cantor_confined_to_real_axis_rows(self):
         cloud = build_cloud(preset("fig1-1-cantor"), depth=10)
-        cfg = RasterConfig(width=64, height=64, viewport=auto_viewport(cloud.values))
+        cfg = RasterConfig(width=64, height=64, viewport=auto_viewport(cloud))
         img = lit_pixels(rasterize(cloud, cfg), cfg)
         rows = np.nonzero(img.any(axis=1))[0]
         # everything lands in the band of rows around Im = 0
@@ -55,14 +57,14 @@ class TestRaster:
 
     def test_reorder_invariance(self):
         cloud = build_cloud(preset("fig1-1-cantor"), depth=8)
-        cfg = RasterConfig(width=32, height=32, viewport=auto_viewport(cloud.values))
-        a = rasterize(cloud.values, cfg)
-        b = rasterize(cloud.values[::-1].copy(), cfg)
+        cfg = RasterConfig(width=32, height=32, viewport=auto_viewport(cloud))
+        a = rasterize(cloud, cfg)
+        b = rasterize(cloud[::-1].copy(), cfg)
         assert a == b
 
     def test_determinism(self):
         cloud = build_cloud(preset("fig1-10-sierpinski"), depth=6)
-        cfg = RasterConfig(width=48, height=48, viewport=auto_viewport(cloud.values))
+        cfg = RasterConfig(width=48, height=48, viewport=auto_viewport(cloud))
         assert rasterize(cloud, cfg) == rasterize(cloud, cfg)
 
     def test_blank_on_empty_intersection(self):
@@ -73,7 +75,7 @@ class TestRaster:
 
     def test_resolution_refinement_preserves_lit_regions(self):
         cloud = build_cloud(preset("fig1-1-cantor"), depth=9)
-        vp = auto_viewport(cloud.values)
+        vp = auto_viewport(cloud)
         lo_cfg = RasterConfig(width=32, height=32, viewport=vp)
         hi_cfg = RasterConfig(width=64, height=64, viewport=vp)
         lo = lit_pixels(rasterize(cloud, lo_cfg), lo_cfg) > 0
@@ -115,26 +117,33 @@ class TestVectorAndMeshFormats:
 
     def test_csv_header_and_labels(self):
         cloud = build_cloud(preset("fig2b-t3"), depth=2)
-        lines = export_csv(cloud).decode("ascii").splitlines()
+        lines = export_csv(cloud, fiber_labels(len(cloud), 3**2)).decode("ascii").splitlines()
         assert lines[0] == "x,y,z,label"
-        assert lines[1].endswith("0:0")
+        assert lines[1].endswith(",0:0") and lines[10].endswith(",1:0")
         assert len(lines) == len(cloud) + 1
+        assert export_csv(cloud).decode("ascii").splitlines()[10].endswith(",9")
 
     def test_svg_structure(self):
         cloud = build_cloud(preset("fig1-1-cantor"), depth=6)
-        cfg = RasterConfig(viewport=auto_viewport(cloud.values))
+        cfg = RasterConfig(viewport=auto_viewport(cloud))
         svg = to_svg(cloud, cfg).decode("ascii")
         assert svg.startswith("<?xml")
         assert svg.count("<circle") == len(cloud)
         assert svg.rstrip().endswith("</svg>")
 
 
+def fiber_labels(n: int, per: int) -> np.ndarray:
+    """(fiber, residue) of each row of an xi-major torus cloud of n points
+    with per residues on each fiber."""
+    return np.stack(np.divmod(np.arange(n), per), axis=1)
+
+
 # The per-row f-string emitters that the bulk ones replaced, kept as the
 # reference their bytes must equal.
 
 
-def reference_ply(cloud) -> bytes:
-    pts = cloud.points if isinstance(cloud, PointCloud3D) else np.asarray(cloud)
+def reference_ply(points) -> bytes:
+    pts = np.asarray(points)
     out = ["ply", "format ascii 1.0", f"element vertex {len(pts)}", "property float x",
            "property float y", "property float z", "end_header"]
     for x, y, z in pts:
@@ -142,22 +151,22 @@ def reference_ply(cloud) -> bytes:
     return ("\n".join(out) + "\n").encode("ascii")
 
 
-def reference_csv(cloud, labels=None) -> bytes:
-    if labels is not None:
-        pts, tags = np.asarray(getattr(cloud, "points", cloud)), labels
-    elif isinstance(cloud, PointCloud3D):
-        pts, tags = cloud.points, [f"{int(i)}:{int(r)}" for i, r in cloud.labels]
-    else:
-        pts = np.asarray(cloud)
+def reference_csv(points, labels=None) -> bytes:
+    pts = np.asarray(points)
+    if labels is None:
         tags = [str(i) for i in range(len(pts))]
+    elif isinstance(labels, np.ndarray):
+        tags = [f"{int(i)}:{int(r)}" for i, r in labels]
+    else:
+        tags = labels
     out = ["x,y,z,label"]
     for (x, y, z), tag in zip(pts, tags):
         out.append(f"{x:.9g},{y:.9g},{z:.9g},{tag}")
     return ("\n".join(out) + "\n").encode("ascii")
 
 
-def reference_svg(cloud, cfg: RasterConfig, radius=None) -> bytes:
-    values = cloud.values if isinstance(cloud, PointCloud2D) else np.asarray(cloud)
+def reference_svg(values, cfg: RasterConfig, radius=None) -> bytes:
+    values = np.asarray(values)
     re0, re1, im0, im1 = cfg.viewport
     w, h = re1 - re0, im1 - im0
     r = radius if radius is not None else min(w, h) / 800.0
@@ -171,9 +180,9 @@ def reference_svg(cloud, cfg: RasterConfig, radius=None) -> bytes:
     return "\n".join(lines).encode("ascii")
 
 
-def reference_pgm(cloud, cfg: RasterConfig) -> bytes:
+def reference_pgm(values, cfg: RasterConfig) -> bytes:
     """The count-grid raster: points per pixel, then 255 where the count is positive."""
-    values = cloud.values if isinstance(cloud, PointCloud2D) else np.asarray(cloud)
+    values = np.asarray(values)
     re0, re1, im0, im1 = cfg.viewport
     u = (values.real - re0) / (re1 - re0)
     v = (values.imag - im0) / (im1 - im0)
@@ -212,17 +221,13 @@ def point_arrays(finite: bool = False):
     return rows.map(lambda r: np.array(r, dtype=np.float64).reshape(-1, 3))
 
 
-SOLENOID = preset("fig2a-t2").solenoid_params(2)
-
-
 @st.composite
 def solenoid_clouds(draw):
+    """Points and an (n, 2) integer array of (fiber, residue) labels."""
     pts = draw(point_arrays(finite=True))
     label = st.sampled_from(LABEL_INTS) | st.integers(0, 2**62)
-    pair = st.tuples(label, label)
-    labels = draw(st.lists(pair, min_size=len(pts), max_size=len(pts), unique=True))
-    return PointCloud3D(points=pts, labels=np.array(labels, dtype=np.int64).reshape(-1, 2),
-                        params=SOLENOID)
+    labels = draw(st.lists(st.tuples(label, label), min_size=len(pts), max_size=len(pts)))
+    return pts, np.array(labels, dtype=np.int64).reshape(-1, 2)
 
 
 @st.composite
@@ -263,8 +268,11 @@ class TestBulkEmitters:
     @given(cloud=solenoid_clouds())
     @settings(max_examples=100, deadline=None)
     def test_solenoid_clouds(self, cloud):
-        assert export_ply(cloud) == reference_ply(cloud)
-        assert export_csv(cloud) == reference_csv(cloud)
+        pts, labels = cloud
+        assert export_ply(pts) == reference_ply(pts)
+        assert export_csv(pts, labels) == reference_csv(pts, labels)
+        unsigned = labels.astype(np.uint64)
+        assert export_csv(pts, unsigned) == reference_csv(pts, unsigned)
 
     @given(pts=point_arrays(), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -276,6 +284,13 @@ class TestBulkEmitters:
     def test_label_count_must_match(self):
         with pytest.raises(ValueError, match="2 labels for 3 points"):
             export_csv(np.zeros((3, 3)), ["a", "b"])
+        with pytest.raises(ValueError, match="2 labels for 3 points"):
+            export_csv(np.zeros((3, 3)), fiber_labels(2, 2))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (3, 3), (3, 2, 1)])
+    def test_integer_labels_are_pairs(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"(n, 2) array, got shape {shape}")):
+            export_csv(np.zeros((3, 3)), np.zeros(shape, dtype=np.int64))
 
     @given(case=svg_cases())
     @settings(max_examples=150, deadline=None)
@@ -287,10 +302,8 @@ class TestBulkEmitters:
         cfg = RasterConfig(viewport=(-1.0, 1.0, 0.0, 2.0))
         values = np.array([-1 + 0j, 1 + 0j, 1j, 2j, -1 + 2j, 1 + 2j, 0.5 + 1j,
                            -1.5 + 0j, 1 + 2.5j, 0.5 - 1e-300j])
-        cloud = PointCloud2D(values=values, labels=np.arange(len(values)), level=0,
-                             params=preset("fig1-12").map_params(2))
-        svg = to_svg(cloud, cfg)
-        assert svg == reference_svg(cloud, cfg)
+        svg = to_svg(values, cfg)
+        assert svg == reference_svg(values, cfg)
         assert svg.count(b"<circle") == 7 and b'cy="-0"' in svg
 
     @pytest.mark.parametrize("empty", [np.empty(0), np.empty((0, 3)), np.empty(0, complex)])
@@ -312,7 +325,7 @@ class TestBulkEmitters:
     @pytest.mark.parametrize("name", [n for n in preset_names() if preset(n).kind == "plane"])
     def test_pgm_plane_presets(self, name):
         cloud = build_cloud(preset(name))
-        cfg = RasterConfig(viewport=auto_viewport(cloud.values))
+        cfg = RasterConfig(viewport=auto_viewport(cloud))
         assert rasterize(cloud, cfg) == reference_pgm(cloud, cfg)
 
     def test_pgm_points_on_the_far_edges_and_outside(self):
@@ -345,12 +358,16 @@ class TestBulkEmitters:
          "82502a9382957507e9655505ed0721b6989c28cd85efbc75bb9d467b2eda254f"),
     ])
     def test_preset_bytes_pinned(self, name, depth, emit, digest):
-        cloud = build_cloud(preset(name), depth=depth)
+        fp = preset(name)
+        cloud = build_cloud(fp, depth=depth)
         if emit is to_svg:
-            cfg = RasterConfig(viewport=auto_viewport(cloud.values))
+            cfg = RasterConfig(viewport=auto_viewport(cloud))
             data, ref = to_svg(cloud, cfg), reference_svg(cloud, cfg)
+        elif emit is export_csv:
+            labels = fiber_labels(len(cloud), fp.p**depth)
+            data, ref = export_csv(cloud, labels), reference_csv(cloud, labels)
         else:
-            data, ref = emit(cloud), (reference_ply if emit is export_ply else reference_csv)(cloud)
+            data, ref = export_ply(cloud), reference_ply(cloud)
         assert data == ref
         assert hashlib.sha256(data).hexdigest() == digest
 
@@ -367,9 +384,10 @@ class TestBulkEmitters:
         assert len(cloud) == 131_072
         assert export_ply(cloud) == reference_ply(cloud)
         cloud = build_cloud(preset("fig2b-t3"), depth=5)
-        assert export_csv(cloud) == reference_csv(cloud)
+        labels = fiber_labels(len(cloud), 3**5)
+        assert export_csv(cloud, labels) == reference_csv(cloud, labels)
         cloud = build_cloud(preset("fig1-12"), depth=9)
-        cfg = RasterConfig(viewport=auto_viewport(cloud.values))
+        cfg = RasterConfig(viewport=auto_viewport(cloud))
         assert to_svg(cloud, cfg) == reference_svg(cloud, cfg)
 
     def test_formatted_rows_spliced_in_place_across_blocks(self):
@@ -444,15 +462,18 @@ class TestPresets:
     def test_build_cloud_sizes(self):
         assert len(build_cloud(preset("fig1-1-cantor"), depth=8)) == 256
         assert len(build_cloud(preset("fig2a-t2"), depth=3, xi_count=10)) == 80
-        scaled = build_cloud(preset("fig1-12"), depth=4)
+        fp = preset("fig1-12")
+        scaled = build_cloud(fp, depth=4)
         assert len(scaled) == 81
-        assert scaled.level == -4
+        # the radius-81 ball: value k is the image of k / 3^4
+        one = PlaneMap(fp.map_params()).value(expand(Fraction(5, 81), 3, 8))
+        assert abs(scaled[5] - one) <= 1e-12
 
     def test_build_cloud_depth(self):
         fp = preset("fig1-4-z4")
         assert len(build_cloud(fp)) == fp.p**fp.depth
         assert len(build_cloud(fp, depth=1)) == fp.p
-        assert fp.map_params() == fp.map_params(fp.depth)
+        assert fp.map_params() == MapParams(p=fp.p, m=fp.m, s=fp.s)
         for depth in (0, -3):
             with pytest.raises(ValueError, match="depth must be >= 1"):
                 build_cloud(fp, depth=depth)
@@ -461,6 +482,6 @@ class TestPresets:
     def test_fig2a_matches_manual_construction(self):
         fp = preset("fig2a-t2")
         cloud = build_cloud(fp, depth=3, xi_count=4)
-        tm = TorusMap(SolenoidParams(map=fp.map_params(3), a=fp.a))
+        tm = TorusMap(SolenoidParams(map=fp.map_params(), a=fp.a))
         manual = tm.cloud(4, 3)
-        assert np.allclose(cloud.points, manual.points)
+        assert np.allclose(cloud, manual)

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,6 @@ import hypothesis.strategies as st
 from padic_fractal.padic import PAdic, expand, from_int
 from padic_fractal.complex_map import MapParams, PlaneMap
 from padic_fractal.solenoid import (
-    PointCloud3D,
     SolenoidParams,
     SolenoidPoint,
     TorusMap,
@@ -283,6 +284,19 @@ class TestChart:
         )
 
 
+def test_torus_radius_range_follows_from_the_contraction_radius():
+    # r_s = 2: the chart holds r_s/M <= |a| <= M/2 - r_s, M the largest float
+    mp, top = MapParams(p=2, m=0, s=0.5), sys.float_info.max
+    for a in (2 / top, 2j / top, 0.999 * top / 2, -0.999j * top / 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = TorusMap(SolenoidParams(map=mp, a=a)).cloud(4, 3)
+        assert np.all(np.isfinite(pts)) and np.all(np.isfinite(np.ptp(pts, axis=0)))
+    for a in (0, 1.9 / top, 1e-320, 0.6 * top, complex(top, top)):
+        with pytest.raises(ValueError, match=r"^torus radius a=.* <= \|a\| <= "):
+            SolenoidParams(map=mp, a=a)
+
+
 class TestEmbedding:
     def test_base_point_real_a(self):
         tm = TorusMap(SolenoidParams(map=MapParams(p=2, m=0, s=0.3), a=2.0))
@@ -303,8 +317,8 @@ class TestEmbedding:
         a = 2.0 * mp.contraction_radius
         tm = TorusMap(SolenoidParams(map=mp, a=a))
         cloud = tm.cloud(16, 6)
-        ring = np.hypot(cloud.points[:, 0], cloud.points[:, 2])
-        tube = np.hypot(ring - a, cloud.points[:, 1])
+        ring = np.hypot(cloud[:, 0], cloud[:, 2])
+        tube = np.hypot(ring - a, cloud[:, 1])
         assert float(tube.max()) <= mp.contraction_radius + 1e-9
 
     def test_fibers_live_in_rotated_planes(self):
@@ -341,11 +355,13 @@ class TestEmbedding:
         assert ratios and max(ratios) < 1e3 and min(ratios) > 1e-3
 
     def test_cloud_labels_and_order(self):
+        # xi-major: row i is fiber i // p^depth at residue i % p^depth
         tm = TorusMap(SolenoidParams(map=MapParams(p=2, m=0, s=0.3), a=2.0))
         cloud = tm.cloud(4, 3)
-        assert len(cloud) == 32
-        assert np.array_equal(cloud.labels[:8, 0], np.zeros(8, dtype=np.int64))
-        assert np.array_equal(cloud.labels[:8, 1], np.arange(8))
+        assert cloud.shape == (32, 3)
+        fibers = tm._fibers(np.arange(4) / 4, 3)
+        for i in range(4):
+            assert np.array_equal(cloud[8 * i : 8 * i + 8], tm.to_space(i / 4, fibers[i]))
 
 
 class TestGammaDeltaTilde:
@@ -495,29 +511,6 @@ class TestPushThrough:
             assert d3 == pytest.approx(d2, abs=1e-9)
 
 
-class TestCloudValidation:
-    def test_rejects_mismatched_labels(self):
-        tm = TorusMap(SolenoidParams(map=MapParams(p=2, m=0, s=0.3), a=2.0))
-        cloud = tm.cloud(2, 2)
-        with pytest.raises(ValueError):
-            PointCloud3D(points=cloud.points, labels=cloud.labels[:-1], params=cloud.params)
-
-    def test_rejects_duplicate_labels(self):
-        tm = TorusMap(SolenoidParams(map=MapParams(p=2, m=0, s=0.3), a=2.0))
-        cloud = tm.cloud(2, 2)
-        labels = cloud.labels.copy()
-        labels[1] = labels[0]
-        with pytest.raises(ValueError):
-            PointCloud3D(points=cloud.points, labels=labels, params=cloud.params)
-
-    def test_accepts_unsorted_unique_labels(self):
-        tm = TorusMap(SolenoidParams(map=MapParams(p=2, m=0, s=0.3), a=2.0))
-        cloud = tm.cloud(2, 2)
-        order = np.array([5, 0, 7, 2, 1, 6, 3, 4])
-        moved = PointCloud3D(points=cloud.points[order], labels=cloud.labels[order], params=cloud.params)
-        assert len(moved) == len(cloud)
-
-
 @pytest.mark.parametrize("p,m", [(2, 0), (3, 0), (2, math.inf), (3, math.inf)])
 def test_cloud_matches_scalar_embedding(p, m):
     tm = TorusMap(SolenoidParams(map=MapParams(p=p, m=m, s=0.3 + 0.1j, depth=30), a=2.5))
@@ -525,9 +518,9 @@ def test_cloud_matches_scalar_embedding(p, m):
     cloud = tm.cloud(xi_count, depth)
     rng = np.random.default_rng(11)
     for idx in rng.choice(len(cloud), size=25, replace=False):
-        i, r = (int(v) for v in cloud.labels[idx])
+        i, r = divmod(int(idx), p**depth)
         want = tm.embed(SolenoidPoint(Fraction(i, xi_count), from_int(r, p, depth)))
-        assert np.max(np.abs(cloud.points[idx] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(cloud[idx] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
