@@ -411,6 +411,16 @@ def _suite_ode(cfg: Config) -> Iterator[tuple]:
                          f"at p={cfg.p}, got {_fmt(cfg.s)}")
     params = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=50)
     tmap = TorusMap(SolenoidParams(map=params, a=cfg.a))
+    # the flow's speed is at most 2 pi (|a| + r_s + 1/(p - |s|)), and a residual
+    # of the difference quotient at most twice that
+    r = params.contraction_radius
+    if abs(cfg.a) > (top := sys.float_info.max / (4 * math.pi) - r - 1 / (cfg.p - abs(cfg.s))):
+        raise UsageError(f"field 'a': ode subtracts flow velocities of size up to 2 pi (|a| + "
+                         f"{r:.6g} + 1/(p - |s|)), which pass the float range unless "
+                         f"|a| <= {top:.6g}, got {_fmt(cfg.a)}")
+    # the ratio is unchanged by one power of two scaling both residuals, which
+    # keeps their squares in range: 2^-k <= 1/(|a| + r_s)
+    unit = 2.0 ** -math.frexp(abs(cfg.a) + r)[1]
     rng = np.random.default_rng(cfg.seed)
     p = cfg.p
     ratios = []
@@ -424,7 +434,7 @@ def _suite_ode(cfg: Config) -> Iterator[tuple]:
         def fd(h: float) -> float:
             plus = tmap.embed(orbit(f, Fraction(h).limit_denominator(10**12)))
             minus = tmap.embed(orbit(f, Fraction(-h).limit_denominator(10**12)))
-            return float(np.linalg.norm((plus - minus) / (2 * h) - gam))
+            return float(np.linalg.norm(((plus - minus) / (2 * h) - gam) * unit))
 
         ratios.append(fd(1e-3) / max(fd(1e-4), 1e-300))
     worst = min(ratios)

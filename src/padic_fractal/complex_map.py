@@ -124,9 +124,10 @@ class PlaneMap:
 
     def __init__(self, params: MapParams):
         self.params = params
+        self._powers = [params.s**n for n in range(params.depth + 1)]  # s^n, n = 0 .. depth
 
-    def _characters(self, x: PAdic, first: int, last: int) -> list[complex]:
-        """chi_n(x) for n = first .. last, reading each digit of x once.
+    def _characters(self, x: PAdic, first: int, last: int):
+        """(n, chi_n(x)) for n = first .. last, reading each digit of x once.
 
         A holds the integer A_n = sum_{v<=j<=n} x_j p^(j-v), and
         chi_n = e((A_n - A_{n-m-1}) / p^(n-v+1)): the phase is an exact
@@ -138,31 +139,38 @@ class PlaneMap:
             raise ValueError(f"operand base {x.p} does not match params p={p}")
         v = x.valuation()  # +inf for zero: chi = 1 at every level
         digits = x.digit_run(v, last + 1) if v <= last else []
-        chis = []
         sums, scale = [0], 1  # sums[k] = A_{v+k-1}; scale = p^(n-v+1)
+        turn = 2j * math.pi
         for n in range(min(first, v), last + 1):
             chi = 1.0 + 0.0j
             if n >= v:
                 sums.append(sums[-1] + digits[n - v] * scale)
                 scale *= p
                 low = sums[n - v - m] if n - m >= v else 0
-                chi = cmath.exp(2j * math.pi * ((sums[-1] - low) / scale))
+                chi = cmath.exp(turn * ((sums[-1] - low) / scale))
             if n >= first:
-                chis.append(chi)
-        return chis
+                yield n, chi
 
     def character(self, x: PAdic, n: int) -> complex:
         """Phase factor at level n: reads digits x_{n-k} weighted p^-k."""
-        return self._characters(x, n, n)[0]
+        return next(self._characters(x, n, n))[1]
 
-    def _weighted(self, x: PAdic, weight) -> tuple[complex, complex]:
-        """Sums of weight(n) (chi_n - [n < 0]) over the negative levels
-        and over the levels 0 .. depth; weight(n) is s^n times a phase."""
-        levels = range(min(x.valuation(), 0), self.params.depth + 1)
-        _check_negative_levels(self.params.s, levels.start)
-        chis = self._characters(x, levels.start, levels.stop - 1)
-        terms = [weight(n) * (chi - 1.0 if n < 0 else chi) for n, chi in zip(levels, chis)]
-        return sum(terms[: -levels.start], 0j), sum(terms[-levels.start :], 0j)
+    def _weighted(self, x: PAdic, phase=None) -> tuple[complex, complex]:
+        """Sums of s^n phase(n) (chi_n - [n < 0]) over the negative levels
+        and over the levels 0 .. depth; phase(n) is 1 when not given."""
+        s, powers = self.params.s, self._powers
+        lo = min(x.valuation(), 0)
+        _check_negative_levels(s, lo)
+        frac = integral = 0j
+        for n, chi in self._characters(x, lo, self.params.depth):
+            weight = powers[n] if n >= 0 else s**n
+            if phase is not None:
+                weight = weight * phase(n)
+            if n < 0:
+                frac += weight * (chi - 1.0)
+            else:
+                integral += weight * chi
+        return frac, integral
 
     def value(self, x: PAdic) -> complex:
         """Series value; negative levels contribute s^n (chi_n - 1).
@@ -175,8 +183,7 @@ class PlaneMap:
 
     def parts(self, x: PAdic) -> tuple[complex, complex]:
         """(fractional, integral) split of the series value."""
-        s = self.params.s
-        return self._weighted(x, lambda n: s**n)
+        return self._weighted(x)
 
     # -- vectorized cloud generation --------------------------------------
 

@@ -1,10 +1,10 @@
 """Base-p digit expansions of rational numbers.
 
-Every value is its exact rational, together with the window width it
-was requested with.  The valuation comes from the p-multiplicity of the
-rational, and the digit window, the preperiod and the repeating block
-are derived from it by long division on first use.  So arithmetic is
-rational arithmetic: each operation computes one rational.
+Every value is its exact rational (an int when integral, so integers stay
+on int arithmetic), with the window width it was requested with.  The
+valuation comes from the p-multiplicity of the rational, and the digit
+window, the preperiod and the repeating block are derived from it by long
+division on first use.  So each arithmetic operation computes one rational.
 
 The base p may be any integer >= 2; nothing here requires inverses of p,
 so composite bases work throughout.
@@ -26,9 +26,11 @@ class PAdic:
     """One base-p number: a digit window from the valuation upward.
 
     digits[i] is the coefficient of p**(v + i) and `value` is the exact
-    rational.  For periodic tails, `period` repeats starting at window
-    offset `preperiod`.  Values come from expand() and from_int(); the
-    digits come only from `value` and the window width `_width`.
+    rational: an int exactly when it is integral, else a lowest-terms
+    Fraction (the two agree in ==, hash, str and repr).  For periodic
+    tails, `period` repeats starting at window offset `preperiod`.  Values
+    come from expand() and from_int(); the digits come only from the unit
+    part of `value` and the window width `_width`.
     """
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -45,8 +47,7 @@ class PAdic:
         if self.is_zero():
             return (), 0, ()
         p = self.p
-        unit = self.value / Fraction(p) ** self.v
-        num, den = unit.numerator, unit.denominator
+        num, den = self._unit
         binv = pow(den, -1, p)
         seen: dict[int, int] = {}
         stream: list[int] = []
@@ -120,8 +121,8 @@ class PAdic:
         if self.is_zero() or self.v >= 0:
             return Fraction(0), self
         # the -v digits below p^0 are the unit part's residue mod p^-v
-        unit, mod = self.value * self.p ** -self.v, self.p ** -self.v
-        frac = Fraction(unit.numerator * pow(unit.denominator, -1, mod) % mod, mod)
+        (num, den), mod = self._unit, self.p ** -self.v
+        frac = Fraction(num * pow(den, -1, mod) % mod, mod)
         return frac, _from_rational(self.value - frac, self.p, max(self.v + self._width, 1))
 
     def residue(self, depth: int) -> int:
@@ -146,7 +147,7 @@ class PAdic:
         self._check_compatible(other)
         return self._combine(other, self.value - other.value)
 
-    def _combine(self, other: "PAdic", q: Fraction) -> "PAdic":
+    def _combine(self, other: "PAdic", q: Rational) -> "PAdic":
         """The sum or difference q of self and other, with a window that
         spans both operands' windows.  A zero operand adds nothing; a zero
         self takes other's valuation and width, which negation keeps."""
@@ -180,17 +181,18 @@ class PAdic:
         return f"PAdic(p={self.p}, v={self.v}, digits={self.digits}, value={self.value})"
 
 
-def _from_rational(q: Fraction, p: int, window: int) -> PAdic:
-    """The value q with the given window width.
+def _from_rational(q: Rational, p: int, window: int) -> PAdic:
+    """The value q, an int when integral, with the given window width.
 
     The valuation v is pulled out of q: denominator factors sharing a
     divisor g with p are absorbed by multiplying through with p/g, each
     lowering v, and factors of p left in the numerator raise it.  After
-    that q = p^v num/den with den coprime to p, which is what the long
-    division behind the digits needs.
+    that q = p^v num/den with den coprime to p and num/den in lowest
+    terms: the unit part that the long division and split() read.
     """
     v = 0
     num, den = q.numerator, q.denominator
+    q = num if den == 1 else q
     g = math.gcd(den, p)
     while g > 1:
         num *= p // g
@@ -201,7 +203,7 @@ def _from_rational(q: Fraction, p: int, window: int) -> PAdic:
         num //= p
         v += 1
     x = object.__new__(PAdic)
-    vars(x).update(p=p, v=v, value=q, _width=window)
+    vars(x).update(p=p, v=v, value=q, _width=window, _unit=(num, den))
     return x
 
 
@@ -216,7 +218,7 @@ def expand(q: Rational, p: int, window: int) -> PAdic:
         raise ValueError("window must be >= 1")
     if p < 2:
         raise ValueError("base must be >= 2")
-    return _from_rational(Fraction(q), p, window)
+    return _from_rational(q if isinstance(q, int) else Fraction(q), p, window)
 
 
 def from_int(n: int, p: int, window: int | None = None) -> PAdic:

@@ -56,9 +56,9 @@ class SolenoidPoint:
         if not isinstance(xi, Fraction):
             xi = Fraction(xi)
             object.__setattr__(self, "xi", xi)
-        if not 0 <= xi < 1:
+        if not 0 <= xi.numerator < xi.denominator:
             raise ValueError(f"circle coordinate must lie in [0,1), got {xi}")
-        if not self.x.is_zero() and self.x.v < 0:
+        if self.x.v < 0:  # zero has v = 0
             raise ValueError("second coordinate must lie in the unit ball")
 
 
@@ -72,7 +72,7 @@ def add(f: SolenoidPoint, g: SolenoidPoint) -> SolenoidPoint:
     """Component sum with the real carry moved into the ball coordinate."""
     t = f.xi + g.xi
     x = f.x + g.x
-    if t >= 1:  # t in [0,2): the carry is 1
+    if t.numerator >= t.denominator:  # t in [0,2): the carry is 1
         return SolenoidPoint(t - 1, x + _one(x.p))
     return SolenoidPoint(t, x)
 
@@ -91,14 +91,16 @@ def distance(f: SolenoidPoint, g: SolenoidPoint, alpha: float = 1.0) -> float:
     x = f.x - g.x - [f.xi < g.xi]; its group inverse is (0, -x) on the
     seam and (1 - xi, -(x + 1)) off it, and -y has the norm of y.
     """
-    xi = (f.xi - g.xi) % 1
+    xi = f.xi - g.xi
     x = f.x - g.x
-    if f.xi < g.xi:
+    if xi.numerator < 0:  # f.xi < g.xi: frac(xi) = xi + 1
+        xi += 1
         x = x - _one(x.p)
-    length = max(float(xi), x.norm(alpha))
-    if xi == 0:
+    num, den = xi.numerator, xi.denominator
+    length = max(num / den, x.norm(alpha))
+    if not num:
         return length
-    return min(length, max(float(1 - xi), (x + _one(x.p)).norm(alpha)))
+    return min(length, max((den - num) / den, (x + _one(x.p)).norm(alpha)))
 
 
 def from_padic(x: PAdic) -> SolenoidPoint:
@@ -167,13 +169,13 @@ class TorusMap:
         if whole:
             xi = xi - whole
             x = x + from_int(whole, x.p)
-        p, m, s = self.params.map.p, self.params.map.m, self.params.map.s
+        p, m = self.params.map.p, self.params.map.m
         turn, top = 2j * math.pi * float(xi), m + x.valuation()
 
-        def weight(n: int) -> complex:
-            return s**n * (1.0 + 0.0j if n > top else cmath.exp(turn / p ** (min(n, m) + 1)))
+        def phase(n: int) -> complex:
+            return 1.0 + 0.0j if n > top else cmath.exp(turn / p ** (min(n, m) + 1))
 
-        return self.plane._weighted(x, weight)[1]
+        return self.plane._weighted(x, phase)[1]
 
     def _fibers(self, xis: np.ndarray, depth: int) -> np.ndarray:
         """Fiber series at each circle coordinate (rows) over every

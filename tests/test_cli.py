@@ -920,3 +920,77 @@ def test_certify_refuses_a_search_past_the_pair_budget():
     assert (code, out) == (2, "")
     assert err.startswith(f"error: separating 5 residue classes compares {10 * 5**14} pairs")
     assert not FOREIGN.search(err)
+
+
+# exit code and stdout sha256 of the benchmark's verify workload at seed 7,
+# and of its orbit CSV, pinned from the code before integral p-adic values
+# were stored as ints and the scalar series was summed in one pass; the
+# report checks read only PASS/FAIL, so these catch a moved last digit
+VERIFY_WORKLOAD_BYTES = {
+    "verify --p 2 --m 0 --s 0.3":
+        "f0662f1e6ee4f3b9c8008c88155617003e6df1cd92875fd764c5a8cdd897d446",
+    "verify --p 3 --m inf --s 0.25":
+        "7232e28665567933e9bdeaa87dcd207e568d997e634956924ab6ca5e9eb6f76b",
+    "verify --p 6 --m 1 --s 0.2":
+        "07817dccb465262c407db02db2b8cfb28500b2c7415d6dd2451c7c48fd537133",
+    "verify --p 5 --m inf --s 0.1,0.2":
+        "493e4cef7485a448d0f9a917a59888e64abfd8836144ced22d926d4314d93443",
+    "verify --suite scaling --p 3 --s 0.25 --m inf --depth 24":
+        "bc9773dcf2aeaae43e62082b5a3f1e7337ce7a746762dd0846c9fecf2ef8d895",
+    "verify --suite sandwich --exhaustive":
+        "e3b34fe28c7c32d1bcd336379ed10d7d16a3d61d2c3418530ad0d09c009e1ec2",
+    "verify --suite scaling --exhaustive":
+        "986cc763e8981461106ff46faf70abef101598262867e57f994dc0b1db8c066e",
+    "certify --p 2 --m 0 --s 0.3":
+        "fadc0f8b5dcaa38a37d29b360ee5e4c442ab00be22765352e6172a0bbd45e75f",
+    "certify --p 3 --m inf --s 0.25":
+        "125d1a55410c5172d499ee4424c6c7edd2dbfb97e533958ad98fc189c39587d6",
+    # stdout with the --out directory written as OUT
+    "orbit --p 2 --s 0.3 --m inf --a 3":
+        "88d1847fd57ab82cb26a3fed374a789e2a6581b26b74fbaaba39a6b7bd5890c8",
+}
+ORBIT_CSV_SHA256 = "784db2adc328595f1be1506641d42f9b572a65b8e15ec489860e1efc0a054670"
+
+
+@pytest.mark.parametrize("cmd", list(VERIFY_WORKLOAD_BYTES))
+def test_verify_workload_bytes_pinned(cmd, tmp_path):
+    out = tmp_path / "orbit.csv"
+    extra = ["--out", str(out)] if cmd.startswith("orbit") else []
+    code, stdout, err = run_captured([*shlex.split(cmd), "--seed", "7", *extra])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(stdout.replace(str(tmp_path), "OUT").encode()).hexdigest()
+    assert digest == VERIFY_WORKLOAD_BYTES[cmd]
+    if extra:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == ORBIT_CSV_SHA256
+
+
+# radii whose embedded points a norm of squares overflowed: the ratio is
+# computed from residuals scaled by one power of two, so it is the ratio
+# a smaller radius reads, within the suite's own sampling
+@pytest.mark.parametrize("a", ["1e160", "1e200", "1.43e307"])
+def test_ode_at_radii_past_a_norm_of_squares_reads_a_finite_ratio(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_captured(["verify", "--suite", "ode", f"--a={a}"])
+    assert (code, err) == (0, "")
+    name, ratio, bound, mark = out.splitlines()[0].split("\t")
+    assert name == "ode.fd_ratio_min" and mark == "PASS"
+    assert 99.99 < float(ratio) < 100.01
+
+
+def test_ode_refuses_a_radius_whose_flow_passes_the_float_range():
+    # inside the chart's range (|a| <= 8.99e307), but 2 pi |a| overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_captured(["verify", "--suite", "ode", "--a=8.98e307"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: field 'a': ode subtracts flow velocities") and err.count("\n") == 1
+    assert "got 8.98e+307" in err and not FOREIGN.search(err)
+
+
+# the ratio each radius read before the scaling: a power of two moves no bit
+@pytest.mark.parametrize("a, want", [("1e-300", "99.9993270734"), ("0.5", "99.9993295295"),
+                                     ("3", "99.9995761492"), ("1e150", "99.9996295892")])
+def test_ode_scaling_keeps_the_ratio_of_radii_that_fit(a, want):
+    code, out, _ = run_captured(["verify", "--suite", "ode", f"--a={a}"])
+    assert code == 0 and out.splitlines()[0].split("\t")[1] == want

@@ -630,7 +630,7 @@ def old_fiber_value(tm: TorusMap, xi, x: PAdic) -> complex:
         x = x + from_int(whole, x.p)
     xi_f = float(xi)
     chis = tm.plane._characters(x, 0, tm.params.map.depth)
-    return sum((s**n * coupling(xi_f, n) * chi for n, chi in enumerate(chis)), 0j)
+    return sum((s**n * coupling(xi_f, n) * chi for n, chi in chis), 0j)
 
 
 @given(data=st.data())
