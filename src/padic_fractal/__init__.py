@@ -23,7 +23,7 @@ from .complex_map import (
     rotate_digits,
     s_zero,
 )
-from .padic import PAdic, expand, from_int, residues
+from .padic import PAdic, expand, from_int
 from .render import PRESETS, FigurePreset, RasterConfig, build_cloud, preset
 from .solenoid import (
     SolenoidParams,
@@ -39,7 +39,6 @@ __all__ = [
     "PAdic",
     "expand",
     "from_int",
-    "residues",
     "MapParams",
     "PlaneMap",
     "EmbeddingCertificate",

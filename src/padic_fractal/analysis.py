@@ -80,8 +80,8 @@ def moment(params: MapParams, L: int, Lbar: int, depth: int) -> MomentResult:
 
 
 def tuple_coefficient(
-    p: int, L: int, Lbar: int, n: int, nbar: int, cutoff: int | None = None, m: float = math.inf
-) -> tuple[int | complex, bool]:
+    p: int, L: int, Lbar: int, n: int, nbar: int, m: float = math.inf
+) -> int | complex:
     """Weight of the ordered index tuples behind the (n, nbar) series term.
 
     Enumerates tuples (n_1..n_L) summing to n and (m_1..m_Lbar) summing
@@ -90,22 +90,18 @@ def tuple_coefficient(
     digits are independent and uniform, so the integral is the product
     over l of (1/p) sum_{x<p} e(x c_l), c_l the net frequency on digit l:
     1 where c_l is an integer, 0 where p c_l is one but c_l is not.  At
-    m = inf every product is 0 or 1 and the weight is a count.  Returns
-    (weight, exhaustive); the flag drops when a cutoff clips the index range.
+    m = inf every product is 0 or 1 and the weight is a count.
     """
-    bound_n = n if cutoff is None else min(n, cutoff)
-    bound_m = nbar if cutoff is None else min(nbar, cutoff)
-    exhaustive = cutoff is None or (cutoff >= n and cutoff >= nbar)
     top = max(n, nbar)
     den = p ** (top + 1)  # every frequency is an integer over den
 
-    def compositions(total: int, parts: int, bound: int):
+    def compositions(total: int, parts: int):
         if parts == 0:
             if total == 0:
                 yield ()
             return
-        for head in range(min(total, bound) + 1):
-            for rest in compositions(total - head, parts - 1, bound):
+        for head in range(total + 1):
+            for rest in compositions(total - head, parts - 1):
                 yield (head,) + rest
 
     def integral(tup: tuple[int, ...], tdn: tuple[int, ...]) -> int | complex:
@@ -124,10 +120,10 @@ def tuple_coefficient(
         return w
 
     total: int | complex = 0
-    for tup in compositions(n, L, bound_n):
-        for tdn in compositions(nbar, Lbar, bound_m):
+    for tup in compositions(n, L):
+        for tdn in compositions(nbar, Lbar):
             total += integral(tup, tdn)
-    return total, exhaustive
+    return total
 
 
 def moment_series(params: MapParams, L: int, Lbar: int, cutoff: int) -> complex:
@@ -142,7 +138,7 @@ def moment_series(params: MapParams, L: int, Lbar: int, cutoff: int) -> complex:
     diagonal = params.m == math.inf and L == Lbar == 1
     for n in range(cutoff + 1 if L else 1):
         for nbar in (n,) if diagonal else range(cutoff + 1 if Lbar else 1):
-            c, _ = tuple_coefficient(params.p, L, Lbar, n, nbar, m=params.m)
+            c = tuple_coefficient(params.p, L, Lbar, n, nbar, params.m)
             if c:
                 total += c * s**n * sb**nbar
     return total
@@ -210,13 +206,13 @@ def box_counts(points, eps: float, corner: np.ndarray | None = None) -> int:
     return int(_ladder_counts(_columns(points), eps, 1, corner)[0])
 
 
-def box_dimension(cloud, n_scales: int = 12, saturation: float = 0.25) -> DimensionEstimate:
+def box_dimension(cloud, n_scales: int = 12) -> DimensionEstimate:
     """Least-squares slope of log N(eps) against log(1/eps).
 
     The ladder starts at a quarter of the widest column extent and descends
     geometrically; the extreme octaves are dropped, as are scales where the
-    count approaches the raw point count (grid resolving individual samples
-    rather than structure).  Complex values and their (n, 2) real
+    count passes a quarter of the point count (grid resolving individual
+    samples rather than structure).  Complex values and their (n, 2) real
     coordinates give one estimate: each is read as views of its columns.
     """
     cols = _columns(cloud)
@@ -228,7 +224,7 @@ def box_dimension(cloud, n_scales: int = 12, saturation: float = 0.25) -> Dimens
     eps0 = diam / 4.0
     scales = eps0 * 2.0 ** (-np.arange(n_scales, dtype=np.float64))
     counts = _ladder_counts(cols, eps0, n_scales).astype(np.float64)
-    keep = counts <= saturation * len(cols[0])
+    keep = counts <= 0.25 * len(cols[0])
     keep[0] = False
     last = np.nonzero(keep)[0]
     if len(last):

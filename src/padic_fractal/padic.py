@@ -1,10 +1,10 @@
 """Base-p digit expansions of rational numbers.
 
 Every value is its exact rational (an int when integral, so integers stay
-on int arithmetic), with the window width it was requested with.  The
-valuation comes from the p-multiplicity of the rational, and the digit
-window, the preperiod and the repeating block are derived from it by long
-division on first use.  So each arithmetic operation computes one rational.
+on int arithmetic).  The valuation comes from the p-multiplicity of the
+rational, and the digits, the preperiod and the repeating block are derived
+from it by long division on first use.  So each arithmetic operation
+computes one rational.
 
 The base p may be any integer >= 2; nothing here requires inverses of p,
 so composite bases work throughout.
@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Union
+from typing import Union
 
 Rational = Union[int, Fraction]
 
-__all__ = ["PAdic", "expand", "from_int", "residues"]
+__all__ = ["PAdic", "expand", "from_int"]
 
 
 class PAdic:
@@ -29,8 +29,9 @@ class PAdic:
     rational: an int exactly when it is integral, else a lowest-terms
     Fraction (the two agree in ==, hash, str and repr).  For periodic
     tails, `period` repeats starting at window offset `preperiod`.  Values
-    come from expand() and from_int(); the digits come only from the unit
-    part of `value` and the window width `_width`.
+    come from expand() and from_int(), whose window width `_width` pads
+    the digits; sums, differences, negations and splits have width 1, so
+    their digits run from the valuation through the preperiod.
     """
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -118,18 +119,12 @@ class PAdic:
 
     def split(self) -> tuple[Fraction, "PAdic"]:
         """Fractional part in Q intersect [0, 1) and the integral remainder."""
-        if self.is_zero() or self.v >= 0:
-            return Fraction(0), self
+        if self.v >= 0:  # zero has v = 0
+            return Fraction(0), _from_rational(self.value, self.p)
         # the -v digits below p^0 are the unit part's residue mod p^-v
         (num, den), mod = self._unit, self.p ** -self.v
         frac = Fraction(num * pow(den, -1, mod) % mod, mod)
-        return frac, _from_rational(self.value - frac, self.p, max(self.v + self._width, 1))
-
-    def residue(self, depth: int) -> int:
-        """The integer in [0, p^depth) congruent to this unit-ball element."""
-        if self.v < 0:  # zero has v = 0
-            raise ValueError("residue is defined on the unit ball only")
-        return sum(d * self.p**n for n, d in enumerate(self.digit_run(0, depth)))
+        return frac, _from_rational(self.value - frac, self.p)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -141,24 +136,14 @@ class PAdic:
 
     def __add__(self, other: "PAdic") -> "PAdic":
         self._check_compatible(other)
-        return self._combine(other, self.value + other.value)
+        return _from_rational(self.value + other.value, self.p)
 
     def __sub__(self, other: "PAdic") -> "PAdic":
         self._check_compatible(other)
-        return self._combine(other, self.value - other.value)
-
-    def _combine(self, other: "PAdic", q: Rational) -> "PAdic":
-        """The sum or difference q of self and other, with a window that
-        spans both operands' windows.  A zero operand adds nothing; a zero
-        self takes other's valuation and width, which negation keeps."""
-        if other.is_zero():
-            return self
-        a = other if self.is_zero() else self
-        lo, hi = min(a.v, other.v), max(a.v + a._width, other.v + other._width)
-        return _from_rational(q, self.p, max(hi - lo, 1))
+        return _from_rational(self.value - other.value, self.p)
 
     def __neg__(self) -> "PAdic":
-        return _from_rational(-self.value, self.p, self._width)
+        return _from_rational(-self.value, self.p)
 
     # -- identity ----------------------------------------------------------
 
@@ -181,7 +166,7 @@ class PAdic:
         return f"PAdic(p={self.p}, v={self.v}, digits={self.digits}, value={self.value})"
 
 
-def _from_rational(q: Rational, p: int, window: int) -> PAdic:
+def _from_rational(q: Rational, p: int, window: int = 1) -> PAdic:
     """The value q, an int when integral, with the given window width.
 
     The valuation v is pulled out of q: denominator factors sharing a
@@ -226,13 +211,3 @@ def from_int(n: int, p: int, window: int | None = None) -> PAdic:
     window holds the integer's digits, padded to `window` (default 1)."""
     return expand(n, p, 1 if window is None else window)
 
-
-def residues(p: int, depth: int) -> Iterator[PAdic]:
-    """Every residue class mod p^depth exactly once, in ascending order.
-
-    This is the uniform sampling of the unit ball at resolution
-    p**(-depth): each ball l + p^k Z_p with k <= depth receives exactly
-    p^(depth-k) of the enumerated points.
-    """
-    for r in range(p**depth):
-        yield from_int(r, p, depth)

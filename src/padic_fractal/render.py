@@ -43,8 +43,8 @@ class RasterConfig:
             raise ValueError("viewport must be a nonempty rectangle")
 
 
-def auto_viewport(values: np.ndarray, margin: float = 0.05) -> tuple[float, float, float, float]:
-    """Viewport around a complex cloud with a small margin.
+def auto_viewport(values: np.ndarray) -> tuple[float, float, float, float]:
+    """Viewport around a complex cloud with a 5% margin.
 
     A degenerate axis (a line or a single point, up to rounding noise)
     widens to a band proportional to the other axis instead of trapping
@@ -60,8 +60,8 @@ def auto_viewport(values: np.ndarray, margin: float = 0.05) -> tuple[float, floa
     def padded(lo: float, hi: float) -> tuple[float, float]:
         if hi - lo < 1e-9 * ref:
             mid = 0.5 * (lo + hi)
-            return mid - margin * ref, mid + margin * ref
-        pad = (hi - lo) * margin
+            return mid - 0.05 * ref, mid + 0.05 * ref
+        pad = (hi - lo) * 0.05
         return lo - pad, hi + pad
 
     re0, re1 = padded(re0, re1)
@@ -271,12 +271,13 @@ def _points(points) -> np.ndarray:
     return pts.astype(np.float64, copy=False)
 
 
-def to_svg(values: np.ndarray, cfg: RasterConfig, radius: float | None = None) -> bytes:
-    """SVG 1.1 document with one circle per complex value (viewport units)."""
+def to_svg(values: np.ndarray, cfg: RasterConfig) -> bytes:
+    """SVG 1.1 document with one circle per complex value (viewport units),
+    of radius 1/800 of the viewport's shorter side."""
     values = np.asarray(values)
     re0, re1, im0, im1 = cfg.viewport
     w, h = re1 - re0, im1 - im0
-    r = radius if radius is not None else min(w, h) / 800.0
+    r = min(w, h) / 800.0
     head = ('<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
             f'version="1.1" viewBox="{re0:.9g} {-im1:.9g} {w:.9g} {h:.9g}">\n')
     re, im = values.real, values.imag
@@ -295,23 +296,22 @@ def export_ply(points: np.ndarray) -> bytes:
     return b"".join([head.encode("ascii"), *_rows(len(pts), x, b" ", y, b" ", z, b"\n")])
 
 
-def export_csv(points: np.ndarray, labels: Sequence[str] | np.ndarray | None = None) -> bytes:
-    """CSV with header x,y,z,label; each label is one token, one per point:
+def export_csv(points: np.ndarray, labels: Sequence[str] | np.ndarray) -> bytes:
+    """CSV with header x,y,z,label; each label is one field, one per point:
     the given strings, or the rows (i, r) of an (n, 2) integer array
-    written i:r; else the row index."""
+    written i:r."""
     pts = _points(points)
-    if labels is not None and len(labels) != len(pts):
+    if len(labels) != len(pts):
         raise ValueError(f"{len(labels)} labels for {len(pts)} points")
-    if labels is None:
-        tags = (np.arange(len(pts)),)
-    elif isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
         if labels.shape[1:] != (2,):
             raise ValueError(f"integer labels must be an (n, 2) array, got shape {labels.shape}")
         tags = (labels[:, 0], b":", labels[:, 1])
     else:
         tokens = [t.encode("ascii") for t in labels]
-        if any(b"\0" in t for t in tokens):
-            raise ValueError("labels must not hold NUL characters")
+        bad = [t for t in tokens if len(t.translate(None, b"\0,\r\n")) < len(t)]
+        if bad:
+            raise ValueError(f"label {bad[0].decode()!r} holds a NUL, comma or line break")
         tags = (np.array(tokens, dtype=bytes),)
     x, y, z = pts.T
     rows = _rows(len(pts), x, b",", y, b",", z, b",", *tags, b"\n")
@@ -335,7 +335,6 @@ class FigurePreset:
     a: complex | None = None
     xi_count: int | None = None
     ball_scale: int = 0
-    notes: str = ""
 
     def map_params(self) -> MapParams:
         return MapParams(p=self.p, m=self.m, s=self.s)
@@ -348,38 +347,15 @@ class FigurePreset:
 
 _S_FIG2B = s_zero(3) - 0.02
 
-PRESETS: dict[str, FigurePreset] = {
-    "fig1-1-cantor": FigurePreset(
-        name="fig1-1-cantor", kind="plane", p=2, m=0, s=1.0 / 3.0, depth=16,
-        notes="unit-ball image is a Cantor set on the real axis",
-    ),
-    "fig1-4-z4": FigurePreset(
-        name="fig1-4-z4", kind="plane", p=4, m=0, s=1.0 / 3.0, depth=8,
-        notes="base-4 unit ball, homeomorphic image of the base-2 one",
-    ),
-    "fig1-9-koch": FigurePreset(
-        name="fig1-9-koch", kind="plane", p=6, m=0, s=1.0 / 3.0, depth=6,
-        notes="complement components bounded by Koch-type curves",
-    ),
-    "fig1-10-sierpinski": FigurePreset(
-        name="fig1-10-sierpinski", kind="plane", p=3, m=0, s=0.5, depth=10,
-        notes="unit-ball image is the Sierpinski triangle",
-    ),
-    "fig1-12": FigurePreset(
-        name="fig1-12", kind="plane", p=3, m=math.inf, s=_S_FIG2B, depth=10,
-        ball_scale=4,
-        notes="image of the radius-81 ball at infinite smoothing order",
-    ),
-    "fig2a-t2": FigurePreset(
-        name="fig2a-t2", kind="torus", p=2, m=0, s=1.0 / 2.2, depth=9, a=2j,
-        xi_count=512, notes="base-2 solenoid in the solid torus",
-    ),
-    "fig2b-t3": FigurePreset(
-        name="fig2b-t3", kind="torus", p=3, m=math.inf, s=_S_FIG2B, depth=7,
-        a=2.5, xi_count=81,
-        notes="base-3 solenoid, fibers at multiples of 1/81",
-    ),
-}
+PRESETS: dict[str, FigurePreset] = {fp.name: fp for fp in (
+    FigurePreset("fig1-1-cantor", "plane", p=2, m=0, s=1.0 / 3.0, depth=16),
+    FigurePreset("fig1-4-z4", "plane", p=4, m=0, s=1.0 / 3.0, depth=8),
+    FigurePreset("fig1-9-koch", "plane", p=6, m=0, s=1.0 / 3.0, depth=6),
+    FigurePreset("fig1-10-sierpinski", "plane", p=3, m=0, s=0.5, depth=10),
+    FigurePreset("fig1-12", "plane", p=3, m=math.inf, s=_S_FIG2B, depth=10, ball_scale=4),
+    FigurePreset("fig2a-t2", "torus", p=2, m=0, s=1.0 / 2.2, depth=9, a=2j, xi_count=512),
+    FigurePreset("fig2b-t3", "torus", p=3, m=math.inf, s=_S_FIG2B, depth=7, a=2.5, xi_count=81),
+)}
 
 
 def preset_names() -> list[str]:

@@ -102,26 +102,21 @@ class TestMoments:
 class TestTupleCoefficients:
     def test_diagonal_single_factor(self):
         for k in (0, 1, 3, 6):
-            c, full = tuple_coefficient(2, 1, 1, k, k)
-            assert c == 1 and full
+            assert tuple_coefficient(2, 1, 1, k, k) == 1
 
     def test_off_diagonal_single_factor(self):
-        assert tuple_coefficient(2, 1, 1, 3, 4)[0] == 0
-        assert tuple_coefficient(5, 1, 1, 0, 2)[0] == 0
+        assert tuple_coefficient(2, 1, 1, 3, 4) == 0
+        assert tuple_coefficient(5, 1, 1, 0, 2) == 0
 
     def test_degree_zero(self):
-        assert tuple_coefficient(3, 0, 0, 0, 0)[0] == 1
-        assert tuple_coefficient(3, 0, 0, 1, 0)[0] == 0
+        assert tuple_coefficient(3, 0, 0, 0, 0) == 1
+        assert tuple_coefficient(3, 0, 0, 1, 0) == 0
 
     def test_base_two_square_constant_term(self):
         # the only contribution to the plain square moment sits at (0, 0)
-        assert tuple_coefficient(2, 2, 0, 0, 0)[0] == 1
-        assert tuple_coefficient(2, 2, 0, 1, 0)[0] == 0
-        assert tuple_coefficient(2, 2, 0, 2, 0)[0] == 0
-
-    def test_cutoff_flag(self):
-        c, full = tuple_coefficient(2, 1, 1, 5, 5, cutoff=3)
-        assert not full and c == 0
+        assert tuple_coefficient(2, 2, 0, 0, 0) == 1
+        assert tuple_coefficient(2, 2, 0, 1, 0) == 0
+        assert tuple_coefficient(2, 2, 0, 2, 0) == 0
 
     def test_series_reproduces_mixed_moment(self):
         params = MapParams(p=2, m=math.inf, s=0.3, depth=40)
@@ -278,8 +273,8 @@ def test_order_zero_square_moment_base_two():
     params = MapParams(p=2, m=0, s=0.3)
     # the cutoff keeps n_1 = n_2 <= 8, so the tail is s^18 / (1 - s^2)
     assert moment_series(params, 2, 0, cutoff=16) == pytest.approx(1 / 0.91, abs=1e-9)
-    assert tuple_coefficient(2, 2, 0, 2, 0, m=0) == (1, True)
-    assert tuple_coefficient(2, 2, 0, 2, 0) == (0, True)
+    assert tuple_coefficient(2, 2, 0, 2, 0, 0) == 1
+    assert tuple_coefficient(2, 2, 0, 2, 0) == 0
 
 
 def test_composite_base_cube_moment():
@@ -287,7 +282,7 @@ def test_composite_base_cube_moment():
     # yet E[e(3 x_0 / 6)] = 0, so the series must not count that tuple
     params = MapParams(p=6, m=math.inf, s=0.2)
     res = moment(params, 3, 0, 5)
-    assert tuple_coefficient(6, 3, 0, 0, 0) == (0, True)
+    assert tuple_coefficient(6, 3, 0, 0, 0) == 0
     assert abs(res.value - moment_series(params, 3, 0, cutoff=10)) <= res.error_bound
 
 
@@ -297,7 +292,7 @@ def full_moment_series(params: MapParams, L: int, Lbar: int, cutoff: int) -> com
     total = 0.0 + 0.0j
     for n in range(cutoff + 1):
         for nbar in range(cutoff + 1):
-            c, _ = tuple_coefficient(params.p, L, Lbar, n, nbar, m=params.m)
+            c = tuple_coefficient(params.p, L, Lbar, n, nbar, params.m)
             if c:
                 total += c * s**n * sb**nbar
     return total

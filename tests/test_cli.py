@@ -312,6 +312,9 @@ class TestParser:
         after = run_captured(["verify", "--suite", "group", "--p", "3", "--seed", "11"])
         before = run_captured(["--p", "3", "--seed", "11", "verify", "--suite", "group"])
         assert before == after and after[0] == 0
+        after = run_captured(["certify", "--p", "2", "--m", "0", "--s", "0.3"])
+        before = run_captured(["--p", "2", "--m", "0", "--s", "0.3", "certify"])
+        assert before == after and after[0] == 0
 
     @pytest.mark.parametrize("argv, message", [
         ([], "the following arguments are required: command"),
@@ -373,6 +376,10 @@ class TestFieldChecks:
         # past p=4096 even depth 1 enumerates more than 4096 residues
         (["verify", "--suite", "scaling", "--exhaustive", "--p", "5000"], "p"),
         (["verify", "--suite", "sandwich", "--exhaustive", "--p", "100000"], "p"),
+        # the README's two refusals, and the sandwich suite past p=4096
+        (["verify", "--suite", "group", "--depth", "4"], "depth"),
+        (["render2d", "--preset", "fig1-1-cantor", "--p", "3"], "p"),
+        (["verify", "--suite", "sandwich", "--exhaustive", "--p", "5000"], "p"),
     ])
     def test_bad_flag_exits_two_naming_field(self, argv, name, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -734,6 +741,12 @@ VERIFY_STDOUT = {
         "kappa.m6\t2.35942092859e-06\t0.00086386966599\tPASS\n"
         "kappa.char_gap_m6\t8.03990359832e-05\t0.000402123859659\tPASS\n"
         "symmetry.max_residual\t1.15910686703e-15\t1e-12\tPASS\n"
+    ),
+    # deep pairs below rounding at small |s|: a certified map must pass
+    "verify --suite sandwich --p 2 --m 0 --s 0.05": (
+        "sandwich.lower_violations\t0\t0\tPASS\n"
+        "sandwich.upper_violations\t0\t0\tPASS\n"
+        "sandwich.worst_lower_margin\t1.04553932823e-14\t0\tPASS\n"
     ),
 }
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from padic_fractal.padic import PAdic, expand, from_int, residues
+from padic_fractal.padic import PAdic, expand, from_int
 
 
 BASES = [2, 3, 5, 6, 10]
@@ -149,8 +149,9 @@ class TestArithmetic:
 
     def test_negation_window(self):
         x = expand(15, 3, 3)  # digits 2 1 0 from 3^1
-        y = -x
-        assert y.v == 1 and y.digits == (1, 1, 2) and y.period == (2,)
+        y = -x  # -5 = 1 + 1*3 + 2*3^2 + 2*3^3 + ... in Z_3
+        assert (y.v, y.preperiod, y.period, y.value) == (1, 2, (2,), -15)
+        assert y.digit_run(0, 7) == [0, 1, 1, 2, 2, 2, 2]
 
     @given(a=rationals, b=rationals, p=st.sampled_from(BASES))
     @settings(max_examples=100, deadline=None)
@@ -166,22 +167,6 @@ class TestArithmetic:
         f, i = x.split()
         back = expand(f, p, 10) + i
         assert back.value == q
-
-
-class TestResidues:
-    def test_small_enumerations(self):
-        assert [r.residue(2) for r in residues(2, 2)] == [0, 1, 2, 3]
-        assert [r.residue(1) for r in residues(3, 1)] == [0, 1, 2]
-
-    def test_cardinality_at_depth_twenty(self):
-        assert sum(1 for _ in residues(2, 20)) == 1_048_576
-
-    @pytest.mark.parametrize("p,depth,k", [(2, 6, 2), (3, 5, 1), (6, 3, 2)])
-    def test_enumeration_measure(self, p, depth, k):
-        # the fraction of residues in any ball l + p^k Z_p is exactly p^-k
-        for l in range(min(p**k, 9)):
-            count = sum(1 for r in range(p**depth) if r % p**k == l % p**k)
-            assert Fraction(count, p**depth) == Fraction(1, p**k)
 
 
 class TestEquality:
@@ -266,6 +251,15 @@ def assert_long_division(x: PAdic, q: Fraction, window: int) -> None:
         assert x.digit(n) == long_division_digit(expansion, n)
 
 
+def assert_window_free(x: PAdic, q: Fraction) -> None:
+    """The fields that no digit window moves agree with the long division:
+    valuation, preperiod, period, value and the digits at -12 .. 39."""
+    expansion = long_division_expand(q, x.p, 1)
+    v, _, preperiod, period = expansion
+    assert (x.v, x.preperiod, x.period, x.value) == (v, preperiod, period, q)
+    assert x.digit_run(-12, 40) == [long_division_digit(expansion, n) for n in range(-12, 40)]
+
+
 class TestRationalCore:
     """Exact values are their rationals; their digits must agree with the
     long-division expansion they used to store, results included."""
@@ -282,23 +276,15 @@ class TestRationalCore:
         xa, xb = expand(a, p, wa), expand(b, p, wb)
         assert_long_division(xa, a, wa)
         assert_long_division(xb, b, wb)
-        # a sum's window spans both operands' requested windows
-        va, vb = xa.v, xb.v
-        for other, q, w in ((xb, b, wb), (-xb, -b, wb)):
-            if a == 0:
-                width = w
-            elif q == 0:
-                width = wa
-            else:
-                width = max(max(va + wa, vb + w) - min(va, vb), 1)
-            assert_long_division(xa + other, a + q, width)
-        assert_long_division(xa - xb, a - b, width)  # xa - xb is xa + (-xb)
-        assert_long_division(-xa, -a, wa)
+        assert_window_free(xa + xb, a + b)
+        assert_window_free(xa + -xb, a - b)
+        assert_window_free(xa - xb, a - b)
+        assert_window_free(-xa, -a)
         frac, integral = xa.split()
-        expansion = long_division_expand(a, p, wa)
+        va, expansion = xa.v, long_division_expand(a, p, wa)
         digits = [long_division_digit(expansion, n) for n in range(va, 0)]
         assert frac == sum((d * Fraction(p) ** (va + i) for i, d in enumerate(digits)), Fraction(0))
-        assert_long_division(integral, a - frac, max(va + wa, 1) if va < 0 else wa)
+        assert_window_free(integral, a - frac)
 
     @given(
         n=st.integers(min_value=-10**6, max_value=10**6),
@@ -361,14 +347,6 @@ class TestDigitRun:
         assert expand(0, 3, 4).digit_run(-2, 3) == [0] * 5
         assert expand(Fraction(1, 4), 2, 3).digit_run(-3, 2) == [0, 1, 0, 0, 0]
 
-    @given(data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_residue_matches_per_index_sum(self, data):
-        p = data.draw(st.sampled_from(BASES))
-        x = data.draw(any_values(p).filter(lambda y: y.is_zero() or y.v >= 0))
-        depth = data.draw(st.integers(0, 12))
-        assert x.residue(depth) == sum(old_digit(x, n) * p**n for n in range(depth))
-
 
 # -- the per-operation paths that one rational path replaced ---------------
 
@@ -405,7 +383,8 @@ def old_rotate(x: PAdic) -> PAdic:
 
 
 def fields(x: PAdic) -> tuple:
-    return (x.p, x.v, x.digits, x.preperiod, x.period, x.value)
+    """The fields that no digit window moves: digits at -12 .. 23 included."""
+    return (x.p, x.v, x.preperiod, x.period, x.value, tuple(x.digit_run(-12, 24)))
 
 
 def same_result(new, old) -> None:
@@ -437,7 +416,7 @@ def mixed_operands(p: int):
 
 class TestOneRationalPath:
     """+, -, negation, split and rotate_digits each compute one rational;
-    each must give what its reference path gives, window included."""
+    each must give what its reference path gives."""
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -470,15 +449,19 @@ class TestOneRationalPath:
     def test_examples(self):
         # 11 + 13 = 24 = 2^3 * 3
         w = from_int(11, 2) + from_int(13, 2)
-        assert (w.v, w.digits, w.value) == (3, (1, 1), 24)
-        # windows apart: the sum's window spans both
+        assert (w.v, w.preperiod, w.period, w.value) == (3, 0, (), 24)
+        assert w.digit_run(0, 6) == [0, 0, 0, 1, 1, 0]
+        # digits apart: 3 + 32 = 35
         s = from_int(3, 2) + expand(32, 2, 1)
-        assert (s.v, s.digits, s.value) == (0, (1, 1, 0, 0, 0, 1), 35)
-        # 7/9 - 1/9 = 2/3 keeps the wider operand's window from 3^-2
+        assert (s.v, s.preperiod, s.period, s.value) == (0, 0, (), 35)
+        assert s.digit_run(0, 7) == [1, 1, 0, 0, 0, 1, 0]
+        # 7/9 - 1/9 = 2/3 = 2 * 3^-1
         d = expand(Fraction(7, 9), 3, 4) - expand(Fraction(1, 9), 3, 2)
-        assert (d.v, d.digits, d.value) == (-1, (2, 0, 0, 0), Fraction(2, 3))
+        assert (d.v, d.preperiod, d.period, d.value) == (-1, 0, (), Fraction(2, 3))
+        assert d.digit_run(-2, 2) == [0, 2, 0, 0]
         f, i = expand(Fraction(94, 25), 5, 4).split()
-        assert (f, i.v, i.digits, i.value) == (Fraction(19, 25), 0, (3, 0), 3)
+        assert (f, i.v, i.preperiod, i.period, i.value) == (Fraction(19, 25), 0, 0, (), 3)
+        assert i.digit_run(0, 3) == [3, 0, 0]
 
     def test_equality_and_hash_read_the_known_digits(self):
         # equality reads the value, not the window it was requested with
@@ -487,6 +470,30 @@ class TestOneRationalPath:
         assert expand(2, 2, 2) != from_int(1, 2) and expand(1, 3, 2) != from_int(1, 2)
         x = expand(Fraction(5, 9), 3, 3)
         assert x == -(-x) and hash(x) == hash(-(-x))
+
+
+class TestDerivedDigits:
+    """Sums, differences, negations and splits carry no digit window: each
+    lists the digits of expand(value, p, 1), from the valuation through the
+    preperiod and at least one digit."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_derived_values_list_canonical_digits(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 6]))
+        x = data.draw(mixed_operands(p))
+        y = data.draw(st.one_of(mixed_operands(p), st.just(x), st.just(-x)))
+        frac, integral = x.split()
+        for z, q in ((x + y, x.value + y.value), (x - y, x.value - y.value), (-x, -x.value),
+                     (integral, x.value - frac)):
+            canonical = expand(q, p, 1)
+            assert (z.v, z.digits, z.preperiod, z.period, z.value) == (
+                canonical.v, canonical.digits, canonical.preperiod, canonical.period, q)
+            expansion = long_division_expand(Fraction(q), p, 1)
+            assert (z.v, z.digits, z.preperiod, z.period) == expansion
+            top = z.v + z.preperiod + 2 * len(z.period) + 3
+            assert z.digit_run(z.v - 2, top) == [
+                long_division_digit(expansion, n) for n in range(z.v - 2, top)]
 
 
 class TestFromIntWindow:
