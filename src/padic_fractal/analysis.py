@@ -59,9 +59,12 @@ def moment(params: MapParams, L: int, Lbar: int, depth: int) -> MomentResult:
     """Average of value^L conj(value)^Lbar over all depth-level residues.
 
     The average is the exact uniform-measure integral of the sampled
-    step function; the error bound propagates the ball-diameter Lipschitz
-    modulus and the series tail through the monomial on the disk of
-    radius contraction_radius.
+    step function.  The error bound propagates the ball-diameter Lipschitz
+    modulus, the series tail and each value's rounding through the monomial
+    of degree k = L + Lbar on the disk of radius r = contraction_radius; its
+    k products (each within 3 2^-53) and numpy's pairwise mean of N = p^depth
+    terms (at most log2 N + 20 roundings on a path) add (3k + log2 N + 20)
+    2^-53 r^k.
     """
     if L == 0 and Lbar == 0:
         return MomentResult(0, 0, 1.0 + 0.0j, depth, 0.0)
@@ -73,9 +76,10 @@ def moment(params: MapParams, L: int, Lbar: int, depth: int) -> MomentResult:
         z = z * np.conj(vals) ** Lbar
     value = complex(z.mean())
     a = abs(params.s)
-    point_err = 2.0 * a**depth / (1.0 - a) + params.tail_bound
-    r = params.contraction_radius
-    bound = (L + Lbar) * r ** (L + Lbar - 1) * point_err
+    point_err = 2.0 * a**depth / (1.0 - a) + params.tail_bound + params.rounding_bound
+    r, k = params.contraction_radius, L + Lbar
+    rounding = (3 * k + depth * math.log2(params.p) + 20) * 2.0**-53 * r**k
+    bound = k * r ** (k - 1) * point_err + rounding
     return MomentResult(L, Lbar, value, depth, bound)
 
 

@@ -31,6 +31,7 @@ from .analysis import (
     moment_series,
 )
 from .complex_map import (
+    MAX_ROWS,
     MapParams,
     PlaneMap,
     _guard_rows,
@@ -70,9 +71,6 @@ from .solenoid import (
     neg,
     orbit,
 )
-
-WORKING_EPS = 1e-12  # floating-point slack added to analytic series bounds
-
 
 class UsageError(Exception):
     pass
@@ -250,8 +248,8 @@ def _write(path: str, data: bytes) -> None:
 
 
 def _map_params(cfg: Config) -> MapParams:
-    """The map fields, summed to depth 40 or to --depth if that is deeper."""
-    return MapParams(p=cfg.p, m=cfg.m, s=cfg.s, depth=max(40, cfg.depth or 0))
+    """The map fields, summed to MapParams' own series depth."""
+    return MapParams(p=cfg.p, m=cfg.m, s=cfg.s)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +276,6 @@ def _at_most(name: str, value, bound) -> tuple:
     return name, value, bound, value <= bound
 
 
-def _tail_slack(params: MapParams) -> float:
-    """How far one series summed to two different depths may differ."""
-    return 2.0 * params.tail_bound + WORKING_EPS
-
-
 @dataclass(frozen=True)
 class _Command:
     """A subcommand or a verify suite: its function, which yields report rows;
@@ -302,12 +295,23 @@ class _Command:
 
 
 def _suite_scaling(cfg: Config) -> Iterator[tuple]:
+    """f(px) = 1 + s f(x).  To depth D, f_D(px) = 1 + s f_(D-1)(x) level by
+    level, so the residual is s^(D+1) chi_D(x), within tail_bound, plus the
+    (1 + |s|) rounding_bound of f(px) and s f(x); the last three roundings,
+    a few 2^-53 r_s, fit in the (D+5) 2^-53 left of 2 rounding_bound (at
+    |s| <= 0.95; beyond it, in the tail)."""
     params = _map_params(cfg)
     if cfg.exhaustive:
         res = _scaling_residuals(residue_digit_matrix(cfg.p, _exhaustive_depth(cfg, 10)), params)
     else:
-        res = scaling_residuals(params, n_samples=1000, digit_depth=cfg.depth or 30, seed=cfg.seed)
-    yield _at_most("scaling.max_residual", float(res.max()), _tail_slack(params))
+        samples, depth = 1000, cfg.depth or 30
+        if samples * depth > MAX_ROWS:  # the sampled digit matrix, refused before allocation
+            raise UsageError(f"field 'depth': scaling samples {samples} rows of depth digits, "
+                             f"at most {MAX_ROWS} in all, so depth at most "
+                             f"{MAX_ROWS // samples}, got {depth}")
+        res = scaling_residuals(params, n_samples=samples, digit_depth=depth, seed=cfg.seed)
+    bound = params.tail_bound + 2.0 * params.rounding_bound
+    yield _at_most("scaling.max_residual", float(res.max()), bound)
 
 
 def _exhaustive_depth(cfg: Config, default: int) -> int:
@@ -339,19 +343,16 @@ def _suite_sandwich(cfg: Config) -> Iterator[tuple]:
 
 
 def _suite_group(cfg: Config) -> Iterator[tuple]:
-    rng = np.random.default_rng(cfg.seed)
-    p = cfg.p
-    depth = 8
-    worst_assoc = 0.0
-    worst_metric = 0.0
-    n = 300
-    pts = []
-    for _ in range(3 * n):
-        xi = Fraction(int(rng.integers(0, 997)), 997)
-        x = from_int(int(rng.integers(0, residue_bound(p, depth))), p, depth)
-        pts.append(SolenoidPoint(xi, x))
-    for i in range(n):
-        f, g, h = pts[3 * i], pts[3 * i + 1], pts[3 * i + 2]
+    """The exact group law and the metric.  Its symmetry and invariance
+    compare floats of equal rationals: exactly 0.  A distance here, at most
+    1, is a correctly rounded quotient or p^(-alpha v), whose rounded exponent
+    and pow err by (1/e + 1) u, u = 2^-53; with the sum of two (at most 2,
+    rounded by u) the triangle defect is at most 3 (1 + 1/e) u + u < 6 u."""
+    rng, p, bound = np.random.default_rng(cfg.seed), cfg.p, residue_bound(cfg.p, 8)
+    worst_assoc = worst_metric = 0.0
+    pts = [SolenoidPoint(Fraction(int(rng.integers(0, 997)), 997),
+                         from_int(int(rng.integers(0, bound)), p, 8)) for _ in range(900)]
+    for f, g, h in zip(pts[0::3], pts[1::3], pts[2::3]):
         lhs, rhs, z = add(add(f, g), h), add(f, add(g, h)), add(f, neg(f))
         if lhs.xi != rhs.xi or lhs.x != rhs.x or z.xi != 0 or not z.x.is_zero():
             worst_assoc = 1.0
@@ -360,56 +361,50 @@ def _suite_group(cfg: Config) -> Iterator[tuple]:
                            distance(f, h, cfg.alpha) - (dfg + distance(g, h, cfg.alpha)),
                            abs(distance(add(f, h), add(g, h), cfg.alpha) - dfg))
     yield _at_most("group.axiom_defect", worst_assoc, 0.0)
-    yield _at_most("group.metric_defect", worst_metric, WORKING_EPS)
+    yield _at_most("group.metric_defect", worst_metric, 6 * 2.0**-53)
 
 
 def _suite_j(cfg: Config) -> Iterator[tuple]:
-    rng = np.random.default_rng(cfg.seed)
-    p = cfg.p
-    worst_hom = 0.0
-    worst_iso = 0.0
+    """j is an exact homomorphism and isometry: the distance of equal points
+    is 0.0, and both sides of the isometry are the float of one norm."""
+    rng, p = np.random.default_rng(cfg.seed), cfg.p
+    worst_hom = worst_iso = 0.0
     for _ in range(300):
         num_a = int(rng.integers(0, residue_bound(p, 8)))
         num_b = int(rng.integers(0, residue_bound(p, 8)))
         shift = int(rng.integers(0, 5))
-        xa = expand(Fraction(num_a, p**shift), p, 16)
-        xb = expand(Fraction(num_b, p**shift), p, 16)
-        lhs = from_padic(xa + xb)
-        rhs = add(from_padic(xa), from_padic(xb))
+        xa, xb = (expand(Fraction(num, p**shift), p, 16) for num in (num_a, num_b))
+        lhs, rhs = from_padic(xa + xb), add(from_padic(xa), from_padic(xb))
         worst_hom = max(worst_hom, distance(lhs, rhs, cfg.alpha))
         ya, yb = from_int(num_a, p, 10), from_int(num_b, p, 10)
         gap = abs(distance(from_padic(ya), from_padic(yb), cfg.alpha) - (ya - yb).norm(cfg.alpha))
         worst_iso = max(worst_iso, gap)
-    yield _at_most("j.homomorphism_defect", worst_hom, WORKING_EPS)
-    yield _at_most("j.isometry_defect", worst_iso, WORKING_EPS)
+    yield _at_most("j.homomorphism_defect", worst_hom, 0.0)
+    yield _at_most("j.isometry_defect", worst_iso, 0.0)
 
 
 def _suite_eq40(cfg: Config) -> Iterator[tuple]:
+    """The plane/solenoid identity: the integral part of f(x) is the fiber
+    value at x.split().  It holds level by level in the series to depth D,
+    so the residual is the rounding of the two values, 2 rounding_bound."""
     # samples num / p^4 reach level -4: four terms s^n (chi_n - 1), each up to 2 |s|^-4
     if abs(cfg.s) < (floor := (8.0 / sys.float_info.max) ** 0.25):
         raise UsageError(f"field 's': eq40 weighs level -4 by s^-4, which needs "
                          f"|s| >= {floor:.3g}, got {_fmt(cfg.s)}")
-    params = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=40)
+    params = MapParams(p=cfg.p, m=math.inf, s=cfg.s)
     tmap = TorusMap(SolenoidParams(map=params, a=cfg.a))
-    pmap = PlaneMap(params)
-    rng = np.random.default_rng(cfg.seed)
-    p = cfg.p
-    worst = 0.0
+    rng, p, worst = np.random.default_rng(cfg.seed), cfg.p, 0.0
     for _ in range(200):
-        num = int(rng.integers(0, residue_bound(p, 10)))
-        x = expand(Fraction(num, p**4), p, 16)
-        frac, integral_part = x.split()
-        lhs = pmap.parts(x)[1]
-        rhs = tmap.fiber_value(frac, integral_part)
-        worst = max(worst, abs(lhs - rhs))
-    yield _at_most("eq40.max_residual", worst, _tail_slack(params))
+        x = expand(Fraction(int(rng.integers(0, residue_bound(p, 10))), p**4), p, 16)
+        worst = max(worst, abs(tmap.plane.parts(x)[1] - tmap.fiber_value(*x.split())))
+    yield _at_most("eq40.max_residual", worst, 2.0 * params.rounding_bound)
 
 
 def _suite_ode(cfg: Config) -> Iterator[tuple]:
     if cfg.s * (1.0 / cfg.p) == 0:  # as TorusMap.scaled computes it
         raise UsageError(f"field 's': ode evaluates the map at s/p, which rounds to 0 "
                          f"at p={cfg.p}, got {_fmt(cfg.s)}")
-    params = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=50)
+    params = MapParams(p=cfg.p, m=math.inf, s=cfg.s)
     tmap = TorusMap(SolenoidParams(map=params, a=cfg.a))
     # the flow's speed is at most 2 pi (|a| + r_s + 1/(p - |s|)), and a residual
     # of the difference quotient at most twice that
@@ -447,8 +442,8 @@ def _suite_ode(cfg: Config) -> Iterator[tuple]:
 
 def _suite_kappa(cfg: Config) -> Iterator[tuple]:
     m = cfg.m if cfg.m != math.inf and cfg.m and cfg.m >= 1 else 6
-    fm = MapParams(p=cfg.p, m=int(m), s=cfg.s, depth=45)
-    fi = MapParams(p=cfg.p, m=math.inf, s=cfg.s, depth=45)
+    fm = MapParams(p=cfg.p, m=int(m), s=cfg.s)
+    fi = MapParams(p=cfg.p, m=math.inf, s=cfg.s)
     depth = max((k for k in range(2, 15) if cfg.p**k <= 1 << 63), default=1)  # int64 codes
     if delta_lower(cfg.p, cfg.s) > 0:
         kappa, bound = metric_divergence(fm, fi, n_samples=300, sample_depth=depth, seed=cfg.seed)
@@ -462,15 +457,16 @@ def _suite_kappa(cfg: Config) -> Iterator[tuple]:
 
 
 def _suite_symmetry(cfg: Config) -> Iterator[tuple]:
-    params = MapParams(p=cfg.p, m=0, s=cfg.s, depth=40)
-    pmap = PlaneMap(params)
-    rng = np.random.default_rng(cfg.seed)
+    """At order 0, adding 1 to every digit turns each level's character by
+    e(1/p), level by level in the series to depth D, so the residual is the
+    rounding of the two values, 2 rounding_bound."""
+    params = MapParams(p=cfg.p, m=0, s=cfg.s)
+    pmap, rng, worst = PlaneMap(params), np.random.default_rng(cfg.seed), 0.0
     phase = complex(math.cos(2 * math.pi / cfg.p), math.sin(2 * math.pi / cfg.p))
-    worst = 0.0
     for _ in range(200):
         x = from_int(int(rng.integers(0, residue_bound(cfg.p, 10))), cfg.p, 10)
         worst = max(worst, abs(pmap.value(rotate_digits(x)) - phase * pmap.value(x)))
-    yield _at_most("symmetry.max_residual", worst, _tail_slack(params))
+    yield _at_most("symmetry.max_residual", worst, 2.0 * params.rounding_bound)
 
 
 # in the order `verify --all` runs them; a suite reads a field when its
@@ -493,8 +489,7 @@ _FIELDS["suite"] = _one_of(*SUITES, "all")
 
 
 def _cmd_certify(cfg: Config) -> Iterator[tuple]:
-    if (cfg.depth or 0) > 8:  # --depth sets both searches, plane (default 8) and torus (6)
-        raise UsageError(f"field 'depth': certify searches at most depth 8, got {cfg.depth}")
+    # --depth sets both searches (default 8 and 6); MAX_ROWS and MAX_PAIRS bound them
     params = _map_params(cfg)
     cert = delta_certificate(params, search_depth=cfg.depth or 8)
     known = cert.verdict != "unknown"
@@ -502,11 +497,11 @@ def _cmd_certify(cfg: Config) -> Iterator[tuple]:
     yield "certify.delta_empirical", cert.delta_empirical, cert.allowance, known
     yield "certify.verdict", cert.verdict, "certified-embedding iff delta_lower>0", known
     sp = SolenoidParams(map=params, a=cfg.a)
-    tilde = delta_tilde_certificate(sp, xi_count=8, search_depth=cfg.depth or 6)
+    tilde = delta_tilde_certificate(sp, search_depth=cfg.depth or 6)
     yield "certify.delta_tilde_lower", tilde.delta_lower, 0.0, True
     yield ("certify.delta_tilde_empirical", tilde.delta_empirical, tilde.allowance,
            tilde.verdict != "unknown")
-    gamma, sufficient = gamma_estimate(sp, xi_count=64, depth=6)
+    gamma, sufficient = gamma_estimate(sp)
     yield "certify.gamma_estimate", gamma, 1.0, gamma < 1.0
     yield "certify.gamma_sufficient", str(sufficient).lower(), "a real > r_s", sufficient
 
@@ -572,13 +567,13 @@ def _cmd_moments(cfg: Config) -> Iterator[tuple]:
         mres = moment(params, L, Lbar, depth)
         series = moment_series(params, L, Lbar, cutoff=16)
         gap = abs(mres.value - series)
-        tol = mres.error_bound + 10.0 * abs(params.s) ** 17 + WORKING_EPS
+        tol = mres.error_bound + 10.0 * abs(params.s) ** 17
         yield f"moment.{L}.{Lbar}", mres.value, tol, gap <= tol
 
 
 def _cmd_orbit(cfg: Config) -> Iterator[tuple]:
-    # --depth counts the steps here; the series stays at its default depth
-    tmap = TorusMap(SolenoidParams(map=MapParams(p=cfg.p, m=cfg.m, s=cfg.s), a=cfg.a))
+    # --depth counts the steps here
+    tmap = TorusMap(SolenoidParams(map=_map_params(cfg), a=cfg.a))
     steps = cfg.depth or 400
     f0 = SolenoidPoint(Fraction(0), from_int(0, cfg.p))
     times = [Fraction(3 * k, steps) for k in range(steps + 1)]

@@ -84,6 +84,14 @@ class MapParams:
         return 2.0 * a ** (self.depth + 1) / (1.0 - a)
 
     @property
+    def rounding_bound(self) -> float:
+        """Float error of one computed value, (depth + 5) 2^-53 r_s, to first
+        order: its depth + 1 terms s^n chi_n, of moduli totalling at most
+        r_s = contraction_radius, err by a few 2^-53 of their moduli (5 in
+        all), and their additions by depth 2^-53 r_s."""
+        return (self.depth + 5) * 2.0**-53 * self.contraction_radius
+
+    @property
     def scaling_dimension(self) -> float:
         """Image dimension for embedding parameters: -log p / log|s|."""
         return -math.log(self.p) / math.log(abs(self.s))
@@ -218,14 +226,14 @@ def residue_bound(p: int, depth: int) -> int:
     """p**depth, the exclusive upper end of sampled residue codes.
 
     Samples are drawn as 64-bit integers, so a bound past 2^63 raises
-    ValueError instead of reaching the generator.
+    ValueError instead of reaching the generator; p**64 alone passes it,
+    so no larger power is formed.
     """
-    bound = p**depth
-    if bound > 1 << 63:
+    if p ** min(depth, 64) > 1 << 63:
         raise ValueError(
             f"sampling residues below {p}^{depth} needs integers past the 64-bit limit 2^63"
         )
-    return bound
+    return p**depth
 
 
 # A full enumeration peaks near 66 bytes per row for a plane cloud rendered
@@ -237,12 +245,11 @@ MAX_PAIRS = 1 << 31
 
 
 def _guard_rows(p: int, depth: int, fibers: int = 1) -> None:
-    """Refuse fibers * p**depth rows past MAX_ROWS, before any allocation."""
-    if fibers * p**depth > MAX_ROWS:
+    """Refuse fibers * p**depth rows past MAX_ROWS, before any allocation;
+    p**MAX_ROWS.bit_length() alone passes it, so no larger power is formed."""
+    if fibers * p ** min(depth, MAX_ROWS.bit_length()) > MAX_ROWS:
         size = f"{p}^{depth}" if fibers == 1 else f"{fibers} x {p}^{depth}"
-        raise ValueError(
-            f"enumerating {size} = {fibers * p**depth} rows exceeds the limit of {MAX_ROWS}"
-        )
+        raise ValueError(f"enumerating {size} rows exceeds the limit of {MAX_ROWS}")
 
 
 def _check_negative_levels(s: complex, lo: int) -> None:
@@ -514,17 +521,11 @@ def _sandwich_margins(
     differences of their depth-level integer preimages.
 
     Besides the two tails, 2 tail_bound, a distance carries the rounding
-    of its two values.  Each adds at most D+1 terms s^n chi_n (D =
-    params.depth) whose moduli total at most r = contraction_radius: the
-    additions err by at most D u r (u = 2^-53) to first order, and the
-    terms, each a rounded phase times a rounded power of s, by a few u of
-    their moduli, 5 u r in all.  So the distance errs by 2 (D+5) u r.
-    The multiplicity of p in a nonzero difference below p^depth counts the
-    powers p^k, k < depth, that divide it.
+    of its two values, 2 rounding_bound.  The multiplicity of p in a nonzero
+    difference below p^depth counts the powers p^k, k < depth, dividing it.
     """
     sv = abs(params.s) ** sum(diff % params.p**k == 0 for k in range(1, depth))
-    rounding = 2.0 * (params.depth + 5) * 2.0**-53 * params.contraction_radius
-    allowance = 2.0 * params.tail_bound + rounding
+    allowance = 2.0 * params.tail_bound + 2.0 * params.rounding_bound
     lower_margin = dist + allowance - delta_lower(params.p, params.s) * sv
     upper_margin = 2.0 * sv / (1.0 - abs(params.s)) + allowance - dist
     return {

@@ -263,7 +263,7 @@ class TorusMap:
 
 
 def gamma_estimate(
-    params: SolenoidParams, xi_count: int = 256, depth: int = 8
+    params: SolenoidParams, xi_count: int = 64, depth: int = 6
 ) -> tuple[float, bool]:
     """Sampled estimate of the tube-clearance number, with the analytic
     sufficient condition (real a beyond the contraction radius)."""

@@ -363,7 +363,7 @@ class TestClusters:
         # depth 24 holds 2^24, past the 2^23 limit
         pm = PlaneMap(MapParams(p=2, m=0, s=0.3))
         assert len(pm.cluster(0, 5, 25)) == 2**20
-        with pytest.raises(ValueError, match=r"2\^24 = 16777216 rows"):
+        with pytest.raises(ValueError, match=r"enumerating 2\^24 rows exceeds the limit of 8388608"):
             pm.cluster(0, 0, 24)
 
 
