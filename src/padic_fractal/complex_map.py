@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -134,59 +135,80 @@ class PlaneMap:
         self.params = params
         self._powers = [params.s**n for n in range(params.depth + 1)]  # s^n, n = 0 .. depth
 
-    def _characters(self, x: PAdic, first: int, last: int):
-        """(n, chi_n(x)) for n = first .. last, reading each digit of x once.
-
-        A holds the integer A_n = sum_{v<=j<=n} x_j p^(j-v), and
-        chi_n = e((A_n - A_{n-m-1}) / p^(n-v+1)): the phase is an exact
-        fraction of a turn, rounded once.  A_{n-m-1} is 0 at infinite
-        order and for n-m-1 < v; chi_n = 1 below the valuation.
-        """
+    def _phases(self, x: PAdic, last: int) -> list[complex]:
+        """chi_n(x) for n = v .. stop, v the valuation of x (none for zero or
+        v > last); chi_n = 1 exactly at every other level.  A phase is an
+        exact fraction of a turn, rounded once: A_n / p^(n-v+1) at infinite
+        order, A_n = sum_(v<=j<=n) x_j p^(j-v); W_n / p^(m+1) at finite order,
+        W_n = W_(n-1) // p + x_n p^m, where a terminating x stops at its last
+        nonzero window, v + len(digits) - 1 + m, if that is below last."""
         p, m = self.params.p, self.params.m
         if x.p != p:
             raise ValueError(f"operand base {x.p} does not match params p={p}")
-        v = x.valuation()  # +inf for zero: chi = 1 at every level
-        digits = x.digit_run(v, last + 1) if v <= last else []
-        sums, scale = [0], 1  # sums[k] = A_{v+k-1}; scale = p^(n-v+1)
-        turn = 2j * math.pi
-        for n in range(min(first, v), last + 1):
-            chi = 1.0 + 0.0j
-            if n >= v:
-                sums.append(sums[-1] + digits[n - v] * scale)
+        v = x.valuation()
+        if m != math.inf and not x.period:
+            last = min(last, v + len(x.digits) - 1 + m)
+        if v > last:
+            return []
+        turn, chis = 2j * math.pi, []
+        if m == math.inf:
+            total, scale = 0, 1
+            for d in x.digit_run(v, last + 1):
+                total += d * scale
                 scale *= p
-                low = sums[n - v - m] if n - m >= v else 0
-                chi = cmath.exp(turn * ((sums[-1] - low) / scale))
-            if n >= first:
-                yield n, chi
+                chis.append(cmath.exp(turn * (total / scale)))
+        else:
+            window, low, scale = 0, p**m, p ** (m + 1)
+            for d in x.digit_run(v, last + 1):
+                window = window // p + d * low
+                chis.append(cmath.exp(turn * (window / scale)))
+        return chis
 
     def character(self, x: PAdic, n: int) -> complex:
         """Phase factor at level n: reads digits x_{n-k} weighted p^-k."""
-        return next(self._characters(x, n, n))[1]
+        chis = self._phases(x, n)  # ends at level n unless chi_n = 1
+        return chis[-1] if chis and x.valuation() + len(chis) - 1 == n else 1.0 + 0.0j
 
-    def _weighted(self, x: PAdic, phase=None) -> tuple[complex, complex]:
-        """Sums of s^n phase(n) (chi_n - [n < 0]) over the negative levels
-        and over the levels 0 .. depth; phase(n) is 1 when not given."""
-        s, powers = self.params.s, self._powers
-        lo = min(x.valuation(), 0)
-        _check_negative_levels(s, lo)
+    @cached_property
+    def _divisors(self) -> list[float]:
+        """The fiber divisors p^(min(n, m)+1), n = 0 .. depth, rounded as complex / int does."""
+        p, m = self.params.p, self.params.m
+        return [float(p ** (min(n, m) + 1)) for n in range(self.params.depth + 1)]
+
+    def _weighted(self, x: PAdic, xi: float | None = None) -> tuple[complex, complex]:
+        """Sums of s^n c_n (chi_n - [n < 0]) over the negative levels and
+        over the levels 0 .. depth, in one pass.  c_n = 1 for the plane
+        series (xi None); the fiber at circle coordinate xi couples level
+        n <= m + v, v the valuation of x, by c_n = e(xi / p^(min(n, m) + 1)).
+        A factor 1, c_n or chi_n, is not multiplied in: w * (1+0j) differs
+        from w only in the sign of a zero, which no sum from 0j keeps."""
+        s, depth, powers = self.params.s, self.params.depth, self._powers
+        v = x.valuation()
+        _check_negative_levels(s, lo := min(v, 0))
+        chis = self._phases(x, depth)
+        first, stop = (v, v + len(chis) - 1) if chis else (depth + 1, depth)
+        if xi is not None:
+            p, m = self.params.p, self.params.m
+            turn, top, divisors = 2j * math.pi * xi, m + v, self._divisors
         frac = integral = 0j
-        for n, chi in self._characters(x, lo, self.params.depth):
+        for n in range(lo, depth + 1):
             weight = powers[n] if n >= 0 else s**n
-            if phase is not None:
-                weight = weight * phase(n)
-            if n < 0:
-                frac += weight * (chi - 1.0)
+            if xi is not None and n <= top:
+                divisor = divisors[n] if n >= 0 else p ** (min(n, m) + 1)
+                weight = weight * cmath.exp(turn / divisor)
+            if n < first or n > stop:
+                if n >= 0:
+                    integral += weight
+            elif n < 0:
+                frac += weight * (chis[n - first] - 1.0)
             else:
-                integral += weight * chi
+                integral += weight * chis[n - first]
         return frac, integral
 
     def value(self, x: PAdic) -> complex:
-        """Series value; negative levels contribute s^n (chi_n - 1).
-
-        This unified form equals the prefix formulation
-        (1 - s^v)/(1 - s) + sum_{n>=v} s^n chi_n and handles the zero
-        element (empty negative part) without a valuation convention.
-        """
+        """Series value; negative levels contribute s^n (chi_n - 1).  This
+        equals (1 - s^v)/(1 - s) + sum_{n>=v} s^n chi_n, and zero needs no
+        valuation convention."""
         return sum(self.parts(x))
 
     def parts(self, x: PAdic) -> tuple[complex, complex]:
@@ -304,8 +326,9 @@ def _last_level(cols: int, start: int, params: MapParams) -> int:
 
 def _turn(w: np.ndarray, q: int) -> np.ndarray:
     """e(w / q), w read as its residue in (-q/2, q/2] so that no angle
-    passes half a turn: the one phase of an integer window."""
-    w = w % q
+    passes half a turn: the phase of an integer window.  Needs 0 <= w < q,
+    which _levels keeps: its k never decreases, w //= p when k repeats,
+    then a digit 0 .. p-1 is added at p**(k-1)."""
     return np.exp(np.where(2 * w > q, w - q, w) * (2j * math.pi / q))
 
 
@@ -414,6 +437,14 @@ def character_table(digit_mat: np.ndarray, start: int, params: MapParams) -> np.
 # certificates and structural checks
 
 
+def _guard_pairs(rows: int, count: int, q: int) -> None:
+    """Refuse a search over rows of count residues in q classes past
+    MAX_PAIRS pairs, counted as if all were compared: rows C(q,2) (count/q)^2."""
+    if (pairs := rows * q * (q - 1) // 2 * (count // q) ** 2) > MAX_PAIRS:
+        raise ValueError(f"separating {q} residue classes compares {pairs} pairs, "
+                         f"past the limit of {MAX_PAIRS}; lower the search depth")
+
+
 def _class_separation(vals: np.ndarray, p: int, level: int = 1) -> float:
     """min |a - b| over residues a, b in distinct classes mod p**level.
 
@@ -434,9 +465,7 @@ def _class_separation(vals: np.ndarray, p: int, level: int = 1) -> float:
     if count % q:
         raise ValueError(f"the search depth must reach the class level: the residue "
                          f"count {count} is not a multiple of {q}")
-    if (pairs := rows * q * (q - 1) // 2 * (count // q) ** 2) > MAX_PAIRS:
-        raise ValueError(f"separating {q} residue classes compares {pairs} pairs, "
-                         f"past the limit of {MAX_PAIRS}; lower the search depth")
+    _guard_pairs(rows, count, q)
     if q == 1 or not count:
         return math.inf
     slack = 64 * np.finfo(float).eps * (float(np.abs(vals).max()) + 1.0)
@@ -485,7 +514,10 @@ def _search_certificate(
 
 def delta_certificate(params: MapParams, search_depth: int = 8) -> EmbeddingCertificate:
     """Analytic separation bound plus a search over the unit-ball pairs
-    whose lowest digits differ, to the given depth."""
+    whose lowest digits differ, to the given depth; rows, then pairs,
+    past their limits are refused before any value is built."""
+    _guard_rows(params.p, search_depth)
+    _guard_pairs(1, params.p**search_depth, params.p)
     vals = PlaneMap(params).values_on_residues(search_depth)
     return _search_certificate(params, _class_separation(vals, params.p), search_depth)
 

@@ -176,19 +176,24 @@ def _from_rational(q: Rational, p: int, window: int = 1) -> PAdic:
     terms: the unit part that the long division and split() read.
     """
     v = 0
-    num, den = q.numerator, q.denominator
-    q = num if den == 1 else q
-    g = math.gcd(den, p)
-    while g > 1:
-        num *= p // g
-        den //= g
-        v -= 1
+    if type(q) is int:  # den = 1 shares no factor with p
+        num, den = q, 1
+    else:
+        num, den = q.numerator, q.denominator
+        q = num if den == 1 else q
         g = math.gcd(den, p)
+        while g > 1:
+            num *= p // g
+            den //= g
+            v -= 1
+            g = math.gcd(den, p)
     while num and num % p == 0:
         num //= p
         v += 1
     x = object.__new__(PAdic)
-    vars(x).update(p=p, v=v, value=q, _width=window, _unit=(num, den))
+    fields = x.__dict__  # PAdic refuses attribute assignment
+    fields["p"], fields["v"], fields["value"] = p, v, q
+    fields["_width"], fields["_unit"] = window, (num, den)
     return x
 
 

@@ -13,7 +13,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
@@ -24,10 +23,11 @@ from .complex_map import (
     character_table,
     residue_digit_matrix,
     _class_separation,
+    _guard_pairs,
     _guard_rows,
     _search_certificate,
 )
-from .padic import PAdic, from_int
+from .padic import PAdic, _from_rational, from_int
 
 __all__ = [
     "SolenoidPoint",
@@ -62,26 +62,21 @@ class SolenoidPoint:
             raise ValueError("second coordinate must lie in the unit ball")
 
 
-@cache
-def _one(p: int) -> PAdic:
-    """The unit of base p, shared by every carry."""
-    return from_int(1, p)
-
-
 def add(f: SolenoidPoint, g: SolenoidPoint) -> SolenoidPoint:
     """Component sum with the real carry moved into the ball coordinate."""
     t = f.xi + g.xi
     x = f.x + g.x
     if t.numerator >= t.denominator:  # t in [0,2): the carry is 1
-        return SolenoidPoint(t - 1, x + _one(x.p))
+        return SolenoidPoint(t - 1, _from_rational(x.value + 1, x.p))
     return SolenoidPoint(t, x)
 
 
 def neg(f: SolenoidPoint) -> SolenoidPoint:
     """Group inverse: (1-xi, -x-1) off the seam, (0, -x) on it."""
-    if f.xi == 0:
-        return SolenoidPoint(f.xi, -f.x)
-    return SolenoidPoint(1 - f.xi, -(f.x + _one(f.x.p)))
+    x = f.x
+    if not f.xi.numerator:
+        return SolenoidPoint(f.xi, _from_rational(-x.value, x.p))
+    return SolenoidPoint(1 - f.xi, _from_rational(-1 - x.value, x.p))
 
 
 def distance(f: SolenoidPoint, g: SolenoidPoint, alpha: float = 1.0) -> float:
@@ -95,12 +90,12 @@ def distance(f: SolenoidPoint, g: SolenoidPoint, alpha: float = 1.0) -> float:
     x = f.x - g.x
     if xi.numerator < 0:  # f.xi < g.xi: frac(xi) = xi + 1
         xi += 1
-        x = x - _one(x.p)
+        x = _from_rational(x.value - 1, x.p)
     num, den = xi.numerator, xi.denominator
     length = max(num / den, x.norm(alpha))
     if not num:
         return length
-    return min(length, max((den - num) / den, (x + _one(x.p)).norm(alpha)))
+    return min(length, max((den - num) / den, _from_rational(x.value + 1, x.p).norm(alpha)))
 
 
 def from_padic(x: PAdic) -> SolenoidPoint:
@@ -159,23 +154,14 @@ class TorusMap:
 
     def fiber_value(self, xi: float | Fraction, x: PAdic) -> complex:
         """Fiberwise series value; representatives are reduced first, so
-        the result is constant on cosets (xi+l, x-l) by construction.
-
-        Level n carries the circle phase e(xi / p^(min(n, m)+1)), switched
-        off once the level outruns the digit window that the ball
-        coordinate can feel (n > m + v: never at infinite order or for zero).
-        """
+        the result is constant on cosets (xi+l, x-l) by construction.  Level
+        n couples to the circle by e(xi / p^(min(n, m)+1)) while n <= m + v,
+        the window the ball coordinate can feel (always at m = inf or for 0)."""
         whole = math.floor(xi)
         if whole:
             xi = xi - whole
             x = x + from_int(whole, x.p)
-        p, m = self.params.map.p, self.params.map.m
-        turn, top = 2j * math.pi * float(xi), m + x.valuation()
-
-        def phase(n: int) -> complex:
-            return 1.0 + 0.0j if n > top else cmath.exp(turn / p ** (min(n, m) + 1))
-
-        return self.plane._weighted(x, phase)[1]
+        return self.plane._weighted(x, float(xi))[1]
 
     def _fibers(self, xis: np.ndarray, depth: int) -> np.ndarray:
         """Fiber series at each circle coordinate (rows) over every
@@ -282,9 +268,13 @@ def delta_tilde_certificate(
     The analytic lower bound is the same as for the plane map.  Each fiber
     of a circle grid is one row of _class_separation's ball-pair search over
     residues with differing lowest digits; its rounding slack only keeps
-    more pairs, so the minimum is exact.
+    more pairs, so the minimum is exact.  Rows, then pairs, past their
+    limits are refused before any fiber is built.
     """
+    p = params.map.p
+    _guard_rows(p, search_depth, xi_count)
+    _guard_pairs(xi_count, p**search_depth, p)
     fibers = TorusMap(params)._fibers(np.arange(xi_count) / xi_count, search_depth)
-    empirical = _class_separation(fibers, params.map.p)
+    empirical = _class_separation(fibers, p)
     return _search_certificate(params.map, empirical, search_depth)
 

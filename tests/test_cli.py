@@ -784,13 +784,13 @@ def test_identity_residuals_stay_within_their_derived_bounds(p, m, radius, angle
 
 def test_a_perturbed_level_fails_eq40_and_symmetry(monkeypatch):
     # level 0 of the plane series moved by 1e-10 (the fiber series, which
-    # passes a phase, left exact): a defect far above rounding that the old
-    # bound at s=0.95, 2 tail_bound + 1e-12 = 9.77, let pass
+    # passes its circle coordinate, left exact): a defect far above rounding
+    # that the old bound at s=0.95, 2 tail_bound + 1e-12 = 9.77, let pass
     weighted = PlaneMap._weighted
 
-    def perturbed(self, x, phase=None):
-        frac, integral = weighted(self, x, phase)
-        return frac, integral + (1e-10 if phase is None else 0.0)
+    def perturbed(self, x, xi=None):
+        frac, integral = weighted(self, x, xi)
+        return frac, integral + (1e-10 if xi is None else 0.0)
 
     monkeypatch.setattr(PlaneMap, "_weighted", perturbed)
     old_bound = 2 * MapParams(p=2, s=0.95).tail_bound + 1e-12
@@ -997,34 +997,58 @@ def test_certify_refuses_a_search_past_the_pair_budget():
     assert not FOREIGN.search(err)
 
 
-# exit code and stdout sha256 of the benchmark's verify workload at seed 7,
-# and of its orbit CSV, pinned from the code before integral p-adic values
-# were stored as ints and the scalar series was summed in one pass (the
-# verify and scaling digests re-taken when the identity bounds became
-# derived); the report checks read only PASS/FAIL, so these catch a moved
-# last digit
+@pytest.mark.parametrize("depth, pairs", [(23, 2**44), (16, 8 * 2**30)])
+def test_certify_counts_the_pair_budget_before_enumerating(monkeypatch, depth, pairs):
+    # at depth 23 the plane search is refused (2^23 rows pass MAX_ROWS); at
+    # depth 16 the plane search runs and the 8-fiber torus search is refused
+    def unreached(*args, **kwargs):
+        raise AssertionError("values built before the pair count")
+
+    if depth == 23:
+        monkeypatch.setattr(PlaneMap, "values_on_residues", unreached)
+    monkeypatch.setattr(TorusMap, "_fibers", unreached)
+    start = time.perf_counter()
+    code, out, err = run_captured(["certify", "--p", "2", "--depth", str(depth)])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == (f"error: separating 2 residue classes compares {pairs} pairs, past the "
+                   f"limit of {2**31}; lower the search depth\n")
+
+
+# exit code and stdout sha256 of the benchmark's verify workload at seeds 7
+# and 11, and of its orbit CSV, pinned from the code before integral p-adic
+# values were stored as ints and the scalar series was summed in one pass
+# (the verify and scaling digests re-taken when the identity bounds became
+# derived; the seed 11 digests taken before the scalar series computed only
+# the phases that can differ from 1); the report checks read only PASS/FAIL,
+# so these catch a moved last digit
 VERIFY_WORKLOAD_BYTES = {
-    "verify --p 2 --m 0 --s 0.3":
+    "verify --p 2 --m 0 --s 0.3": (
         "383399a9b6c05c4c76d6966167119fd43ddab0ee396039a9d7c291e89deaf7ed",
-    "verify --p 3 --m inf --s 0.25":
+        "3b9fa6606e6f1a1bc8cf94cc44f2663f87e6b0a4a10606b2b844682cdc2e072e"),
+    "verify --p 3 --m inf --s 0.25": (
         "ad043085847fffd585a3e7a7784aef17385acedcdcfeb6af0ce4ba52aaa8c5b1",
-    "verify --p 6 --m 1 --s 0.2":
+        "0cd0b9dbc474d2fa49fde7dbcf09be53d7d042d5a5f10b0e532d835714a33106"),
+    "verify --p 6 --m 1 --s 0.2": (
         "709072b859840b749e5bdeb7c1d9be40143d521b778a9519714d327d57dedcaf",
-    "verify --p 5 --m inf --s 0.1,0.2":
+        "85511d62feb01504554457bab2375d71becf4776f7a77f062814c38c69dae401"),
+    "verify --p 5 --m inf --s 0.1,0.2": (
         "fe31f8d944efafa38aadb261727311b42442ad53b74e191197eec609beb19f68",
-    "verify --suite scaling --p 3 --s 0.25 --m inf --depth 24":
+        "faa4d9a8c5f3341b7f616ab95c391c8ab55401e8244461213c04849949be4c90"),
+    "verify --suite scaling --p 3 --s 0.25 --m inf --depth 24": (
         "30529b1c16db251124ab44cba5507d9ab8246d70a0f3c24d1dde971a48dbaeed",
+        "2502f7604cbc0d96cd0eb9abe8a399fb8d233bd2e7eddee0d5b413c3a21c12a1"),
     "verify --suite sandwich --exhaustive":
-        "e3b34fe28c7c32d1bcd336379ed10d7d16a3d61d2c3418530ad0d09c009e1ec2",
+        ("e3b34fe28c7c32d1bcd336379ed10d7d16a3d61d2c3418530ad0d09c009e1ec2",) * 2,
     "verify --suite scaling --exhaustive":
-        "984aa08693669ce3f5399ea9888c470d9d291eb8407a83616222c8b8465eade6",
+        ("984aa08693669ce3f5399ea9888c470d9d291eb8407a83616222c8b8465eade6",) * 2,
     "certify --p 2 --m 0 --s 0.3":
-        "fadc0f8b5dcaa38a37d29b360ee5e4c442ab00be22765352e6172a0bbd45e75f",
+        ("fadc0f8b5dcaa38a37d29b360ee5e4c442ab00be22765352e6172a0bbd45e75f",) * 2,
     "certify --p 3 --m inf --s 0.25":
-        "125d1a55410c5172d499ee4424c6c7edd2dbfb97e533958ad98fc189c39587d6",
+        ("125d1a55410c5172d499ee4424c6c7edd2dbfb97e533958ad98fc189c39587d6",) * 2,
     # stdout with the --out directory written as OUT
     "orbit --p 2 --s 0.3 --m inf --a 3":
-        "88d1847fd57ab82cb26a3fed374a789e2a6581b26b74fbaaba39a6b7bd5890c8",
+        ("88d1847fd57ab82cb26a3fed374a789e2a6581b26b74fbaaba39a6b7bd5890c8",) * 2,
 }
 ORBIT_CSV_SHA256 = "784db2adc328595f1be1506641d42f9b572a65b8e15ec489860e1efc0a054670"
 
@@ -1033,12 +1057,12 @@ ORBIT_CSV_SHA256 = "784db2adc328595f1be1506641d42f9b572a65b8e15ec489860e1efc0a05
 def test_verify_workload_bytes_pinned(cmd, tmp_path):
     out = tmp_path / "orbit.csv"
     extra = ["--out", str(out)] if cmd.startswith("orbit") else []
-    code, stdout, err = run_captured([*shlex.split(cmd), "--seed", "7", *extra])
-    assert (code, err) == (0, "")
-    digest = hashlib.sha256(stdout.replace(str(tmp_path), "OUT").encode()).hexdigest()
-    assert digest == VERIFY_WORKLOAD_BYTES[cmd]
-    if extra:
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == ORBIT_CSV_SHA256
+    for seed, want in zip((7, 11), VERIFY_WORKLOAD_BYTES[cmd]):
+        code, stdout, err = run_captured([*shlex.split(cmd), "--seed", str(seed), *extra])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(stdout.replace(str(tmp_path), "OUT").encode()).hexdigest() == want
+        if extra:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == ORBIT_CSV_SHA256
 
 
 # radii whose embedded points a norm of squares overflowed: the ratio is

@@ -517,6 +517,31 @@ def test_level_loop_windows_wider_than_a_float(p, m):
         assert _close(value, pm.value(from_int(code, p, 70)))
 
 
+def _reducing_turn(w: np.ndarray, q: int) -> np.ndarray:
+    """The window phase as it was before _levels' 0 <= w < q was relied on."""
+    w = w % q
+    return np.exp(np.where(2 * w > q, w - q, w) * (2j * math.pi / q))
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+@pytest.mark.parametrize("m", [0, 1, 3, math.inf])
+def test_turn_needs_no_reduction(monkeypatch, p, m):
+    # 70 digit columns outgrow the widest window of each base (53, 33 and 20
+    # digits); 5 rows take every phase from _turn and 300 rows read the
+    # narrow windows from a table; levels from -2, 0 and 3 up
+    params = MapParams(p=p, m=m, s=0.3 - 0.4j, depth=75)
+    rng = np.random.default_rng(11)
+    cases = [(rng.integers(0, p, size=(rows, 70)), start)
+             for rows in (5, 300) for start in (-2, 0, 3)]
+    got = [(series_values(mat, start, params), character_table(mat, start, params))
+           for mat, start in cases]
+    monkeypatch.setattr(complex_map, "_turn", _reducing_turn)
+    for (mat, start), arrays in zip(cases, got):
+        want = (series_values(mat, start, params), character_table(mat, start, params))
+        for a, b in zip(arrays, want):  # bit for bit, the signs of zeros included
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 # -- the split product against the level loop and the scalar oracle ---------
 
 RECURSION_M = st.sampled_from([0, 1, 3])

@@ -423,6 +423,9 @@ class TestBulkEmitters:
          "ad33ee75f3c314146433ed1fdec6b1368b4ec88881be0756ecea3560e94b5ade"),
         (["render2d", "--preset", "fig1-12", "--format", "svg"],
          "60ef9e322051503b2349d870aa8782e5f70a33a33f283db243e37e09d4b5d5f2"),
+        # the gallery's finite-order cluster: narrow windows read the phase table
+        (["render2d", "--p", "3", "--m", "2", "--s", "0.4", "--depth", "12"],
+         "21138e0bc5462253ddef5a23eb7f65dcb8126ff783b5b2271611c31ded206380"),
     ])
     def test_full_size_artifacts_pinned(self, tmp_path, capsys, argv, digest):
         out = tmp_path / "artifact"

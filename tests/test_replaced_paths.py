@@ -223,7 +223,7 @@ def old_fiber_value(params: MapParams, xi, x) -> complex:
 
 
 BASES = st.sampled_from([2, 3, 5, 6])
-ORDERS = st.sampled_from([0, 1, 3, math.inf])
+ORDERS = st.sampled_from([0, 1, 3, 60, math.inf])  # m = 60 windows pass 2^53
 
 
 def rationals(p: int, unit_ball: bool = False):
@@ -265,23 +265,47 @@ def test_padic_arithmetic_matches_fraction_values(data):
     assert frac == old_frac and type(frac) is Fraction and same_value(integral, old_integral)
 
 
+def same_bits(a: complex, b: complex) -> bool:
+    """Equal, and equal in the sign of every zero part."""
+    return a == b and all(math.copysign(1.0, u) == math.copysign(1.0, w)
+                          for u, w in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def terminating(data, p: int, m, depth: int) -> tuple[Fraction, int]:
+    """A terminating value and its window width.  At finite order its last
+    window, which ends at v + width - 1 + m, ends up to 4 levels below or
+    past the depth, or at it; the lowest and the highest digit are nonzero."""
+    width = data.draw(st.integers(1, 12))
+    if m == math.inf:
+        v = data.draw(st.integers(-3, 5))
+    else:
+        v = depth + data.draw(st.integers(-4, 4)) - m - width + 1
+    digits = data.draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))
+    digits[0], digits[-1] = digits[0] or 1, digits[-1] or p - 1
+    return sum(Fraction(d) * Fraction(p) ** (v + i) for i, d in enumerate(digits)), width
+
+
 @given(data=st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_series_matches_two_pass_sums(data):
+    # depth 60 is the benchmark checks' oracle depth
     p, m = data.draw(BASES), data.draw(ORDERS)
     s = data.draw(st.sampled_from([0.25, 0.3 + 0.2j, -0.35, 0.1 - 0.45j]))
-    params = MapParams(p=p, m=m, s=s, depth=data.draw(st.integers(1, 45)))
-    q = data.draw(rationals(p))
-    x, ref = both(q, p, data.draw(st.integers(1, 16)))
-    pm = PlaneMap(params)
-    assert pm.parts(x) == old_parts(params, ref)
-    assert pm.value(x) == sum(old_parts(params, ref))
-    for n in range(min(x.valuation(), 0) - 1, params.depth + 1, 7):
-        assert pm.character(x, n) == old_characters(params, ref, n, n)[0]
+    params = MapParams(p=p, m=m, s=s, depth=data.draw(st.integers(1, 60)))
+    if data.draw(st.booleans()):
+        q, width = terminating(data, p, m, params.depth)
+    else:
+        q, width = data.draw(rationals(p)), data.draw(st.integers(1, 16))
     xi = data.draw(st.one_of(circle(), st.fractions(-2, 3, max_denominator=997),
                              st.floats(0, 1, exclude_max=True)))
-    tm = TorusMap(SolenoidParams(map=params, a=2.0))
-    assert tm.fiber_value(xi, x) == old_fiber_value(params, xi, ref)
+    pm, tm = PlaneMap(params), TorusMap(SolenoidParams(map=params, a=2.0))
+    for x, ref in (both(q, p, width), both(0, p, 1)):
+        parts, want = pm.parts(x), old_parts(params, ref)
+        assert same_bits(parts[0], want[0]) and same_bits(parts[1], want[1])
+        assert same_bits(pm.value(x), sum(want))
+        for n in range(min(x.valuation(), 0) - 1, params.depth + 3):
+            assert same_bits(pm.character(x, n), old_characters(params, ref, n, n)[0])
+        assert same_bits(tm.fiber_value(xi, x), old_fiber_value(params, xi, ref))
 
 
 @given(data=st.data(), alpha=st.sampled_from([0.5, 1.0, 2.0]))

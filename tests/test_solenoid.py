@@ -629,7 +629,7 @@ def old_fiber_value(tm: TorusMap, xi, x: PAdic) -> complex:
         xi = xi - whole
         x = x + from_int(whole, x.p)
     xi_f = float(xi)
-    chis = tm.plane._characters(x, 0, tm.params.map.depth)
+    chis = ((n, tm.plane.character(x, n)) for n in range(tm.params.map.depth + 1))
     return sum((s**n * coupling(xi_f, n) * chi for n, chi in chis), 0j)
 
 
