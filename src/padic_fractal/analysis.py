@@ -20,6 +20,8 @@ from .complex_map import (
     MapParams,
     PlaneMap,
     _class_separation,
+    _guard_pairs,
+    _guard_rows,
     character_table,
     delta_lower,
     residue_bound,
@@ -360,6 +362,8 @@ def measure_consistency(
     expected_fraction = Fraction(1, p**level)
     # (ii) cross-cluster separation on a sampled sub-depth
     sep_depth = min(depth, 12) if separation_depth is None else separation_depth
+    _guard_rows(p, sep_depth)  # both limits before any value is built
+    _guard_pairs(1, p**sep_depth, p**level)
     sep = _class_separation(pmap.values_on_residues(sep_depth), p, level)
     floor = (
         delta_lower(p, params.s) * abs(params.s) ** max(level - 1, 0)

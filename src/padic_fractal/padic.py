@@ -88,9 +88,7 @@ class PAdic:
 
     def norm(self, alpha: float = 1.0) -> float:
         """p**(-alpha * valuation); zero maps to 0 by convention."""
-        if self.is_zero():
-            return 0.0
-        return float(self.p) ** (-alpha * self.v)
+        return float(self.p) ** (-alpha * self.v) if self.value else 0.0
 
     def digit(self, n: int) -> int:
         """Digit at index n, extending through a known tail if needed."""
@@ -118,13 +116,15 @@ class PAdic:
     # -- structure -------------------------------------------------------
 
     def split(self) -> tuple[Fraction, "PAdic"]:
-        """Fractional part in Q intersect [0, 1) and the integral remainder."""
+        """Fractional part in Q intersect [0, 1) and the integral remainder: of
+        the value num/(den p^-v), with r = num/den mod p^-v its digits below
+        p^0, they are r/p^-v and whole/den, whole = (num - r den)/p^-v exactly."""
         if self.v >= 0:  # zero has v = 0
             return Fraction(0), _from_rational(self.value, self.p)
-        # the -v digits below p^0 are the unit part's residue mod p^-v
         (num, den), mod = self._unit, self.p ** -self.v
-        frac = Fraction(num * pow(den, -1, mod) % mod, mod)
-        return frac, _from_rational(self.value - frac, self.p)
+        r = num * pow(den, -1, mod) % mod
+        whole = (num - r * den) // mod
+        return Fraction(r, mod), _from_rational(Fraction(whole, den) if den > 1 else whole, self.p)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -166,33 +166,27 @@ class PAdic:
         return f"PAdic(p={self.p}, v={self.v}, digits={self.digits}, value={self.value})"
 
 
-def _from_rational(q: Rational, p: int, window: int = 1) -> PAdic:
-    """The value q, an int when integral, with the given window width.
-
-    The valuation v is pulled out of q: denominator factors sharing a
-    divisor g with p are absorbed by multiplying through with p/g, each
-    lowering v, and factors of p left in the numerator raise it.  After
-    that q = p^v num/den with den coprime to p and num/den in lowest
-    terms: the unit part that the long division and split() read.
-    """
-    v = 0
-    if type(q) is int:  # den = 1 shares no factor with p
-        num, den = q, 1
-    else:
-        num, den = q.numerator, q.denominator
-        q = num if den == 1 else q
+def _valuation(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """(v, num', den') with num/den = p^v num'/den', den' prime to p and p not
+    dividing num' (v = 0 at zero), for num/den in any terms: a factor g of den
+    shared with p is absorbed through p/g, lowering v; p in num raises it."""
+    v, g = 0, math.gcd(den, p)
+    while g > 1:
+        num, den, v = num * (p // g), den // g, v - 1
         g = math.gcd(den, p)
-        while g > 1:
-            num *= p // g
-            den //= g
-            v -= 1
-            g = math.gcd(den, p)
     while num and num % p == 0:
-        num //= p
-        v += 1
+        num, v = num // p, v + 1
+    return v, num, den
+
+
+def _from_rational(q: Rational, p: int, window: int = 1) -> PAdic:
+    """The value q, an int when integral, with the given window width and
+    the unit part num/den (lowest terms) that long division and split() read."""
+    n, d = q.numerator, q.denominator
+    v, num, den = _valuation(n, d, p)
     x = object.__new__(PAdic)
     fields = x.__dict__  # PAdic refuses attribute assignment
-    fields["p"], fields["v"], fields["value"] = p, v, q
+    fields["p"], fields["v"], fields["value"] = p, v, n if d == 1 else q
     fields["_width"], fields["_unit"] = window, (num, den)
     return x
 

@@ -27,7 +27,7 @@ from .complex_map import (
     _guard_rows,
     _search_certificate,
 )
-from .padic import PAdic, _from_rational, from_int
+from .padic import PAdic, _from_rational, _valuation, from_int
 
 __all__ = [
     "SolenoidPoint",
@@ -62,21 +62,35 @@ class SolenoidPoint:
             raise ValueError("second coordinate must lie in the unit ball")
 
 
+def _circle_sum(a: Fraction, b: Fraction, sign: int) -> tuple[int, int]:
+    """a + sign b as an unreduced pair of ints, over a shared denominator as is."""
+    n, d, m, e = a.numerator, a.denominator, b.numerator, b.denominator
+    return (n + sign * m, d) if d == e else (n * e + sign * m * d, d * e)
+
+
 def add(f: SolenoidPoint, g: SolenoidPoint) -> SolenoidPoint:
-    """Component sum with the real carry moved into the ball coordinate."""
-    t = f.xi + g.xi
-    x = f.x + g.x
-    if t.numerator >= t.denominator:  # t in [0,2): the carry is 1
-        return SolenoidPoint(t - 1, _from_rational(x.value + 1, x.p))
-    return SolenoidPoint(t, x)
+    """Component sum with the real carry moved into the ball coordinate.
+    The circle sum n/d is formed on integer numerators and carries when
+    n >= d; each result builds one Fraction and one value."""
+    x, y = f.x, g.x
+    x._check_compatible(y)
+    n, d = _circle_sum(f.xi, g.xi, 1)
+    if n >= d:  # n/d in [0,2): the carry is 1
+        return SolenoidPoint(Fraction(n - d, d), _from_rational(x.value + y.value + 1, x.p))
+    return SolenoidPoint(Fraction(n, d), _from_rational(x.value + y.value, x.p))
 
 
 def neg(f: SolenoidPoint) -> SolenoidPoint:
     """Group inverse: (1-xi, -x-1) off the seam, (0, -x) on it."""
-    x = f.x
-    if not f.xi.numerator:
+    x, n, d = f.x, f.xi.numerator, f.xi.denominator
+    if not n:
         return SolenoidPoint(f.xi, _from_rational(-x.value, x.p))
-    return SolenoidPoint(1 - f.xi, _from_rational(-1 - x.value, x.p))
+    return SolenoidPoint(Fraction(d - n, d), _from_rational(-1 - x.value, x.p))
+
+
+def _norm(num: int, den: int, p: int, alpha: float) -> float:
+    """PAdic.norm of num/den, without building the value."""
+    return float(p) ** (-alpha * _valuation(num, den, p)[0]) if num else 0.0
 
 
 def distance(f: SolenoidPoint, g: SolenoidPoint, alpha: float = 1.0) -> float:
@@ -84,18 +98,21 @@ def distance(f: SolenoidPoint, g: SolenoidPoint, alpha: float = 1.0) -> float:
 
     The difference f - g is (xi, x) with xi = frac(f.xi - g.xi) and
     x = f.x - g.x - [f.xi < g.xi]; its group inverse is (0, -x) on the
-    seam and (1 - xi, -(x + 1)) off it, and -y has the norm of y.
+    seam and (1 - xi, -(x + 1)) off it, and -y has the norm of y.  Both
+    are read from unreduced ints, building nothing: int / int is correctly
+    rounded, and a valuation does not depend on the representation.
     """
-    xi = f.xi - g.xi
-    x = f.x - g.x
-    if xi.numerator < 0:  # f.xi < g.xi: frac(xi) = xi + 1
-        xi += 1
-        x = _from_rational(x.value - 1, x.p)
-    num, den = xi.numerator, xi.denominator
-    length = max(num / den, x.norm(alpha))
+    x, y = f.x, g.x
+    x._check_compatible(y)
+    num, den = _circle_sum(f.xi, g.xi, -1)
+    q = x.value - y.value
+    n, d = q.numerator, q.denominator
+    if num < 0:  # f.xi < g.xi: frac(xi) = xi + 1
+        num, n = num + den, n - d
+    length = max(num / den, _norm(n, d, x.p, alpha))
     if not num:
         return length
-    return min(length, max((den - num) / den, _from_rational(x.value + 1, x.p).norm(alpha)))
+    return min(length, max((den - num) / den, _norm(n + d, d, x.p, alpha)))
 
 
 def from_padic(x: PAdic) -> SolenoidPoint:

@@ -254,6 +254,19 @@ class TestMeasureConsistency:
         assert rep.fraction == Fraction(1, 9)
         assert rep.ok()
 
+    def test_counts_the_pair_budget_before_enumerating(self, monkeypatch):
+        # 2^23 residues pass MAX_ROWS but their 2^44 pairs do not: refused
+        # with the search's own message before any value is built
+        def unreached(*args, **kwargs):
+            raise AssertionError("values built before the pair count")
+
+        monkeypatch.setattr(PlaneMap, "values_on_residues", unreached)
+        with pytest.raises(ValueError, match=rf"^separating 2 residue classes compares "
+                           rf"{2**44} pairs, past the limit of {2**31}; lower the search depth$"):
+            measure_consistency(MapParams(p=2, m=0, s=0.3), 1, 10, separation_depth=23)
+        with pytest.raises(ValueError, match=r"^enumerating 2\^24 rows exceeds the limit"):
+            measure_consistency(MapParams(p=2, m=0, s=0.3), 1, 10, separation_depth=24)
+
 
 # -- finite smoothing order in the tuple weights ------------------------------
 

@@ -24,6 +24,9 @@ from padic_fractal.solenoid import (
     neg,
     orbit,
 )
+from test_replaced_paths import (
+    BASES, both, circle, old_add, old_distance, old_neg, rationals, same_value,
+)
 
 EPS = 1e-12
 
@@ -68,6 +71,14 @@ class TestGroup:
                 SolenoidPoint(xi, expand(Fraction(1, 2), 2, 4))
             with pytest.raises(ValueError, match="unit ball"):
                 SolenoidPoint(xi, expand(Fraction(5, 3), 3, 2))  # 2/3 + 1
+
+    def test_mixed_bases_refused(self):
+        f, g = pt(Fraction(1, 2), 1, p=2), pt(Fraction(1, 2), 1, p=3)
+        for call, bases in ((lambda: add(f, g), "2 and 3"), (lambda: add(g, f), "3 and 2"),
+                            (lambda: distance(f, g), "2 and 3"),
+                            (lambda: distance(g, f, 0.5), "3 and 2")):
+            with pytest.raises(ValueError, match=f"^incompatible bases {bases}$"):
+                call()
 
     @given(f=solenoid_points, g=solenoid_points, h=solenoid_points)
     @settings(max_examples=150, deadline=None)
@@ -527,85 +538,65 @@ def test_cloud_matches_scalar_embedding(p, m):
 # the group law, the metric and the fiber series against the code they replaced
 
 
-def old_add(f: SolenoidPoint, g: SolenoidPoint) -> SolenoidPoint:
-    """Reference: the sum with a fresh carry element per call."""
-    t = f.xi + g.xi
-    carry = int(t)
-    x = f.x + g.x
-    if carry:
-        x = x + from_int(carry, f.x.p)
-    return SolenoidPoint(t - carry, x)
-
-
-def old_neg(f: SolenoidPoint) -> SolenoidPoint:
-    if f.xi == 0:
-        return SolenoidPoint(Fraction(0), -f.x)
-    return SolenoidPoint(1 - f.xi, -(f.x + from_int(1, f.x.p)))
-
-
-def old_length(f: SolenoidPoint, alpha: float) -> float:
-    return max(float(f.xi), f.x.norm(alpha))
-
-
-def old_distance(f: SolenoidPoint, g: SolenoidPoint, alpha: float) -> float:
-    """Reference: both gauge lengths of the built point f - g."""
-    d = old_add(f, old_neg(g))
-    return min(old_length(d, alpha), old_length(old_neg(d), alpha))
-
-
 def digit_window(p: int, v: int, digits: tuple[int, ...]) -> PAdic:
     """The terminating value whose digits from p^v upward are `digits`."""
     return expand(sum(d * Fraction(p) ** (v + i) for i, d in enumerate(digits)), p, len(digits))
 
 
-def ball_coordinates(p: int):
-    # exact rationals of the unit ball (zero included) and short terminating
-    # windows of high digits, whose sums in the group law vanish or carry far
-    fractions = st.builds(
-        lambda n, d, k: expand(Fraction(n * p**k, d), p, 8),
-        st.integers(-300, 300), st.sampled_from([1, 7, 11, 13]), st.integers(0, 3),
+def ball(p: int):
+    """(q, window) of the unit ball: `rationals(p, unit_ball=True)`, or short terminating
+    windows of high digits, whose sums in the group law vanish or carry far."""
+    def window(v: int, digits: tuple[int, ...]) -> tuple[Fraction, int]:
+        return sum(Fraction(d) * Fraction(p) ** (v + i) for i, d in enumerate(digits)), len(digits)
+
+    return st.one_of(
+        st.tuples(rationals(p, unit_ball=True), st.integers(1, 12)),
+        st.builds(lambda v, lead, rest: window(v, (lead, *rest)), st.integers(0, 3),
+                  st.integers(1, p - 1), st.lists(st.sampled_from([0, 1, p - 1]), max_size=6)),
     )
-    windows = st.builds(
-        lambda v, lead, rest: digit_window(p, v, (lead, *rest)),
-        st.integers(0, 3), st.integers(1, p - 1),
-        st.lists(st.sampled_from([0, 1, p - 1]), max_size=6),
-    )
-    return st.one_of(fractions, windows)
 
 
 @st.composite
 def point_pairs(draw):
-    p = draw(st.sampled_from([2, 3, 5, 6]))
-    circle = st.builds(lambda den, num: Fraction(num % (den - 1) + 1, den),
-                       st.sampled_from([2, 3, 10, 997]), st.integers(0, 995))
-    fxi = draw(circle)
-    gxi = (fxi + draw(circle)) % 1
-    # off the seam, on equal circle coordinates, or with either one on the seam
+    """Two points of one base, each with its Fraction-valued reference: circle
+    coordinates on a shared or a differing denominator, off the seam, equal,
+    or with either one on the seam."""
+    p = draw(BASES)
+    grid = st.builds(lambda den, num: Fraction(num % (den - 1) + 1, den),
+                     st.sampled_from([2, 3, 10, 997]), st.integers(0, 995))
+    fxi = draw(st.one_of(grid, circle()))
+    gxi = (fxi + draw(grid)) % 1
     seam = draw(st.sampled_from(["off", "equal", "f", "g", "both"]))
     fxi = Fraction(0) if seam in ("f", "both") else fxi
     gxi = {"equal": fxi, "g": Fraction(0), "both": Fraction(0)}.get(seam, gxi)
-    f = SolenoidPoint(fxi, draw(ball_coordinates(p)))
-    g = SolenoidPoint(gxi, draw(ball_coordinates(p)))
-    return f, g
+    points = []
+    for xi in (fxi, gxi):
+        q, width = draw(ball(p))
+        x, ref = both(q, p, width)
+        points.append((SolenoidPoint(xi, x), (xi, ref)))
+    return points
 
 
 class TestReplacedPaths:
+    """The group law and the metric against the Fraction-operator oracle of
+    `test_replaced_paths`, driven by `point_pairs`."""
+
     @given(pair=point_pairs(), alpha=st.sampled_from([0.5, 1.0, 2.0]))
     @settings(max_examples=300, deadline=None)
     def test_distance_matches_built_difference(self, pair, alpha):
-        f, g = pair
-        assert distance(f, g, alpha) == old_distance(f, g, alpha)
+        (f, rf), (g, rg) = pair
+        assert distance(f, g, alpha) == old_distance(rf, rg, alpha)
+        assert distance(g, f, alpha) == old_distance(rg, rf, alpha)
 
     @given(pair=point_pairs())
     @settings(max_examples=200, deadline=None)
     def test_add_and_neg_match_fresh_carries(self, pair):
-        f, g = pair
-        for new, old in ((lambda: add(f, g), lambda: old_add(f, g)),
-                         (lambda: neg(f), lambda: old_neg(f)),
-                         (lambda: add(f, neg(g)), lambda: old_add(f, old_neg(g)))):
-            got, want = new(), old()
-            assert got == want and hash(got) == hash(want)
-            assert type(got.xi) is Fraction
+        (f, rf), (g, rg) = pair
+        for got, want in ((add(f, g), old_add(rf, rg)), (neg(f), old_neg(rf)),
+                          (add(f, neg(g)), old_add(rf, old_neg(rg)))):
+            assert got.xi == want[0] and type(got.xi) is Fraction and same_value(got.x, want[1])
+            built = SolenoidPoint(want[0], expand(want[1].value, f.x.p, 1))
+            assert got == built and hash(got) == hash(built)
 
     @pytest.mark.parametrize("xi, want", [(0, Fraction(0)), (0.25, Fraction(1, 4)),
                                           (Fraction(2, 7), Fraction(2, 7))])
