@@ -23,7 +23,7 @@ from .complex_map import (
     rotate_digits,
     s_zero,
 )
-from .padic import PAdic, expand, from_int
+from .padic import expand, from_int
 from .render import PRESETS, FigurePreset, RasterConfig, build_cloud, preset
 from .solenoid import (
     SolenoidParams,
@@ -36,7 +36,6 @@ from .solenoid import (
 )
 
 __all__ = [
-    "PAdic",
     "expand",
     "from_int",
     "MapParams",

@@ -46,7 +46,7 @@ from .complex_map import (
     sandwich_check,
     scaling_residuals,
 )
-from .padic import expand, from_int
+from .padic import expand, from_int, norm, split
 from .render import (
     FigurePreset,
     RasterConfig,
@@ -354,12 +354,12 @@ def _suite_group(cfg: Config) -> Iterator[tuple]:
                          from_int(int(rng.integers(0, bound)), p, 8)) for _ in range(900)]
     for f, g, h in zip(pts[0::3], pts[1::3], pts[2::3]):
         lhs, rhs, z = add(add(f, g), h), add(f, add(g, h)), add(f, neg(f))
-        if lhs.xi != rhs.xi or lhs.x != rhs.x or z.xi != 0 or not z.x.is_zero():
+        if lhs.xi != rhs.xi or lhs.x != rhs.x or z.xi != 0 or z.x:
             worst_assoc = 1.0
-        dfg = distance(f, g, cfg.alpha)
-        worst_metric = max(worst_metric, abs(dfg - distance(g, f, cfg.alpha)),
-                           distance(f, h, cfg.alpha) - (dfg + distance(g, h, cfg.alpha)),
-                           abs(distance(add(f, h), add(g, h), cfg.alpha) - dfg))
+        dfg = distance(f, g, p, cfg.alpha)
+        worst_metric = max(worst_metric, abs(dfg - distance(g, f, p, cfg.alpha)),
+                           distance(f, h, p, cfg.alpha) - (dfg + distance(g, h, p, cfg.alpha)),
+                           abs(distance(add(f, h), add(g, h), p, cfg.alpha) - dfg))
     yield _at_most("group.axiom_defect", worst_assoc, 0.0)
     yield _at_most("group.metric_defect", worst_metric, 6 * 2.0**-53)
 
@@ -374,10 +374,11 @@ def _suite_j(cfg: Config) -> Iterator[tuple]:
         num_b = int(rng.integers(0, residue_bound(p, 8)))
         shift = int(rng.integers(0, 5))
         xa, xb = (expand(Fraction(num, p**shift), p, 16) for num in (num_a, num_b))
-        lhs, rhs = from_padic(xa + xb), add(from_padic(xa), from_padic(xb))
-        worst_hom = max(worst_hom, distance(lhs, rhs, cfg.alpha))
+        lhs, rhs = from_padic(xa + xb, p), add(from_padic(xa, p), from_padic(xb, p))
+        worst_hom = max(worst_hom, distance(lhs, rhs, p, cfg.alpha))
         ya, yb = from_int(num_a, p, 10), from_int(num_b, p, 10)
-        gap = abs(distance(from_padic(ya), from_padic(yb), cfg.alpha) - (ya - yb).norm(cfg.alpha))
+        gap = abs(distance(from_padic(ya, p), from_padic(yb, p), p, cfg.alpha)
+                  - norm(ya - yb, p, cfg.alpha))
         worst_iso = max(worst_iso, gap)
     yield _at_most("j.homomorphism_defect", worst_hom, 0.0)
     yield _at_most("j.isometry_defect", worst_iso, 0.0)
@@ -385,7 +386,7 @@ def _suite_j(cfg: Config) -> Iterator[tuple]:
 
 def _suite_eq40(cfg: Config) -> Iterator[tuple]:
     """The plane/solenoid identity: the integral part of f(x) is the fiber
-    value at x.split().  It holds level by level in the series to depth D,
+    value at split(x, p).  It holds level by level in the series to depth D,
     so the residual is the rounding of the two values, 2 rounding_bound."""
     # samples num / p^4 reach level -4: four terms s^n (chi_n - 1), each up to 2 |s|^-4
     if abs(cfg.s) < (floor := (8.0 / sys.float_info.max) ** 0.25):
@@ -396,7 +397,7 @@ def _suite_eq40(cfg: Config) -> Iterator[tuple]:
     rng, p, worst = np.random.default_rng(cfg.seed), cfg.p, 0.0
     for _ in range(200):
         x = expand(Fraction(int(rng.integers(0, residue_bound(p, 10))), p**4), p, 16)
-        worst = max(worst, abs(tmap.plane.parts(x)[1] - tmap.fiber_value(*x.split())))
+        worst = max(worst, abs(tmap.plane.parts(x)[1] - tmap.fiber_value(*split(x, p))))
     yield _at_most("eq40.max_residual", worst, 2.0 * params.rounding_bound)
 
 
@@ -435,7 +436,7 @@ def _suite_ode(cfg: Config) -> Iterator[tuple]:
     worst = min(ratios)
     yield "ode.fd_ratio_min", worst, 50.0, worst >= 50.0
     sub = tmap.scaled(1.0 / p)
-    spot = (2j * math.pi / p) * sub.fiber_value(0.0, from_int(0, p))
+    spot = (2j * math.pi / p) * sub.fiber_value(0.0, 0)
     closed = (2j * math.pi / p) / (1.0 - cfg.s / p)
     yield _at_most("ode.spot_value_gap", abs(spot - closed), 1e-6)
 
@@ -465,7 +466,7 @@ def _suite_symmetry(cfg: Config) -> Iterator[tuple]:
     phase = complex(math.cos(2 * math.pi / cfg.p), math.sin(2 * math.pi / cfg.p))
     for _ in range(200):
         x = from_int(int(rng.integers(0, residue_bound(cfg.p, 10))), cfg.p, 10)
-        worst = max(worst, abs(pmap.value(rotate_digits(x)) - phase * pmap.value(x)))
+        worst = max(worst, abs(pmap.value(rotate_digits(x, cfg.p)) - phase * pmap.value(x)))
     yield _at_most("symmetry.max_residual", worst, 2.0 * params.rounding_bound)
 
 
@@ -575,7 +576,7 @@ def _cmd_orbit(cfg: Config) -> Iterator[tuple]:
     # --depth counts the steps here
     tmap = TorusMap(SolenoidParams(map=_map_params(cfg), a=cfg.a))
     steps = cfg.depth or 400
-    f0 = SolenoidPoint(Fraction(0), from_int(0, cfg.p))
+    f0 = SolenoidPoint(Fraction(0), 0)
     times = [Fraction(3 * k, steps) for k in range(steps + 1)]
     pts = np.array([tmap.embed(orbit(f0, t)) for t in times])
     _write(cfg.out, export_csv(pts, [f"t={float(t):.9g}" for t in times])

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .padic import PAdic, expand
+from .padic import Rational, _digit_run, _expansion, expand
 
 __all__ = [
     "MapParams",
@@ -135,39 +135,41 @@ class PlaneMap:
         self.params = params
         self._powers = [params.s**n for n in range(params.depth + 1)]  # s^n, n = 0 .. depth
 
-    def _phases(self, x: PAdic, last: int) -> list[complex]:
-        """chi_n(x) for n = v .. stop, v the valuation of x (none for zero or
-        v > last); chi_n = 1 exactly at every other level.  A phase is an
-        exact fraction of a turn, rounded once: A_n / p^(n-v+1) at infinite
-        order, A_n = sum_(v<=j<=n) x_j p^(j-v); W_n / p^(m+1) at finite order,
-        W_n = W_(n-1) // p + x_n p^m, where a terminating x stops at its last
-        nonzero window, v + len(digits) - 1 + m, if that is below last."""
+    def _phases(self, x: Rational, last: int) -> tuple[int | float, list[complex]]:
+        """The valuation v of x (inf for zero) and chi_n(x) for n = v .. stop
+        (none for zero or v > last); chi_n = 1 exactly at every other level.
+        A phase is an exact fraction of a turn, rounded once: A_n / p^(n-v+1)
+        at infinite order, A_n = sum_(v<=j<=n) x_j p^(j-v); W_n / p^(m+1) at
+        finite order, W_n = W_(n-1) // p + x_n p^m, where a terminating x
+        stops at its last nonzero window, v + len(digits) - 1 + m, if that is
+        below last."""
+        if not x:
+            return math.inf, []
         p, m = self.params.p, self.params.m
-        if x.p != p:
-            raise ValueError(f"operand base {x.p} does not match params p={p}")
-        v = x.valuation()
-        if m != math.inf and not x.period:
-            last = min(last, v + len(x.digits) - 1 + m)
+        exp = _expansion(x, p)
+        v, digits, _, period = exp
+        if m != math.inf and not period:
+            last = min(last, v + len(digits) - 1 + m)
         if v > last:
-            return []
+            return v, []
         turn, chis = 2j * math.pi, []
         if m == math.inf:
             total, scale = 0, 1
-            for d in x.digit_run(v, last + 1):
+            for d in _digit_run(exp, v, last + 1):
                 total += d * scale
                 scale *= p
                 chis.append(cmath.exp(turn * (total / scale)))
         else:
             window, low, scale = 0, p**m, p ** (m + 1)
-            for d in x.digit_run(v, last + 1):
+            for d in _digit_run(exp, v, last + 1):
                 window = window // p + d * low
                 chis.append(cmath.exp(turn * (window / scale)))
-        return chis
+        return v, chis
 
-    def character(self, x: PAdic, n: int) -> complex:
+    def character(self, x: Rational, n: int) -> complex:
         """Phase factor at level n: reads digits x_{n-k} weighted p^-k."""
-        chis = self._phases(x, n)  # ends at level n unless chi_n = 1
-        return chis[-1] if chis and x.valuation() + len(chis) - 1 == n else 1.0 + 0.0j
+        v, chis = self._phases(x, n)  # ends at level n unless chi_n = 1
+        return chis[-1] if chis and v + len(chis) - 1 == n else 1.0 + 0.0j
 
     @cached_property
     def _divisors(self) -> list[float]:
@@ -175,7 +177,7 @@ class PlaneMap:
         p, m = self.params.p, self.params.m
         return [float(p ** (min(n, m) + 1)) for n in range(self.params.depth + 1)]
 
-    def _weighted(self, x: PAdic, xi: float | None = None) -> tuple[complex, complex]:
+    def _weighted(self, x: Rational, xi: float | None = None) -> tuple[complex, complex]:
         """Sums of s^n c_n (chi_n - [n < 0]) over the negative levels and
         over the levels 0 .. depth, in one pass.  c_n = 1 for the plane
         series (xi None); the fiber at circle coordinate xi couples level
@@ -183,9 +185,8 @@ class PlaneMap:
         A factor 1, c_n or chi_n, is not multiplied in: w * (1+0j) differs
         from w only in the sign of a zero, which no sum from 0j keeps."""
         s, depth, powers = self.params.s, self.params.depth, self._powers
-        v = x.valuation()
+        v, chis = self._phases(x, depth)
         _check_negative_levels(s, lo := min(v, 0))
-        chis = self._phases(x, depth)
         first, stop = (v, v + len(chis) - 1) if chis else (depth + 1, depth)
         if xi is not None:
             p, m = self.params.p, self.params.m
@@ -205,13 +206,13 @@ class PlaneMap:
                 integral += weight * chis[n - first]
         return frac, integral
 
-    def value(self, x: PAdic) -> complex:
+    def value(self, x: Rational) -> complex:
         """Series value; negative levels contribute s^n (chi_n - 1).  This
         equals (1 - s^v)/(1 - s) + sum_{n>=v} s^n chi_n, and zero needs no
         valuation convention."""
         return sum(self.parts(x))
 
-    def parts(self, x: PAdic) -> tuple[complex, complex]:
+    def parts(self, x: Rational) -> tuple[complex, complex]:
         """(fractional, integral) split of the series value."""
         return self._weighted(x)
 
@@ -588,20 +589,20 @@ def _scaling_residuals(digit_mat: np.ndarray, params: MapParams) -> np.ndarray:
     return np.abs(series_values(digit_mat, 1, params) - params.s * base - 1.0)
 
 
-def rotate_digits(x: PAdic) -> PAdic:
-    """Add one to every digit mod p, with no carries.
+def rotate_digits(x: Rational, p: int) -> Rational:
+    """Add one to every base-p digit mod p, with no carries.
 
     This is a bijection of the unit ball under which the order-0 map
     picks up exactly one factor exp(2 pi i / p); note it is not addition
     of the all-ones element in the ring (carries would break the phase).
     """
-    p = x.p
-    if not x.is_zero() and x.v < 0:
+    exp = _expansion(x, p)
+    v, _, preperiod, period = exp
+    if v < 0:
         raise ValueError("digit rotation is defined on the unit ball")
     # from index `start` on the digits repeat `block` (zeros past a terminating
-    # window)
-    start = x.v + (x.preperiod if x.period else len(x.digits))
-    block = x.period or (0,)
-    head = sum((d + 1) % p * p**n for n, d in enumerate(x.digit_run(0, start)))
+    # expansion)
+    start, block = v + preperiod, period or (0,)
+    head = sum((d + 1) % p * p**n for n, d in enumerate(_digit_run(exp, 0, start)))
     tail = sum((d + 1) % p * p**i for i, d in enumerate(block))
-    return expand(head + Fraction(tail * p**start, 1 - p ** len(block)), p, start + len(block))
+    return expand(head + Fraction(tail * p**start, 1 - p ** len(block)), p, 1)

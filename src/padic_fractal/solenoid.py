@@ -1,9 +1,10 @@
 """The base-p solenoid: carry group on [0,1) x (unit ball), its metric,
 the series map into the solid torus, and the flow vector field.
 
-Points keep the circle coordinate as an exact Fraction so the group
-axioms hold exactly; floats appear only when distances or embeddings
-are evaluated.
+Points keep the circle coordinate as an exact Fraction and the ball
+coordinate as an exact rational, so the group axioms hold exactly and
+need no base; floats appear only when distances or embeddings are
+evaluated, which read p from their arguments or their map.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .complex_map import (
     _guard_rows,
     _search_certificate,
 )
-from .padic import PAdic, _from_rational, _valuation, from_int
+from .padic import Rational, _norm, split
 
 __all__ = [
     "SolenoidPoint",
@@ -46,10 +47,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolenoidPoint:
-    """A pair (circle coordinate in [0,1), unit-ball digit expansion)."""
+    """A pair (circle coordinate in [0,1), rational of the unit ball).  The
+    unit ball depends on the base, so `distance` and `TorusMap.embed`, which
+    know it, check the second coordinate."""
 
     xi: Fraction
-    x: PAdic
+    x: Rational
 
     def __post_init__(self) -> None:
         xi = self.xi
@@ -58,8 +61,13 @@ class SolenoidPoint:
             object.__setattr__(self, "xi", xi)
         if not 0 <= xi.numerator < xi.denominator:
             raise ValueError(f"circle coordinate must lie in [0,1), got {xi}")
-        if self.x.v < 0:  # zero has v = 0
-            raise ValueError("second coordinate must lie in the unit ball")
+
+
+def _check_ball(x: Rational, p: int) -> None:
+    """Refuse x off the unit ball of base p: its valuation is negative
+    exactly when its lowest-terms denominator shares a factor with p."""
+    if math.gcd(x.denominator, p) > 1:
+        raise ValueError("second coordinate must lie in the unit ball")
 
 
 def _circle_sum(a: Fraction, b: Fraction, sign: int) -> tuple[int, int]:
@@ -71,61 +79,58 @@ def _circle_sum(a: Fraction, b: Fraction, sign: int) -> tuple[int, int]:
 def add(f: SolenoidPoint, g: SolenoidPoint) -> SolenoidPoint:
     """Component sum with the real carry moved into the ball coordinate.
     The circle sum n/d is formed on integer numerators and carries when
-    n >= d; each result builds one Fraction and one value."""
-    x, y = f.x, g.x
-    x._check_compatible(y)
+    n >= d; each result builds one Fraction, and the ball sum stays an int
+    exactly when it is integral."""
     n, d = _circle_sum(f.xi, g.xi, 1)
+    x = f.x + g.x
     if n >= d:  # n/d in [0,2): the carry is 1
-        return SolenoidPoint(Fraction(n - d, d), _from_rational(x.value + y.value + 1, x.p))
-    return SolenoidPoint(Fraction(n, d), _from_rational(x.value + y.value, x.p))
+        n, x = n - d, x + 1
+    if type(x) is Fraction and x.denominator == 1:
+        x = x.numerator
+    return SolenoidPoint(Fraction(n, d), x)
 
 
 def neg(f: SolenoidPoint) -> SolenoidPoint:
     """Group inverse: (1-xi, -x-1) off the seam, (0, -x) on it."""
-    x, n, d = f.x, f.xi.numerator, f.xi.denominator
+    n, d = f.xi.numerator, f.xi.denominator
     if not n:
-        return SolenoidPoint(f.xi, _from_rational(-x.value, x.p))
-    return SolenoidPoint(Fraction(d - n, d), _from_rational(-1 - x.value, x.p))
+        return SolenoidPoint(f.xi, -f.x)
+    return SolenoidPoint(Fraction(d - n, d), -1 - f.x)
 
 
-def _norm(num: int, den: int, p: int, alpha: float) -> float:
-    """PAdic.norm of num/den, without building the value."""
-    return float(p) ** (-alpha * _valuation(num, den, p)[0]) if num else 0.0
-
-
-def distance(f: SolenoidPoint, g: SolenoidPoint, alpha: float = 1.0) -> float:
+def distance(f: SolenoidPoint, g: SolenoidPoint, p: int, alpha: float = 1.0) -> float:
     """Invariant metric: the shorter of the two one-sided gauge lengths.
 
     The difference f - g is (xi, x) with xi = frac(f.xi - g.xi) and
     x = f.x - g.x - [f.xi < g.xi]; its group inverse is (0, -x) on the
     seam and (1 - xi, -(x + 1)) off it, and -y has the norm of y.  Both
     are read from unreduced ints, building nothing: int / int is correctly
-    rounded, and a valuation does not depend on the representation.
+    rounded, and a valuation does not depend on the representation.  Both
+    second coordinates must lie in the unit ball of base p.
     """
-    x, y = f.x, g.x
-    x._check_compatible(y)
+    _check_ball(f.x, p)
+    _check_ball(g.x, p)
     num, den = _circle_sum(f.xi, g.xi, -1)
-    q = x.value - y.value
+    q = f.x - g.x
     n, d = q.numerator, q.denominator
     if num < 0:  # f.xi < g.xi: frac(xi) = xi + 1
         num, n = num + den, n - d
-    length = max(num / den, _norm(n, d, x.p, alpha))
+    length = max(num / den, _norm(n, d, p, alpha))
     if not num:
         return length
-    return min(length, max((den - num) / den, _norm(n + d, d, x.p, alpha)))
+    return min(length, max((den - num) / den, _norm(n + d, d, p, alpha)))
 
 
-def from_padic(x: PAdic) -> SolenoidPoint:
+def from_padic(q: Rational, p: int) -> SolenoidPoint:
     """Injective homomorphism: split into (fractional part, integral part)."""
-    frac, integral = x.split()
-    return SolenoidPoint(frac, integral)
+    return SolenoidPoint(*split(q, p))
 
 
 def orbit(f: SolenoidPoint, t: float | Fraction) -> SolenoidPoint:
     """Time-t translate along the line winding through the solenoid."""
     tf = Fraction(t)
     whole = math.floor(tf)
-    return add(f, SolenoidPoint(tf - whole, from_int(whole, f.x.p)))
+    return add(f, SolenoidPoint(tf - whole, whole))
 
 
 @dataclass(frozen=True)
@@ -169,7 +174,7 @@ class TorusMap:
 
     # -- the complex-valued layer ------------------------------------------
 
-    def fiber_value(self, xi: float | Fraction, x: PAdic) -> complex:
+    def fiber_value(self, xi: float | Fraction, x: Rational) -> complex:
         """Fiberwise series value; representatives are reduced first, so
         the result is constant on cosets (xi+l, x-l) by construction.  Level
         n couples to the circle by e(xi / p^(min(n, m)+1)) while n <= m + v,
@@ -177,7 +182,7 @@ class TorusMap:
         whole = math.floor(xi)
         if whole:
             xi = xi - whole
-            x = x + from_int(whole, x.p)
+            x = x + whole
         return self.plane._weighted(x, float(xi))[1]
 
     def _fibers(self, xis: np.ndarray, depth: int) -> np.ndarray:
@@ -215,7 +220,8 @@ class TorusMap:
         return np.stack([ring.real, height, ring.imag], axis=-1)
 
     def embed(self, f: SolenoidPoint) -> np.ndarray:
-        """Full embedding of one solenoid point."""
+        """Full embedding of one solenoid point of the unit ball."""
+        _check_ball(f.x, self.params.map.p)
         return self.to_space(float(f.xi), self.fiber_value(f.xi, f.x))
 
     def cloud(self, xi_count: int, depth: int) -> np.ndarray:

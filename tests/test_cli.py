@@ -31,7 +31,6 @@ from padic_fractal.cli import (
 )
 from padic_fractal.analysis import box_dimension
 from padic_fractal.complex_map import MapParams, PlaneMap
-from padic_fractal.padic import PAdic
 from padic_fractal.render import (
     RasterConfig,
     auto_viewport,
@@ -650,10 +649,9 @@ def test_public_names_resolve():
             assert hasattr(mod, name), f"padic_fractal{module}.__all__ names {name}"
         assert "PrecisionError" not in mod.__all__, module
         assert not {"PointCloud2D", "PointCloud3D"} & set(mod.__all__), module
+        assert "PAdic" not in mod.__all__, module  # a value is its rational
     assert [f.name for f in fields(MapParams)] == ["p", "m", "s", "depth"]
     assert "__call__" not in vars(PlaneMap)
-    with pytest.raises(TypeError):  # every value is exact: from expand or from_int
-        PAdic(2, 0, (1,))
 
 
 # stdout as the separate plane and torus searches gave it, before both

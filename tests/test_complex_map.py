@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 import hypothesis.strategies as st
 
 from padic_fractal import complex_map
-from padic_fractal.padic import PAdic, expand, from_int
+import oracles
+from padic_fractal.padic import expand, from_int, split, valuation
 from padic_fractal.complex_map import (
     EmbeddingCertificate,
     MapParams,
@@ -133,7 +134,7 @@ class TestSeriesMap:
     def test_fractional_part_depends_on_fraction_only(self):
         pm = PlaneMap(MapParams(p=3, m=math.inf, s=0.2))
         x = expand(Fraction(7, 9), 3, 12)
-        f, _ = x.split()
+        f, _ = split(x, 3)
         fx = pm.parts(x)[0]
         fy = pm.parts(expand(f, 3, 12))[0]
         assert fx == pytest.approx(fy, abs=EPS)
@@ -376,7 +377,7 @@ class TestSymmetries:
         rng = np.random.default_rng(5)
         for _ in range(25):
             x = from_int(int(rng.integers(0, p**9)), p, 9)
-            assert pm.value(rotate_digits(x)) == pytest.approx(
+            assert pm.value(rotate_digits(x, p)) == pytest.approx(
                 phase * pm.value(x), abs=4 * params.tail_bound + 1e-10
             )
 
@@ -385,25 +386,29 @@ class TestSymmetries:
         x = from_int(7, 3, 5)
         y = x
         for _ in range(3):
-            y = rotate_digits(y)
-        assert y.value == x.value
+            y = rotate_digits(y, 3)
+        assert y == x
 
     def test_rotation_of_negative_one_is_zero(self):
-        assert rotate_digits(expand(-1, 2, 6)).is_zero()
+        assert rotate_digits(expand(-1, 2, 6), 2) == 0
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_rotation_matches_per_index_digits(self, data):
+        # every digit of the long division turns by one, through the period
         p = data.draw(st.sampled_from([2, 3, 6]))
         x = data.draw(st.one_of(
             st.builds(lambda n, d, k: expand(Fraction(n * p**k, d), p, 6),
                       st.integers(-300, 300), st.sampled_from([1, 7, 11, 13]), st.integers(0, 3)),
-            st.builds(lambda v, lead, rest: digit_window(p, v, (lead, *rest)),
+            st.builds(lambda v, lead, rest: expand(oracles.from_digits(p, v, (lead, *rest)), p, 1),
                       st.integers(0, 3), st.integers(1, p - 1),
                       st.lists(st.sampled_from([0, p - 1]), max_size=6)),
         ))
-        got, want = rotate_digits(x), per_index_rotation(x)
-        assert got == want and (got.value, got.digits) == (want.value, want.digits)
+        v, _, preperiod, period = oracles.long_division(x, p)
+        top = v + preperiod + 2 * len(period) + 3
+        got = rotate_digits(x, p)
+        assert oracles.digits(got, p, 0, top) == [(d + 1) % p for d in oracles.digits(x, p, 0, top)]
+        assert (type(got) is int) is (Fraction(got).denominator == 1)
 
     def test_image_rotation_invariance_as_set(self):
         params = MapParams(p=3, m=0, s=0.2, depth=35)
@@ -730,56 +735,6 @@ def test_shallow_searches_name_the_class_level():
             call()
 
 
-def per_index_rotation(x: PAdic) -> PAdic:
-    """Reference: digit rotation reading one digit(n) per index."""
-    p = x.p
-    start = x.v + (x.preperiod if x.period else len(x.digits))
-    block = x.period or (0,)
-    head = sum((x.digit(n) + 1) % p * p**n for n in range(start))
-    tail = sum((d + 1) % p * p**i for i, d in enumerate(block))
-    return expand(head + Fraction(tail * p**start, 1 - p ** len(block)), p, start + len(block))
-
-
-def per_level_character(x: PAdic, n: int, p: int, m) -> complex:
-    """Reference: the per-level character loop the scalar oracle used,
-    re-reading the digits under level n as a float sum of p^-k weights."""
-    if x.is_zero() or n < x.v:
-        return 1.0 + 0.0j
-    kmax = n - x.v if m == math.inf else min(m, n - x.v)
-    units = 0.0
-    for k in range(int(kmax) + 1):
-        d = x.digit(n - k)
-        if d:
-            units += d * float(p) ** (-k)
-    return cmath.exp(2j * math.pi * units / p)
-
-
-def per_level_coupling(xi: float, x: PAdic, n: int, p: int, m) -> complex:
-    """Reference: the circle phase of level n in the fiber series."""
-    if m == math.inf:
-        return cmath.exp(2j * math.pi * xi / p ** (n + 1))
-    if n > m + x.valuation():
-        return 1.0 + 0.0j
-    return cmath.exp(2j * math.pi * xi / p ** (min(n, int(m)) + 1))
-
-
-def per_level_sums(x: PAdic, params: MapParams):
-    """(negative levels, levels 0 .. depth) sums of s^n (chi_n - [n < 0])
-    and the sum of |s^n|, the scale of their rounding."""
-    lo = 0 if x.is_zero() else min(x.v, 0)
-    frac = integral = 0.0 + 0.0j
-    scale = 0.0
-    for n in range(lo, params.depth + 1):
-        chi = per_level_character(x, n, params.p, params.m)
-        weight = params.s**n
-        if n < 0:
-            frac += weight * (chi - 1.0)
-        else:
-            integral += weight * chi
-        scale += abs(weight)
-    return frac, integral, scale
-
-
 def exact_points(p: int):
     # negative valuations, periodic tails and composite-base denominators
     return st.builds(
@@ -790,15 +745,10 @@ def exact_points(p: int):
     )
 
 
-def digit_window(p: int, v: int, digits: tuple[int, ...]) -> PAdic:
-    """The terminating value whose digits from p^v upward are `digits`."""
-    return expand(sum(d * Fraction(p) ** (v + i) for i, d in enumerate(digits)), p, len(digits))
-
-
 def long_window_points(p: int, depth: int):
-    # a digit window that reaches past the series depth
+    # terminating digits that reach past the series depth
     return st.builds(
-        lambda v, lead, rest: digit_window(p, v, (lead, *rest)),
+        lambda v, lead, rest: expand(oracles.from_digits(p, v, (lead, *rest)), p, 1),
         st.integers(min_value=-3, max_value=3),
         st.integers(min_value=1, max_value=p - 1),
         st.lists(st.integers(min_value=0, max_value=p - 1), min_size=depth + 4, max_size=depth + 8),
@@ -815,20 +765,15 @@ def test_single_digit_pass_matches_per_level_loop(data):
     params = MapParams(p=p, m=m, s=s, depth=depth)
     x = data.draw(st.one_of(exact_points(p), long_window_points(p, depth)))
     pm = PlaneMap(params)
-    for n in range(min(x.valuation(), 0) - 2, depth + 1):
-        assert abs(pm.character(x, n) - per_level_character(x, n, p, m)) <= 1e-12
-    frac, integral, scale = per_level_sums(x, params)
+    for n in range(min(valuation(x, p), 0) - 2, depth + 1):
+        assert oracles.same_bits(pm.character(x, n), oracles.characters(params, x, n, n)[0])
+    frac, integral = oracles.parts(params, x)
     got_frac, got_integral = pm.parts(x)
-    assert abs(got_frac - frac) <= 1e-12 * scale
-    assert abs(got_integral - integral) <= 1e-12 * scale
-    assert abs(pm.value(x) - (frac + integral)) <= 1e-12 * scale
+    assert oracles.same_bits(got_frac, frac) and oracles.same_bits(got_integral, integral)
+    assert oracles.same_bits(pm.value(x), sum((frac, integral)))
     tm = TorusMap(SolenoidParams(map=params, a=2.0))
     xi = data.draw(st.fractions(min_value=0, max_value=Fraction(996, 997), max_denominator=997))
-    want = sum(
-        s**n * per_level_coupling(float(xi), x, n, p, m) * per_level_character(x, n, p, m)
-        for n in range(depth + 1)
-    )
-    assert abs(tm.fiber_value(xi, x) - want) <= 1e-12 * sum(abs(s) ** n for n in range(depth + 1))
+    assert oracles.same_bits(tm.fiber_value(xi, x), oracles.fiber_value(params, xi, x))
 
 
 def test_exact_value_reads_the_digits_of_its_rational():

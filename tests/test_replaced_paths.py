@@ -1,221 +1,21 @@
-"""Exact agreement with the paths that integral int values, the one-pass
-series sum and the numerator/denominator comparisons replaced.
-
-The references below are copies of the earlier code: a p-adic value that
-always holds a Fraction, the group law and metric that compare Fractions
-through their operators, and the series summed from a list of characters
-and a list of terms.  Every result must be equal, not close.
+"""Exact agreement with the oracles of `oracles`: the long division, the
+Fraction group law with its metric from the definition, and the series
+summed level by level.  These replaced the earlier code paths: a p-adic
+value that always held a Fraction, the group law and metric comparing
+Fractions through their operators, and the two-pass series sum.  Every
+result must be equal, not close.
 """
 
-import cmath
 import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import oracles
 from padic_fractal.complex_map import MapParams, PlaneMap
-from padic_fractal.padic import PAdic, expand
+from padic_fractal.padic import digit_run, expand, expansion, norm, split, valuation
 from padic_fractal.solenoid import SolenoidParams, SolenoidPoint, TorusMap, add, distance, neg
-
-
-# ---------------------------------------------------------------------------
-# the Fraction-valued p-adic value
-
-
-class FractionPAdic:
-    """Reference: a base-p value whose `value` is always a Fraction."""
-
-    def __init__(self, q, p: int, window: int):
-        q = Fraction(q)
-        v, num, den = 0, q.numerator, q.denominator
-        g = math.gcd(den, p)
-        while g > 1:
-            num *= p // g
-            den //= g
-            v -= 1
-            g = math.gcd(den, p)
-        while num and num % p == 0:
-            num //= p
-            v += 1
-        self.p, self.v, self.value, self._width = p, v, q, window
-
-    def expansion(self):
-        if self.is_zero():
-            return (), 0, ()
-        p = self.p
-        unit = self.value / Fraction(p) ** self.v
-        num, den = unit.numerator, unit.denominator
-        binv = pow(den, -1, p)
-        seen: dict[int, int] = {}
-        stream: list[int] = []
-        while num not in seen:
-            seen[num] = len(stream)
-            d = (num * binv) % p
-            stream.append(d)
-            num = (num - d * den) // p
-        start = seen[num]
-        block = stream[start:]
-        width = max(self._width, start)
-        digits = tuple((stream + block * width)[:width])
-        if not any(block):
-            return digits, 0, ()
-        return digits, start, tuple(block)
-
-    def is_zero(self) -> bool:
-        return not self.value
-
-    def valuation(self):
-        return math.inf if self.is_zero() else self.v
-
-    def norm(self, alpha: float = 1.0) -> float:
-        if self.is_zero():
-            return 0.0
-        return float(self.p) ** (-alpha * self.v)
-
-    def digit_run(self, lo: int, hi: int) -> list[int]:
-        v = self.v
-        if hi <= v:
-            return [0] * max(hi - lo, 0)
-        digits, preperiod, period = self.expansion()
-        run = [0] * (v - lo) if lo < v else []
-        start, stop = max(lo - v, 0), hi - v
-        run += digits[start:stop]
-        past = max(start, len(digits))
-        if past < stop:
-            if period:
-                run += [period[(i - preperiod) % len(period)] for i in range(past, stop)]
-            else:
-                run += [0] * (stop - past)
-        return run
-
-    def split(self):
-        if self.is_zero() or self.v >= 0:
-            return Fraction(0), self
-        unit, mod = self.value * self.p ** -self.v, self.p ** -self.v
-        frac = Fraction(unit.numerator * pow(unit.denominator, -1, mod) % mod, mod)
-        return frac, FractionPAdic(self.value - frac, self.p, max(self.v + self._width, 1))
-
-    def _combine(self, other, q):
-        if other.is_zero():
-            return self
-        a = other if self.is_zero() else self
-        lo, hi = min(a.v, other.v), max(a.v + a._width, other.v + other._width)
-        return FractionPAdic(q, self.p, max(hi - lo, 1))
-
-    def __add__(self, other):
-        return self._combine(other, self.value + other.value)
-
-    def __sub__(self, other):
-        return self._combine(other, self.value - other.value)
-
-    def __neg__(self):
-        return FractionPAdic(-self.value, self.p, self._width)
-
-
-def old_one(p: int) -> FractionPAdic:
-    return FractionPAdic(1, p, 1)
-
-
-def same_value(x: PAdic, ref: FractionPAdic) -> bool:
-    """Equal valuation, tail, value and digits at indices -12 .. 39, and the
-    value type the contract names: the fields that no digit window moves."""
-    _, preperiod, period = ref.expansion()
-    integral = ref.value.denominator == 1
-    return ((x.v, x.preperiod, x.period, x.value, x.digit_run(-12, 40))
-            == (ref.v, preperiod, period, ref.value, ref.digit_run(-12, 40))
-            and (type(x.value) is int) is integral and (type(x.value) is Fraction) is not integral)
-
-
-def same(x: PAdic, ref: FractionPAdic) -> bool:
-    """same_value, and the same digit window."""
-    return same_value(x, ref) and x.digits == ref.expansion()[0]
-
-
-# ---------------------------------------------------------------------------
-# the group law and metric comparing Fractions through their operators
-
-
-def old_add(f, g):
-    """(xi, x) pairs: the sum with the carry read from t >= 1."""
-    t = f[0] + g[0]
-    x = f[1] + g[1]
-    if t >= 1:
-        return t - 1, x + old_one(x.p)
-    return t, x
-
-
-def old_neg(f):
-    if f[0] == 0:
-        return f[0], -f[1]
-    return 1 - f[0], -(f[1] + old_one(f[1].p))
-
-
-def old_distance(f, g, alpha: float) -> float:
-    xi = (f[0] - g[0]) % 1
-    x = f[1] - g[1]
-    if f[0] < g[0]:
-        x = x - old_one(x.p)
-    length = max(float(xi), x.norm(alpha))
-    if xi == 0:
-        return length
-    return min(length, max(float(1 - xi), (x + old_one(x.p)).norm(alpha)))
-
-
-# ---------------------------------------------------------------------------
-# the series summed from a list of characters and a list of terms
-
-
-def old_characters(params: MapParams, x, first: int, last: int) -> list[complex]:
-    p, m = params.p, params.m
-    v = x.valuation()
-    digits = x.digit_run(v, last + 1) if v <= last else []
-    chis = []
-    sums, scale = [0], 1
-    for n in range(min(first, v), last + 1):
-        chi = 1.0 + 0.0j
-        if n >= v:
-            sums.append(sums[-1] + digits[n - v] * scale)
-            scale *= p
-            low = sums[n - v - m] if n - m >= v else 0
-            chi = cmath.exp(2j * math.pi * ((sums[-1] - low) / scale))
-        if n >= first:
-            chis.append(chi)
-    return chis
-
-
-def left_sum(terms) -> complex:
-    """sum(terms, 0j) as Python 3.10 to 3.12 compute it: left to right from 0j."""
-    total = 0j
-    for term in terms:
-        total = total + term
-    return total
-
-
-def old_weighted(params: MapParams, x, weight) -> tuple[complex, complex]:
-    levels = range(min(x.valuation(), 0), params.depth + 1)
-    chis = old_characters(params, x, levels.start, levels.stop - 1)
-    terms = [weight(n) * (chi - 1.0 if n < 0 else chi) for n, chi in zip(levels, chis)]
-    return left_sum(terms[: -levels.start]), left_sum(terms[-levels.start :])
-
-
-def old_parts(params: MapParams, x) -> tuple[complex, complex]:
-    s = params.s
-    return old_weighted(params, x, lambda n: s**n)
-
-
-def old_fiber_value(params: MapParams, xi, x) -> complex:
-    whole = math.floor(xi)
-    if whole:
-        xi = xi - whole
-        x = x + FractionPAdic(whole, x.p, 1)
-    p, m, s = params.p, params.m, params.s
-    turn, top = 2j * math.pi * float(xi), m + x.valuation()
-
-    def weight(n: int) -> complex:
-        return s**n * (1.0 + 0.0j if n > top else cmath.exp(turn / p ** (min(n, m) + 1)))
-
-    return old_weighted(params, x, weight)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +49,24 @@ def circle():
     )
 
 
-def both(q, p: int, window: int):
-    return expand(q, p, window), FractionPAdic(q, p, window)
+def canonical(x) -> bool:
+    """An int exactly when integral, as the package builds every value."""
+    return (type(x) is int) is (Fraction(x).denominator == 1)
+
+
+def reads_long_division(x, q, p: int) -> bool:
+    """x is the rational q and reads q's valuation, expansion and digits at
+    indices -12 .. 39 from its long division."""
+    _, digits, preperiod, period = oracles.long_division(q, p)
+    return (x == q and valuation(x, p) == oracles.valuation(q, p)
+            and expansion(x, p) == (digits, preperiod, period)
+            and digit_run(x, p, -12, 40) == oracles.digits(q, p, -12, 40))
+
+
+def same_value(x, q, p: int) -> bool:
+    """reads_long_division, of a value the package built: an int exactly
+    when integral."""
+    return reads_long_division(x, q, p) and canonical(x)
 
 
 @given(data=st.data())
@@ -258,17 +74,15 @@ def both(q, p: int, window: int):
 def test_padic_arithmetic_matches_fraction_values(data):
     p = data.draw(BASES)
     a, b = data.draw(rationals(p)), data.draw(rationals(p))
-    (xa, ra), (xb, rb) = (both(q, p, data.draw(st.integers(1, 12))) for q in (a, b))
-    assert same(xa, ra) and same(xb, rb)
-    assert same_value(xa + xb, ra + rb) and same_value(xa - xb, ra - rb) and same_value(-xa, -ra)
-    (frac, integral), (old_frac, old_integral) = xa.split(), ra.split()
-    assert frac == old_frac and type(frac) is Fraction and same_value(integral, old_integral)
-
-
-def same_bits(a: complex, b: complex) -> bool:
-    """Equal, and equal in the sign of every zero part."""
-    return a == b and all(math.copysign(1.0, u) == math.copysign(1.0, w)
-                          for u, w in ((a.real, b.real), (a.imag, b.imag)))
+    xa, xb = (expand(q, p, data.draw(st.integers(1, 12))) for q in (a, b))
+    assert same_value(xa, a, p) and same_value(xb, b, p)
+    for x, q in ((xa + xb, a + b), (xa - xb, a - b), (-xa, -a)):
+        assert same_value(expand(x, p, 1), q, p)
+    frac, integral = split(xa, p)
+    low = min(oracles.valuation(a, p), 0)
+    assert frac == oracles.from_digits(p, low, oracles.digits(a, p, low, 0))
+    assert type(frac) is Fraction and same_value(integral, a - frac, p)
+    assert norm(xa - xb, p) == oracles.norm(a - b, p)
 
 
 def terminating(data, p: int, m, depth: int) -> tuple[Fraction, int]:
@@ -299,13 +113,13 @@ def test_series_matches_two_pass_sums(data):
     xi = data.draw(st.one_of(circle(), st.fractions(-2, 3, max_denominator=997),
                              st.floats(0, 1, exclude_max=True)))
     pm, tm = PlaneMap(params), TorusMap(SolenoidParams(map=params, a=2.0))
-    for x, ref in (both(q, p, width), both(0, p, 1)):
-        parts, want = pm.parts(x), old_parts(params, ref)
-        assert same_bits(parts[0], want[0]) and same_bits(parts[1], want[1])
-        assert same_bits(pm.value(x), sum(want))
-        for n in range(min(x.valuation(), 0) - 1, params.depth + 3):
-            assert same_bits(pm.character(x, n), old_characters(params, ref, n, n)[0])
-        assert same_bits(tm.fiber_value(xi, x), old_fiber_value(params, xi, ref))
+    for x in (expand(q, p, width), expand(0, p, 1)):
+        parts, want = pm.parts(x), oracles.parts(params, x)
+        assert oracles.same_bits(parts[0], want[0]) and oracles.same_bits(parts[1], want[1])
+        assert oracles.same_bits(pm.value(x), sum(want))
+        for n in range(min(valuation(x, p), 0) - 1, params.depth + 3):
+            assert oracles.same_bits(pm.character(x, n), oracles.characters(params, x, n, n)[0])
+        assert oracles.same_bits(tm.fiber_value(xi, x), oracles.fiber_value(params, xi, x))
 
 
 @given(data=st.data(), alpha=st.sampled_from([0.5, 1.0, 2.0]))
@@ -315,20 +129,20 @@ def test_group_law_and_metric_match_fraction_operators(data, alpha):
     pts = []
     for _ in range(2):
         xi, q = data.draw(circle()), data.draw(rationals(p, unit_ball=True))
-        x, ref = both(q, p, data.draw(st.integers(1, 12)))
-        pts.append((SolenoidPoint(xi, x), (xi, ref)))
+        x = expand(q, p, data.draw(st.integers(1, 12)))
+        pts.append((SolenoidPoint(xi, x), (xi, q)))
     (f, rf), (g, rg) = pts
-    for got, want in ((add(f, g), old_add(rf, rg)), (neg(f), old_neg(rf)),
-                      (add(f, neg(g)), old_add(rf, old_neg(rg)))):
-        assert got.xi == want[0] and type(got.xi) is Fraction and same_value(got.x, want[1])
-    assert distance(f, g, alpha) == old_distance(rf, rg, alpha)
-    assert distance(g, f, alpha) == old_distance(rg, rf, alpha)
+    for got, want in ((add(f, g), oracles.group_add(rf, rg)), (neg(f), oracles.group_neg(rf)),
+                      (add(f, neg(g)), oracles.group_add(rf, oracles.group_neg(rg)))):
+        assert got.xi == want[0] and type(got.xi) is Fraction and same_value(got.x, want[1], p)
+    assert distance(f, g, p, alpha) == oracles.group_distance(rf, rg, p, alpha)
+    assert distance(g, f, p, alpha) == oracles.group_distance(rg, rf, p, alpha)
 
 
 @given(p=BASES, q=st.fractions(max_denominator=10**4), window=st.integers(1, 12))
 @settings(max_examples=200, deadline=None)
 def test_value_is_an_int_exactly_when_integral(p, q, window):
-    value = expand(q, p, window).value
+    value = expand(q, p, window)
     if q.denominator == 1:
         assert type(value) is int and value == q.numerator
     else:
@@ -339,9 +153,12 @@ def test_value_is_an_int_exactly_when_integral(p, q, window):
 @given(p=BASES, n=st.integers(-10**6, 10**6), window=st.integers(1, 12))
 @settings(max_examples=100, deadline=None)
 def test_int_and_fraction_values_read_alike(p, n, window):
-    x = expand(n, p, window)
-    y = object.__new__(PAdic)
-    vars(y).update(vars(x), value=Fraction(n))  # the same value held as a Fraction
-    assert type(x.value) is int and type(y.value) is Fraction
-    assert x == y and hash(x) == hash(y) and str(x) == str(y) and repr(x) == repr(y)
-    assert x == expand(Fraction(n * 3, 3), p, window) and x.value == n
+    # every function reads an integer held as an int or as a Fraction alike
+    x, y = expand(n, p, window), Fraction(n)
+    assert type(x) is int and x == y and hash(x) == hash(y)
+    assert x == expand(Fraction(n * 3, 3), p, window) and type(expand(y, p, window)) is int
+    assert valuation(x, p) == valuation(y, p) and expansion(x, p) == expansion(y, p)
+    assert digit_run(x, p, -3, 30) == digit_run(y, p, -3, 30)
+    assert split(x, p) == split(y, p) and norm(x, p) == norm(y, p)
+    pm = PlaneMap(MapParams(p=p, m=math.inf, s=0.3 + 0.2j))
+    assert oracles.same_bits(pm.value(x), pm.value(y))
