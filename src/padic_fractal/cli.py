@@ -294,6 +294,14 @@ class _Command:
 # verification suites
 
 
+def _samples(seed: int, bounds: list[int], n: int) -> Iterator[tuple[int, ...]]:
+    """n tuples of ints 0 <= k_i < bounds[i], drawn from the seeded generator
+    in one call: an array of bounds draws element by element from the stream
+    that one call per integer reads, so the values are those of the calls."""
+    flat = iter(np.random.default_rng(seed).integers(0, bounds * n).tolist())
+    return zip(*[flat] * len(bounds))
+
+
 def _suite_scaling(cfg: Config) -> Iterator[tuple]:
     """f(px) = 1 + s f(x).  To depth D, f_D(px) = 1 + s f_(D-1)(x) level by
     level, so the residual is s^(D+1) chi_D(x), within tail_bound, plus the
@@ -348,10 +356,9 @@ def _suite_group(cfg: Config) -> Iterator[tuple]:
     1, is a correctly rounded quotient or p^(-alpha v), whose rounded exponent
     and pow err by (1/e + 1) u, u = 2^-53; with the sum of two (at most 2,
     rounded by u) the triangle defect is at most 3 (1 + 1/e) u + u < 6 u."""
-    rng, p, bound = np.random.default_rng(cfg.seed), cfg.p, residue_bound(cfg.p, 8)
-    worst_assoc = worst_metric = 0.0
-    pts = [SolenoidPoint(Fraction(int(rng.integers(0, 997)), 997),
-                         from_int(int(rng.integers(0, bound)), p, 8)) for _ in range(900)]
+    p, worst_assoc, worst_metric = cfg.p, 0.0, 0.0
+    pts = [SolenoidPoint(Fraction(k, 997), from_int(num, p, 8))
+           for k, num in _samples(cfg.seed, [997, residue_bound(p, 8)], 900)]
     for f, g, h in zip(pts[0::3], pts[1::3], pts[2::3]):
         lhs, rhs, z = add(add(f, g), h), add(f, add(g, h)), add(f, neg(f))
         if lhs.xi != rhs.xi or lhs.x != rhs.x or z.xi != 0 or z.x:
@@ -367,12 +374,8 @@ def _suite_group(cfg: Config) -> Iterator[tuple]:
 def _suite_j(cfg: Config) -> Iterator[tuple]:
     """j is an exact homomorphism and isometry: the distance of equal points
     is 0.0, and both sides of the isometry are the float of one norm."""
-    rng, p = np.random.default_rng(cfg.seed), cfg.p
-    worst_hom = worst_iso = 0.0
-    for _ in range(300):
-        num_a = int(rng.integers(0, residue_bound(p, 8)))
-        num_b = int(rng.integers(0, residue_bound(p, 8)))
-        shift = int(rng.integers(0, 5))
+    p, bound, worst_hom, worst_iso = cfg.p, residue_bound(cfg.p, 8), 0.0, 0.0
+    for num_a, num_b, shift in _samples(cfg.seed, [bound, bound, 5], 300):
         xa, xb = (expand(Fraction(num, p**shift), p, 16) for num in (num_a, num_b))
         lhs, rhs = from_padic(xa + xb, p), add(from_padic(xa, p), from_padic(xb, p))
         worst_hom = max(worst_hom, distance(lhs, rhs, p, cfg.alpha))
@@ -394,9 +397,9 @@ def _suite_eq40(cfg: Config) -> Iterator[tuple]:
                          f"|s| >= {floor:.3g}, got {_fmt(cfg.s)}")
     params = MapParams(p=cfg.p, m=math.inf, s=cfg.s)
     tmap = TorusMap(SolenoidParams(map=params, a=cfg.a))
-    rng, p, worst = np.random.default_rng(cfg.seed), cfg.p, 0.0
-    for _ in range(200):
-        x = expand(Fraction(int(rng.integers(0, residue_bound(p, 10))), p**4), p, 16)
+    p, worst = cfg.p, 0.0
+    for (num,) in _samples(cfg.seed, [residue_bound(p, 10)], 200):
+        x = expand(Fraction(num, p**4), p, 16)
         worst = max(worst, abs(tmap.plane.parts(x)[1] - tmap.fiber_value(*split(x, p))))
     yield _at_most("eq40.max_residual", worst, 2.0 * params.rounding_bound)
 
@@ -417,19 +420,14 @@ def _suite_ode(cfg: Config) -> Iterator[tuple]:
     # the ratio is unchanged by one power of two scaling both residuals, which
     # keeps their squares in range: 2^-k <= 1/(|a| + r_s)
     unit = 2.0 ** -math.frexp(abs(cfg.a) + r)[1]
-    rng = np.random.default_rng(cfg.seed)
-    p = cfg.p
-    ratios = []
-    for _ in range(10):
-        f = SolenoidPoint(
-            Fraction(int(rng.integers(0, 997)), 997),
-            from_int(int(rng.integers(0, residue_bound(p, 6))), p, 6),
-        )
+    p, ratios = cfg.p, []
+    steps = {h: [Fraction(t).limit_denominator(10**12) for t in (h, -h)] for h in (1e-3, 1e-4)}
+    for k, num in _samples(cfg.seed, [997, residue_bound(p, 6)], 10):
+        f = SolenoidPoint(Fraction(k, 997), from_int(num, p, 6))
         gam = tmap.vector_field(f)
 
         def fd(h: float) -> float:
-            plus = tmap.embed(orbit(f, Fraction(h).limit_denominator(10**12)))
-            minus = tmap.embed(orbit(f, Fraction(-h).limit_denominator(10**12)))
+            plus, minus = (tmap.embed(orbit(f, t)) for t in steps[h])
             return float(np.linalg.norm(((plus - minus) / (2 * h) - gam) * unit))
 
         ratios.append(fd(1e-3) / max(fd(1e-4), 1e-300))
@@ -462,10 +460,10 @@ def _suite_symmetry(cfg: Config) -> Iterator[tuple]:
     e(1/p), level by level in the series to depth D, so the residual is the
     rounding of the two values, 2 rounding_bound."""
     params = MapParams(p=cfg.p, m=0, s=cfg.s)
-    pmap, rng, worst = PlaneMap(params), np.random.default_rng(cfg.seed), 0.0
+    pmap, worst = PlaneMap(params), 0.0
     phase = complex(math.cos(2 * math.pi / cfg.p), math.sin(2 * math.pi / cfg.p))
-    for _ in range(200):
-        x = from_int(int(rng.integers(0, residue_bound(cfg.p, 10))), cfg.p, 10)
+    for (num,) in _samples(cfg.seed, [residue_bound(cfg.p, 10)], 200):
+        x = from_int(num, cfg.p, 10)
         worst = max(worst, abs(pmap.value(rotate_digits(x, cfg.p)) - phase * pmap.value(x)))
     yield _at_most("symmetry.max_residual", worst, 2.0 * params.rounding_bound)
 
@@ -576,9 +574,16 @@ def _cmd_orbit(cfg: Config) -> Iterator[tuple]:
     # --depth counts the steps here
     tmap = TorusMap(SolenoidParams(map=_map_params(cfg), a=cfg.a))
     steps = cfg.depth or 400
+    if steps >= MAX_ROWS:  # the steps + 1 samples, refused before the first is built
+        raise UsageError(f"field 'depth': orbit samples depth + 1 times, at most {MAX_ROWS} "
+                         f"in all, so depth at most {MAX_ROWS - 1}, got {steps}")
     f0 = SolenoidPoint(Fraction(0), 0)
     times = [Fraction(3 * k, steps) for k in range(steps + 1)]
-    pts = np.array([tmap.embed(orbit(f0, t)) for t in times])
+    # orbit(f0, t) = (frac t, floor t): every x is an integer, so it lies in
+    # the unit ball that embed checks, and one chart call serves every sample
+    path = [orbit(f0, t) for t in times]
+    pts = tmap.to_space(np.array([float(f.xi) for f in path]),
+                        np.array([tmap.fiber_value(f.xi, f.x) for f in path]))
     _write(cfg.out, export_csv(pts, [f"t={float(t):.9g}" for t in times])
            if cfg.format == "csv" else export_ply(pts))
     yield "orbit", cfg.out, f"{len(pts)} samples", True

@@ -329,8 +329,18 @@ def _turn(w: np.ndarray, q: int) -> np.ndarray:
     """e(w / q), w read as its residue in (-q/2, q/2] so that no angle
     passes half a turn: the phase of an integer window.  Needs 0 <= w < q,
     which _levels keeps: its k never decreases, w //= p when k repeats,
-    then a digit 0 .. p-1 is added at p**(k-1)."""
-    return np.exp(np.where(2 * w > q, w - q, w) * (2j * math.pi / q))
+    then a digit 0 .. p-1 is added at p**(k-1).
+
+    When every angle t has |t| < 2^-27, as past the last digit of a short
+    row, each phase is (1, t) with no exponential: t^2/2 < 2^-55 is below
+    half an ulp of 1 and t^2/6 below half an ulp of t relative to t, so
+    1 and t are the correctly rounded cos t and sin t."""
+    w = np.where(2 * w > q, w - q, w)
+    if np.abs(w).max(initial=0) * (2 * math.pi / q) < 2.0**-27:
+        phases = np.ones(w.shape, dtype=np.complex128)
+        phases.imag = w * (2 * math.pi / q)
+        return phases
+    return np.exp(w * (2j * math.pi / q))
 
 
 def _levels(digits, rows: int, start: int, first: int, last: int, params: MapParams):

@@ -13,12 +13,15 @@ import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from padic_fractal import cli
 from padic_fractal.cli import (
     _COMMANDS,
     _FIELDS,
@@ -26,11 +29,12 @@ from padic_fractal.cli import (
     Config,
     UsageError,
     _build_parser,
+    _samples,
     main,
     parse_config,
 )
 from padic_fractal.analysis import box_dimension
-from padic_fractal.complex_map import MapParams, PlaneMap
+from padic_fractal.complex_map import MAX_ROWS, MapParams, PlaneMap, residue_bound
 from padic_fractal.render import (
     RasterConfig,
     auto_viewport,
@@ -42,7 +46,7 @@ from padic_fractal.render import (
     rasterize,
     to_svg,
 )
-from padic_fractal.solenoid import SolenoidParams, TorusMap
+from padic_fractal.solenoid import SolenoidParams, SolenoidPoint, TorusMap, orbit
 
 
 def run_cli(args, tmp_path=None, capsys=None):
@@ -203,6 +207,32 @@ class TestArtifacts:
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1102
         assert capsys.readouterr().out == f"orbit\t{out}\t1101 samples\tPASS\n"
+
+    @pytest.mark.parametrize("flag, a", [("3", 3), ("2.5", 2.5), ("0,2", 2j), ("1,1", 1 + 1j),
+                                         ("0.7,-2.2", 0.7 - 2.2j)])
+    def test_orbit_bytes_are_the_per_point_embeddings(self, flag, a, tmp_path):
+        # one chart call over the whole orbit writes the bytes of one embed a sample
+        out = tmp_path / "orbit.csv"
+        assert main(["orbit", "--p", "3", "--s", "0.3", "--m", "inf", "--a", flag,
+                     "--depth", "60", "--out", str(out)]) == 0
+        tm = TorusMap(SolenoidParams(map=MapParams(p=3, m=math.inf, s=0.3), a=a))
+        times = [Fraction(3 * k, 60) for k in range(61)]
+        pts = np.array([tm.embed(orbit(SolenoidPoint(Fraction(0), 0), t)) for t in times])
+        assert out.read_bytes() == export_csv(pts, [f"t={float(t):.9g}" for t in times])
+
+    @pytest.mark.parametrize("depth", [MAX_ROWS, 10**8])
+    def test_orbit_refuses_more_samples_than_rows(self, depth, tmp_path, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("an orbit sample built before the depth check")
+
+        monkeypatch.setattr(cli, "orbit", unreached)
+        out = tmp_path / "orbit.csv"
+        start = time.perf_counter()
+        code, stdout, err = run_captured(["orbit", "--depth", str(depth), "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert err == (f"error: field 'depth': orbit samples depth + 1 times, at most {MAX_ROWS} "
+                       f"in all, so depth at most {MAX_ROWS - 1}, got {depth}\n")
 
     def test_moments_command(self, capsys):
         assert main(["moments", "--p", "2", "--s", "0.3", "--m", "inf", "--depth", "12"]) == 0
@@ -1093,3 +1123,27 @@ def test_ode_refuses_a_radius_whose_flow_passes_the_float_range():
 def test_ode_scaling_keeps_the_ratio_of_radii_that_fit(a, want):
     code, out, _ = run_captured(["verify", "--suite", "ode", f"--a={a}"])
     assert code == 0 and out.splitlines()[0].split("\t")[1] == want
+
+
+# each suite's samples: the exponents of its bounds p^k (0 for 997, -1 for
+# 5) and the sample count.  p = 234 and 77 are the largest bases whose 8th
+# and 10th powers stay below 2^63, the bases a suite draws at; 16^8 = 2^32
+# takes the generator's whole-word path, smaller bounds its bounded 32-bit
+# one and larger bounds its 64-bit one
+SUITE_DRAWS = {"group": ((0, 8), 900), "j": ((8, 8, -1), 300), "ode": ((0, 6), 10),
+               "eq40": ((10,), 200), "symmetry": ((10,), 200)}
+
+
+@pytest.mark.parametrize("suite, p", [(suite, p) for suite, (powers, _) in SUITE_DRAWS.items()
+                                      for p in (2, 3, 5, 6, 16, 17, 77, 234)
+                                      if p ** max(powers) < 2**63])
+def test_one_draw_per_suite_is_one_call_per_integer(suite, p):
+    powers, n = SUITE_DRAWS[suite]
+    bounds = [{0: 997, -1: 5}.get(k) or residue_bound(p, k) for k in powers]
+    for seed in (0, 7, 11, 2**40):
+        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = one.integers(0, bounds * n).tolist()
+        assert drawn == [int(each.integers(0, b)) for _ in range(n) for b in bounds]
+        assert one.integers(0, 2**62) == each.integers(0, 2**62)
+        assert one.integers(0, 997) == each.integers(0, 997)
+        assert list(_samples(seed, bounds, n)) == list(zip(*[iter(drawn)] * len(bounds)))

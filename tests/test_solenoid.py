@@ -275,6 +275,20 @@ class TestChart:
                 one = tm.to_space(float(xi), complex(z))
                 assert np.allclose(pts[i, j], one, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("a", [3, 2.5, 2j, 1 + 1j, 0.7 - 2.2j])
+    def test_one_chart_call_is_the_embedding_of_each_point(self, a):
+        # the orbit export's batch: fiber values one by one, then one chart
+        # call over all of them, bit for bit the per-point embeddings
+        rng = np.random.default_rng(41)
+        tm = TorusMap(SolenoidParams(map=MapParams(p=3, m=math.inf, s=0.3 - 0.2j), a=a))
+        pts = [SolenoidPoint(Fraction(int(k), 997), int(x) - 500)
+               for k, x in zip(rng.integers(0, 997, 500), rng.integers(0, 1000, 500))]
+        batch = tm.to_space(np.array([float(f.xi) for f in pts]),
+                            np.array([tm.fiber_value(f.xi, f.x) for f in pts]))
+        one = np.array([tm.embed(f) for f in pts])
+        assert batch.shape == (500, 3)
+        assert np.array_equal(batch.view(np.uint64), one.view(np.uint64))
+
     def test_limit_examples(self):
         assert np.allclose(limit_to_space(0.0, 1 + 2j, 1.0), [1, 2, 0])
         assert np.allclose(limit_to_space(0.25, 1 + 0j, 1.0), [0, 0, 1], atol=1e-12)
