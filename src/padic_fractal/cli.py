@@ -37,16 +37,18 @@ from .complex_map import (
     _guard_rows,
     _sandwich_margins,
     _scaling_residuals,
+    _widest,
+    character_table,
     delta_certificate,
     delta_lower,
     residue_bound,
     residue_digit_matrix,
-    rotate_digits,
     s_zero,
     sandwich_check,
     scaling_residuals,
+    series_values,
 )
-from .padic import expand, from_int, norm, split
+from .padic import expand, from_int, norm
 from .render import (
     FigurePreset,
     RasterConfig,
@@ -302,6 +304,20 @@ def _samples(seed: int, bounds: list[int], n: int) -> Iterator[tuple[int, ...]]:
     return zip(*[flat] * len(bounds))
 
 
+def _sample_bound(p: int, depth: int) -> int:
+    """residue_bound, refused as a field: depth if 2^depth passes 2^63, else p."""
+    try:
+        return residue_bound(p, depth)
+    except ValueError as exc:
+        raise UsageError(f"field {'depth' if depth > 63 else 'p'!r}: {exc}") from None
+
+
+def _residues(cfg: Config) -> np.ndarray:
+    """The 200 residues below p^10 that eq40 and symmetry sample."""
+    drawn = _samples(cfg.seed, [_sample_bound(cfg.p, 10)], 200)
+    return np.array([num for (num,) in drawn], dtype=np.int64)
+
+
 def _suite_scaling(cfg: Config) -> Iterator[tuple]:
     """f(px) = 1 + s f(x).  To depth D, f_D(px) = 1 + s f_(D-1)(x) level by
     level, so the residual is s^(D+1) chi_D(x), within tail_bound, plus the
@@ -317,6 +333,7 @@ def _suite_scaling(cfg: Config) -> Iterator[tuple]:
             raise UsageError(f"field 'depth': scaling samples {samples} rows of depth digits, "
                              f"at most {MAX_ROWS} in all, so depth at most "
                              f"{MAX_ROWS // samples}, got {depth}")
+        _sample_bound(cfg.p, 1)
         res = scaling_residuals(params, n_samples=samples, digit_depth=depth, seed=cfg.seed)
     bound = params.tail_bound + 2.0 * params.rounding_bound
     yield _at_most("scaling.max_residual", float(res.max()), bound)
@@ -343,7 +360,8 @@ def _suite_sandwich(cfg: Config) -> Iterator[tuple]:
         vals = PlaneMap(params).values_on_residues(depth)
         out = _sandwich_margins(params, np.abs(vals[a] - vals[b]), a - b, depth)
     else:
-        out = sandwich_check(params, n_pairs=10_000, residue_depth=cfg.depth or 14, seed=cfg.seed)
+        _sample_bound(cfg.p, depth := cfg.depth or 14)
+        out = sandwich_check(params, n_pairs=10_000, residue_depth=depth, seed=cfg.seed)
     yield _at_most("sandwich.lower_violations", out["lower_violations"], 0)
     yield _at_most("sandwich.upper_violations", out["upper_violations"], 0)
     margin = out["worst_lower_margin"]
@@ -358,7 +376,7 @@ def _suite_group(cfg: Config) -> Iterator[tuple]:
     rounded by u) the triangle defect is at most 3 (1 + 1/e) u + u < 6 u."""
     p, worst_assoc, worst_metric = cfg.p, 0.0, 0.0
     pts = [SolenoidPoint(Fraction(k, 997), from_int(num, p, 8))
-           for k, num in _samples(cfg.seed, [997, residue_bound(p, 8)], 900)]
+           for k, num in _samples(cfg.seed, [997, _sample_bound(p, 8)], 900)]
     for f, g, h in zip(pts[0::3], pts[1::3], pts[2::3]):
         lhs, rhs, z = add(add(f, g), h), add(f, add(g, h)), add(f, neg(f))
         if lhs.xi != rhs.xi or lhs.x != rhs.x or z.xi != 0 or z.x:
@@ -374,7 +392,7 @@ def _suite_group(cfg: Config) -> Iterator[tuple]:
 def _suite_j(cfg: Config) -> Iterator[tuple]:
     """j is an exact homomorphism and isometry: the distance of equal points
     is 0.0, and both sides of the isometry are the float of one norm."""
-    p, bound, worst_hom, worst_iso = cfg.p, residue_bound(cfg.p, 8), 0.0, 0.0
+    p, bound, worst_hom, worst_iso = cfg.p, _sample_bound(cfg.p, 8), 0.0, 0.0
     for num_a, num_b, shift in _samples(cfg.seed, [bound, bound, 5], 300):
         xa, xb = (expand(Fraction(num, p**shift), p, 16) for num in (num_a, num_b))
         lhs, rhs = from_padic(xa + xb, p), add(from_padic(xa, p), from_padic(xb, p))
@@ -388,20 +406,31 @@ def _suite_j(cfg: Config) -> Iterator[tuple]:
 
 
 def _suite_eq40(cfg: Config) -> Iterator[tuple]:
-    """The plane/solenoid identity: the integral part of f(x) is the fiber
-    value at split(x, p).  It holds level by level in the series to depth D,
-    so the residual is the rounding of the two values, 2 rounding_bound."""
-    # samples num / p^4 reach level -4: four terms s^n (chi_n - 1), each up to 2 |s|^-4
+    """The plane/solenoid identity at x = num / p^4: the integral part of
+    f(x), sum_(n<=D) s^n chi_n(x), is the fiber value at split(x, p) =
+    (xi, y), sum_(n<=D) s^n e(xi / p^(n+1)) chi_n(y), level by level.  So
+    the residual is the rounding of the two values, 2 rounding_bound, and
+    the window cap of the level loop: from level widest - 4 on, the plane
+    side drops digits of xi that weigh less than p^-widest of a turn (both
+    drop the same digits of y), 2 pi p^-widest sum_(n >= widest-4) |s|^n."""
+    # parts(x), the oracle the identity is stated on, weighs level -4 by s^-4
     if abs(cfg.s) < (floor := (8.0 / sys.float_info.max) ** 0.25):
         raise UsageError(f"field 's': eq40 weighs level -4 by s^-4, which needs "
                          f"|s| >= {floor:.3g}, got {_fmt(cfg.s)}")
     params = MapParams(p=cfg.p, m=math.inf, s=cfg.s)
-    tmap = TorusMap(SolenoidParams(map=params, a=cfg.a))
-    p, worst = cfg.p, 0.0
-    for (num,) in _samples(cfg.seed, [residue_bound(p, 10)], 200):
-        x = expand(Fraction(num, p**4), p, 16)
-        worst = max(worst, abs(tmap.plane.parts(x)[1] - tmap.fiber_value(*split(x, p))))
-    yield _at_most("eq40.max_residual", worst, 2.0 * params.rounding_bound)
+    p, nums, widest = cfg.p, _residues(cfg), _widest(cfg.p)
+    digits = residue_digit_matrix(p, 10, nums)  # x's digits from index -4, y's from 0
+    chi_x = character_table(digits, -4, params)[4:]
+    chi_y = character_table(digits[:, 4:], 0, params)
+    turn = 2j * math.pi * (nums % p**4 / p**4)  # 2 pi i xi
+    plane, fiber = np.zeros((2, len(nums)), dtype=np.complex128)
+    for n in range(params.depth + 1):
+        plane += cfg.s**n * chi_x[n]
+        fiber += cfg.s**n * np.exp(turn / float(p ** (n + 1))) * chi_y[n]
+    cap = 2 * math.pi * p**-widest * sum(abs(cfg.s) ** n
+                                         for n in range(widest - 4, params.depth + 1))
+    yield _at_most("eq40.max_residual", float(np.abs(plane - fiber).max()),
+                   2.0 * params.rounding_bound + cap)
 
 
 def _suite_ode(cfg: Config) -> Iterator[tuple]:
@@ -422,7 +451,7 @@ def _suite_ode(cfg: Config) -> Iterator[tuple]:
     unit = 2.0 ** -math.frexp(abs(cfg.a) + r)[1]
     p, ratios = cfg.p, []
     steps = {h: [Fraction(t).limit_denominator(10**12) for t in (h, -h)] for h in (1e-3, 1e-4)}
-    for k, num in _samples(cfg.seed, [997, residue_bound(p, 6)], 10):
+    for k, num in _samples(cfg.seed, [997, _sample_bound(p, 6)], 10):
         f = SolenoidPoint(Fraction(k, 997), from_int(num, p, 6))
         gam = tmap.vector_field(f)
 
@@ -444,6 +473,7 @@ def _suite_kappa(cfg: Config) -> Iterator[tuple]:
     fm = MapParams(p=cfg.p, m=int(m), s=cfg.s)
     fi = MapParams(p=cfg.p, m=math.inf, s=cfg.s)
     depth = max((k for k in range(2, 15) if cfg.p**k <= 1 << 63), default=1)  # int64 codes
+    _sample_bound(cfg.p, depth)
     if delta_lower(cfg.p, cfg.s) > 0:
         kappa, bound = metric_divergence(fm, fi, n_samples=300, sample_depth=depth, seed=cfg.seed)
         yield _at_most(f"kappa.m{int(m)}", kappa, bound)
@@ -456,16 +486,17 @@ def _suite_kappa(cfg: Config) -> Iterator[tuple]:
 
 
 def _suite_symmetry(cfg: Config) -> Iterator[tuple]:
-    """At order 0, adding 1 to every digit turns each level's character by
-    e(1/p), level by level in the series to depth D, so the residual is the
-    rounding of the two values, 2 rounding_bound."""
+    """At order 0 level n reads one digit d through the table
+    _turn(arange(p), p).  Adding 1 to each of the digits 0 .. D of x, its
+    zero tail turned into ones as rotate_digits turns it, takes each level
+    from e(d/p) to e((d+1)/p) = e(1/p) e(d/p), so the two series to depth D
+    agree level by level: the residual is their rounding, 2 rounding_bound."""
     params = MapParams(p=cfg.p, m=0, s=cfg.s)
-    pmap, worst = PlaneMap(params), 0.0
+    digits = residue_digit_matrix(cfg.p, params.depth + 1, _residues(cfg))
     phase = complex(math.cos(2 * math.pi / cfg.p), math.sin(2 * math.pi / cfg.p))
-    for (num,) in _samples(cfg.seed, [residue_bound(cfg.p, 10)], 200):
-        x = from_int(num, cfg.p, 10)
-        worst = max(worst, abs(pmap.value(rotate_digits(x, cfg.p)) - phase * pmap.value(x)))
-    yield _at_most("symmetry.max_residual", worst, 2.0 * params.rounding_bound)
+    worst = np.abs(series_values((digits + 1) % cfg.p, 0, params)
+                   - phase * series_values(digits, 0, params)).max()
+    yield _at_most("symmetry.max_residual", float(worst), 2.0 * params.rounding_bound)
 
 
 # in the order `verify --all` runs them; a suite reads a field when its

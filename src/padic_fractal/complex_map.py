@@ -343,19 +343,24 @@ def _turn(w: np.ndarray, q: int) -> np.ndarray:
     return np.exp(w * (2j * math.pi / q))
 
 
+def _widest(p: int) -> int:
+    """The most digits of a window whose value a float holds exactly."""
+    return max((k for k in range(2, 54) if p**k <= 2**53), default=1)
+
+
 def _levels(digits, rows: int, start: int, first: int, last: int, params: MapParams):
     """The level loop behind every vectorized character evaluation.
 
     digits yields the digit columns of indices start, start+1, ...; the
     digits past them are zero.  Level n reads the k digits of indices
-    max(start, n-m) .. n, capped at the widest window a float holds
-    exactly (the digits cut off weigh less than 2**-53 of a turn), into an
-    int64 window w, the newest on top, so chi_n = _turn(w, p**k).  While
-    p**k <= rows the phases are looked up in the table _turn(arange(p**k)),
-    which returns the same bits.  Yields (n, chi_n) for n = first .. last.
+    max(start, n-m) .. n, capped at _widest(p) (the digits cut off weigh
+    less than p**-widest of a turn, below p 2**-53), into an int64 window
+    w, the newest on top, so chi_n = _turn(w, p**k).  While p**k <= rows
+    the phases are looked up in the table _turn(arange(p**k)), which
+    returns the same bits.  Yields (n, chi_n) for n = first .. last.
     """
     p = params.p
-    widest = max((k for k in range(2, 54) if p**k <= 2**53), default=1)
+    widest = _widest(p)
     w = np.zeros(rows, dtype=np.int64)
     k = table_q = table = 0
     for n in range(first, last + 1):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from padic_fractal import cli
+from padic_fractal import cli, complex_map
 from padic_fractal.cli import (
     _COMMANDS,
     _FIELDS,
@@ -34,7 +34,17 @@ from padic_fractal.cli import (
     parse_config,
 )
 from padic_fractal.analysis import box_dimension
-from padic_fractal.complex_map import MAX_ROWS, MapParams, PlaneMap, residue_bound
+from padic_fractal.complex_map import (
+    MAX_ROWS,
+    MapParams,
+    PlaneMap,
+    character_table,
+    residue_bound,
+    residue_digit_matrix,
+    rotate_digits,
+    series_values,
+)
+from padic_fractal.padic import expand, from_int, split
 from padic_fractal.render import (
     RasterConfig,
     auto_viewport,
@@ -508,13 +518,17 @@ class TestFieldChecks:
         (["--suite", "ode", "--p", "1500"], "1500^6"),
         (["--suite", "scaling", "--p", str(2**64)], f"{2**64}^1"),
         (["--suite", "sandwich", "--depth", "1000000000"], "2^1000000000"),
+        (["--suite", "kappa", "--p", str(2**64)], f"{2**64}^1"),
     ])
     def test_samples_past_64_bits(self, argv, bound):
+        # the refusal names depth where no base admits it (2^depth passes 2^63), else p
+        field = "depth" if bound == "2^1000000000" else "p"
         start = time.perf_counter()
         code, out, err = run_captured(["verify", *argv])
         assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert bound in err and "int64" not in err
+        assert err == (f"error: field {field!r}: sampling residues below {bound} needs "
+                       f"integers past the 64-bit limit 2^63\n")
         assert out == ""
 
     @pytest.mark.parametrize("argv, size", [
@@ -717,7 +731,8 @@ def test_certify_stdout_pinned(cmd):
 # the full report of every suite at the benchmark's four parameter sets:
 # the exact group law, digit runs and fiber series must not move a digit
 # (the bound columns of scaling, group.metric_defect, j, eq40 and symmetry
-# were re-taken when those bounds became derived from MapParams)
+# were re-taken when those bounds became derived from MapParams, and the
+# eq40 and symmetry values when those suites moved to the vectorized kernel)
 VERIFY_STDOUT = {
     "verify --p 2 --m 0 --s 0.3 --seed 7": (
         "scaling.max_residual\t9.99200722163e-16\t1.4274297073e-14\tPASS\n"
@@ -728,7 +743,7 @@ VERIFY_STDOUT = {
         "group.metric_defect\t1.11022302463e-16\t6.66133814775e-16\tPASS\n"
         "j.homomorphism_defect\t0\t0\tPASS\n"
         "j.isometry_defect\t0\t0\tPASS\n"
-        "eq40.max_residual\t6.28036983474e-16\t1.42742960309e-14\tPASS\n"
+        "eq40.max_residual\t5.55111512313e-16\t1.42742960309e-14\tPASS\n"
         "ode.fd_ratio_min\t99.9989842\t50\tPASS\n"
         "ode.spot_value_gap\t8.881784197e-16\t1e-06\tPASS\n"
         "kappa.m6\t0.00444116486228\t0.122718463031\tPASS\n"
@@ -744,12 +759,12 @@ VERIFY_STDOUT = {
         "group.metric_defect\t1.11022302463e-16\t6.66133814775e-16\tPASS\n"
         "j.homomorphism_defect\t0\t0\tPASS\n"
         "j.isometry_defect\t0\t0\tPASS\n"
-        "eq40.max_residual\t1.0235750533e-15\t1.33226762955e-14\tPASS\n"
+        "eq40.max_residual\t8.67111901826e-16\t1.33226762955e-14\tPASS\n"
         "ode.fd_ratio_min\t99.9995375938\t50\tPASS\n"
         "ode.spot_value_gap\t4.4408920985e-16\t1e-06\tPASS\n"
         "kappa.m6\t0.000258680071677\t0.0107866068278\tPASS\n"
         "kappa.char_gap_m6\t0.00287165531747\t0.00861890988639\tPASS\n"
-        "symmetry.max_residual\t1.11886302283e-15\t1.33226762955e-14\tPASS\n"
+        "symmetry.max_residual\t1.18018326364e-15\t1.33226762955e-14\tPASS\n"
     ),
     "verify --p 6 --m 1 --s 0.2 --seed 7": (
         "scaling.max_residual\t8.89911452411e-16\t1.2490009027e-14\tPASS\n"
@@ -760,12 +775,12 @@ VERIFY_STDOUT = {
         "group.metric_defect\t0\t6.66133814775e-16\tPASS\n"
         "j.homomorphism_defect\t0\t0\tPASS\n"
         "j.isometry_defect\t0\t0\tPASS\n"
-        "eq40.max_residual\t1.11022302463e-15\t1.2490009027e-14\tPASS\n"
+        "eq40.max_residual\t6.47365704914e-16\t1.2490009027e-14\tPASS\n"
         "ode.fd_ratio_min\t99.9995024848\t50\tPASS\n"
         "ode.spot_value_gap\t0\t1e-06\tPASS\n"
         "kappa.m1\t0.0373161730339\t2.61799387799\tPASS\n"
         "kappa.char_gap_m1\t0.174177327095\t1.0471975512\tPASS\n"
-        "symmetry.max_residual\t9.93013661299e-16\t1.2490009027e-14\tPASS\n"
+        "symmetry.max_residual\t8.2383111886e-16\t1.2490009027e-14\tPASS\n"
     ),
     "verify --p 5 --m inf --s 0.1,0.2 --seed 7": (
         "scaling.max_residual\t9.03656071977e-16\t1.28697767995e-14\tPASS\n"
@@ -776,12 +791,12 @@ VERIFY_STDOUT = {
         "group.metric_defect\t0\t6.66133814775e-16\tPASS\n"
         "j.homomorphism_defect\t0\t0\tPASS\n"
         "j.isometry_defect\t0\t0\tPASS\n"
-        "eq40.max_residual\t8.00593208497e-16\t1.28697767995e-14\tPASS\n"
+        "eq40.max_residual\t7.55033286378e-16\t1.28697767995e-14\tPASS\n"
         "ode.fd_ratio_min\t99.9995578967\t50\tPASS\n"
         "ode.spot_value_gap\t2.22477863103e-16\t1e-06\tPASS\n"
         "kappa.m6\t2.35942092859e-06\t0.00086386966599\tPASS\n"
         "kappa.char_gap_m6\t8.03990359832e-05\t0.000402123859659\tPASS\n"
-        "symmetry.max_residual\t1.15910686703e-15\t1.28697767995e-14\tPASS\n"
+        "symmetry.max_residual\t1.11576033092e-15\t1.28697767995e-14\tPASS\n"
     ),
     # deep pairs below rounding at small |s|: a certified map must pass
     "verify --suite sandwich --p 2 --m 0 --s 0.05": (
@@ -798,35 +813,81 @@ def test_verify_stdout_pinned(cmd):
 
 
 @settings(max_examples=40, deadline=None)
-@given(p=st.sampled_from([2, 3, 5, 6]), m=st.sampled_from([0, 1, 3, math.inf]),
+@given(p=st.sampled_from([2, 3, 5, 6, 13, 14, 77]), m=st.sampled_from([0, 1, 3, math.inf]),
        radius=st.floats(0.01, 0.95), angle=st.floats(0.0, 2 * math.pi),
        seed=st.integers(0, 2**16))
 def test_identity_residuals_stay_within_their_derived_bounds(p, m, radius, angle, seed):
-    # scaling within tail_bound + 2 rounding_bound, eq40 and symmetry within
-    # 2 rounding_bound, at any map with |s| <= 0.95
+    # scaling within tail_bound + 2 rounding_bound, symmetry within 2
+    # rounding_bound and eq40 within 2 rounding_bound plus the window cap, at
+    # any map with |s| <= 0.95; p = 13, 14 and 77 cap the windows of eq40
     cfg = Config(command="verify", p=p, m=m, s=cmath.rect(radius, angle), seed=seed)
-    for name in ("scaling", "eq40", "symmetry"):
+    for name in ("scaling", "eq40", "symmetry") if p <= 6 else ("eq40", "symmetry"):
         for row in SUITES[name].run(cfg):
             assert row[3], row
 
 
 def test_a_perturbed_level_fails_eq40_and_symmetry(monkeypatch):
-    # level 0 of the plane series moved by 1e-10 (the fiber series, which
-    # passes its circle coordinate, left exact): a defect far above rounding
-    # that the old bound at s=0.95, 2 tail_bound + 1e-12 = 9.77, let pass
-    weighted = PlaneMap._weighted
+    # level 0 of the kernel's level loop moved by 1e-10 on both sides of each
+    # identity: a side weighs it by its coupling, 1 or e(1/p) for symmetry and
+    # 1 or e(xi/p) for eq40, so the residual moves by 1e-10 |1 - e(1/p)| = 2e-10
+    # and by up to 1e-10 |1 - e(15/32)|, a defect far above rounding that the
+    # old bound at s=0.95, 2 tail_bound + 1e-12 = 9.77, let pass
+    levels = complex_map._levels
 
-    def perturbed(self, x, xi=None):
-        frac, integral = weighted(self, x, xi)
-        return frac, integral + (1e-10 if xi is None else 0.0)
+    def perturbed(*args):
+        for n, chi in levels(*args):
+            yield n, chi + 1e-10 if n == 0 else chi
 
-    monkeypatch.setattr(PlaneMap, "_weighted", perturbed)
+    monkeypatch.setattr(complex_map, "_levels", perturbed)
     old_bound = 2 * MapParams(p=2, s=0.95).tail_bound + 1e-12
     for suite in ("eq40", "symmetry"):
         code, out, err = run_captured(["verify", "--suite", suite, "--s", "0.95"])
         name, value, bound, mark = out.rstrip("\n").split("\t")
         assert (code, err, mark) == (1, "", "FAIL")
         assert float(bound) < 1e-12 and 5e-11 < float(value) < old_bound
+
+
+# eq40 and symmetry evaluate their samples on the vectorized kernel: each
+# kernel value, on the suites' own samples, is held against the scalar oracle
+# it replaced, within one rounding_bound.  On eq40's sides add the window cap,
+# 2 pi p^-widest sum_(n >= widest - 4) |s|^n: the plane side drops digits of
+# xi from level widest - 4 on, the fiber side only digits of y from level
+# widest on, which the oracle keeps (p = 13, 14 and 77 cap windows)
+@pytest.mark.parametrize("p", [2, 3, 5, 6, 13, 14, 77])
+@pytest.mark.parametrize("radius, angle", [(0.3, 0.0), (0.95, 2.0), (0.6, -1.0)])
+def test_kernel_suites_agree_with_the_scalar_oracle(p, radius, angle):
+    s = cmath.rect(radius, angle)
+    at_zero, at_inf = MapParams(p=p, m=0, s=s), MapParams(p=p, m=math.inf, s=s)
+    widest = complex_map._widest(p)
+    cap = 2 * math.pi * p**-widest * sum(abs(s) ** n for n in range(widest - 4, 41))
+    pmap, tmap = PlaneMap(at_zero), TorusMap(SolenoidParams(map=at_inf, a=2.0))
+    for seed in (0, 7, 11):
+        cfg = Config(command="verify", p=p, s=s, seed=seed)
+        nums = cli._residues(cfg)
+        # symmetry's sides, as the suite computes them
+        digits = residue_digit_matrix(p, at_zero.depth + 1, nums)
+        plain = series_values(digits, 0, at_zero)
+        rotated = series_values((digits + 1) % p, 0, at_zero)
+        phase = complex(math.cos(2 * math.pi / p), math.sin(2 * math.pi / p))
+        (row,) = SUITES["symmetry"].run(cfg)
+        assert row[1] == float(np.abs(rotated - phase * plain).max())
+        # eq40's sides, as the suite computes them
+        digits = residue_digit_matrix(p, 10, nums)
+        chi_x = character_table(digits, -4, at_inf)[4:]
+        chi_y = character_table(digits[:, 4:], 0, at_inf)
+        turn = 2j * math.pi * (nums % p**4 / p**4)
+        plane, fiber = np.zeros((2, len(nums)), dtype=np.complex128)
+        for n in range(at_inf.depth + 1):
+            plane += s**n * chi_x[n]
+            fiber += s**n * np.exp(turn / float(p ** (n + 1))) * chi_y[n]
+        (row,) = SUITES["eq40"].run(cfg)
+        assert row[1] == float(np.abs(plane - fiber).max())
+        for i, num in enumerate(nums.tolist()):
+            x, x4 = from_int(num, p, 10), expand(Fraction(num, p**4), p, 16)
+            assert abs(plain[i] - pmap.value(x)) <= at_zero.rounding_bound
+            assert abs(rotated[i] - pmap.value(rotate_digits(x, p))) <= at_zero.rounding_bound
+            assert abs(plane[i] - tmap.plane.parts(x4)[1]) <= at_inf.rounding_bound + cap
+            assert abs(fiber[i] - tmap.fiber_value(*split(x4, p))) <= at_inf.rounding_bound + cap
 
 
 @pytest.mark.parametrize("cmd, failing", [
@@ -1048,21 +1109,22 @@ def test_certify_counts_the_pair_budget_before_enumerating(monkeypatch, depth, p
 # values were stored as ints and the scalar series was summed in one pass
 # (the verify and scaling digests re-taken when the identity bounds became
 # derived; the seed 11 digests taken before the scalar series computed only
-# the phases that can differ from 1); the report checks read only PASS/FAIL,
-# so these catch a moved last digit
+# the phases that can differ from 1; the four all-suite digests re-taken
+# when eq40 and symmetry moved to the vectorized kernel); the report checks
+# read only PASS/FAIL, so these catch a moved last digit
 VERIFY_WORKLOAD_BYTES = {
     "verify --p 2 --m 0 --s 0.3": (
-        "383399a9b6c05c4c76d6966167119fd43ddab0ee396039a9d7c291e89deaf7ed",
-        "3b9fa6606e6f1a1bc8cf94cc44f2663f87e6b0a4a10606b2b844682cdc2e072e"),
+        "439396a3f8f5705f8cf2165936d6e9876262e75ef06ab8877f54698d31e41a28",
+        "51958c99d11d58c7405167611fee8e5aa114895b710af3b0c51566d6076266fd"),
     "verify --p 3 --m inf --s 0.25": (
-        "ad043085847fffd585a3e7a7784aef17385acedcdcfeb6af0ce4ba52aaa8c5b1",
-        "0cd0b9dbc474d2fa49fde7dbcf09be53d7d042d5a5f10b0e532d835714a33106"),
+        "4b548585982b1e81e17c4dfbe2e30676f76be04724e71ab73ff2910fec53d818",
+        "cc02195870a0820eb176418cbe10c63c5659ba43debab26985040bb780c80e85"),
     "verify --p 6 --m 1 --s 0.2": (
-        "709072b859840b749e5bdeb7c1d9be40143d521b778a9519714d327d57dedcaf",
-        "85511d62feb01504554457bab2375d71becf4776f7a77f062814c38c69dae401"),
+        "2a5ddca41bb38b548ebe40ad71a5869521365f11da495aea6a28135d7eef7e4f",
+        "cf6d059cd3f592415e34293eadb84d153d7f60440799a73b8cce4ce0c630799d"),
     "verify --p 5 --m inf --s 0.1,0.2": (
-        "fe31f8d944efafa38aadb261727311b42442ad53b74e191197eec609beb19f68",
-        "faa4d9a8c5f3341b7f616ab95c391c8ab55401e8244461213c04849949be4c90"),
+        "95dcbf128a2566d006f34becae187de9e0aad4248555cf212deaefa0867f4a97",
+        "011799c9611f063fc38f45ac84deeabed349720576bc755984752141c33720f3"),
     "verify --suite scaling --p 3 --s 0.25 --m inf --depth 24": (
         "30529b1c16db251124ab44cba5507d9ab8246d70a0f3c24d1dde971a48dbaeed",
         "2502f7604cbc0d96cd0eb9abe8a399fb8d233bd2e7eddee0d5b413c3a21c12a1"),
