@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -306,12 +306,22 @@ def character_order_gap(
     params_m: MapParams, params_inf: MapParams, depth: int = 14
 ) -> float:
     """Largest pointwise gap between finite- and infinite-order characters
-    at every level over the residues below min(p^depth, 4096); below 2 pi p^-m."""
+    at every level over the residues below min(p^depth, 4096); below 2 pi p^-m.
+
+    The residues have D digits, D the least with p^D at least their count.
+    From level D + m on the finite order's window holds only zeros, so its
+    chi is 1 exactly, and the infinite order's angle 2 pi x / p^(n+1) <
+    2 pi / p^(n+1-D) <= pi falls by a factor p a level (by about p where
+    the window is capped), so |1 - chi| is largest at level D + m.  Only
+    levels 0 .. min(series depth, D + m) are tabled.
+    """
     p = params_m.p
-    codes = np.arange(min(p**depth, 4096), dtype=np.int64)
-    mat = residue_digit_matrix(p, depth, codes)
-    cm = character_table(mat, 0, params_m)
-    ci = character_table(mat, 0, params_inf)
+    count = min(p**depth, 4096)
+    digits = next(d for d in range(1, depth + 1) if p**d >= count)
+    top = min(params_m.depth, digits + int(params_m.m))
+    mat = residue_digit_matrix(p, digits, np.arange(count, dtype=np.int64))
+    cm = character_table(mat, 0, replace(params_m, depth=top))
+    ci = character_table(mat, 0, replace(params_inf, depth=top))
     return float(np.max(np.abs(cm - ci)))
 
 

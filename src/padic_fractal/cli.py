@@ -38,6 +38,7 @@ from .complex_map import (
     _sandwich_margins,
     _scaling_residuals,
     _widest,
+    _window_cap,
     character_table,
     delta_certificate,
     delta_lower,
@@ -323,7 +324,12 @@ def _suite_scaling(cfg: Config) -> Iterator[tuple]:
     level, so the residual is s^(D+1) chi_D(x), within tail_bound, plus the
     (1 + |s|) rounding_bound of f(px) and s f(x); the last three roundings,
     a few 2^-53 r_s, fit in the (D+5) 2^-53 left of 2 rounding_bound (at
-    |s| <= 0.95; beyond it, in the tail)."""
+    |s| <= 0.95; beyond it, in the tail).  Both sides drop the same digits
+    to the window cap, as at m = inf the closed-form tail, which has none,
+    starts one level later for px than for x.  It can start elsewhere only
+    where |s|^first is large against depth - first, and there tail_bound
+    holds the cap's 2 pi p^-widest |s|^n at one level many times over (at
+    most 2% of the bound, over p <= 10^6, depth <= 60 and |s| < 1)."""
     params = _map_params(cfg)
     if cfg.exhaustive:
         res = _scaling_residuals(residue_digit_matrix(cfg.p, _exhaustive_depth(cfg, 10)), params)
@@ -412,13 +418,9 @@ def _suite_eq40(cfg: Config) -> Iterator[tuple]:
     the residual is the rounding of the two values, 2 rounding_bound, and
     the window cap of the level loop: from level widest - 4 on, the plane
     side drops digits of xi that weigh less than p^-widest of a turn (both
-    drop the same digits of y), 2 pi p^-widest sum_(n >= widest-4) |s|^n."""
-    # parts(x), the oracle the identity is stated on, weighs level -4 by s^-4
-    if abs(cfg.s) < (floor := (8.0 / sys.float_info.max) ** 0.25):
-        raise UsageError(f"field 's': eq40 weighs level -4 by s^-4, which needs "
-                         f"|s| >= {floor:.3g}, got {_fmt(cfg.s)}")
+    drop the same digits of y), _window_cap from level widest - 4."""
     params = MapParams(p=cfg.p, m=math.inf, s=cfg.s)
-    p, nums, widest = cfg.p, _residues(cfg), _widest(cfg.p)
+    p, nums = cfg.p, _residues(cfg)
     digits = residue_digit_matrix(p, 10, nums)  # x's digits from index -4, y's from 0
     chi_x = character_table(digits, -4, params)[4:]
     chi_y = character_table(digits[:, 4:], 0, params)
@@ -427,8 +429,7 @@ def _suite_eq40(cfg: Config) -> Iterator[tuple]:
     for n in range(params.depth + 1):
         plane += cfg.s**n * chi_x[n]
         fiber += cfg.s**n * np.exp(turn / float(p ** (n + 1))) * chi_y[n]
-    cap = 2 * math.pi * p**-widest * sum(abs(cfg.s) ** n
-                                         for n in range(widest - 4, params.depth + 1))
+    cap = _window_cap(params, _widest(p) - 4)
     yield _at_most("eq40.max_residual", float(np.abs(plane - fiber).max()),
                    2.0 * params.rounding_bound + cap)
 

@@ -348,6 +348,14 @@ def _widest(p: int) -> int:
     return max((k for k in range(2, 54) if p**k <= 2**53), default=1)
 
 
+def _window_cap(params: MapParams, first: int) -> float:
+    """What the window cap of _levels can take from one value over levels
+    first .. depth: 2 pi p^-widest sum_n |s|^n, as each capped window drops
+    digits that weigh less than p^-widest of a turn."""
+    return 2 * math.pi * params.p**-_widest(params.p) * sum(
+        abs(params.s) ** n for n in range(first, params.depth + 1))
+
+
 def _levels(digits, rows: int, start: int, first: int, last: int, params: MapParams):
     """The level loop behind every vectorized character evaluation.
 
@@ -377,13 +385,102 @@ def _levels(digits, rows: int, start: int, first: int, last: int, params: MapPar
 
 
 def _series(digits, cols: int, rows: int, start: int, params: MapParams) -> np.ndarray:
-    s = params.s
+    s, p = params.s, params.p
     _check_negative_levels(s, start)
-    last = _last_level(cols, start, params)
+    if params.m != math.inf:
+        last = _last_level(cols, start, params)
+    elif (last := _tail_start(cols, start, params) - 1) < params.depth:
+        angle = np.zeros(rows)  # 2 pi x / p^(last+2), summed as _levels reads the digits
+        digits = _stream_angle(digits, angle, start - last - 2, p)
     total = np.zeros(rows, dtype=np.complex128)
     for n, chi in _levels(digits, rows, start, min(start, 0), last, params):
         total += s**n * (chi - 1.0) if n < 0 else s**n * chi
-    return total + sum(s**n for n in range(max(last + 1, 0), params.depth + 1))
+    if params.m != math.inf:
+        return total + sum(s**n for n in range(max(last + 1, 0), params.depth + 1))
+    if last < params.depth:
+        total += _tail(angle, 2 * math.pi * float(p) ** (start + cols - last - 2), last + 1, params)
+    return total
+
+
+# The rounding of the closed-form tail is at most TAIL_ROUNDINGS 2^-53 |s|^first
+# per row, to first order (derived in _tail).
+TAIL_ROUNDINGS = 60
+
+
+def _tail_start(cols: int, start: int, params: MapParams) -> int:
+    """First level of the closed-form tail of an infinite-order series over
+    digits at indices start .. L-1, L = start + cols; depth + 1 for none.
+
+    Past the stored digits chi_n = e(x / p^(n+1)), x < p^L the rows' value,
+    so _tail sums the levels first .. depth of it, first >= max(L, 0), in
+    one polynomial in t = 2 pi x / p^(first+1), |t| < zeta = 2 pi
+    p^(L-first-1).  first is the lowest level where two things hold:
+    - zeta <= 1: for L >= 0 that is first = L + 2 at p = 2, L + 1 at
+      p = 3 .. 6 and L from p = 7 on;
+    - the tail fits the share of rounding_bound of the N = depth - first + 1
+      levels it replaces.  Those levels' terms and additions have
+      (N + 5 b) 2^-53 r_s, b = |s|^first.  The tail takes one addition,
+      2^-53 r_s; its constant G_0, of modulus at most b (1 + |s|^N) / |1 - s|
+      <= 2 b r_s, and the Horner addition of it, to first order four
+      roundings of that, 8 b 2^-53 r_s; and TAIL_ROUNDINGS 2^-53 b for the
+      rest.  So b (TAIL_ROUNDINGS (1 - |s|) + 3) <= N - 1.
+    """
+    p, a, depth = params.p, abs(params.s), params.depth
+    top = start + cols
+    for first in range(max(top, 0), depth + 1):
+        b = a**first
+        if (2 * math.pi * float(p) ** (top - first - 1) <= 1
+                and b * (TAIL_ROUNDINGS * (1 - a) + 3) <= depth - first):
+            return first
+    return depth + 1
+
+
+def _stream_angle(digits, angle: np.ndarray, power: int, p: int):
+    """Yield the digit columns, adding column j times 2 pi p^(power+j) into
+    angle as it passes: angle = 2 pi x / p^(first+1) once all have passed,
+    power = start - first - 1.  Each weight is rounded twice, each product
+    and sum once; the terms ascend, so the sums err by at most 3 2^-53 of
+    angle, and angle by 6 2^-53 of itself."""
+    for j, column in enumerate(digits):
+        angle += column * (2 * math.pi * float(p) ** (power + j))
+        yield column
+
+
+def _tail(angle: np.ndarray, zeta: float, first: int, params: MapParams) -> np.ndarray:
+    """sum_(n = first .. depth) s^n e(x / p^(n+1)) per row, in closed form.
+
+    With t = angle = 2 pi x / p^(first+1), |t| <= zeta <= 1, level first+j
+    is exp(i t p^-j), so the sum is sum_k c_k t^k, c_k = i^k G_k / k!,
+    G_k = s^first sum_(j < N) (s p^-k)^j = s^first (1 - r^N) / (1 - r),
+    r = s p^-k, N = depth - first + 1: one constant per k, evaluated by
+    Horner over the rows.  From k = 1 on |G_k| <= b / (1 - |s|/2) <= 2b,
+    b = |s|^first, so sum_(k>=1) |c_k| zeta^k <= 2b (e - 1) = 3.44 b and
+    sum_(k>=1) (k+1) |c_k| zeta^k <= 2b (2e - 1) = 8.87 b.  In 2^-53 b:
+    - truncation past k = K: 2 zeta^(K+1) / (K+1)! (K+2)/(K+2-zeta) <= 1,
+      which picks K (16 at zeta = 0.79, 9 at 0.08);
+    - eight roundings of each c_k, k >= 1: 8 x 3.44 = 27.5;
+    - angle's 6 2^-53 (_stream_angle) times |t d/dt tail| <= sum_n |s|^n
+      zeta p^-(n-first) <= 2 b: 12;
+    - Horner's two roundings a step, each of a partial value:
+      2 x 8.87 = 17.7 (the addition of G_0 counts with G_0, in _tail_start).
+    That is 58.2, within TAIL_ROUNDINGS.
+    """
+    p, s = params.p, params.s
+    n = params.depth - first + 1
+    last = 1
+    while 2 * zeta ** (last + 1) / math.factorial(last + 1) * (last + 2) / (last + 2 - zeta) \
+            > 2.0**-53:
+        last += 1
+    coeffs = []
+    for k in range(last + 1):
+        r = s / float(p) ** k
+        coeffs.append((1, 1j, -1, -1j)[k % 4] * (s**first * (1 - r**n) / (1 - r))
+                      / math.factorial(k))
+    out = np.full(len(angle), coeffs[-1], dtype=np.complex128)
+    for c in reversed(coeffs[:-1]):
+        out *= angle
+        out += c
+    return out
 
 
 def _split(params: MapParams, center: int, level: int, depth: int) -> np.ndarray:
@@ -569,11 +666,17 @@ def _sandwich_margins(
     differences of their depth-level integer preimages.
 
     Besides the two tails, 2 tail_bound, a distance carries the rounding
-    of its two values, 2 rounding_bound.  The multiplicity of p in a nonzero
-    difference below p^depth counts the powers p^k, k < depth, dividing it.
+    of its two values, 2 rounding_bound, and at m >= widest their window
+    caps, 2 _window_cap from level widest on, where level n's window
+    outgrows widest digits (_split caps the windows of c and of y apart,
+    and the digits the two drop are those that one window of x drops).  The
+    multiplicity of p in a nonzero difference below p^depth counts the
+    powers p^k, k < depth, dividing it.
     """
     sv = abs(params.s) ** sum(diff % params.p**k == 0 for k in range(1, depth))
-    allowance = 2.0 * params.tail_bound + 2.0 * params.rounding_bound
+    widest = _widest(params.p)
+    cap = _window_cap(params, widest) if params.m >= widest else 0.0
+    allowance = 2.0 * params.tail_bound + 2.0 * params.rounding_bound + 2.0 * cap
     lower_margin = dist + allowance - delta_lower(params.p, params.s) * sv
     upper_margin = 2.0 * sv / (1.0 - abs(params.s)) + allowance - dist
     return {

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.extra.numpy import arrays
 
-from padic_fractal.complex_map import MapParams, PlaneMap
+from padic_fractal.complex_map import MapParams, PlaneMap, character_table, residue_digit_matrix
 from padic_fractal.render import build_cloud, preset
 from padic_fractal.analysis import (
     DimensionEstimate,
@@ -199,6 +199,17 @@ class TestDivergence:
             fm = MapParams(p=2, m=m, s=0.3, depth=45)
             gap = character_order_gap(fm, inf_p, depth=14)
             assert gap < 2 * math.pi * 2**-m
+
+    @pytest.mark.parametrize("p", range(2, 14))
+    def test_character_gap_is_the_maximum_over_every_level(self, p):
+        # the gap tables levels 0 .. D + m only; the full tables of every
+        # level give the same float, bit for bit
+        for m in (0, 1, 3, 6, 30):
+            finite, infinite = (MapParams(p=p, m=order, s=0.3) for order in (m, math.inf))
+            for depth in range(1, 15):
+                mat = residue_digit_matrix(p, depth, np.arange(min(p**depth, 4096)))
+                full = np.abs(character_table(mat, 0, finite) - character_table(mat, 0, infinite))
+                assert character_order_gap(finite, infinite, depth) == float(full.max())
 
     def test_identical_pseudometrics_diverge_zero(self):
         # the divergence of a pseudometric with itself is exactly zero

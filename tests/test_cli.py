@@ -403,9 +403,9 @@ class TestFieldChecks:
         # fields the suite run does not read, and the map a preset fixes
         (["verify", "--suite", "group", "--depth", "4", "--s", "0.9", "--m", "5"], "m"),
         (["render2d", "--preset", "fig1-1-cantor", "--depth", "6", "--p", "3", "--s", "0.9"], "p"),
-        # eq40 weighs level -4 by s^-4, past the float range
-        (["verify", "--suite", "eq40", "--s", "1e-80"], "s"),
-        (["verify", "--s", "1e-80"], "s"),
+        # the edges of the disk 0 < |s| < 1, for one suite and for all
+        (["verify", "--suite", "eq40", "--s", "0"], "s"),
+        (["verify", "--s", "1"], "s"),
         # an exhaustive suite enumerates at most 4096 residues: depth 12 at p=2, 7 at p=3
         (["verify", "--suite", "scaling", "--exhaustive", "--depth", "30"], "depth"),
         (["verify", "--suite", "sandwich", "--exhaustive", "--p", "3", "--depth", "30"], "depth"),
@@ -430,6 +430,17 @@ class TestFieldChecks:
         assert err.startswith(f"error: field {name!r}: ")
         assert not FOREIGN.search(err)
         assert out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["verify", "--suite", "eq40", "--s", "1e-80"], 1),
+        (["verify", "--s", "1e-80"], 14),
+    ])
+    def test_tiny_s_runs_every_suite(self, argv, lines):
+        # eq40 reads x's digits at indices -4 .. -1 only into the windows of
+        # levels 0 .. D and weighs no negative level, so a tiny s runs
+        code, out, err = run_captured(argv)
+        assert (code, err) == (0, "")
+        assert [line.split("\t")[-1] for line in out.splitlines()] == ["PASS"] * lines
 
     @pytest.mark.parametrize("config, name", [
         ({"exhaustive": "false"}, "exhaustive"),
@@ -731,8 +742,10 @@ def test_certify_stdout_pinned(cmd):
 # the full report of every suite at the benchmark's four parameter sets:
 # the exact group law, digit runs and fiber series must not move a digit
 # (the bound columns of scaling, group.metric_defect, j, eq40 and symmetry
-# were re-taken when those bounds became derived from MapParams, and the
-# eq40 and symmetry values when those suites moved to the vectorized kernel)
+# were re-taken when those bounds became derived from MapParams, the eq40
+# and symmetry values when those suites moved to the vectorized kernel, and
+# the kappa.m6 values when the infinite-order series summed the levels past
+# its digits in closed form, which moved them at rounding level)
 VERIFY_STDOUT = {
     "verify --p 2 --m 0 --s 0.3 --seed 7": (
         "scaling.max_residual\t9.99200722163e-16\t1.4274297073e-14\tPASS\n"
@@ -746,7 +759,7 @@ VERIFY_STDOUT = {
         "eq40.max_residual\t5.55111512313e-16\t1.42742960309e-14\tPASS\n"
         "ode.fd_ratio_min\t99.9989842\t50\tPASS\n"
         "ode.spot_value_gap\t8.881784197e-16\t1e-06\tPASS\n"
-        "kappa.m6\t0.00444116486228\t0.122718463031\tPASS\n"
+        "kappa.m6\t0.00444116486226\t0.122718463031\tPASS\n"
         "kappa.char_gap_m6\t0.0490704764295\t0.0981747704247\tPASS\n"
         "symmetry.max_residual\t3.49892198407e-16\t1.42742960309e-14\tPASS\n"
     ),
@@ -794,7 +807,7 @@ VERIFY_STDOUT = {
         "eq40.max_residual\t7.55033286378e-16\t1.28697767995e-14\tPASS\n"
         "ode.fd_ratio_min\t99.9995578967\t50\tPASS\n"
         "ode.spot_value_gap\t2.22477863103e-16\t1e-06\tPASS\n"
-        "kappa.m6\t2.35942092859e-06\t0.00086386966599\tPASS\n"
+        "kappa.m6\t2.35942107903e-06\t0.00086386966599\tPASS\n"
         "kappa.char_gap_m6\t8.03990359832e-05\t0.000402123859659\tPASS\n"
         "symmetry.max_residual\t1.11576033092e-15\t1.28697767995e-14\tPASS\n"
     ),
@@ -1110,21 +1123,24 @@ def test_certify_counts_the_pair_budget_before_enumerating(monkeypatch, depth, p
 # (the verify and scaling digests re-taken when the identity bounds became
 # derived; the seed 11 digests taken before the scalar series computed only
 # the phases that can differ from 1; the four all-suite digests re-taken
-# when eq40 and symmetry moved to the vectorized kernel); the report checks
-# read only PASS/FAIL, so these catch a moved last digit
+# when eq40 and symmetry moved to the vectorized kernel; the p = 2 and p = 5
+# digests and the p = 3 seed 11 digest re-taken when the infinite-order
+# series summed the levels past its digits in closed form, which moved
+# kappa.m6 and, at p = 3 seed 11, sandwich.worst_lower_margin at rounding
+# level); the report checks read only PASS/FAIL, so these catch a moved last digit
 VERIFY_WORKLOAD_BYTES = {
     "verify --p 2 --m 0 --s 0.3": (
-        "439396a3f8f5705f8cf2165936d6e9876262e75ef06ab8877f54698d31e41a28",
-        "51958c99d11d58c7405167611fee8e5aa114895b710af3b0c51566d6076266fd"),
+        "7863af2367bcea247a56ef2dd33c82cded56f078949353c68b956fe506a0dc7c",
+        "0db2e372f4b1d98d3685fb775588c2ad03876dd7a793515ee3f3305b13b3b94a"),
     "verify --p 3 --m inf --s 0.25": (
         "4b548585982b1e81e17c4dfbe2e30676f76be04724e71ab73ff2910fec53d818",
-        "cc02195870a0820eb176418cbe10c63c5659ba43debab26985040bb780c80e85"),
+        "c798fdf4ff5d662dcee7cdafbcfbac3e3000284a67dd99f46a04c0126ae467fa"),
     "verify --p 6 --m 1 --s 0.2": (
         "2a5ddca41bb38b548ebe40ad71a5869521365f11da495aea6a28135d7eef7e4f",
         "cf6d059cd3f592415e34293eadb84d153d7f60440799a73b8cce4ce0c630799d"),
     "verify --p 5 --m inf --s 0.1,0.2": (
-        "95dcbf128a2566d006f34becae187de9e0aad4248555cf212deaefa0867f4a97",
-        "011799c9611f063fc38f45ac84deeabed349720576bc755984752141c33720f3"),
+        "fb8ab05aeb609e78a0e9c965ef5b445d9105c6168b4216609022b823dfffbf1a",
+        "55844b2e52b9b72bb16a16645e347d261b84d8747fd5db6db72f817261db2c1a"),
     "verify --suite scaling --p 3 --s 0.25 --m inf --depth 24": (
         "30529b1c16db251124ab44cba5507d9ab8246d70a0f3c24d1dde971a48dbaeed",
         "2502f7604cbc0d96cd0eb9abe8a399fb8d233bd2e7eddee0d5b413c3a21c12a1"),

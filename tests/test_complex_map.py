@@ -280,6 +280,20 @@ class TestSandwich:
         assert out["lower_violations"] == 0
         assert out["upper_violations"] == 0
 
+    @pytest.mark.parametrize("m", [math.inf, 8, 7])
+    def test_allowance_holds_the_window_cap(self, m):
+        # at p = 77 a window outgrows widest = 8 digits from level 8 on once
+        # m >= 8, and drops digits that weigh less than 77^-8 of a turn: at
+        # |s| = 0.95 that is over half a rounding_bound per value
+        params = MapParams(p=77, m=m, s=0.95j)
+        cap = 2 * math.pi * 77.0**-8 * sum(0.95**n for n in range(8, params.depth + 1))
+        base = 2 * params.tail_bound + 2 * params.rounding_bound
+        out = _sandwich_margins(params, np.array([1.0]), np.array([77]), 4)
+        assert out["allowance"] == pytest.approx(base + (2 * cap if m >= 8 else 0.0), rel=1e-12)
+        assert cap > 0.5 * params.rounding_bound
+        sampled = sandwich_check(params, 2000, 8, seed=5)
+        assert sampled["lower_violations"] == sampled["upper_violations"] == 0
+
     def test_sample_range_past_64_bits(self):
         assert residue_bound(2, 63) == 2**63
         with pytest.raises(ValueError, match=r"1000\^7 .* 2\^63"):
@@ -520,6 +534,36 @@ def test_level_loop_windows_wider_than_a_float(p, m):
     for row, value in zip(mat, got):
         code = sum(int(d) * p**j for j, d in enumerate(row))
         assert _close(value, pm.value(from_int(code, p, 70)))
+
+
+# -- the closed-form tail of the infinite-order series -----------------------
+
+@pytest.mark.parametrize("p", [2, 3, 5, 6, 13, 14, 77])
+def test_tail_matches_level_loop_and_direct_sum(p):
+    # series_values sums the levels past the stored digits in closed form;
+    # the level loop of character_table and the oracle's direct sum still
+    # take the levels one by one.  The negative levels' terms reach
+    # 2 |s|^start r_s, and each later addition rounds a partial sum that large.
+    widest = complex_map._widest(p)
+    rng = np.random.default_rng(p)
+    for s in (0.95, 0.3, -0.55 + 0.75j, 0.1j):
+        params = MapParams(p=p, m=math.inf, s=s)
+        for start in (-2, 0, 3):
+            bound = params.rounding_bound * (1 + 2 * abs(s) ** min(start, 0))
+            # the level loop caps its windows from level start + widest on
+            cap = complex_map._window_cap(params, start + widest)
+            for cols in (1, 14, widest, widest + 1, 30):
+                for rows in (5, 300):
+                    mat = rng.integers(0, p, size=(rows, cols))
+                    got = series_values(mat, start, params)
+                    chars = character_table(mat, start, params)
+                    loop = np.zeros(rows, dtype=np.complex128)
+                    for n in range(min(start, 0), params.depth + 1):
+                        loop += s**n * ((chars[n - start] if n >= start else 1.0) - (n < 0))
+                    assert np.abs(got - loop).max() <= bound + cap
+                    for row, value in zip(mat[:3], got):
+                        q = oracles.from_digits(p, start, [int(d) for d in row])
+                        assert abs(value - sum(oracles.parts(params, q))) <= bound
 
 
 def _reducing_turn(w: np.ndarray, q: int) -> np.ndarray:
