@@ -20,10 +20,8 @@ from .complex_map import (
     PlaneMap,
     delta_certificate,
     delta_lower,
-    rotate_digits,
     s_zero,
 )
-from .padic import expand, from_int
 from .render import PRESETS, FigurePreset, RasterConfig, build_cloud, preset
 from .solenoid import (
     SolenoidParams,
@@ -36,15 +34,12 @@ from .solenoid import (
 )
 
 __all__ = [
-    "expand",
-    "from_int",
     "MapParams",
     "PlaneMap",
     "EmbeddingCertificate",
     "s_zero",
     "delta_lower",
     "delta_certificate",
-    "rotate_digits",
     "SolenoidPoint",
     "SolenoidParams",
     "TorusMap",

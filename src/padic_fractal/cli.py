@@ -49,7 +49,7 @@ from .complex_map import (
     scaling_residuals,
     series_values,
 )
-from .padic import expand, from_int, norm
+from .padic import norm
 from .render import (
     FigurePreset,
     RasterConfig,
@@ -381,7 +381,7 @@ def _suite_group(cfg: Config) -> Iterator[tuple]:
     and pow err by (1/e + 1) u, u = 2^-53; with the sum of two (at most 2,
     rounded by u) the triangle defect is at most 3 (1 + 1/e) u + u < 6 u."""
     p, worst_assoc, worst_metric = cfg.p, 0.0, 0.0
-    pts = [SolenoidPoint(Fraction(k, 997), from_int(num, p, 8))
+    pts = [SolenoidPoint(Fraction(k, 997), num)
            for k, num in _samples(cfg.seed, [997, _sample_bound(p, 8)], 900)]
     for f, g, h in zip(pts[0::3], pts[1::3], pts[2::3]):
         lhs, rhs, z = add(add(f, g), h), add(f, add(g, h)), add(f, neg(f))
@@ -400,12 +400,11 @@ def _suite_j(cfg: Config) -> Iterator[tuple]:
     is 0.0, and both sides of the isometry are the float of one norm."""
     p, bound, worst_hom, worst_iso = cfg.p, _sample_bound(cfg.p, 8), 0.0, 0.0
     for num_a, num_b, shift in _samples(cfg.seed, [bound, bound, 5], 300):
-        xa, xb = (expand(Fraction(num, p**shift), p, 16) for num in (num_a, num_b))
+        xa, xb = (Fraction(num, p**shift) for num in (num_a, num_b))
         lhs, rhs = from_padic(xa + xb, p), add(from_padic(xa, p), from_padic(xb, p))
         worst_hom = max(worst_hom, distance(lhs, rhs, p, cfg.alpha))
-        ya, yb = from_int(num_a, p, 10), from_int(num_b, p, 10)
-        gap = abs(distance(from_padic(ya, p), from_padic(yb, p), p, cfg.alpha)
-                  - norm(ya - yb, p, cfg.alpha))
+        gap = abs(distance(from_padic(num_a, p), from_padic(num_b, p), p, cfg.alpha)
+                  - norm(num_a - num_b, p, cfg.alpha))
         worst_iso = max(worst_iso, gap)
     yield _at_most("j.homomorphism_defect", worst_hom, 0.0)
     yield _at_most("j.isometry_defect", worst_iso, 0.0)
@@ -453,7 +452,7 @@ def _suite_ode(cfg: Config) -> Iterator[tuple]:
     p, ratios = cfg.p, []
     steps = {h: [Fraction(t).limit_denominator(10**12) for t in (h, -h)] for h in (1e-3, 1e-4)}
     for k, num in _samples(cfg.seed, [997, _sample_bound(p, 6)], 10):
-        f = SolenoidPoint(Fraction(k, 997), from_int(num, p, 6))
+        f = SolenoidPoint(Fraction(k, 997), num)
         gam = tmap.vector_field(f)
 
         def fd(h: float) -> float:
@@ -489,7 +488,7 @@ def _suite_kappa(cfg: Config) -> Iterator[tuple]:
 def _suite_symmetry(cfg: Config) -> Iterator[tuple]:
     """At order 0 level n reads one digit d through the table
     _turn(arange(p), p).  Adding 1 to each of the digits 0 .. D of x, its
-    zero tail turned into ones as rotate_digits turns it, takes each level
+    zero tail turned into ones, with no carries, takes each level
     from e(d/p) to e((d+1)/p) = e(1/p) e(d/p), so the two series to depth D
     agree level by level: the residual is their rounding, 2 rounding_bound."""
     params = MapParams(p=cfg.p, m=0, s=cfg.s)
@@ -585,7 +584,11 @@ def _cmd_dimension(cfg: Config) -> Iterator[tuple]:
     cloud = (_matched_torus_cloud(fp, cfg.depth or fp.depth) if fp.kind == "torus"
              else build_cloud(fp, depth=cfg.depth))
     target = fp.map_params().scaling_dimension + (fp.kind == "torus")
-    est = box_dimension(cloud)
+    try:
+        est = box_dimension(cloud)
+    except ValueError as exc:  # too few points, or too few scales between them
+        raise UsageError(f"field 'depth': {exc}, from {len(cloud)} points at depth "
+                         f"{cfg.depth or fp.depth}") from None
     yield "dimension.slope", est.slope, target, abs(est.slope - target) <= 0.15
     yield "dimension.r2", est.r2, 0.98, est.r2 >= 0.98
     yield "dimension.points", est.point_count, 10_000, est.point_count >= 10_000

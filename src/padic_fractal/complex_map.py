@@ -13,12 +13,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .padic import Rational, _digit_run, _expansion, expand
+from .padic import Rational, _digit_run, _expansion
 
 __all__ = [
     "MapParams",
@@ -27,7 +26,6 @@ __all__ = [
     "s_zero",
     "delta_lower",
     "delta_certificate",
-    "rotate_digits",
     "residue_digit_matrix",
     "series_values",
     "character_table",
@@ -706,21 +704,3 @@ def _scaling_residuals(digit_mat: np.ndarray, params: MapParams) -> np.ndarray:
     base = series_values(digit_mat, 0, params)
     return np.abs(series_values(digit_mat, 1, params) - params.s * base - 1.0)
 
-
-def rotate_digits(x: Rational, p: int) -> Rational:
-    """Add one to every base-p digit mod p, with no carries.
-
-    This is a bijection of the unit ball under which the order-0 map
-    picks up exactly one factor exp(2 pi i / p); note it is not addition
-    of the all-ones element in the ring (carries would break the phase).
-    """
-    exp = _expansion(x, p)
-    v, _, preperiod, period = exp
-    if v < 0:
-        raise ValueError("digit rotation is defined on the unit ball")
-    # from index `start` on the digits repeat `block` (zeros past a terminating
-    # expansion)
-    start, block = v + preperiod, period or (0,)
-    head = sum((d + 1) % p * p**n for n, d in enumerate(_digit_run(exp, 0, start)))
-    tail = sum((d + 1) % p * p**i for i, d in enumerate(block))
-    return expand(head + Fraction(tail * p**start, 1 - p ** len(block)), p, 1)

@@ -127,7 +127,9 @@ def expand(q: Rational, p: int, window: int) -> Rational:
     """The rational q as a base-p value: an int exactly when it is integral,
     else a lowest-terms Fraction.  The base must be >= 2 and the window
     >= 1; the window has no other effect, as every digit is read from the
-    rational."""
+    rational.  The package builds its values as ints and Fractions directly;
+    this and `from_int` remain for the benchmark's checks
+    (perfbench/checks.py)."""
     if window < 1:
         raise ValueError("window must be >= 1")
     if p < 2:
@@ -140,5 +142,6 @@ def expand(q: Rational, p: int, window: int) -> Rational:
 
 def from_int(n: int, p: int, window: int | None = None) -> Rational:
     """The integer n as a base-p value (negative ints repeat p-1), with
-    expand's checks; window defaults to 1."""
+    expand's checks; window defaults to 1.  Kept, as `expand` is, for the
+    benchmark's checks."""
     return expand(n, p, 1 if window is None else window)

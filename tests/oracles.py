@@ -9,13 +9,23 @@ Each is written from its definition, not from the package's code:
   gauge lengths max(xi, |x|^alpha) of f - g and g - f;
 - the series map summed level by level from lists of characters and terms,
   each character read from the digits under its level: the bit-level
-  reference of the scalar series, its parts and the torus fibers.
+  reference of the scalar series, its parts and the torus fibers;
+- the digit rotation, each digit plus one mod p with no carries.
+
+Two predicates, `reads_long_division` and `same_value`, read a value
+through the package and hold it to the long division.  The draws that
+several test modules share close the file, so that no test module imports
+another.
 """
 
 import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import hypothesis.strategies as st
+
+from padic_fractal import padic
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +95,21 @@ def from_digits(p: int, v: int, ds) -> Fraction:
 def norm(q, p: int, alpha: float = 1.0) -> float:
     """p^(-alpha v), v the valuation; 0 for zero."""
     return 0.0 if Fraction(q) == 0 else float(p) ** (-alpha * valuation(q, p))
+
+
+def rotate_digits(q, p: int):
+    """Each base-p digit of q in the unit ball plus one mod p, with no
+    carries (the zero tail of a terminating q turns into ones): the
+    listed digits below the period, then the turned period summed as a
+    geometric series.  An int exactly when integral."""
+    if not in_ball(q, p):
+        raise ValueError("digit rotation is defined on the unit ball")
+    v, _, preperiod, period = long_division(q, p)
+    start, block = v + preperiod, period or (0,)
+    head = sum((d + 1) % p * p**n for n, d in enumerate(digits(q, p, 0, start)))
+    tail = sum((d + 1) % p * p**i for i, d in enumerate(block))
+    r = head + Fraction(tail * p**start, 1 - p ** len(block))
+    return r.numerator if r.denominator == 1 else r
 
 
 # ---------------------------------------------------------------------------
@@ -176,3 +201,116 @@ def same_bits(a: complex, b: complex) -> bool:
     """Equal, and equal in the sign of every zero part."""
     return a == b and all(math.copysign(1.0, u) == math.copysign(1.0, w)
                           for u, w in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def canonical(x) -> bool:
+    """An int exactly when integral, as the package builds every value."""
+    return (type(x) is int) is (Fraction(x).denominator == 1)
+
+
+def reads_long_division(x, q, p: int) -> bool:
+    """x is the rational q and the package reads q's valuation, expansion
+    and digits at indices -12 .. 39 from its long division."""
+    _, ds, preperiod, period = long_division(q, p)
+    return (x == q and padic.valuation(x, p) == valuation(q, p)
+            and padic.expansion(x, p) == (ds, preperiod, period)
+            and padic.digit_run(x, p, -12, 40) == digits(q, p, -12, 40))
+
+
+def same_value(x, q, p: int) -> bool:
+    """reads_long_division, of a value the package built: an int exactly
+    when integral."""
+    return reads_long_division(x, q, p) and canonical(x)
+
+
+# ---------------------------------------------------------------------------
+# draws
+
+
+BASES = st.sampled_from([2, 3, 5, 6])
+ORDERS = st.sampled_from([0, 1, 3, 60, math.inf])  # m = 60 windows pass 2^53
+
+
+@lru_cache(maxsize=None)
+def rationals(p: int, unit_ball: bool = False):
+    """Zero, integers held as int and as Fraction, periodic tails
+    (denominators prime to p) and, off the unit ball, negative valuations
+    (denominators sharing a factor with p)."""
+    dens = [1, 7, 11, 13] if unit_ball else [1, 2, 3, 7, 9, 11, 12, 25, 49, p, p * p, 9 * p]
+    return st.one_of(
+        st.just(0),
+        st.integers(-10**6, 10**6),
+        st.builds(Fraction, st.integers(-10**6, 10**6)),
+        st.builds(lambda n, d, k: Fraction(n * p**k, d), st.integers(-10**4, 10**4),
+                  st.sampled_from(dens), st.integers(0, 3)),
+        st.builds(lambda n, d, k: Fraction(n, d * p**k), st.integers(-500, 500),
+                  st.sampled_from(dens), st.integers(0, 0 if unit_ball else 4)),
+    )
+
+
+@lru_cache(maxsize=None)
+def terminating(p: int, low: int, high: int, digit=None, min_size: int = 0, max_size: int = 8):
+    """Terminating values: a nonzero digit at an index in [low, high], then
+    min_size to max_size digits drawn from `digit` (any digit by default)."""
+    rest = st.integers(0, p - 1) if digit is None else digit
+    return st.builds(lambda v, lead, tail: from_digits(p, v, (lead, *tail)),
+                     st.integers(low, high), st.integers(1, p - 1),
+                     st.lists(rest, min_size=min_size, max_size=max_size))
+
+
+@st.composite
+def window_edges(draw, p: int, m, depth: int) -> Fraction:
+    """Terminating values whose lowest and highest digits are nonzero.  At
+    finite order the last window, which ends at v + width - 1 + m, ends up
+    to 4 levels below or past the depth, or at it."""
+    width = draw(st.integers(1, 12))
+    if m == math.inf:
+        v = draw(st.integers(-3, 5))
+    else:
+        v = depth + draw(st.integers(-4, 4)) - m - width + 1
+    ds = draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))
+    ds[0], ds[-1] = ds[0] or 1, ds[-1] or p - 1
+    return from_digits(p, v, ds)
+
+
+@lru_cache(maxsize=None)
+def high_digits(p: int, low: int, high: int):
+    """Terminating values of the digits 0, 1 and p - 1, whose sums and
+    rotations carry far or vanish."""
+    return terminating(p, low, high, st.sampled_from([0, 1, p - 1]), max_size=6)
+
+
+CIRCLE = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda den: Fraction(den - 1, den), st.sampled_from([2, 997, 10**9])),
+    st.fractions(min_value=0, max_value=Fraction(996, 997), max_denominator=997),
+)  # circle coordinates: the seam, just below one, and grid points
+
+_GRID = st.builds(lambda den, num: Fraction(num % (den - 1) + 1, den),
+                  st.sampled_from([2, 3, 10, 997]), st.integers(0, 995))
+_SEAMS = st.sampled_from(["off", "equal", "f", "g", "both"])
+_FIRST_XI = st.one_of(_GRID, CIRCLE)
+
+
+@lru_cache(maxsize=None)
+def _ball(p: int):
+    """Unit-ball rationals and high-digit strings, whose sums carry far."""
+    return st.one_of(rationals(p, unit_ball=True), high_digits(p, 0, 3))
+
+
+@st.composite
+def point_pairs(draw):
+    """A base and two (xi, x) points of its solenoid: circle coordinates on a
+    shared or a differing denominator, off the seam, equal, or with either
+    one on the seam; x in the unit ball, an int exactly when integral."""
+    p = draw(BASES)
+    fxi = draw(_FIRST_XI)
+    gxi = (fxi + draw(_GRID)) % 1
+    seam = draw(_SEAMS)
+    fxi = Fraction(0) if seam in ("f", "both") else fxi
+    gxi = {"equal": fxi, "g": Fraction(0), "both": Fraction(0)}.get(seam, gxi)
+    points = []
+    for xi in (fxi, gxi):
+        q = draw(_ball(p))
+        points.append((xi, q.numerator if q.denominator == 1 else q))
+    return p, points

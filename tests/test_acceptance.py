@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from padic_fractal.padic import expand, from_int, norm, split
+from padic_fractal.padic import norm, split
 from padic_fractal.complex_map import (
     MapParams,
     PlaneMap,
@@ -140,7 +140,7 @@ def test_criterion_06_cross_module_identity():
     worst, violations = 0.0, 0
     for _ in range(200):
         num = int(rng.integers(0, 3**10))
-        x = expand(Fraction(num, 81), 3, 18)
+        x = Fraction(num, 81)
         frac, integral_part = split(x, 3)
         gap = abs(pmap.parts(x)[1] - tmap.fiber_value(frac, integral_part))
         worst = max(worst, gap)
@@ -160,7 +160,7 @@ def test_criterion_07_ode_checks():
     for _ in range(20):
         f = SolenoidPoint(
             Fraction(int(rng.integers(0, 997)), 997),
-            from_int(int(rng.integers(0, 3**6)), 3, 6),
+            int(rng.integers(0, 3**6)),
         )
         gam = tmap.vector_field(f)
 
@@ -171,7 +171,7 @@ def test_criterion_07_ode_checks():
 
         worst_ratio = min(worst_ratio, fd(1e-3) / max(fd(1e-4), 1e-300))
     spot_map = TorusMap(SolenoidParams(map=MapParams(p=2, m=math.inf, s=0.3, depth=60), a=2.0))
-    spot = (2j * math.pi / 2) * spot_map.scaled(0.5).fiber_value(0, from_int(0, 2))
+    spot = (2j * math.pi / 2) * spot_map.scaled(0.5).fiber_value(0, 0)
     spot_err = abs(spot - 1j * math.pi / (1 - 0.15))
     ok = worst_ratio >= 50.0 and spot_err <= 1e-6
     report(
@@ -204,7 +204,7 @@ def test_criterion_09_solenoid_algebra():
 
     def rand_point() -> SolenoidPoint:
         xi = Fraction(int(rng.integers(0, 9973)), 9973)
-        return SolenoidPoint(xi, from_int(int(rng.integers(0, p**10)), p, 10))
+        return SolenoidPoint(xi, int(rng.integers(0, p**10)))
 
     group_bad = metric_bad = j_bad = 0
     for _ in range(10_000):
@@ -225,14 +225,12 @@ def test_criterion_09_solenoid_algebra():
     for _ in range(2_000):
         na, nb = int(rng.integers(0, p**10)), int(rng.integers(0, p**10))
         shift = int(rng.integers(0, 5))
-        xa = expand(Fraction(na, p**shift), p, 16)
-        xb = expand(Fraction(nb, p**shift), p, 16)
+        xa, xb = Fraction(na, p**shift), Fraction(nb, p**shift)
         lhs = from_padic(xa + xb, p)
         rhs = add(from_padic(xa, p), from_padic(xb, p))
         if lhs.xi != rhs.xi or lhs.x != rhs.x:
             j_bad += 1
-        ya, yb = from_int(na, p, 12), from_int(nb, p, 12)
-        if abs(distance(from_padic(ya, p), from_padic(yb, p), p) - norm(ya - yb, p)) > eps:
+        if abs(distance(from_padic(na, p), from_padic(nb, p), p) - norm(na - nb, p)) > eps:
             j_bad += 1
     ok = group_bad == metric_bad == j_bad == 0
     report(

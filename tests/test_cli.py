@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import oracles
 from padic_fractal import cli, complex_map
 from padic_fractal.cli import (
     _COMMANDS,
@@ -41,10 +42,9 @@ from padic_fractal.complex_map import (
     character_table,
     residue_bound,
     residue_digit_matrix,
-    rotate_digits,
     series_values,
 )
-from padic_fractal.padic import expand, from_int, split
+from padic_fractal.padic import split
 from padic_fractal.render import (
     RasterConfig,
     auto_viewport,
@@ -420,6 +420,12 @@ class TestFieldChecks:
         (["verify", "--suite", "group", "--depth", "4"], "depth"),
         (["render2d", "--preset", "fig1-1-cantor", "--p", "3"], "p"),
         (["verify", "--suite", "sandwich", "--exhaustive", "--p", "5000"], "p"),
+        # too few points for box counting, or too few scales between them
+        (["dimension", "--preset", "fig2b-t3", "--depth", "3"], "depth"),
+        (["dimension", "--p", "2", "--depth", "4"], "depth"),
+        (["dimension", "--p", "2", "--depth", "1"], "depth"),
+        (["dimension", "--preset", "fig1-9-koch", "--depth", "1"], "depth"),
+        (["dimension", "--p", "5", "--s", "0.1", "--depth", "2"], "depth"),
     ])
     def test_bad_flag_exits_two_naming_field(self, argv, name, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -705,6 +711,7 @@ def test_public_names_resolve():
         assert "PrecisionError" not in mod.__all__, module
         assert not {"PointCloud2D", "PointCloud3D"} & set(mod.__all__), module
         assert "PAdic" not in mod.__all__, module  # a value is its rational
+        assert "rotate_digits" not in mod.__all__, module  # a test reference, in oracles
     assert [f.name for f in fields(MapParams)] == ["p", "m", "s", "depth"]
     assert "__call__" not in vars(PlaneMap)
 
@@ -896,9 +903,9 @@ def test_kernel_suites_agree_with_the_scalar_oracle(p, radius, angle):
         (row,) = SUITES["eq40"].run(cfg)
         assert row[1] == float(np.abs(plane - fiber).max())
         for i, num in enumerate(nums.tolist()):
-            x, x4 = from_int(num, p, 10), expand(Fraction(num, p**4), p, 16)
-            assert abs(plain[i] - pmap.value(x)) <= at_zero.rounding_bound
-            assert abs(rotated[i] - pmap.value(rotate_digits(x, p))) <= at_zero.rounding_bound
+            x4, turned = Fraction(num, p**4), oracles.rotate_digits(num, p)
+            assert abs(plain[i] - pmap.value(num)) <= at_zero.rounding_bound
+            assert abs(rotated[i] - pmap.value(turned)) <= at_zero.rounding_bound
             assert abs(plane[i] - tmap.plane.parts(x4)[1]) <= at_inf.rounding_bound + cap
             assert abs(fiber[i] - tmap.fiber_value(*split(x4, p))) <= at_inf.rounding_bound + cap
 

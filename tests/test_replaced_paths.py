@@ -13,60 +13,10 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import oracles
+from oracles import BASES, CIRCLE, ORDERS, rationals, same_value
 from padic_fractal.complex_map import MapParams, PlaneMap
 from padic_fractal.padic import digit_run, expand, expansion, norm, split, valuation
 from padic_fractal.solenoid import SolenoidParams, SolenoidPoint, TorusMap, add, distance, neg
-
-
-# ---------------------------------------------------------------------------
-# draws
-
-
-BASES = st.sampled_from([2, 3, 5, 6])
-ORDERS = st.sampled_from([0, 1, 3, 60, math.inf])  # m = 60 windows pass 2^53
-
-
-def rationals(p: int, unit_ball: bool = False):
-    # zero, integers, periodic tails (denominators coprime to p) and, off the
-    # unit ball, negative valuations (denominators sharing a factor with p)
-    dens = [1, 7, 11, 13] if unit_ball else [1, 2, 3, 7, 9, 11, p, p * p, 9 * p]
-    return st.one_of(
-        st.just(Fraction(0)),
-        st.builds(Fraction, st.integers(-10**6, 10**6)),
-        st.builds(lambda n, d, k: Fraction(n * p**k, d), st.integers(-500, 500),
-                  st.sampled_from(dens), st.integers(0, 3)),
-        st.builds(lambda n, d, k: Fraction(n, d * p**k), st.integers(-500, 500),
-                  st.sampled_from(dens), st.integers(0, 0 if unit_ball else 3)),
-    )
-
-
-def circle():
-    # the seam, just below one, and grid points
-    return st.one_of(
-        st.just(Fraction(0)),
-        st.builds(lambda den: Fraction(den - 1, den), st.sampled_from([2, 997, 10**9])),
-        st.fractions(min_value=0, max_value=Fraction(996, 997), max_denominator=997),
-    )
-
-
-def canonical(x) -> bool:
-    """An int exactly when integral, as the package builds every value."""
-    return (type(x) is int) is (Fraction(x).denominator == 1)
-
-
-def reads_long_division(x, q, p: int) -> bool:
-    """x is the rational q and reads q's valuation, expansion and digits at
-    indices -12 .. 39 from its long division."""
-    _, digits, preperiod, period = oracles.long_division(q, p)
-    return (x == q and valuation(x, p) == oracles.valuation(q, p)
-            and expansion(x, p) == (digits, preperiod, period)
-            and digit_run(x, p, -12, 40) == oracles.digits(q, p, -12, 40))
-
-
-def same_value(x, q, p: int) -> bool:
-    """reads_long_division, of a value the package built: an int exactly
-    when integral."""
-    return reads_long_division(x, q, p) and canonical(x)
 
 
 @given(data=st.data())
@@ -85,20 +35,6 @@ def test_padic_arithmetic_matches_fraction_values(data):
     assert norm(xa - xb, p) == oracles.norm(a - b, p)
 
 
-def terminating(data, p: int, m, depth: int) -> tuple[Fraction, int]:
-    """A terminating value and its window width.  At finite order its last
-    window, which ends at v + width - 1 + m, ends up to 4 levels below or
-    past the depth, or at it; the lowest and the highest digit are nonzero."""
-    width = data.draw(st.integers(1, 12))
-    if m == math.inf:
-        v = data.draw(st.integers(-3, 5))
-    else:
-        v = depth + data.draw(st.integers(-4, 4)) - m - width + 1
-    digits = data.draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))
-    digits[0], digits[-1] = digits[0] or 1, digits[-1] or p - 1
-    return sum(Fraction(d) * Fraction(p) ** (v + i) for i, d in enumerate(digits)), width
-
-
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_series_matches_two_pass_sums(data):
@@ -107,13 +43,13 @@ def test_series_matches_two_pass_sums(data):
     s = data.draw(st.sampled_from([0.25, 0.3 + 0.2j, -0.35, 0.1 - 0.45j]))
     params = MapParams(p=p, m=m, s=s, depth=data.draw(st.integers(1, 60)))
     if data.draw(st.booleans()):
-        q, width = terminating(data, p, m, params.depth)
+        q = data.draw(oracles.window_edges(p, m, params.depth))
     else:
-        q, width = data.draw(rationals(p)), data.draw(st.integers(1, 16))
-    xi = data.draw(st.one_of(circle(), st.fractions(-2, 3, max_denominator=997),
+        q = data.draw(rationals(p))
+    xi = data.draw(st.one_of(CIRCLE, st.fractions(-2, 3, max_denominator=997),
                              st.floats(0, 1, exclude_max=True)))
     pm, tm = PlaneMap(params), TorusMap(SolenoidParams(map=params, a=2.0))
-    for x in (expand(q, p, width), expand(0, p, 1)):
+    for x in (expand(q, p, data.draw(st.integers(1, 16))), expand(0, p, 1)):
         parts, want = pm.parts(x), oracles.parts(params, x)
         assert oracles.same_bits(parts[0], want[0]) and oracles.same_bits(parts[1], want[1])
         assert oracles.same_bits(pm.value(x), sum(want))
@@ -128,7 +64,7 @@ def test_group_law_and_metric_match_fraction_operators(data, alpha):
     p = data.draw(BASES)
     pts = []
     for _ in range(2):
-        xi, q = data.draw(circle()), data.draw(rationals(p, unit_ball=True))
+        xi, q = data.draw(CIRCLE), data.draw(rationals(p, unit_ball=True))
         x = expand(q, p, data.draw(st.integers(1, 12)))
         pts.append((SolenoidPoint(xi, x), (xi, q)))
     (f, rf), (g, rg) = pts
