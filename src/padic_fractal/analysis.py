@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complex_map import (
+    _BLOCK,
     MapParams,
     PlaneMap,
     _class_separation,
@@ -68,9 +69,14 @@ def moment(params: MapParams, L: int, Lbar: int, depth: int) -> MomentResult:
     terms (at most log2 N + 20 roundings on a path) add (3k + log2 N + 20)
     2^-53 r^k.
     """
+    return _moment(params, L, Lbar, depth)
+
+
+def _moment(params: MapParams, L: int, Lbar: int, depth: int, vals=None) -> MomentResult:
+    """moment, reading vals (the values at every depth-level residue) when given."""
     if L == 0 and Lbar == 0:
         return MomentResult(0, 0, 1.0 + 0.0j, depth, 0.0)
-    vals = PlaneMap(params).values_on_residues(depth)
+    vals = PlaneMap(params).values_on_residues(depth) if vals is None else vals
     z = np.ones_like(vals)
     if L:
         z = vals**L
@@ -152,6 +158,7 @@ def moment_series(params: MapParams, L: int, Lbar: int, cutoff: int) -> complex:
 
 # ---------------------------------------------------------------------------
 # box counting
+_SPREAD_BITS = 14  # the default 12-scale ladder's cells stay below 2^14: one gather an axis
 
 
 @dataclass(frozen=True)
@@ -179,8 +186,9 @@ def _columns(points) -> list[np.ndarray]:
 
 @functools.cache
 def _spread(d: int) -> np.ndarray:
-    """Each byte with d-1 zero bits after each of its bits: bit i moves to bit d*i."""
-    return sum(((np.arange(256, dtype=np.int64) >> i) & 1) << (d * i) for i in range(8))
+    """Each 14-bit index with d-1 zero bits after each of its bits: bit i moves to bit d*i."""
+    chunk = np.arange(1 << _SPREAD_BITS, dtype=np.int64)
+    return sum(((chunk >> i) & 1) << (d * i) for i in range(_SPREAD_BITS))
 
 
 def _ladder_counts(cols: list[np.ndarray], eps0: float, n_scales: int, corner=None) -> np.ndarray:
@@ -188,22 +196,31 @@ def _ladder_counts(cols: list[np.ndarray], eps0: float, n_scales: int, corner=No
     corner (default: the bounding corner).  Halving eps is exact for normal floats, so a
     scale-k cell is a finest cell >> j, j = n_scales-1-k: with the axis bits interleaved
     into one Morton key, key >> d*j names it, and one sort of the keys serves all scales.
-    Each column enters the key on its own, a byte at a time through _spread(d)."""
-    d, top = len(cols), n_scales - 1
-    table, key = _spread(d), np.zeros(len(cols[0]), dtype=np.int64)
-    lows = [c.min() for c in cols] if corner is None else np.broadcast_to(corner, d)
-    for a, (col, low) in enumerate(zip(cols, lows)):
-        cells = np.floor((col - low) / (eps0 * 2.0**-top))
-        cells -= np.floor(cells.min() * 2.0**-top) * 2.0**top  # whole coarsest cells: edges kept
-        if not (hi := float(cells.max())) < 2.0 ** (63 // d):
-            raise ValueError(f"cell index {hi:.6g} at pitch {eps0 * 2.0**-top:.6g}: {d} axes of "
+    Each column enters the key on its own, _BLOCK rows at a time through _spread(d)."""
+    d, top, mask = len(cols), n_scales - 1, (1 << _SPREAD_BITS) - 1
+    pitch, key = eps0 * 2.0**-top, np.zeros(len(cols[0]), dtype=np.int64)
+    for a, col in enumerate(cols):
+        ends = np.array([col.min(), col.max()])
+        low = ends[0] if corner is None else np.broadcast_to(corner, d)[a]
+        first, last = np.floor((ends - low) / pitch)  # the extreme cells: floor is monotone
+        shift = np.floor(first * 2.0**-top) * 2.0**top  # whole coarsest cells: edges kept
+        if not (hi := float(last - shift)) < 2.0 ** (63 // d):
+            raise ValueError(f"cell index {hi:.6g} at pitch {pitch:.6g}: {d} axes of "
                              f"over {63 // d} bits each overflow the 63-bit cell key")
-        cells = cells.astype(np.int64)
-        for b in range(0, int(hi).bit_length(), 8):
-            key |= table[(cells >> b) & 255] << (d * b + a)
+        chunks = [(b, _spread(d) << (d * b + a))
+                  for b in range(0, int(hi).bit_length(), _SPREAD_BITS)]
+        for start in range(0, len(key), _BLOCK):
+            cells = np.floor((col[start:start + _BLOCK] - low) / pitch)
+            cells = (cells - shift).astype(np.int64)
+            for b, spread in chunks:
+                key[start:start + _BLOCK] |= spread[cells >> b & mask]
     key.sort()
     change = key[1:] ^ key[:-1]
-    return np.array([1 + np.count_nonzero(change >= 1 << (d * j)) for j in range(top, -1, -1)])
+    if key[-1] >> 53:  # an L-bit XOR, L > 53, loses bit L-54: its float cannot round up to 2^L
+        change &= ~(change >> 53)
+    # XORs from 2^(d*j) up part scale-k cells; an L-bit XOR's biased float exponent is 1022 + L
+    exponents = np.bincount(change.astype(np.float64).view(np.int64) >> 52, minlength=1087)
+    return 1 + np.cumsum(exponents[::-1])[::-1][1023 + d * np.arange(top, -1, -1)]
 
 
 def box_counts(points, eps: float, corner: np.ndarray | None = None) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -24,10 +25,10 @@ import numpy as np
 
 from .analysis import (
     _divergence,
+    _moment,
     box_dimension,
     character_order_gap,
     metric_divergence,
-    moment,
     moment_series,
 )
 from .complex_map import (
@@ -597,8 +598,9 @@ def _cmd_dimension(cfg: Config) -> Iterator[tuple]:
 def _cmd_moments(cfg: Config) -> Iterator[tuple]:
     params = _map_params(cfg)
     depth = cfg.depth or 12
+    vals = PlaneMap(params).values_on_residues(depth)
     for L, Lbar in ((0, 0), (1, 0), (1, 1), (2, 0)):
-        mres = moment(params, L, Lbar, depth)
+        mres = _moment(params, L, Lbar, depth, vals)
         series = moment_series(params, L, Lbar, cutoff=16)
         gap = abs(mres.value - series)
         tol = mres.error_bound + 10.0 * abs(params.s) ** 17
@@ -648,6 +650,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-fractal",

@@ -263,6 +263,7 @@ def residue_bound(p: int, depth: int) -> int:
 MAX_ROWS = 1 << 23
 # The most residue pairs a class separation search compares (p <= 4 at depth 8).
 MAX_PAIRS = 1 << 31
+_BLOCK = 2**13  # rows a blocked kernel takes at a time: temporaries in cache, not cloud-sized
 
 
 def _guard_rows(p: int, depth: int, fibers: int = 1) -> None:

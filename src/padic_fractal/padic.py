@@ -116,7 +116,7 @@ def split(q: Rational, p: int) -> tuple[Fraction, Rational]:
     are r/p^-v and whole/den, whole = (num - r den)/p^-v exactly."""
     v, num, den = _valuation(q.numerator, q.denominator, p)
     if v >= 0:  # zero has v = 0
-        return Fraction(0), q
+        return Fraction(0), q.numerator if q.denominator == 1 else q
     mod = p**-v
     r = num * pow(den, -1, mod) % mod
     whole = (num - r * den) // mod

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_map import MapParams, PlaneMap, s_zero
+from .complex_map import _BLOCK, MapParams, PlaneMap, s_zero
 from .solenoid import SolenoidParams, TorusMap
 
 __all__ = [
@@ -76,8 +76,6 @@ def rasterize(values: np.ndarray, cfg: RasterConfig) -> bytes:
     values = np.asarray(values).ravel()
     re0, re1, im0, im1 = cfg.viewport
     img = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
-    # a block of points at a time: full-length temporaries would double the
-    # memory a deep cloud already holds
     for start in range(0, len(values), _BLOCK):
         block = values[start:start + _BLOCK]
         u = (block.real - re0) / (re1 - re0)
@@ -105,10 +103,8 @@ def rasterize(values: np.ndarray, cfg: RasterConfig) -> bytes:
 # less than 3e-7 elsewhere, so M is the correctly rounded one unless |x| lies
 # within 1e-6 of a tie.  Those rows, non-finite values, subnormals and ints
 # outside [0, 10**9) are formatted by % alone and spliced back in place.
-# Blocks of 2**13 rows keep the temporaries and the word buffer in cache;
-# at 2**16 the exporters ran a third slower.
+# _BLOCK rows keep the word buffer in cache too; at 2**16 the exporters ran a third slower.
 
-_BLOCK = 2**13
 _TINY, _HUGE = 2.2250738585072014e-308, 1.7976931348623157e308  # the normal doubles
 _EXP = 330  # the tables cover decimal exponents -_EXP .. _EXP
 

@@ -85,17 +85,14 @@ def add(f: SolenoidPoint, g: SolenoidPoint) -> SolenoidPoint:
     x = f.x + g.x
     if n >= d:  # n/d in [0,2): the carry is 1
         n, x = n - d, x + 1
-    if type(x) is Fraction and x.denominator == 1:
-        x = x.numerator
-    return SolenoidPoint(Fraction(n, d), x)
+    return SolenoidPoint(Fraction(n, d), x.numerator if x.denominator == 1 else x)
 
 
 def neg(f: SolenoidPoint) -> SolenoidPoint:
-    """Group inverse: (1-xi, -x-1) off the seam, (0, -x) on it."""
+    """Group inverse: (1-xi, -x-1) off the seam, (0, -x) on it, x an int when integral."""
     n, d = f.xi.numerator, f.xi.denominator
-    if not n:
-        return SolenoidPoint(f.xi, -f.x)
-    return SolenoidPoint(Fraction(d - n, d), -1 - f.x)
+    xi, x = (Fraction(d - n, d), -1 - f.x) if n else (f.xi, -f.x)
+    return SolenoidPoint(xi, x.numerator if x.denominator == 1 else x)
 
 
 def distance(f: SolenoidPoint, g: SolenoidPoint, p: int, alpha: float = 1.0) -> float:
@@ -204,7 +201,8 @@ class TorusMap:
         turns = 2j * math.pi * np.asarray(xis, dtype=np.float64)[:, None]
         shift = np.clip(ns - m, 0, depth).astype(np.int64)
         on = np.arange(p**depth, dtype=np.int64) % p ** shift[:, None] == 0
-        coupling = np.exp(turns / float(p) ** (np.minimum(ns, m) + 1))
+        top = int(min(params.depth, m))  # the levels past m share the divisor p^(m+1)
+        coupling = np.exp(turns / float(p) ** np.arange(1, top + 2))[:, np.minimum(ns, top)]
         return coupling @ np.where(on, terms, 0) + np.where(on, 0, terms).sum(axis=0)
 
     # -- the chart into 3-space ---------------------------------------------
@@ -215,9 +213,12 @@ class TorusMap:
         the coordinates go on a new last axis."""
         a = self.params.a
         w = np.asarray(z) / a
-        ring = np.exp(2j * math.pi * np.asarray(xi, dtype=np.float64)) * abs(a) * (1.0 + w.real)
-        height = np.broadcast_to(abs(a) * w.imag, ring.shape)
-        return np.stack([ring.real, height, ring.imag], axis=-1)
+        out = np.empty(np.broadcast_shapes(np.shape(xi), w.shape) + (3,))
+        np.multiply(abs(a), w.imag, out=out[..., 1])
+        w = np.add(w.real, 1.0, out=out[..., 0])  # 1 + Re w in place; the quotient is freed
+        ring = np.exp(2j * math.pi * np.asarray(xi, dtype=np.float64)) * abs(a) * w
+        out[..., 0], out[..., 2] = ring.real, ring.imag
+        return out
 
     def embed(self, f: SolenoidPoint) -> np.ndarray:
         """Full embedding of one solenoid point of the unit ball."""

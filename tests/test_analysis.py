@@ -8,11 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.extra.numpy import arrays
 
-from padic_fractal.complex_map import MapParams, PlaneMap, character_table, residue_digit_matrix
+from padic_fractal.complex_map import (
+    _BLOCK,
+    MapParams,
+    PlaneMap,
+    character_table,
+    residue_digit_matrix,
+)
 from padic_fractal.render import build_cloud, preset
 from padic_fractal.analysis import (
     DimensionEstimate,
     _columns,
+    _SPREAD_BITS,
     _ladder_counts,
     _spread,
     box_counts,
@@ -361,7 +368,7 @@ LAYOUTS = {
 
 @given(
     d=st.sampled_from([1, 2, 3]),
-    n_scales=st.integers(1, 14),
+    n_scales=st.integers(1, 16),  # from 15 scales on, finest cells pass 2^14
     on_edges=st.booleans(),
     explicit_corner=st.booleans(),
     eps0=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(0.25, 4.0)),
@@ -381,14 +388,56 @@ def test_ladder_counts_match_per_scale_count(d, n_scales, on_edges, explicit_cor
     assert list(got) == brute_counts(pts, eps0, n_scales, corner)
 
 
+@pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ladder_counts_match_across_blocks_and_spreading_chunks(rows, d):
+    # clouds that end just short of, on and past a block edge, at the default 12
+    # scales (finest cells below 2^14, one spreading chunk) and at 16 (past 2^14)
+    rng = np.random.default_rng(rows + d)
+    pts = rng.uniform(-4.0, 4.0, size=(rows, d))
+    pts[::5] = np.round(pts[::5] * 16.0) / 16.0  # some on cell edges
+    cols = _columns(pts)
+    for n_scales, eps0, corner in ((12, float(np.ptp(pts, axis=0).max()) / 4.0, None),
+                                   (16, 2.0, np.full(d, -4.5)), (13, 2.0**-5, None)):
+        got = _ladder_counts(cols, eps0, n_scales, corner)
+        assert list(got) == brute_counts(pts, eps0, n_scales, corner)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ladder_counts_from_a_far_corner(d):
+    # counted from a corner 2^70 below the cloud, finest cells pass 2^63 while the cloud
+    # spans under 2^20 of them: the key holds the cells from the corner's coarsest cell on
+    pts = np.random.default_rng(d).uniform(0.0, 2.0**24, size=(300, d))
+    corner = np.full(d, -(2.0**70))
+    want = brute_counts(pts, 2.0**11, 8, corner)
+    assert want[-1] > 1 and list(_ladder_counts(_columns(pts), 2.0**11, 8, corner)) == want
+
+
+@pytest.mark.parametrize("d, cells", [
+    (1, [[0], [511], [2**62 - 512]]),  # XOR 2^62 - 1
+    (2, [[0, 0], [2**31 - 1, 2**31 - 1], [0, 0]]),  # XOR 2^62 - 1
+    (3, [[0, 0, 0], [2**21 - 1] * 3, [0, 0, 0]]),  # XOR 2^63 - 1
+])
+def test_ladder_counts_at_the_widest_key(d, cells):
+    # a float of an XOR with 54 or more significant bits may round up to the next
+    # power of two, past a scale threshold 2^(d*j); the counts must read the XOR's
+    # own bit length.  Pitch 1 with 63 // d halvings above it: the widest key.
+    pts = np.array(cells, dtype=np.float64)
+    n_scales = 63 // d + 1
+    eps0 = 2.0 ** (n_scales - 1)
+    got = _ladder_counts(_columns(pts), eps0, n_scales)
+    assert list(got) == brute_counts(pts, eps0, n_scales)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_spreading_table_matches_bit_loop(d):
     table = _spread(d)
-    for byte in range(256):
+    assert len(table) == 1 << _SPREAD_BITS == 2**14
+    for chunk in range(1 << _SPREAD_BITS):
         want = 0
-        for b in range(8):
-            want |= ((byte >> b) & 1) << (d * b)
-        assert table[byte] == want
+        for b in range(_SPREAD_BITS):
+            want |= ((chunk >> b) & 1) << (d * b)
+        assert table[chunk] == want
 
 
 def test_one_estimate_for_every_form_of_a_cloud():

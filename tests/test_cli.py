@@ -244,10 +244,15 @@ class TestArtifacts:
         assert err == (f"error: field 'depth': orbit samples depth + 1 times, at most {MAX_ROWS} "
                        f"in all, so depth at most {MAX_ROWS - 1}, got {depth}\n")
 
-    def test_moments_command(self, capsys):
+    def test_moments_command(self, capsys, monkeypatch):
+        # one array of residue values serves every degree
+        depths, values = [], PlaneMap.values_on_residues
+        monkeypatch.setattr(PlaneMap, "values_on_residues",
+                            lambda pm, depth, **kw: depths.append(depth) or values(pm, depth, **kw))
         assert main(["moments", "--p", "2", "--s", "0.3", "--m", "inf", "--depth", "12"]) == 0
         out = capsys.readouterr().out
         assert "moment.1.1" in out and "FAIL" not in out
+        assert depths == [12]
 
     def test_dimension_command(self, capsys):
         assert main(["dimension", "--preset", "fig1-1-cantor", "--depth", "14"]) == 0
@@ -337,6 +342,12 @@ class TestParser:
         for argv in ([command, f"--{name}", "v"], [f"--{name}", "v", command]):
             args = _build_parser().parse_args(argv)
             assert (args.command, getattr(args, name)) == (command, "v")
+
+    def test_one_parser_a_process(self):
+        # built on first use; parse_args leaves it as it was
+        assert _build_parser() is _build_parser()
+        assert _build_parser().parse_args(["moments", "--p", "3"]).p == "3"
+        assert _build_parser().parse_args(["moments"]).p is None
 
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_switches(self, command):

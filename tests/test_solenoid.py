@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 import oracles
 from padic_fractal.padic import expand, norm, split
-from padic_fractal.complex_map import MapParams, PlaneMap
+from padic_fractal.complex_map import MapParams, PlaneMap, character_table, residue_digit_matrix
 from padic_fractal.solenoid import (
     SolenoidParams,
     SolenoidPoint,
@@ -54,6 +54,18 @@ class TestGroup:
         f = SolenoidPoint(0, 5)
         z = add(f, neg(f))
         assert z.xi == 0 and z.x == 0
+
+    def test_integral_ball_coordinates_are_ints(self):
+        # an integral Fraction in comes back an int, as from add; other values
+        # keep their Fraction
+        assert type(from_padic(Fraction(10, 2), 2).x) is int
+        assert from_padic(Fraction(10, 2), 2).x == 5
+        assert type(split(Fraction(7), 3)[1]) is int
+        for xi, x, want in ((Fraction(1, 3), Fraction(5), -6), (Fraction(0), Fraction(5), -5)):
+            got = neg(SolenoidPoint(xi, x)).x
+            assert type(got) is int and got == want
+        assert neg(SolenoidPoint(Fraction(1, 3), Fraction(1, 3))).x == Fraction(-4, 3)
+        assert from_padic(Fraction(1, 3), 2).x == Fraction(1, 3)
 
     def test_range_validation(self):
         # refused whether xi arrives as a Fraction, an int or a float
@@ -382,6 +394,35 @@ class TestEmbedding:
         fibers = tm._fibers(np.arange(4) / 4, 3)
         for i in range(4):
             assert np.array_equal(cloud[8 * i : 8 * i + 8], tm.to_space(i / 4, fibers[i]))
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 60, math.inf])
+    def test_shared_coupling_and_direct_chart_match_per_level_forms(self, m):
+        # one exponential per distinct divisor p^(min(n, m) + 1), and the chart's
+        # coordinates written in place: bit for bit the per-level coupling and the
+        # stacked chart they replace
+        p, depth, a = 3, 4, 2.5 - 0.5j
+        tm = TorusMap(SolenoidParams(map=MapParams(p=p, m=m, s=0.37 * cmath.exp(0.4j)), a=a))
+        params, xis = tm.params.map, np.append(np.arange(8) / 8, 0.7071)
+        ns = np.arange(params.depth + 1)
+        turns = 2j * math.pi * xis[:, None]
+        coupling = np.exp(turns / float(p) ** (np.minimum(ns, m) + 1))
+        terms = params.s ** ns[:, None] * character_table(residue_digit_matrix(p, depth), 0,
+                                                          params)
+        shift = np.clip(ns - m, 0, depth).astype(np.int64)
+        on = np.arange(p**depth) % p ** shift[:, None] == 0
+        fibers = coupling @ np.where(on, terms, 0) + np.where(on, 0, terms).sum(axis=0)
+        assert tm._fibers(xis, depth).tobytes() == fibers.tobytes()
+
+        def stacked(xi, z):
+            w = np.asarray(z) / a
+            ring = np.exp(2j * math.pi * np.asarray(xi)) * abs(a) * (1.0 + w.real)
+            height = np.broadcast_to(abs(a) * w.imag, ring.shape)
+            return np.stack([ring.real, height, ring.imag], axis=-1)
+
+        for xi, z in ((xis[:, None], fibers), (0.3, fibers[1, 5]), (xis, 0.25 - 0.5j)):
+            assert tm.to_space(xi, z).tobytes() == stacked(xi, z).tobytes()
+        cloud = stacked(xis[:8, None], fibers[:8]).reshape(-1, 3)  # xi = i/8
+        assert tm.cloud(8, depth).tobytes() == cloud.tobytes()
 
 
 class TestGammaDeltaTilde:
