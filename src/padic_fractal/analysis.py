@@ -23,9 +23,9 @@ from .complex_map import (
     _class_separation,
     _guard_pairs,
     _guard_rows,
+    _widest_cap,
     character_table,
     delta_lower,
-    residue_bound,
     residue_digit_matrix,
 )
 
@@ -58,8 +58,9 @@ class MomentResult:
             raise ValueError("degrees and error bound must be nonnegative")
 
 
-def moment(params: MapParams, L: int, Lbar: int, depth: int) -> MomentResult:
-    """Average of value^L conj(value)^Lbar over all depth-level residues.
+def moment(params: MapParams, L: int, Lbar: int, depth: int, *, vals=None) -> MomentResult:
+    """Average of value^L conj(value)^Lbar over all depth-level residues,
+    reading vals (the values at every depth-level residue) when given.
 
     The average is the exact uniform-measure integral of the sampled
     step function.  The error bound propagates the ball-diameter Lipschitz
@@ -69,11 +70,6 @@ def moment(params: MapParams, L: int, Lbar: int, depth: int) -> MomentResult:
     terms (at most log2 N + 20 roundings on a path) add (3k + log2 N + 20)
     2^-53 r^k.
     """
-    return _moment(params, L, Lbar, depth)
-
-
-def _moment(params: MapParams, L: int, Lbar: int, depth: int, vals=None) -> MomentResult:
-    """moment, reading vals (the values at every depth-level residue) when given."""
     if L == 0 and Lbar == 0:
         return MomentResult(0, 0, 1.0 + 0.0j, depth, 0.0)
     vals = PlaneMap(params).values_on_residues(depth) if vals is None else vals
@@ -274,11 +270,15 @@ def box_dimension(cloud, n_scales: int = 12) -> DimensionEstimate:
 # divergence between smoothing orders
 
 
+def _same_map(params_m: MapParams, params_inf: MapParams) -> None:
+    if params_m.p != params_inf.p or params_m.s != params_inf.s:
+        raise ValueError("orders must share p and s")
+
+
 def divergence_bound(params_m: MapParams, params_inf: MapParams) -> float:
     """Analytic ceiling for the divergence of the two image pseudometrics,
     using the certified separation lower bounds in the denominator."""
-    if params_m.p != params_inf.p or params_m.s != params_inf.s:
-        raise ValueError("orders must share p and s")
+    _same_map(params_m, params_inf)
     if params_inf.m != math.inf or params_m.m == math.inf:
         raise ValueError("expected one finite and one infinite order")
     lo_m = delta_lower(params_m.p, params_m.s)
@@ -290,33 +290,20 @@ def divergence_bound(params_m: MapParams, params_inf: MapParams) -> float:
 
 
 def metric_divergence(
-    params_m: MapParams,
-    params_inf: MapParams,
-    n_samples: int = 256,
-    sample_depth: int = 14,
-    seed: int = 7,
-) -> tuple[float, float]:
-    """Empirical sup of |rho_m - rho_inf| / (rho_m + rho_inf) over seeded
-    residue pairs, together with the analytic bound."""
-    bound = divergence_bound(params_m, params_inf)
-    return _divergence(params_m, params_inf, n_samples, sample_depth, seed), bound
-
-
-def _divergence(params_m: MapParams, params_inf: MapParams, n_samples: int,
-                sample_depth: int, seed: int) -> float:
-    """The sup of metric_divergence, with or without a bound to meet."""
-    hi = residue_bound(params_m.p, sample_depth)
-    rng = np.random.default_rng(seed)
-    codes = rng.integers(0, hi, size=n_samples, dtype=np.int64)
-    codes = np.unique(codes)
-    vm = PlaneMap(params_m).values_on_residues(sample_depth, codes=codes)
-    vi = PlaneMap(params_inf).values_on_residues(sample_depth, codes=codes)
+    params_m: MapParams, params_inf: MapParams, codes: np.ndarray, depth: int
+) -> float:
+    """Sup of |rho_m - rho_inf| / (rho_m + rho_inf) over the pairs of
+    depth-level residue codes.  A pair whose |rho_m - rho_inf| the rounding
+    of its four values explains is left out: each distance carries 2
+    rounding_bound and 2 _widest_cap of its order, as in sandwich_check."""
+    _same_map(params_m, params_inf)
+    vm = PlaneMap(params_m).values_on_residues(depth, codes=codes)
+    vi = PlaneMap(params_inf).values_on_residues(depth, codes=codes)
     dm = np.abs(vm[:, None] - vm[None, :])
     di = np.abs(vi[:, None] - vi[None, :])
-    denom = dm + di
     num = np.abs(dm - di)
-    mask = denom > 0
-    return float((num[mask] / denom[mask]).max()) if mask.any() else 0.0
+    mask = num > sum(2.0 * (q.rounding_bound + _widest_cap(q)) for q in (params_m, params_inf))
+    return float((num[mask] / (dm + di)[mask]).max()) if mask.any() else 0.0
 
 
 def character_order_gap(

@@ -24,11 +24,11 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .analysis import (
-    _divergence,
-    _moment,
     box_dimension,
     character_order_gap,
+    divergence_bound,
     metric_divergence,
+    moment,
     moment_series,
 )
 from .complex_map import (
@@ -36,14 +36,11 @@ from .complex_map import (
     MapParams,
     PlaneMap,
     _guard_rows,
-    _sandwich_margins,
-    _scaling_residuals,
     _widest,
     _window_cap,
     character_table,
     delta_certificate,
     delta_lower,
-    residue_bound,
     residue_digit_matrix,
     s_zero,
     sandwich_check,
@@ -307,11 +304,14 @@ def _samples(seed: int, bounds: list[int], n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _sample_bound(p: int, depth: int) -> int:
-    """residue_bound, refused as a field: depth if 2^depth passes 2^63, else p."""
-    try:
-        return residue_bound(p, depth)
-    except ValueError as exc:
-        raise UsageError(f"field {'depth' if depth > 63 else 'p'!r}: {exc}") from None
+    """p**depth, the exclusive upper end of sampled residue codes.  Samples
+    are 64-bit integers, so a bound past 2^63 is refused as a field: depth
+    if 2^depth passes 2^63, else p; p**64 alone passes it, so no larger
+    power is formed."""
+    if p ** min(depth, 64) > 1 << 63:
+        raise UsageError(f"field {'depth' if depth > 63 else 'p'!r}: sampling residues below "
+                         f"{p}^{depth} needs integers past the 64-bit limit 2^63")
+    return p**depth
 
 
 def _residues(cfg: Config) -> np.ndarray:
@@ -333,15 +333,16 @@ def _suite_scaling(cfg: Config) -> Iterator[tuple]:
     most 2% of the bound, over p <= 10^6, depth <= 60 and |s| < 1)."""
     params = _map_params(cfg)
     if cfg.exhaustive:
-        res = _scaling_residuals(residue_digit_matrix(cfg.p, _exhaustive_depth(cfg, 10)), params)
+        digits = residue_digit_matrix(cfg.p, _exhaustive_depth(cfg, 10))
     else:
         samples, depth = 1000, cfg.depth or 30
         if samples * depth > MAX_ROWS:  # the sampled digit matrix, refused before allocation
             raise UsageError(f"field 'depth': scaling samples {samples} rows of depth digits, "
                              f"at most {MAX_ROWS} in all, so depth at most "
                              f"{MAX_ROWS // samples}, got {depth}")
-        _sample_bound(cfg.p, 1)
-        res = scaling_residuals(params, n_samples=samples, digit_depth=depth, seed=cfg.seed)
+        digits = np.random.default_rng(cfg.seed).integers(0, _sample_bound(cfg.p, 1),
+                                                          size=(samples, depth))
+    res = scaling_residuals(digits, params)
     bound = params.tail_bound + 2.0 * params.rounding_bound
     yield _at_most("scaling.max_residual", float(res.max()), bound)
 
@@ -365,10 +366,14 @@ def _suite_sandwich(cfg: Config) -> Iterator[tuple]:
         depth = _exhaustive_depth(cfg, 6)
         a, b = np.triu_indices(cfg.p**depth, k=1)
         vals = PlaneMap(params).values_on_residues(depth)
-        out = _sandwich_margins(params, np.abs(vals[a] - vals[b]), a - b, depth)
+        va, vb = vals[a], vals[b]
     else:
-        _sample_bound(cfg.p, depth := cfg.depth or 14)
-        out = sandwich_check(params, n_pairs=10_000, residue_depth=depth, seed=cfg.seed)
+        hi = _sample_bound(cfg.p, depth := cfg.depth or 14)
+        rng = np.random.default_rng(cfg.seed)
+        a, b = (rng.integers(0, hi, size=10_000, dtype=np.int64) for _ in range(2))
+        a, b = a[a != b], b[a != b]
+        va, vb = (PlaneMap(params).values_on_residues(depth, codes=c) for c in (a, b))
+    out = sandwich_check(params, np.abs(va - vb), a - b, depth)
     yield _at_most("sandwich.lower_violations", out["lower_violations"], 0)
     yield _at_most("sandwich.upper_violations", out["upper_violations"], 0)
     margin = out["worst_lower_margin"]
@@ -474,12 +479,12 @@ def _suite_kappa(cfg: Config) -> Iterator[tuple]:
     fm = MapParams(p=cfg.p, m=int(m), s=cfg.s)
     fi = MapParams(p=cfg.p, m=math.inf, s=cfg.s)
     depth = max((k for k in range(2, 15) if cfg.p**k <= 1 << 63), default=1)  # int64 codes
-    _sample_bound(cfg.p, depth)
+    drawn = np.random.default_rng(cfg.seed).integers(0, _sample_bound(cfg.p, depth), size=300,
+                                                     dtype=np.int64)
+    kappa = metric_divergence(fm, fi, np.unique(drawn), depth)
     if delta_lower(cfg.p, cfg.s) > 0:
-        kappa, bound = metric_divergence(fm, fi, n_samples=300, sample_depth=depth, seed=cfg.seed)
-        yield _at_most(f"kappa.m{int(m)}", kappa, bound)
+        yield _at_most(f"kappa.m{int(m)}", kappa, divergence_bound(fm, fi))
     else:  # past s_zero(p) no certified separation bounds the divergence
-        kappa = _divergence(fm, fi, 300, depth, cfg.seed)
         yield f"kappa.m{int(m)}", kappa, f"|s| < s_zero({cfg.p}) = {_fmt(s_zero(cfg.p))}", False
     gap = character_order_gap(fm, fi, depth=14)
     gap_bound = 2.0 * math.pi * cfg.p ** (-int(m))
@@ -600,7 +605,7 @@ def _cmd_moments(cfg: Config) -> Iterator[tuple]:
     depth = cfg.depth or 12
     vals = PlaneMap(params).values_on_residues(depth)
     for L, Lbar in ((0, 0), (1, 0), (1, 1), (2, 0)):
-        mres = _moment(params, L, Lbar, depth, vals)
+        mres = moment(params, L, Lbar, depth, vals=vals)
         series = moment_series(params, L, Lbar, cutoff=16)
         gap = abs(mres.value - series)
         tol = mres.error_bound + 10.0 * abs(params.s) ** 17

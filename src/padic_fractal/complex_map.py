@@ -31,7 +31,6 @@ __all__ = [
     "character_table",
     "sandwich_check",
     "scaling_residuals",
-    "residue_bound",
 ]
 
 VERDICTS = ("certified-embedding", "empirically-injective", "unknown")
@@ -241,20 +240,6 @@ class PlaneMap:
 
 # ---------------------------------------------------------------------------
 # vectorized kernels
-
-
-def residue_bound(p: int, depth: int) -> int:
-    """p**depth, the exclusive upper end of sampled residue codes.
-
-    Samples are drawn as 64-bit integers, so a bound past 2^63 raises
-    ValueError instead of reaching the generator; p**64 alone passes it,
-    so no larger power is formed.
-    """
-    if p ** min(depth, 64) > 1 << 63:
-        raise ValueError(
-            f"sampling residues below {p}^{depth} needs integers past the 64-bit limit 2^63"
-        )
-    return p**depth
 
 
 # A full enumeration peaks near 66 bytes per row for a plane cloud rendered
@@ -634,48 +619,32 @@ def delta_certificate(params: MapParams, search_depth: int = 8) -> EmbeddingCert
     return _search_certificate(params, _class_separation(vals, params.p), search_depth)
 
 
+def _widest_cap(params: MapParams) -> float:
+    """What the window cap takes from one value: at m >= widest,
+    _window_cap from level widest on, where level n's window outgrows
+    widest digits; at lower orders nothing."""
+    widest = _widest(params.p)
+    return _window_cap(params, widest) if params.m >= widest else 0.0
+
+
 def sandwich_check(
-    params: MapParams,
-    n_pairs: int,
-    residue_depth: int,
-    seed: int,
+    params: MapParams, dist: np.ndarray, diff: np.ndarray, depth: int
 ) -> dict[str, float]:
-    """Two-sided bi-Lipschitz test over seeded unit-ball pairs.
+    """Two-sided bi-Lipschitz test over explicit unit-ball pairs: their
+    image distances and the differences of their depth-level integer
+    preimages.
 
     Checks lower * |s|^v <= dist + allowance and
     dist <= 2 |s|^v / (1-|s|) + allowance, where v is the valuation of
-    the difference of the integer preimages; the allowance covers the two
-    series tails and the rounding of the two values (_sandwich_margins).
-    """
-    p = params.p
-    hi = residue_bound(p, residue_depth)
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, hi, size=n_pairs, dtype=np.int64)
-    b = rng.integers(0, hi, size=n_pairs, dtype=np.int64)
-    keep = a != b
-    a, b = a[keep], b[keep]
-    va, vb = (PlaneMap(params).values_on_residues(residue_depth, codes=c) for c in (a, b))
-    return _sandwich_margins(params, np.abs(va - vb), a - b, residue_depth)
-
-
-def _sandwich_margins(
-    params: MapParams, dist: np.ndarray, diff: np.ndarray, depth: int
-) -> dict[str, float]:
-    """Sandwich margins of explicit pairs: image distances and the
-    differences of their depth-level integer preimages.
-
-    Besides the two tails, 2 tail_bound, a distance carries the rounding
-    of its two values, 2 rounding_bound, and at m >= widest their window
-    caps, 2 _window_cap from level widest on, where level n's window
-    outgrows widest digits (_split caps the windows of c and of y apart,
-    and the digits the two drop are those that one window of x drops).  The
-    multiplicity of p in a nonzero difference below p^depth counts the
-    powers p^k, k < depth, dividing it.
+    the difference.  Besides the two tails, 2 tail_bound, a distance
+    carries the rounding of its two values, 2 rounding_bound, and their
+    window caps, 2 _widest_cap (_split caps the windows of c and of y
+    apart, and the digits the two drop are those that one window of x
+    drops).  The multiplicity of p in a nonzero difference below p^depth
+    counts the powers p^k, k < depth, dividing it.
     """
     sv = abs(params.s) ** sum(diff % params.p**k == 0 for k in range(1, depth))
-    widest = _widest(params.p)
-    cap = _window_cap(params, widest) if params.m >= widest else 0.0
-    allowance = 2.0 * params.tail_bound + 2.0 * params.rounding_bound + 2.0 * cap
+    allowance = 2.0 * params.tail_bound + 2.0 * params.rounding_bound + 2.0 * _widest_cap(params)
     lower_margin = dist + allowance - delta_lower(params.p, params.s) * sv
     upper_margin = 2.0 * sv / (1.0 - abs(params.s)) + allowance - dist
     return {
@@ -688,20 +657,7 @@ def _sandwich_margins(
     }
 
 
-def scaling_residuals(
-    params: MapParams,
-    n_samples: int,
-    digit_depth: int,
-    seed: int,
-) -> np.ndarray:
-    """|value(p x) - s value(x) - 1| over seeded random digit rows."""
-    rng = np.random.default_rng(seed)
-    digits = rng.integers(0, residue_bound(params.p, 1), size=(n_samples, digit_depth))
-    return _scaling_residuals(digits, params)
-
-
-def _scaling_residuals(digit_mat: np.ndarray, params: MapParams) -> np.ndarray:
-    """|value(p x) - s value(x) - 1| per explicit digit row."""
+def scaling_residuals(digit_mat: np.ndarray, params: MapParams) -> np.ndarray:
+    """|value(p x) - s value(x) - 1| per digit row."""
     base = series_values(digit_mat, 0, params)
     return np.abs(series_values(digit_mat, 1, params) - params.s * base - 1.0)
-

@@ -15,7 +15,7 @@ Each is written from its definition, not from the package's code:
 Two predicates, `reads_long_division` and `same_value`, read a value
 through the package and hold it to the long division.  The draws that
 several test modules share close the file, so that no test module imports
-another.
+another; `sandwich` draws seeded pairs as `verify --suite sandwich` does.
 """
 
 import cmath
@@ -24,8 +24,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import hypothesis.strategies as st
+import numpy as np
 
 from padic_fractal import padic
+from padic_fractal.complex_map import PlaneMap, sandwich_check
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +316,13 @@ def point_pairs(draw):
         q = draw(_ball(p))
         points.append((xi, q.numerator if q.denominator == 1 else q))
     return p, points
+
+
+def sandwich(params, n_pairs: int, depth: int, seed: int) -> dict:
+    """sandwich_check over n_pairs seeded residue pairs below p^depth, the
+    equal ones dropped: the draw of `verify --suite sandwich`."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.integers(0, params.p**depth, size=n_pairs, dtype=np.int64) for _ in range(2))
+    a, b = a[a != b], b[a != b]
+    va, vb = (PlaneMap(params).values_on_residues(depth, codes=c) for c in (a, b))
+    return sandwich_check(params, np.abs(va - vb), a - b, depth)

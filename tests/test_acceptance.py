@@ -14,13 +14,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from padic_fractal.padic import norm, split
 from padic_fractal.complex_map import (
     MapParams,
     PlaneMap,
     delta_lower,
     s_zero,
-    sandwich_check,
     scaling_residuals,
 )
 from padic_fractal.solenoid import (
@@ -35,6 +35,7 @@ from padic_fractal.solenoid import (
 )
 from padic_fractal.analysis import (
     box_dimension,
+    divergence_bound,
     measure_consistency,
     metric_divergence,
     moment,
@@ -61,7 +62,8 @@ def test_criterion_02_scaling_law():
         for m in (0, 2, math.inf):
             for s in (0.3, 0.25 + 0.1j):
                 params = MapParams(p=p, m=m, s=s, depth=40)
-                res = scaling_residuals(params, n_samples=1000, digit_depth=30, seed=7)
+                res = scaling_residuals(np.random.default_rng(7).integers(0, p, size=(1000, 30)),
+                                        params)
                 worst = max(worst, float(res.max()))
     ok = worst <= 1e-8
     report(2, "scaling law", ok, f"max residual {worst:.3e} <= 1e-8 over 18 combos")
@@ -71,7 +73,7 @@ def test_criterion_02_scaling_law():
 def test_criterion_03_bilipschitz_sandwich():
     params = MapParams(p=2, m=0, s=0.3, depth=40)
     assert delta_lower(2, 0.3) == pytest.approx(8 / 7, abs=1e-15)
-    out = sandwich_check(params, n_pairs=10_000, residue_depth=14, seed=7)
+    out = oracles.sandwich(params, n_pairs=10_000, depth=14, seed=7)
     ok = out["lower_violations"] == 0 and out["upper_violations"] == 0
     report(
         3,
@@ -186,11 +188,11 @@ def test_criterion_07_ode_checks():
 def test_criterion_08_divergence_bounds():
     inf_params = MapParams(p=2, m=math.inf, s=0.3, depth=45)
     kappas, bounds = {}, {}
+    codes = np.random.default_rng(7).integers(0, 2**14, size=400)
     for m in (3, 6, 9):
         params_m = MapParams(p=2, m=m, s=0.3, depth=45)
-        kappas[m], bounds[m] = metric_divergence(
-            params_m, inf_params, n_samples=400, sample_depth=14, seed=7
-        )
+        kappas[m] = metric_divergence(params_m, inf_params, codes, 14)
+        bounds[m] = divergence_bound(params_m, inf_params)
     ok = all(kappas[m] <= bounds[m] for m in kappas) and kappas[9] < kappas[3]
     detail = "; ".join(f"m={m}: {kappas[m]:.2e} <= {bounds[m]:.2e}" for m in (3, 6, 9))
     report(8, "order divergence", ok, detail)

@@ -192,11 +192,11 @@ class TestBoxDimension:
 class TestDivergence:
     def test_bound_and_monotone(self):
         inf_p = MapParams(p=2, m=math.inf, s=0.3, depth=45)
-        kappas = []
+        codes, kappas = np.random.default_rng(7).integers(0, 2**14, size=300), []
         for m in (3, 6, 9):
             fm = MapParams(p=2, m=m, s=0.3, depth=45)
-            kappa, bound = metric_divergence(fm, inf_p, n_samples=300, sample_depth=14, seed=7)
-            assert 0.0 <= kappa <= bound
+            kappa = metric_divergence(fm, inf_p, codes, 14)
+            assert 0.0 <= kappa <= divergence_bound(fm, inf_p)
             kappas.append(kappa)
         assert kappas[2] < kappas[0]
 
@@ -230,8 +230,8 @@ class TestDivergence:
     def test_high_order_divergence_tiny(self):
         a = MapParams(p=2, m=12, s=0.3, depth=45)
         b = MapParams(p=2, m=math.inf, s=0.3, depth=45)
-        kappa, bound = metric_divergence(a, b, n_samples=60, sample_depth=8, seed=1)
-        assert kappa <= bound and kappa < 1e-4
+        kappa = metric_divergence(a, b, np.random.default_rng(1).integers(0, 2**8, size=60), 8)
+        assert kappa <= divergence_bound(a, b) and kappa < 1e-4
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -246,6 +246,9 @@ class TestDivergence:
             divergence_bound(
                 MapParams(p=2, m=3, s=0.6), MapParams(p=2, m=math.inf, s=0.6)
             )
+        with pytest.raises(ValueError, match="share p and s"):  # also past s_zero, with no bound
+            metric_divergence(MapParams(p=2, m=3, s=0.6), MapParams(p=2, m=math.inf, s=0.5),
+                              np.arange(4), 2)
 
 
 class TestMeasureConsistency:

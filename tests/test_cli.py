@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from padic_fractal import cli, complex_map
+from padic_fractal import analysis, cli, complex_map
 from padic_fractal.cli import (
     _COMMANDS,
     _FIELDS,
@@ -40,7 +40,6 @@ from padic_fractal.complex_map import (
     MapParams,
     PlaneMap,
     character_table,
-    residue_bound,
     residue_digit_matrix,
     series_values,
 )
@@ -137,6 +136,21 @@ class TestSuites:
 
     def test_kappa_suite(self, capsys):
         assert main(["verify", "--suite", "kappa", "--p", "2", "--m", "6", "--s", "0.3"]) == 0
+
+    # from these orders on the two pseudometrics differ by less than the
+    # rounding of their values, which a sup without its allowance reads as FAIL
+    @pytest.mark.parametrize("p, m, s", [("2", "34", "0.3"), ("2", "60", "0.3"),
+                                         ("3", "24", "0.25"), ("5", "20", "0.1,0.2"),
+                                         ("6", "18", "0.2")])
+    def test_kappa_leaves_out_what_rounding_explains(self, p, m, s):
+        code, out, _ = run_captured(["verify", "--suite", "kappa", "--p", p, "--m", m, "--s", s])
+        assert code == 0 and out.split("\t")[1] == "0"
+
+    def test_kappa_refutes_a_bound_a_thousandth_of_the_true_one(self, monkeypatch):
+        true_bound = cli.divergence_bound
+        monkeypatch.setattr(cli, "divergence_bound", lambda fm, fi: 1e-3 * true_bound(fm, fi))
+        code, out, _ = run_captured(["verify", "--suite", "kappa"])
+        assert code == 1 and out.startswith("kappa.m6\t") and out.splitlines()[0].endswith("FAIL")
 
     @pytest.mark.parametrize("argv, m, threshold", [
         (["verify", "--p", "2", "--s", "0.999", "--m", "inf"], 6, "s_zero(2) = 0.5"),
@@ -245,14 +259,18 @@ class TestArtifacts:
                        f"in all, so depth at most {MAX_ROWS - 1}, got {depth}\n")
 
     def test_moments_command(self, capsys, monkeypatch):
-        # one array of residue values serves every degree
+        # one array of residue values serves every degree, each through the public moment
         depths, values = [], PlaneMap.values_on_residues
         monkeypatch.setattr(PlaneMap, "values_on_residues",
                             lambda pm, depth, **kw: depths.append(depth) or values(pm, depth, **kw))
+        degrees, moment = [], analysis.moment
+        monkeypatch.setattr(cli, "moment", lambda params, L, Lbar, depth, **kw:
+                            degrees.append((L, Lbar, depth)) or moment(params, L, Lbar, depth, **kw))
         assert main(["moments", "--p", "2", "--s", "0.3", "--m", "inf", "--depth", "12"]) == 0
         out = capsys.readouterr().out
         assert "moment.1.1" in out and "FAIL" not in out
         assert depths == [12]
+        assert degrees == [(0, 0, 12), (1, 0, 12), (1, 1, 12), (2, 0, 12)]
 
     def test_dimension_command(self, capsys):
         assert main(["dimension", "--preset", "fig1-1-cantor", "--depth", "14"]) == 0
@@ -558,6 +576,10 @@ class TestFieldChecks:
         assert err == (f"error: field {field!r}: sampling residues below {bound} needs "
                        f"integers past the 64-bit limit 2^63\n")
         assert out == ""
+
+    def test_sample_range_past_64_bits(self):
+        # 2^63 itself, the widest range of the 64-bit draw, is taken
+        assert run_captured(["verify", "--suite", "sandwich", "--p", "2", "--depth", "63"])[0] == 0
 
     @pytest.mark.parametrize("argv, size", [
         (["render2d", "--p", "1000", "--depth", "3"], "1000^3 rows"),
@@ -1235,7 +1257,7 @@ SUITE_DRAWS = {"group": ((0, 8), 900), "j": ((8, 8, -1), 300), "ode": ((0, 6), 1
                                       if p ** max(powers) < 2**63])
 def test_one_draw_per_suite_is_one_call_per_integer(suite, p):
     powers, n = SUITE_DRAWS[suite]
-    bounds = [{0: 997, -1: 5}.get(k) or residue_bound(p, k) for k in powers]
+    bounds = [{0: 997, -1: 5}.get(k) or p**k for k in powers]
     for seed in (0, 7, 11, 2**40):
         one, each = np.random.default_rng(seed), np.random.default_rng(seed)
         drawn = one.integers(0, bounds * n).tolist()

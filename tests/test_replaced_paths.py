@@ -1,9 +1,8 @@
-"""Exact agreement with the oracles of `oracles`: the long division, the
-Fraction group law with its metric from the definition, and the series
-summed level by level.  These replaced the earlier code paths: a p-adic
-value that always held a Fraction, the group law and metric comparing
-Fractions through their operators, and the two-pass series sum.  Every
-result must be equal, not close.
+"""Exact agreement with the oracles of `oracles`: the long division and the
+Fraction group law with its metric from the definition.  These replaced
+the earlier code paths: a p-adic value that always held a Fraction, and
+the group law and metric comparing Fractions through their operators.
+Every result must be equal, not close.
 """
 
 import math
@@ -13,10 +12,10 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import oracles
-from oracles import BASES, CIRCLE, ORDERS, rationals, same_value
+from oracles import BASES, CIRCLE, rationals, same_value
 from padic_fractal.complex_map import MapParams, PlaneMap
 from padic_fractal.padic import digit_run, expand, expansion, norm, split, valuation
-from padic_fractal.solenoid import SolenoidParams, SolenoidPoint, TorusMap, add, distance, neg
+from padic_fractal.solenoid import SolenoidPoint, add, distance, neg
 
 
 @given(data=st.data())
@@ -33,29 +32,6 @@ def test_padic_arithmetic_matches_fraction_values(data):
     assert frac == oracles.from_digits(p, low, oracles.digits(a, p, low, 0))
     assert type(frac) is Fraction and same_value(integral, a - frac, p)
     assert norm(xa - xb, p) == oracles.norm(a - b, p)
-
-
-@given(data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_series_matches_two_pass_sums(data):
-    # depth 60 is the benchmark checks' oracle depth
-    p, m = data.draw(BASES), data.draw(ORDERS)
-    s = data.draw(st.sampled_from([0.25, 0.3 + 0.2j, -0.35, 0.1 - 0.45j]))
-    params = MapParams(p=p, m=m, s=s, depth=data.draw(st.integers(1, 60)))
-    if data.draw(st.booleans()):
-        q = data.draw(oracles.window_edges(p, m, params.depth))
-    else:
-        q = data.draw(rationals(p))
-    xi = data.draw(st.one_of(CIRCLE, st.fractions(-2, 3, max_denominator=997),
-                             st.floats(0, 1, exclude_max=True)))
-    pm, tm = PlaneMap(params), TorusMap(SolenoidParams(map=params, a=2.0))
-    for x in (expand(q, p, data.draw(st.integers(1, 16))), expand(0, p, 1)):
-        parts, want = pm.parts(x), oracles.parts(params, x)
-        assert oracles.same_bits(parts[0], want[0]) and oracles.same_bits(parts[1], want[1])
-        assert oracles.same_bits(pm.value(x), sum(want))
-        for n in range(min(valuation(x, p), 0) - 1, params.depth + 3):
-            assert oracles.same_bits(pm.character(x, n), oracles.characters(params, x, n, n)[0])
-        assert oracles.same_bits(tm.fiber_value(xi, x), oracles.fiber_value(params, xi, x))
 
 
 @given(data=st.data(), alpha=st.sampled_from([0.5, 1.0, 2.0]))

@@ -617,22 +617,3 @@ class TestReplacedPaths:
         f = SolenoidPoint(xi, 3)
         assert type(f.xi) is Fraction and f.xi == want
         assert f == SolenoidPoint(want, 3) and hash(f) == hash(SolenoidPoint(want, 3))
-
-
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_fiber_value_matches_per_level_coupling(data):
-    p = data.draw(st.sampled_from([2, 3, 6]))
-    m = data.draw(st.sampled_from([0, 1, 3, math.inf]))
-    s = data.draw(st.sampled_from([0.25, 0.3 + 0.2j, -0.35]))
-    depth = data.draw(st.integers(1, 30))
-    tm = TorusMap(SolenoidParams(map=MapParams(p=p, m=m, s=s, depth=depth), a=2.0))
-    x = data.draw(st.one_of(
-        st.builds(lambda n, d: Fraction(n, d), st.integers(-500, 500), st.integers(1, 60)),
-        oracles.terminating(p, -2, 3, min_size=max(depth - 2, 0), max_size=depth + 6),
-    ))
-    xi = data.draw(st.one_of(
-        st.fractions(-2, 3, max_denominator=997),
-        st.floats(0, 1, exclude_max=True),
-    ))
-    assert oracles.same_bits(tm.fiber_value(xi, x), oracles.fiber_value(tm.params.map, xi, x))
