@@ -138,12 +138,15 @@ def moment_series(params: MapParams, L: int, Lbar: int, cutoff: int) -> complex:
     """Partial sum of the coefficient expansion, for cross-validation.
 
     Zero parts sum only to 0, so with L = 0 only n = 0 has tuples (and with
-    Lbar = 0 only nbar = 0); the totals without any are skipped.  At m = inf
-    characters of distinct levels are orthogonal: with L = Lbar = 1 only nbar = n.
+    Lbar = 0 only nbar = 0); the totals without any are skipped.  With
+    L = Lbar = 1 only nbar = n has weight, at every order m: say n > nbar.
+    chi_n reads digit n at frequency 1/p and chi_nbar reads no digit above
+    nbar, so the net frequency on digit n is 1/p, whose factor
+    (1/p) sum_{x<p} e(x/p) is 0 (nbar > n likewise, at -1/p).
     """
     s, sb = params.s, params.s.conjugate()
     total = 0.0 + 0.0j
-    diagonal = params.m == math.inf and L == Lbar == 1
+    diagonal = L == Lbar == 1
     for n in range(cutoff + 1 if L else 1):
         for nbar in (n,) if diagonal else range(cutoff + 1 if Lbar else 1):
             c = tuple_coefficient(params.p, L, Lbar, n, nbar, params.m)
@@ -187,16 +190,22 @@ def _spread(d: int) -> np.ndarray:
     return sum(((chunk >> i) & 1) << (d * i) for i in range(_SPREAD_BITS))
 
 
-def _ladder_counts(cols: list[np.ndarray], eps0: float, n_scales: int, corner=None) -> np.ndarray:
+def _extremes(cols: list[np.ndarray]) -> list[np.ndarray]:
+    """The [min, max] of each column."""
+    return [np.array([col.min(), col.max()]) for col in cols]
+
+
+def _ladder_counts(cols: list[np.ndarray], eps0: float, n_scales: int, corner=None,
+                   extremes=None) -> np.ndarray:
     """Occupied cells at each pitch eps0 * 2^-k, k < n_scales, of the grid anchored at
     corner (default: the bounding corner).  Halving eps is exact for normal floats, so a
     scale-k cell is a finest cell >> j, j = n_scales-1-k: with the axis bits interleaved
     into one Morton key, key >> d*j names it, and one sort of the keys serves all scales.
-    Each column enters the key on its own, _BLOCK rows at a time through _spread(d)."""
+    Each column enters the key on its own, _BLOCK rows at a time through _spread(d).
+    extremes are the columns' _extremes, read here when not given."""
     d, top, mask = len(cols), n_scales - 1, (1 << _SPREAD_BITS) - 1
     pitch, key = eps0 * 2.0**-top, np.zeros(len(cols[0]), dtype=np.int64)
-    for a, col in enumerate(cols):
-        ends = np.array([col.min(), col.max()])
+    for a, (col, ends) in enumerate(zip(cols, extremes or _extremes(cols))):
         low = ends[0] if corner is None else np.broadcast_to(corner, d)[a]
         first, last = np.floor((ends - low) / pitch)  # the extreme cells: floor is monotone
         shift = np.floor(first * 2.0**-top) * 2.0**top  # whole coarsest cells: edges kept
@@ -237,12 +246,13 @@ def box_dimension(cloud, n_scales: int = 12) -> DimensionEstimate:
     cols = _columns(cloud)
     if len(cols[0]) < 16:
         raise ValueError("too few points for a dimension estimate")
-    diam = float(np.max([np.ptp(c) for c in cols]))
+    extremes = _extremes(cols)
+    diam = float(np.max([hi - lo for lo, hi in extremes]))
     if diam <= 0:
         raise ValueError("degenerate cloud: zero diameter")
     eps0 = diam / 4.0
     scales = eps0 * 2.0 ** (-np.arange(n_scales, dtype=np.float64))
-    counts = _ladder_counts(cols, eps0, n_scales).astype(np.float64)
+    counts = _ladder_counts(cols, eps0, n_scales, extremes=extremes).astype(np.float64)
     keep = counts <= 0.25 * len(cols[0])
     keep[0] = False
     last = np.nonzero(keep)[0]

@@ -92,44 +92,59 @@ def rasterize(values: np.ndarray, cfg: RasterConfig) -> bytes:
 
 
 # The text emitters write their rows through _rows, a block of _BLOCK rows at a
-# time.  Each value fills a fixed slot of uint32 words looked up in small
-# tables, NUL-padded where its text is shorter; a float or int word that is
-# NUL in every row of the block is left out, and the block's bytes lose their
-# NULs in one bytes.translate.  A %.9g float is up to seven words: the sign
-# and 0.000 prefix (two), its 9 significant digits as three 3-digit chunks
-# that already hold the decimal point and the stripped trailing zeros
-# (three), and the e+XX suffix (two).  The digits are M = rint(|x| * 10**(8 - e))
-# with e = floor(log10 |x|), the power exact for 0 <= 8 - e <= 22 and M off by
-# less than 3e-7 elsewhere, so M is the correctly rounded one unless |x| lies
-# within 1e-6 of a tie.  Those rows, non-finite values, subnormals and ints
-# outside [0, 10**9) are formatted by % alone and spliced back in place.
+# time, into a buffer that holds each word of a row as one uint32 array, filled
+# in place from small tables; a value's text fills a fixed run of words,
+# NUL-padded where it is shorter, and the block's bytes lose their NULs in one
+# bytes.translate, whose time goes with the buffer's length.  The block's value
+# range alone settles which words a column gets, so a word that every row
+# leaves NUL costs its bytes but no scan.  An int takes as many 3-digit chunks
+# as the block's max() has: one under 1000, two under 10**6, else three.  A %.9g float
+# is the sign and 0.000 prefix (one word if a value is negative or below 1,
+# two if one is below 1e-2), its 9 significant digits as three 3-digit chunks
+# that already hold the decimal point and the stripped trailing zeros, and the
+# exponent (one word if one lies outside [-4, 9)).  In exponent form the last
+# chunk holds at most three digits, so the e of e+XX rides in it.
+# A one-byte separator after a number (" ", ",", ":", "\n") rides in the free
+# fourth byte of the number's last word, in tables cached by separator: an
+# int's last chunk always has one, a float's when the block's exponents all lie
+# in [-4, 6), and a float's exponent word when one takes exponent form (a
+# second word if one lies outside [-99, 99]); otherwise the separator takes a
+# word of its own.
+# The digits are M = rint(|x| * 10**(8 - e)) with e = floor(log10 |x|), the
+# power exact for 0 <= 8 - e <= 22 and M off by less than 3e-7 elsewhere, so M
+# is the correctly rounded one unless |x| lies within 1e-6 of a tie.  Those
+# rows, non-finite values, subnormals and ints outside [0, 10**9) are
+# formatted by % alone and spliced back in place.
 # _BLOCK rows keep the word buffer in cache too; at 2**16 the exporters ran a third slower.
 
 _TINY, _HUGE = 2.2250738585072014e-308, 1.7976931348623157e308  # the normal doubles
 _EXP = 330  # the tables cover decimal exponents -_EXP .. _EXP
+_THOUSAND, _MILLION = np.uint32(1000), np.uint32(10**6)
 
 
-def _words(strings) -> np.ndarray:
-    """NUL-padded byte strings as rows of uint32 words."""
-    width = max(1, -(-max(map(len, strings)) // 4))
+def _words(strings, width: int = 0) -> np.ndarray:
+    """NUL-padded byte strings as rows of uint32 words, at least width of them."""
+    width = max(1, width, -(-max(map(len, strings)) // 4))
     return np.array(strings, dtype=f"S{4 * width}").view(np.uint32).reshape(len(strings), width)
 
 
 @functools.cache
-def _float_tables():
-    """%.9g text by decimal exponent x: 10**(8 - x), which scales |v| to 9
-    digits, correctly rounded; the prefix words of each sign; the offsets of
-    the three digit chunks in the chunk table; the chunk table; and the
-    suffix words."""
+def _float_tables(sep: bytes):
+    """%.9g text by decimal exponent x, followed by sep: 10**(8 - x), which
+    scales |v| to 9 digits, correctly rounded; the two prefix words by
+    2 x + sign; the chunk table; the offsets in it of the first two digit
+    chunks by 2 x + (no nonzero digit follows), and of the last by x; and the
+    two words of the exponent's sign and digits, followed by sep."""
     xs = range(-_EXP, _EXP + 1)
     scale = np.array([float(f"1e{min(8 - x, 308)}") for x in xs])
     prefix = _words([sign * b"-" + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"")
                      for x in xs for sign in (0, 1)])
+    exp = np.array([not -4 <= x < 9 for x in xs])
     # the digit after which the point goes (0: before the first, in the prefix)
     point = np.array([min(max(x + 1, 0), 9) if -4 <= x < 9 else 1 for x in xs])
-    # chunk c of 3 digits at 1000 * (2 * pos + last): pos = clip(point - 3 c, 0, 4)
-    # and last = no nonzero digit after the chunk, always so after the third
-    offsets = [np.clip(point - 3 * c, 0, 4) * 2000 + 1000 * (c == 2) for c in range(3)]
+    # chunk c of 3 digits in section 2 * pos + last: pos = clip(point - 3 c, 0, 4)
+    # and last = no nonzero digit after the chunk, always so after the third;
+    # sections 10 and 11: the last chunk of pos 0 followed by e, and by sep
     chunks = []
     for pos in range(5):
         for last in (False, True):
@@ -143,73 +158,110 @@ def _float_tables():
                     tail = tail.rstrip(b"0")
                 chunks.append(head + (b"." if 0 < pos < 4 and (tail or not last) else b"")
                               + tail)
-    suffix = _words([b"" if -4 <= x < 9 else b"e%+03d" % x for x in xs])
-    return (scale, prefix[:, 0].copy(), prefix[:, 1].copy(), offsets, _words(chunks)[:, 0],
+    chunks += [c + b"e" for c in chunks[1000:2000]] + [c + sep for c in chunks[1000:2000]]
+    flag = np.arange(2)
+    at = [(2 * np.clip(point - 3 * c, 0, 4)[:, None] + flag).ravel() * 1000 for c in range(2)]
+    last = np.where(exp, 10, 2 * np.clip(point - 6, 0, 4) + 1) * 1000
+    suffix = _words([(b"%+03d" % x if e else b"") + sep for x, e in zip(xs, exp)], 2)
+    return (scale, prefix[:, 0].copy(), prefix[:, 1].copy(), _words(chunks)[:, 0], *at, last,
             suffix[:, 0].copy(), suffix[:, 1].copy())
 
 
 @functools.cache
-def _int_table():
-    """%d text of 3-digit chunks: with zeros, without leading zeros, and
-    without leading zeros but at least one digit."""
+def _int_table(sep: bytes) -> np.ndarray:
+    """%d text of 3-digit chunks: with zeros, without leading zeros, and as
+    the last chunk followed by sep: with zeros, and without leading zeros
+    but at least one digit."""
     return _words([b"%03d" % v for v in range(1000)]
                   + [b"%d" % v if v else b"" for v in range(1000)]
-                  + [b"%d" % v for v in range(1000)])[:, 0]
+                  + [b"%03d" % v + sep for v in range(1000)]
+                  + [b"%d" % v + sep for v in range(1000)])[:, 0]
 
 
-def _float_words(x: np.ndarray):
-    """%.9g of each float as word columns, and the rows the tables cannot prove."""
-    scale, prefix0, prefix1, offsets, chunk, suffix0, suffix1 = _float_tables()
+def _float_words(x: np.ndarray, sep: bytes):
+    """%.9g of each float followed by sep as word columns, each a (table, index)
+    pair or one word for every row, and the rows the tables cannot prove
+    (None if none)."""
+    scale, prefix0, prefix1, chunk, hi_at, mid_at, last_at, suffix0, suffix1 = _float_tables(sep)
     a = np.abs(x)
-    bad = ~((a >= _TINY) & (a <= _HUGE))  # zeros, subnormals, non-finite values
-    zero = a == 0 if bad.any() else None
-    if zero is not None:
+    bad = zero = None
+    if not (a.min() >= _TINY and a.max() <= _HUGE):  # zeros, subnormals, non-finite values
+        bad = ~((a >= _TINY) & (a <= _HUGE))
+        zero = a == 0
         a[bad] = 1.0
         bad ^= zero
     # log10 misses by one only a few ulps from a power of ten, where M is
     # 10**8 or carries to 10**9 either way
     e = np.floor(np.log10(a)).astype(np.intp)
-    y = a * scale[e + _EXP]
-    deep = e < -300  # 10**(8 - e) overflows
-    if deep.any():
-        y[deep] = a[deep] * 1e22 * scale[e[deep] + _EXP + 22]
+    e += _EXP  # the exponent's row in the tables
+    low, high = e.min() - _EXP, e.max() - _EXP
+    y = a * scale[e]
+    if low < -300:  # 10**(8 - e) overflows
+        deep = e < _EXP - 300
+        y[deep] = a[deep] * 1e22 * scale[e[deep] + 22]
     m = np.rint(y)
-    bad |= np.abs(y - m) > 0.5 - 1e-6
-    m = m.astype(np.intp)
-    carry = m == 10**9
-    if carry.any():
+    y -= m
+    np.abs(y, out=y)
+    if y.max() > 0.5 - 1e-6:
+        tie = y > 0.5 - 1e-6
+        bad = tie if bad is None else bad | tie
+    m = m.astype(np.uint32)
+    if m.max() == 10**9:
+        carry = m == 10**9
         m[carry] = 10**8
         e += carry
+        high = e.max() - _EXP
     if zero is not None:
-        m[zero] = 0
-        e[zero] = 0
-    hi = m // 10**6
-    rest = m - hi * 10**6
-    mid = rest // 1000
-    lo = rest - mid * 1000
-    low, high = e.min(), e.max()
-    e += _EXP
-    signed = 2 * e + np.signbit(x)
-    words = [prefix0[signed], prefix1[signed] if low < -2 else None,
-             chunk[offsets[0][e] + 1000 * (rest == 0) + hi],
-             chunk[offsets[1][e] + 1000 * (lo == 0) + mid],
-             chunk[offsets[2][e] + lo],
-             suffix0[e] if low < -4 or high > 8 else None,
-             suffix1[e] if low < -99 or high > 99 else None]
-    return [w for w in words if w is not None], bad
+        m[zero] = 0  # read as 1, which has exponent 0
+    hi = m // _MILLION
+    rest = m - hi * _MILLION
+    mid = rest // _THOUSAND
+    lo = rest - mid * _THOUSAND
+    words = []
+    neg = np.signbit(x)
+    twice = 2 * e
+    if low < 0 or neg.any():
+        signed = twice + neg
+        words.append((prefix0, signed))
+        if low < -2:
+            words.append((prefix1, signed))
+    words += [(chunk, hi_at[twice + (rest == 0)] + hi), (chunk, mid_at[twice + (lo == 0)] + mid)]
+    if sep and -4 <= low and high < 6:
+        words.append((chunk, np.add(lo, 11_000, dtype=np.intp)))  # section 11
+    else:
+        words.append((chunk, last_at[e] + lo))
+        if low < -4 or high > 8:
+            words.append((suffix0, e))
+            if sep and (low < -99 or high > 99):
+                words.append((suffix1, e))
+        elif sep:
+            words.append(_words([sep])[0, 0])
+    return words, bad
 
 
-def _int_words(v: np.ndarray):
-    """%d of each int as word columns, and the rows outside [0, 10**9)."""
-    table = _int_table()
-    bad = (v < 0) | (v >= 10**9)
-    v = np.where(bad, 0, v).astype(np.int64, copy=False)  # uint64 rows too
-    hi = v // 10**6
-    rest = v - hi * 10**6
-    mid = rest // 1000
-    lo = rest - mid * 1000
-    return [table[1000 + hi], table[1000 * (hi == 0) + mid],
-            table[2000 * (lo == v) + lo]], bad
+def _int_words(v: np.ndarray, sep: bytes):
+    """%d of each int followed by sep as (table, index) word columns, and the
+    rows outside [0, 10**9) (None if none)."""
+    table = _int_table(sep)
+    bad, high = None, v.max()
+    if v.min() < 0 or high >= 10**9:
+        bad = (v < 0) | (v >= 10**9)
+        v = np.where(bad, 0, v)  # uint64 rows too
+        high = v.max()
+    v = v.astype(np.uint32)
+    # the 3-digit chunks that the block's largest value has
+    chunks = [v]
+    while high >= 1000 ** len(chunks):
+        top = chunks[0] // _THOUSAND
+        chunks[:1] = [top, chunks[0] - top * _THOUSAND]
+    # a chunk has no leading zeros where the chunks before it are all zero,
+    # and the last one is followed by sep
+    words = []
+    for k, c in enumerate(chunks):
+        at = np.intp(2000 if k == len(chunks) - 1 else 0)
+        lead = v < 1000 ** (len(chunks) - k) if k else True
+        words.append((table, np.add(c, np.where(lead, at + 1000, at), dtype=np.intp)))
+    return words, bad
 
 
 def _rows(n: int, *columns) -> list[bytes]:
@@ -221,11 +273,19 @@ def _rows(n: int, *columns) -> list[bytes]:
     arrays = [c for c in columns if not isinstance(c, bytes)]
     fmt = b"".join(c.replace(b"%", b"%%") if isinstance(c, bytes)
                    else {"f": b"%.9g", "S": b"%s"}.get(c.dtype.kind, b"%d") for c in columns)
+    # each column with the one-byte separator after a number that its words hold
+    plan = []
+    for prev, c in zip((b"", *columns), columns):
+        if (isinstance(c, bytes) and len(c) == 1 and not isinstance(prev, bytes)
+                and prev.dtype.kind != "S"):
+            plan[-1] = (prev, c)
+        else:
+            plan.append((c, b""))
     out = []
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        words, bad = [], np.zeros(stop - start, dtype=bool)
-        for c in columns:
+        words, bad = [], None
+        for c, sep in plan:
             if isinstance(c, bytes):
                 words.extend(_words([c])[0])
                 continue
@@ -235,17 +295,25 @@ def _rows(n: int, *columns) -> list[bytes]:
                 words.extend(block.astype(f"S{4 * width}").view(np.uint32)
                              .reshape(-1, width).T)
                 continue
-            cw, cbad = (_float_words if block.dtype.kind == "f" else _int_words)(block)
-            words.extend(w for w in cw if w.any())
-            bad |= cbad
-        buf = np.empty((stop - start, len(words)), dtype=np.uint32)
-        for j, w in enumerate(words):
-            buf[:, j] = w
-        fallback = np.flatnonzero(bad)
-        buf[fallback] = 0
-        text = buf.tobytes().translate(None, b"\0")
-        if fallback.size:
-            ends = np.cumsum(np.count_nonzero(buf.view(np.uint8), axis=1))
+            cw, cbad = (_float_words if block.dtype.kind == "f" else _int_words)(block, sep)
+            words += cw
+            if cbad is not None:
+                bad = cbad if bad is None else bad | cbad
+        # word j of every row is row j of buf: a contiguous row, which take fills
+        # in place (its default mode would fill a copy)
+        buf = np.empty((len(words), stop - start), dtype=np.uint32)
+        for row, w in zip(buf, words):
+            if isinstance(w, tuple):
+                np.take(*w, out=row, mode="wrap")
+            else:
+                row[...] = w
+        fallback = np.flatnonzero(bad) if bad is not None else ()
+        if len(fallback):
+            buf[:, fallback] = 0
+        text = buf.T.tobytes().translate(None, b"\0")
+        if len(fallback):
+            lengths = np.count_nonzero(buf.view(np.uint8).reshape(len(buf), -1, 4), axis=(0, 2))
+            ends = np.cumsum(lengths)
             pieces, at = [], 0
             for i in fallback:
                 pieces += (text[at:ends[i]], fmt % tuple(c[start + i] for c in arrays))

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -114,6 +115,13 @@ class TestTupleCoefficients:
     def test_off_diagonal_single_factor(self):
         assert tuple_coefficient(2, 1, 1, 3, 4) == 0
         assert tuple_coefficient(5, 1, 1, 0, 2) == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    @pytest.mark.parametrize("m", [0, 1, 3, math.inf])
+    def test_off_diagonal_single_factor_at_every_order(self, p, m):
+        # digit max(n, nbar) carries net frequency +-1/p: moment_series skips these
+        for n, nbar in itertools.permutations(range(9), 2):
+            assert tuple_coefficient(p, 1, 1, n, nbar, m) == 0
 
     def test_degree_zero(self):
         assert tuple_coefficient(3, 0, 0, 0, 0) == 1

@@ -14,6 +14,7 @@ from padic_fractal.complex_map import MapParams, PlaneMap, s_zero
 from padic_fractal.render import (
     PRESETS,
     RasterConfig,
+    _rows,
     auto_viewport,
     build_cloud,
     export_csv,
@@ -396,6 +397,30 @@ class TestBulkEmitters:
         assert export_ply(pts) == reference_ply(pts)
         labels = [f"t={i}" for i in range(len(pts))]
         assert export_csv(pts, labels) == reference_csv(pts, labels)
+
+    def test_separator_folded_and_kept_in_one_block(self):
+        # x's exponents lie in [-4, 6): its separator rides in its last digit chunk.
+        # y's cannot: 1234567.25 ends in the 4-byte chunk 7.25 and 3.5e-7 takes
+        # exponent form, so y's separator rides in its exponent word; z's values
+        # reach 1e6 without exponent form, so its separator keeps a word of its own;
+        # w's exponents pass 99, so its separator rides in the second exponent word.
+        # Ties, NaN and ints past 10**9 are formatted by % and spliced in place.
+        rng = np.random.default_rng(11)
+        x, y, z, w = rng.uniform(-2.0, 2.0, (4, 500))
+        x[[3, 4, 5]] = math.nan, 99999.99995, -0.0
+        y[[10, 20, 21]] = 1234567.25, 3.5e-7, 123456789.5
+        z[30] = 2.5e6
+        w[[40, 41, 42]] = 1e-150, -2.5e200, 7e-5
+        labels = rng.integers(0, 3000, (500, 2))
+        labels[50:56] = [[999, 1000], [999_999, 10**6], [10**9, 0], [0, 999_999_999],
+                         [1000, 999], [10**6, 10**9 - 1]]
+        for pts in (np.stack([x, y, z], axis=1), np.stack([w, x, y], axis=1)):
+            assert export_ply(pts) == reference_ply(pts)
+            assert export_csv(pts, labels) == reference_csv(pts, labels)
+        # a 2-byte separator takes its own words; a % constant folds like any one byte
+        text = b"".join(_rows(500, x, b", ", y, b"%", labels[:, 0], b"%%", w, b"\n"))
+        assert text == b"".join(b"%.9g, %.9g%%%d%%%%%.9g\n" % row
+                                for row in zip(x, y, labels[:, 0], w))
 
     def test_refuses_complex_points_and_nul_labels(self):
         with pytest.raises(TypeError, match="real"):
