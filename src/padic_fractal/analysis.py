@@ -305,12 +305,15 @@ def metric_divergence(
     """Sup of |rho_m - rho_inf| / (rho_m + rho_inf) over the pairs of
     depth-level residue codes.  A pair whose |rho_m - rho_inf| the rounding
     of its four values explains is left out: each distance carries 2
-    rounding_bound and 2 _widest_cap of its order, as in sandwich_check."""
+    rounding_bound and 2 _widest_cap of its order, as in sandwich_check.
+    |a - b| is |b - a| bit for bit and a pair of equal codes reads 0, so the
+    pairs i < j give the sup over all pairs."""
     _same_map(params_m, params_inf)
     vm = PlaneMap(params_m).values_on_residues(depth, codes=codes)
     vi = PlaneMap(params_inf).values_on_residues(depth, codes=codes)
-    dm = np.abs(vm[:, None] - vm[None, :])
-    di = np.abs(vi[:, None] - vi[None, :])
+    i, j = np.triu_indices(len(codes), k=1)
+    dm = np.abs(vm[i] - vm[j])
+    di = np.abs(vi[i] - vi[j])
     num = np.abs(dm - di)
     mask = num > sum(2.0 * (q.rounding_bound + _widest_cap(q)) for q in (params_m, params_inf))
     return float((num[mask] / (dm + di)[mask]).max()) if mask.any() else 0.0

@@ -389,9 +389,10 @@ def _suite_group(cfg: Config) -> Iterator[tuple]:
     p, worst_assoc, worst_metric = cfg.p, 0.0, 0.0
     pts = [SolenoidPoint(Fraction(k, 997), num)
            for k, num in _samples(cfg.seed, [997, _sample_bound(p, 8)], 900)]
+    zero = SolenoidPoint(0, 0)
     for f, g, h in zip(pts[0::3], pts[1::3], pts[2::3]):
         lhs, rhs, z = add(add(f, g), h), add(f, add(g, h)), add(f, neg(f))
-        if lhs.xi != rhs.xi or lhs.x != rhs.x or z.xi != 0 or z.x:
+        if lhs != rhs or z != zero:
             worst_assoc = 1.0
         dfg = distance(f, g, p, cfg.alpha)
         worst_metric = max(worst_metric, abs(dfg - distance(g, f, p, cfg.alpha)),

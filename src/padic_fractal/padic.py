@@ -110,17 +110,25 @@ def digit_run(q: Rational, p: int, lo: int, hi: int) -> list[int]:
     return _digit_run(_expansion(q, p), lo, hi)
 
 
-def split(q: Rational, p: int) -> tuple[Fraction, Rational]:
-    """Fractional part in Q intersect [0, 1) and the integral remainder: of
-    q = num/(den p^-v), with r = num/den mod p^-v its digits below p^0, they
-    are r/p^-v and whole/den, whole = (num - r den)/p^-v exactly."""
+def _split(q: Rational, p: int) -> tuple[int, int, Rational]:
+    """(r, mod, whole): q = r/mod + whole, 0 <= r < mod, whole in the unit ball.
+    Of q = num/(den p^-v), r = num/den mod p^-v is its digits below p^0 and
+    whole = (num - r den)/p^-v over den, exactly; (0, 1, q) when v >= 0.  At
+    a composite base r/mod need not be in lowest terms; whole is, and is an
+    int exactly when integral."""
     v, num, den = _valuation(q.numerator, q.denominator, p)
     if v >= 0:  # zero has v = 0
-        return Fraction(0), q.numerator if q.denominator == 1 else q
+        return 0, 1, q.numerator if q.denominator == 1 else q
     mod = p**-v
     r = num * pow(den, -1, mod) % mod
     whole = (num - r * den) // mod
-    return Fraction(r, mod), Fraction(whole, den) if den > 1 else whole
+    return r, mod, Fraction(whole, den) if den > 1 else whole
+
+
+def split(q: Rational, p: int) -> tuple[Fraction, Rational]:
+    """Fractional part in Q intersect [0, 1) and the integral remainder."""
+    r, mod, whole = _split(q, p)
+    return Fraction(r, mod), whole
 
 
 def expand(q: Rational, p: int, window: int) -> Rational:

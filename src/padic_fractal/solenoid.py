@@ -1,16 +1,19 @@
 """The base-p solenoid: carry group on [0,1) x (unit ball), its metric,
 the series map into the solid torus, and the flow vector field.
 
-Points keep the circle coordinate as an exact Fraction and the ball
-coordinate as an exact rational, so the group axioms hold exactly and
-need no base; floats appear only when distances or embeddings are
-evaluated, which read p from their arguments or their map.
+Points keep the circle coordinate as a lowest-terms pair of ints and the
+ball coordinate as an exact rational, so the group axioms hold exactly and
+need no base.  The group law computes on those ints and builds each result
+through one constructor, which reduces the pair by one gcd; floats appear
+only when distances or embeddings are evaluated, which read p from their
+arguments or their map.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -28,7 +31,7 @@ from .complex_map import (
     _guard_rows,
     _search_certificate,
 )
-from .padic import Rational, _norm, split
+from .padic import Rational, _norm, _split
 
 __all__ = [
     "SolenoidPoint",
@@ -45,22 +48,69 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SolenoidPoint:
-    """A pair (circle coordinate in [0,1), rational of the unit ball).  The
-    unit ball depends on the base, so `distance` and `TorusMap.embed`, which
-    know it, check the second coordinate."""
+    """A pair (circle coordinate xi in [0,1), rational x of the unit ball),
+    immutable.  xi is held as its lowest-terms numerator and denominator and
+    read as a Fraction; x is an int exactly when integral, else a lowest-terms
+    Fraction.  Both are read exactly: numpy ints as ints and floats as the
+    rationals they hold.  The unit ball depends on the base, so `distance`
+    and `TorusMap.embed`, which know it, check the second coordinate."""
 
-    xi: Fraction
-    x: Rational
+    __slots__ = ("_n", "_d", "_x")
 
-    def __post_init__(self) -> None:
-        xi = self.xi
-        if not isinstance(xi, Fraction):
-            xi = Fraction(xi)
-            object.__setattr__(self, "xi", xi)
-        if not 0 <= xi.numerator < xi.denominator:
+    def __init__(self, xi: Rational | float, x: Rational | float) -> None:
+        xi = _exact(xi, "circle")
+        n, d = (xi, 1) if type(xi) is int else (xi.numerator, xi.denominator)
+        if not 0 <= n < d:
             raise ValueError(f"circle coordinate must lie in [0,1), got {xi}")
+        self._n, self._d, self._x = n, d, _exact(x, "second")
+
+    @property
+    def xi(self) -> Fraction:
+        return Fraction(self._n, self._d)
+
+    @property
+    def x(self) -> Rational:
+        return self._x
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SolenoidPoint:
+            return NotImplemented
+        return self._n == other._n and self._d == other._d and self._x == other._x
+
+    def __hash__(self) -> int:
+        return hash((self._n, self._d, self._x))
+
+    def __repr__(self) -> str:
+        return f"SolenoidPoint(xi={self.xi!r}, x={self._x!r})"
+
+
+def _exact(v, name: str) -> Rational:
+    """v as an exact rational, an int exactly when integral: ints and
+    Fractions as they are, numpy ints as ints, floats of any width as the
+    rationals they hold; NaN and the infinities are refused."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        if isinstance(v, numbers.Integral):
+            return int(v)
+        if not isinstance(v, numbers.Rational):
+            v = float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} coordinate must be finite, got {v}")
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _point(n: int, d: int, x: Rational) -> SolenoidPoint:
+    """The point (n/d, x) of 0 <= n < d in any terms and x a sum of canonical
+    values, built as the constructor would without its checks: n/d reduced by
+    one gcd, x an int when integral."""
+    g = math.gcd(n, d)
+    f = object.__new__(SolenoidPoint)
+    f._n, f._d = n // g, d // g
+    f._x = x if type(x) is int or x.denominator != 1 else x.numerator
+    return f
 
 
 def _check_ball(x: Rational, p: int) -> None:
@@ -70,29 +120,25 @@ def _check_ball(x: Rational, p: int) -> None:
         raise ValueError("second coordinate must lie in the unit ball")
 
 
-def _circle_sum(a: Fraction, b: Fraction, sign: int) -> tuple[int, int]:
-    """a + sign b as an unreduced pair of ints, over a shared denominator as is."""
-    n, d, m, e = a.numerator, a.denominator, b.numerator, b.denominator
+def _circle_sum(f: SolenoidPoint, g: SolenoidPoint, sign: int) -> tuple[int, int]:
+    """f.xi + sign g.xi as an unreduced pair of ints, over a shared denominator as is."""
+    n, d, m, e = f._n, f._d, g._n, g._d
     return (n + sign * m, d) if d == e else (n * e + sign * m * d, d * e)
 
 
 def add(f: SolenoidPoint, g: SolenoidPoint) -> SolenoidPoint:
-    """Component sum with the real carry moved into the ball coordinate.
-    The circle sum n/d is formed on integer numerators and carries when
-    n >= d; each result builds one Fraction, and the ball sum stays an int
-    exactly when it is integral."""
-    n, d = _circle_sum(f.xi, g.xi, 1)
-    x = f.x + g.x
-    if n >= d:  # n/d in [0,2): the carry is 1
-        n, x = n - d, x + 1
-    return SolenoidPoint(Fraction(n, d), x.numerator if x.denominator == 1 else x)
+    """Component sum with the real carry moved into the ball coordinate: the
+    circle sum n/d in [0, 2) carries when n >= d."""
+    n, d = _circle_sum(f, g, 1)
+    if n >= d:
+        return _point(n - d, d, f._x + g._x + 1)
+    return _point(n, d, f._x + g._x)
 
 
 def neg(f: SolenoidPoint) -> SolenoidPoint:
-    """Group inverse: (1-xi, -x-1) off the seam, (0, -x) on it, x an int when integral."""
-    n, d = f.xi.numerator, f.xi.denominator
-    xi, x = (Fraction(d - n, d), -1 - f.x) if n else (f.xi, -f.x)
-    return SolenoidPoint(xi, x.numerator if x.denominator == 1 else x)
+    """Group inverse: (1-xi, -x-1) off the seam, (0, -x) on it."""
+    n, d = f._n, f._d
+    return _point(d - n, d, -1 - f._x) if n else _point(0, 1, -f._x)
 
 
 def distance(f: SolenoidPoint, g: SolenoidPoint, p: int, alpha: float = 1.0) -> float:
@@ -105,10 +151,10 @@ def distance(f: SolenoidPoint, g: SolenoidPoint, p: int, alpha: float = 1.0) -> 
     rounded, and a valuation does not depend on the representation.  Both
     second coordinates must lie in the unit ball of base p.
     """
-    _check_ball(f.x, p)
-    _check_ball(g.x, p)
-    num, den = _circle_sum(f.xi, g.xi, -1)
-    q = f.x - g.x
+    _check_ball(f._x, p)
+    _check_ball(g._x, p)
+    num, den = _circle_sum(f, g, -1)
+    q = f._x - g._x
     n, d = q.numerator, q.denominator
     if num < 0:  # f.xi < g.xi: frac(xi) = xi + 1
         num, n = num + den, n - d
@@ -120,14 +166,14 @@ def distance(f: SolenoidPoint, g: SolenoidPoint, p: int, alpha: float = 1.0) -> 
 
 def from_padic(q: Rational, p: int) -> SolenoidPoint:
     """Injective homomorphism: split into (fractional part, integral part)."""
-    return SolenoidPoint(*split(q, p))
+    return _point(*_split(q, p))
 
 
 def orbit(f: SolenoidPoint, t: float | Fraction) -> SolenoidPoint:
     """Time-t translate along the line winding through the solenoid."""
-    tf = Fraction(t)
-    whole = math.floor(tf)
-    return add(f, SolenoidPoint(tf - whole, whole))
+    t = Fraction(t)
+    whole, r = divmod(t.numerator, t.denominator)
+    return add(f, _point(r, t.denominator, whole))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from padic_fractal.complex_map import (
     _BLOCK,
+    _widest_cap,
     MapParams,
     PlaneMap,
     character_table,
@@ -234,6 +235,20 @@ class TestDivergence:
         num, den = np.abs(d - d), d + d
         mask = den > 0
         assert float((num[mask] / den[mask]).max()) == 0.0
+
+    @pytest.mark.parametrize("p, m, s", [(2, 0, 0.3), (3, 1, 0.25), (6, 1, 0.2),
+                                         (5, 2, 0.1 + 0.2j), (2, 60, 0.3)])
+    def test_pairs_below_the_diagonal_give_the_full_square_sup(self, p, m, s):
+        # the sup over the pairs i < j is the sup over the full square, bit for
+        # bit, with repeated codes and where no pair is kept (m = 60)
+        fm, fi = (MapParams(p=p, m=order, s=s) for order in (m, math.inf))
+        codes = np.random.default_rng(p).integers(0, p**6, size=300)
+        dm, di = (np.abs(v[:, None] - v[None, :])
+                  for v in (PlaneMap(q).values_on_residues(14, codes=codes) for q in (fm, fi)))
+        num = np.abs(dm - di)
+        mask = num > sum(2.0 * (q.rounding_bound + _widest_cap(q)) for q in (fm, fi))
+        want = float((num[mask] / (dm + di)[mask]).max()) if mask.any() else 0.0
+        assert metric_divergence(fm, fi, codes, 14) == want
 
     def test_high_order_divergence_tiny(self):
         a = MapParams(p=2, m=12, s=0.3, depth=45)

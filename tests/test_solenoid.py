@@ -73,6 +73,29 @@ class TestGroup:
             with pytest.raises(ValueError, match="circle coordinate"):
                 SolenoidPoint(xi, 0)
 
+    def test_coordinates_are_read_exactly(self):
+        # numpy ints become ints, so a sum past 2^63 stays exact; floats, numpy's
+        # too, become the rationals they hold, which the group law then reads
+        big = SolenoidPoint(0, np.int64(2**62))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = add(big, big)
+        assert type(big.x) is int and type(total.x) is int and total.x == 2**63
+        half = SolenoidPoint(np.float64(0.25), 0.5)
+        assert half == SolenoidPoint(Fraction(1, 4), Fraction(1, 2))
+        three = SolenoidPoint(0.5, np.float32(3.0)).x
+        assert type(three) is int and three == 3
+        assert add(half, half) == SolenoidPoint(Fraction(1, 2), 1)
+        assert neg(half) == SolenoidPoint(Fraction(3, 4), Fraction(-3, 2))
+        want = oracles.group_distance((Fraction(1, 4), Fraction(1, 2)), (0, 0), 3, 1.0)
+        assert distance(half, SolenoidPoint(0, 0), 3) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float32("inf")])
+    def test_non_finite_coordinates_refused(self, bad):
+        for xi, x, name in ((bad, 0, "circle"), (0, bad, "second")):
+            with pytest.raises(ValueError, match=f"^{name} coordinate must be finite, got "):
+                SolenoidPoint(xi, x)
+
     def test_unit_ball_refusal_depends_on_the_base(self):
         # a point holds any rational; distance and embed, which know p, refuse
         # one off the unit ball of p, and 1/2 lies in the unit ball of 3
@@ -589,7 +612,8 @@ def test_cloud_matches_scalar_embedding(p, m):
 
 class TestReplacedPaths:
     """The group law and the metric against the Fraction group law of
-    `oracles`, driven by `oracles.point_pairs`."""
+    `oracles`, driven by `oracles.point_pairs`, and `from_padic` against the
+    point of `split`."""
 
     @given(pair=oracles.point_pairs(), alpha=st.sampled_from([0.5, 1.0, 2.0]))
     @settings(max_examples=300, deadline=None)
@@ -600,7 +624,7 @@ class TestReplacedPaths:
         assert distance(g, f, p, alpha) == oracles.group_distance(rg, rf, p, alpha)
 
     @given(pair=oracles.point_pairs())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_add_and_neg_match_fresh_carries(self, pair):
         p, (rf, rg) = pair
         f, g = SolenoidPoint(*rf), SolenoidPoint(*rg)
@@ -608,8 +632,19 @@ class TestReplacedPaths:
                           (add(f, neg(g)), oracles.group_add(rf, oracles.group_neg(rg)))):
             assert got.xi == want[0] and type(got.xi) is Fraction
             assert oracles.same_value(got.x, want[1], p)
-            built = SolenoidPoint(want[0], expand(want[1], p, 1))
+            built = SolenoidPoint(*want)
             assert got == built and hash(got) == hash(built)
+        for name in ("xi", "x"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, 0)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_from_padic_is_the_point_of_split(self, data):
+        p = data.draw(oracles.BASES)
+        q = data.draw(oracles.rationals(p))
+        got, want = from_padic(q, p), SolenoidPoint(*split(q, p))
+        assert got == want and hash(got) == hash(want) and type(got.x) is type(want.x)
 
     @pytest.mark.parametrize("xi, want", [(0, Fraction(0)), (0.25, Fraction(1, 4)),
                                           (Fraction(2, 7), Fraction(2, 7))])
