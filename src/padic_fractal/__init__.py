@@ -7,21 +7,17 @@ scaling, measure, dimension, and flow structure numerically.
 
 from .analysis import (
     DimensionEstimate,
+    EmbeddingCertificate,
     MomentResult,
     box_dimension,
+    delta_certificate,
+    gamma_estimate,
     measure_consistency,
     metric_divergence,
     moment,
     tuple_coefficient,
 )
-from .complex_map import (
-    EmbeddingCertificate,
-    MapParams,
-    PlaneMap,
-    delta_certificate,
-    delta_lower,
-    s_zero,
-)
+from .complex_map import MapParams, PlaneMap, delta_lower, s_zero
 from .render import PRESETS, FigurePreset, RasterConfig, build_cloud, preset
 from .solenoid import (
     SolenoidParams,
@@ -29,7 +25,6 @@ from .solenoid import (
     TorusMap,
     distance,
     from_padic,
-    gamma_estimate,
     orbit,
 )
 

@@ -1,9 +1,12 @@
 """Moments of the image measure, series-coefficient combinatorics,
-box-counting dimension, and divergence between smoothing orders.
+box-counting dimension, divergence between smoothing orders, and the
+embedding certificates of the plane and torus maps.
 
 Integration against the image measure reduces to exhaustive averaging
 over residue classes (exact uniform weights), which is reproducible and
-carries a rigorous error bound from the map's Lipschitz modulus.
+carries a rigorous error bound from the map's Lipschitz modulus.  Both
+embedding certificates and the measure consistency check share one
+separation search over residue classes.
 """
 
 from __future__ import annotations
@@ -20,16 +23,16 @@ from .complex_map import (
     _BLOCK,
     MapParams,
     PlaneMap,
-    _class_separation,
-    _guard_pairs,
     _guard_rows,
     _widest_cap,
     character_table,
     delta_lower,
     residue_digit_matrix,
 )
+from .solenoid import SolenoidParams, TorusMap
 
 __all__ = [
+    "EmbeddingCertificate",
     "MomentResult",
     "DimensionEstimate",
     "MeasureReport",
@@ -41,6 +44,9 @@ __all__ = [
     "metric_divergence",
     "divergence_bound",
     "character_order_gap",
+    "delta_certificate",
+    "delta_tilde_certificate",
+    "gamma_estimate",
     "measure_consistency",
 ]
 
@@ -340,6 +346,151 @@ def character_order_gap(
     cm = character_table(mat, 0, replace(params_m, depth=top))
     ci = character_table(mat, 0, replace(params_inf, depth=top))
     return float(np.max(np.abs(cm - ci)))
+
+
+# ---------------------------------------------------------------------------
+# embedding certificates
+
+VERDICTS = ("certified-embedding", "empirically-injective", "unknown")
+# The most residue pairs a class separation search compares (p <= 4 at depth 8).
+MAX_PAIRS = 1 << 31
+
+
+@dataclass(frozen=True)
+class EmbeddingCertificate:
+    """Outcome of a separation search plus the analytic bound.
+
+    delta_lower is certified; delta_empirical is the search minimum over
+    the enumerated pairs; allowance covers the series tail past depth and
+    the unexplored ball tails.  The verdict relies only on the bound.
+    """
+
+    delta_lower: float
+    delta_empirical: float
+    verdict: str
+    allowance: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {self.verdict!r}")
+        if self.delta_lower > self.delta_empirical + self.allowance + 1e-12:
+            raise ValueError("certified bound exceeds the observed minimum")
+
+
+def _guard_pairs(rows: int, count: int, q: int) -> None:
+    """Refuse a search over rows of count residues in q classes past
+    MAX_PAIRS pairs, counted as if all were compared: rows C(q,2) (count/q)^2."""
+    if (pairs := rows * q * (q - 1) // 2 * (count // q) ** 2) > MAX_PAIRS:
+        raise ValueError(f"separating {q} residue classes compares {pairs} pairs, "
+                         f"past the limit of {MAX_PAIRS}; lower the search depth")
+
+
+def _class_separation(vals: np.ndarray, p: int, level: int = 1) -> float:
+    """min |a - b| over residues a, b in distinct classes mod p**level.
+
+    Each row of vals holds the images of every residue at one depth, in
+    ascending order, so the residues c mod k form column c of
+    row.reshape(-1, k): a ball with center row[c] and a radius measured
+    from its points.  A pair of balls in distinct classes is dropped once
+    its centers' distance less both radii passes the best center distance
+    plus a rounding slack of 64 eps (max|row| + 1); the others split into
+    p**2 child pairs while the children hold 64 points or more.  The last
+    balls are compared pair by pair with the same |a - b| as an all-pairs
+    search, so the minimum is exactly its minimum.  Inf for one class; a
+    search past MAX_PAIRS pairs, all counted, is refused before it starts.
+    """
+    vals = np.atleast_2d(vals)
+    rows, count = vals.shape
+    q = p**level
+    if count % q:
+        raise ValueError(f"the search depth must reach the class level: the residue "
+                         f"count {count} is not a multiple of {q}")
+    _guard_pairs(rows, count, q)
+    if q == 1 or not count:
+        return math.inf
+    slack = 64 * np.finfo(float).eps * (float(np.abs(vals).max()) + 1.0)
+    levels = [q]
+    while count // levels[-1] % p == 0 and count // levels[-1] // p >= 64:
+        levels.append(levels[-1] * p)
+    i, j = np.divmod(np.arange(p * p), p)
+    best, width = math.inf, max(1, 2**16 // q)
+    for row in vals:
+        radii = [np.abs(row.reshape(-1, k) - row[:k]).max(axis=0) for k in levels]
+        for lo in range(0, q - 1, width):  # the class pairs a < b with lo <= a < lo + width
+            a, b = np.divmod(np.arange(lo * q, min(lo + width, q) * q), q)
+            a, b = a[a < b], b[a < b]
+            for k, radius in zip(levels, radii):
+                if k > q:
+                    a, b = (a[:, None] + k // p * i).ravel(), (b[:, None] + k // p * j).ravel()
+                gap = np.abs(row[a] - row[b])
+                best = min(best, float(gap.min(initial=math.inf)))
+                keep = gap - radius[a] - radius[b] <= best + slack
+                a, b = a[keep], b[keep]
+            balls, step = row.reshape(-1, k).T, max(1, 2**16 // (count // k) ** 2)
+            for n in range(0, len(a), step):
+                left, right = balls[a[n : n + step]], balls[b[n : n + step]]
+                best = min(best, float(np.abs(left[:, :, None] - right[:, None, :]).min()))
+    return best
+
+
+def _search_certificate(
+    params: MapParams, empirical: float, search_depth: int
+) -> EmbeddingCertificate:
+    """Certificate from the analytic bound and a search minimum to the
+    given depth; the allowance accounts for the series tail and for pairs
+    hiding inside unexplored balls.  The verdict never relies on the
+    search while the bound is positive."""
+    lower = delta_lower(params.p, params.s)
+    a_s = abs(params.s)
+    allowance = 4.0 * a_s**search_depth / (1.0 - a_s) + 2.0 * params.tail_bound
+    if lower > 0.0:
+        verdict = "certified-embedding"
+    elif empirical - allowance > 0.0:
+        verdict = "empirically-injective"
+    else:
+        verdict = "unknown"
+    return EmbeddingCertificate(lower, float(empirical), verdict, allowance)
+
+
+def delta_certificate(params: MapParams, search_depth: int = 8) -> EmbeddingCertificate:
+    """Analytic separation bound plus a search over the unit-ball pairs
+    whose lowest digits differ, to the given depth; rows, then pairs,
+    past their limits are refused before any value is built."""
+    _guard_rows(params.p, search_depth)
+    _guard_pairs(1, params.p**search_depth, params.p)
+    vals = PlaneMap(params).values_on_residues(search_depth)
+    return _search_certificate(params, _class_separation(vals, params.p), search_depth)
+
+
+def gamma_estimate(
+    params: SolenoidParams, xi_count: int = 64, depth: int = 6
+) -> tuple[float, bool]:
+    """Sampled estimate of the tube-clearance number, with the analytic
+    sufficient condition (real a beyond the contraction radius)."""
+    vals = TorusMap(params)._fibers(np.arange(xi_count) / xi_count, depth)
+    worst = float(np.max(-np.real(vals / params.a)))
+    a = params.a
+    sufficient = a.imag == 0 and a.real > params.map.contraction_radius
+    return worst, sufficient
+
+
+def delta_tilde_certificate(
+    params: SolenoidParams, xi_count: int = 8, search_depth: int = 6
+) -> EmbeddingCertificate:
+    """Separation certificate for the fiberwise map.
+
+    The analytic lower bound is the same as for the plane map.  Each fiber
+    of a circle grid is one row of _class_separation's ball-pair search over
+    residues with differing lowest digits; its rounding slack only keeps
+    more pairs, so the minimum is exact.  Rows, then pairs, past their
+    limits are refused before any fiber is built.
+    """
+    p = params.map.p
+    _guard_rows(p, search_depth, xi_count)
+    _guard_pairs(xi_count, p**search_depth, p)
+    fibers = TorusMap(params)._fibers(np.arange(xi_count) / xi_count, search_depth)
+    empirical = _class_separation(fibers, p)
+    return _search_certificate(params.map, empirical, search_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,10 @@ import numpy as np
 from .analysis import (
     box_dimension,
     character_order_gap,
+    delta_certificate,
+    delta_tilde_certificate,
     divergence_bound,
+    gamma_estimate,
     metric_divergence,
     moment,
     moment_series,
@@ -39,7 +42,6 @@ from .complex_map import (
     _widest,
     _window_cap,
     character_table,
-    delta_certificate,
     delta_lower,
     residue_digit_matrix,
     s_zero,
@@ -65,10 +67,8 @@ from .solenoid import (
     SolenoidPoint,
     TorusMap,
     add,
-    delta_tilde_certificate,
     distance,
     from_padic,
-    gamma_estimate,
     neg,
     orbit,
 )

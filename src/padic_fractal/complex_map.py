@@ -4,8 +4,7 @@ The map sends x to sum_n s^n chi_n(x), where chi_n reads a window of m+1
 digits below index n (all of them for infinite order) as a phase.  For
 |s| below the base-dependent threshold the map is a bi-Lipschitz
 embedding and its image is a self-similar fractal of dimension
--log p / log|s|.  Both embedding certificates and the measure
-consistency check share one separation search over residue classes.
+-log p / log|s|.
 """
 
 from __future__ import annotations
@@ -21,19 +20,15 @@ from .padic import Rational, _digit_run, _expansion
 
 __all__ = [
     "MapParams",
-    "EmbeddingCertificate",
     "PlaneMap",
     "s_zero",
     "delta_lower",
-    "delta_certificate",
     "residue_digit_matrix",
     "series_values",
     "character_table",
     "sandwich_check",
     "scaling_residuals",
 ]
-
-VERDICTS = ("certified-embedding", "empirically-injective", "unknown")
 
 
 def s_zero(p: int) -> float:
@@ -98,27 +93,6 @@ class MapParams:
     def contraction_radius(self) -> float:
         """Disk radius 1/(1-|s|) containing every unit-ball image point."""
         return 1.0 / (1.0 - abs(self.s))
-
-
-@dataclass(frozen=True)
-class EmbeddingCertificate:
-    """Outcome of a separation search plus the analytic bound.
-
-    delta_lower is certified; delta_empirical is the search minimum over
-    the enumerated pairs; allowance covers the series tail past depth and
-    the unexplored ball tails.  The verdict relies only on the bound.
-    """
-
-    delta_lower: float
-    delta_empirical: float
-    verdict: str
-    allowance: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.delta_lower > self.delta_empirical + self.allowance + 1e-12:
-            raise ValueError("certified bound exceeds the observed minimum")
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +220,6 @@ class PlaneMap:
 # to PGM and 215 for a torus cloud exported to PLY (peak RSS above an idle
 # interpreter's, at 2^20 to 2^22 rows); the values alone take 16.
 MAX_ROWS = 1 << 23
-# The most residue pairs a class separation search compares (p <= 4 at depth 8).
-MAX_PAIRS = 1 << 31
 _BLOCK = 2**13  # rows a blocked kernel takes at a time: temporaries in cache, not cloud-sized
 
 
@@ -313,18 +285,8 @@ def _turn(w: np.ndarray, q: int) -> np.ndarray:
     """e(w / q), w read as its residue in (-q/2, q/2] so that no angle
     passes half a turn: the phase of an integer window.  Needs 0 <= w < q,
     which _levels keeps: its k never decreases, w //= p when k repeats,
-    then a digit 0 .. p-1 is added at p**(k-1).
-
-    When every angle t has |t| < 2^-27, as past the last digit of a short
-    row, each phase is (1, t) with no exponential: t^2/2 < 2^-55 is below
-    half an ulp of 1 and t^2/6 below half an ulp of t relative to t, so
-    1 and t are the correctly rounded cos t and sin t."""
-    w = np.where(2 * w > q, w - q, w)
-    if np.abs(w).max(initial=0) * (2 * math.pi / q) < 2.0**-27:
-        phases = np.ones(w.shape, dtype=np.complex128)
-        phases.imag = w * (2 * math.pi / q)
-        return phases
-    return np.exp(w * (2j * math.pi / q))
+    then a digit 0 .. p-1 is added at p**(k-1)."""
+    return np.exp(np.where(2 * w > q, w - q, w) * (2j * math.pi / q))
 
 
 def _widest(p: int) -> int:
@@ -531,92 +493,7 @@ def character_table(digit_mat: np.ndarray, start: int, params: MapParams) -> np.
 
 
 # ---------------------------------------------------------------------------
-# certificates and structural checks
-
-
-def _guard_pairs(rows: int, count: int, q: int) -> None:
-    """Refuse a search over rows of count residues in q classes past
-    MAX_PAIRS pairs, counted as if all were compared: rows C(q,2) (count/q)^2."""
-    if (pairs := rows * q * (q - 1) // 2 * (count // q) ** 2) > MAX_PAIRS:
-        raise ValueError(f"separating {q} residue classes compares {pairs} pairs, "
-                         f"past the limit of {MAX_PAIRS}; lower the search depth")
-
-
-def _class_separation(vals: np.ndarray, p: int, level: int = 1) -> float:
-    """min |a - b| over residues a, b in distinct classes mod p**level.
-
-    Each row of vals holds the images of every residue at one depth, in
-    ascending order, so the residues c mod k form column c of
-    row.reshape(-1, k): a ball with center row[c] and a radius measured
-    from its points.  A pair of balls in distinct classes is dropped once
-    its centers' distance less both radii passes the best center distance
-    plus a rounding slack of 64 eps (max|row| + 1); the others split into
-    p**2 child pairs while the children hold 64 points or more.  The last
-    balls are compared pair by pair with the same |a - b| as an all-pairs
-    search, so the minimum is exactly its minimum.  Inf for one class; a
-    search past MAX_PAIRS pairs, all counted, is refused before it starts.
-    """
-    vals = np.atleast_2d(vals)
-    rows, count = vals.shape
-    q = p**level
-    if count % q:
-        raise ValueError(f"the search depth must reach the class level: the residue "
-                         f"count {count} is not a multiple of {q}")
-    _guard_pairs(rows, count, q)
-    if q == 1 or not count:
-        return math.inf
-    slack = 64 * np.finfo(float).eps * (float(np.abs(vals).max()) + 1.0)
-    levels = [q]
-    while count // levels[-1] % p == 0 and count // levels[-1] // p >= 64:
-        levels.append(levels[-1] * p)
-    i, j = np.divmod(np.arange(p * p), p)
-    best, width = math.inf, max(1, 2**16 // q)
-    for row in vals:
-        radii = [np.abs(row.reshape(-1, k) - row[:k]).max(axis=0) for k in levels]
-        for lo in range(0, q - 1, width):  # the class pairs a < b with lo <= a < lo + width
-            a, b = np.divmod(np.arange(lo * q, min(lo + width, q) * q), q)
-            a, b = a[a < b], b[a < b]
-            for k, radius in zip(levels, radii):
-                if k > q:
-                    a, b = (a[:, None] + k // p * i).ravel(), (b[:, None] + k // p * j).ravel()
-                gap = np.abs(row[a] - row[b])
-                best = min(best, float(gap.min(initial=math.inf)))
-                keep = gap - radius[a] - radius[b] <= best + slack
-                a, b = a[keep], b[keep]
-            balls, step = row.reshape(-1, k).T, max(1, 2**16 // (count // k) ** 2)
-            for n in range(0, len(a), step):
-                left, right = balls[a[n : n + step]], balls[b[n : n + step]]
-                best = min(best, float(np.abs(left[:, :, None] - right[:, None, :]).min()))
-    return best
-
-
-def _search_certificate(
-    params: MapParams, empirical: float, search_depth: int
-) -> EmbeddingCertificate:
-    """Certificate from the analytic bound and a search minimum to the
-    given depth; the allowance accounts for the series tail and for pairs
-    hiding inside unexplored balls.  The verdict never relies on the
-    search while the bound is positive."""
-    lower = delta_lower(params.p, params.s)
-    a_s = abs(params.s)
-    allowance = 4.0 * a_s**search_depth / (1.0 - a_s) + 2.0 * params.tail_bound
-    if lower > 0.0:
-        verdict = "certified-embedding"
-    elif empirical - allowance > 0.0:
-        verdict = "empirically-injective"
-    else:
-        verdict = "unknown"
-    return EmbeddingCertificate(lower, float(empirical), verdict, allowance)
-
-
-def delta_certificate(params: MapParams, search_depth: int = 8) -> EmbeddingCertificate:
-    """Analytic separation bound plus a search over the unit-ball pairs
-    whose lowest digits differ, to the given depth; rows, then pairs,
-    past their limits are refused before any value is built."""
-    _guard_rows(params.p, search_depth)
-    _guard_pairs(1, params.p**search_depth, params.p)
-    vals = PlaneMap(params).values_on_residues(search_depth)
-    return _search_certificate(params, _class_separation(vals, params.p), search_depth)
+# structural checks
 
 
 def _widest_cap(params: MapParams) -> float:

@@ -21,15 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from .complex_map import (
-    EmbeddingCertificate,
     MapParams,
     PlaneMap,
+    _guard_rows,
     character_table,
     residue_digit_matrix,
-    _class_separation,
-    _guard_pairs,
-    _guard_rows,
-    _search_certificate,
 )
 from .padic import Rational, _norm, _split
 
@@ -43,8 +39,6 @@ __all__ = [
     "from_padic",
     "orbit",
     "limit_to_space",
-    "gamma_estimate",
-    "delta_tilde_certificate",
 ]
 
 
@@ -95,11 +89,18 @@ def _exact(v, name: str) -> Rational:
         if isinstance(v, numbers.Integral):
             return int(v)
         if not isinstance(v, numbers.Rational):
-            v = float(v)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} coordinate must be finite, got {v}")
+            v = _finite(float(v), f"{name} coordinate")
         v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
+
+
+def _finite(v, name: str):
+    """v as it is, once a NaN or infinite real is refused; a rational, or
+    anything else that is not a real number, passes unchecked."""
+    if isinstance(v, numbers.Real) and not isinstance(v, numbers.Rational) \
+            and not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v}")
+    return v
 
 
 def _point(n: int, d: int, x: Rational) -> SolenoidPoint:
@@ -171,7 +172,7 @@ def from_padic(q: Rational, p: int) -> SolenoidPoint:
 
 def orbit(f: SolenoidPoint, t: float | Fraction) -> SolenoidPoint:
     """Time-t translate along the line winding through the solenoid."""
-    t = Fraction(t)
+    t = Fraction(_finite(t, "time"))
     whole, r = divmod(t.numerator, t.denominator)
     return add(f, _point(r, t.denominator, whole))
 
@@ -222,7 +223,7 @@ class TorusMap:
         the result is constant on cosets (xi+l, x-l) by construction.  Level
         n couples to the circle by e(xi / p^(min(n, m)+1)) while n <= m + v,
         the window the ball coordinate can feel (always at m = inf or for 0)."""
-        whole = math.floor(xi)
+        whole = math.floor(_finite(xi, "circle coordinate"))
         if whole:
             xi = xi - whole
             x = x + whole
@@ -312,39 +313,3 @@ class TorusMap:
             ]
         )
         return term_ring + term_tube
-
-
-# ---------------------------------------------------------------------------
-# certificates
-
-
-def gamma_estimate(
-    params: SolenoidParams, xi_count: int = 64, depth: int = 6
-) -> tuple[float, bool]:
-    """Sampled estimate of the tube-clearance number, with the analytic
-    sufficient condition (real a beyond the contraction radius)."""
-    vals = TorusMap(params)._fibers(np.arange(xi_count) / xi_count, depth)
-    worst = float(np.max(-np.real(vals / params.a)))
-    a = params.a
-    sufficient = a.imag == 0 and a.real > params.map.contraction_radius
-    return worst, sufficient
-
-
-def delta_tilde_certificate(
-    params: SolenoidParams, xi_count: int = 8, search_depth: int = 6
-) -> EmbeddingCertificate:
-    """Separation certificate for the fiberwise map.
-
-    The analytic lower bound is the same as for the plane map.  Each fiber
-    of a circle grid is one row of _class_separation's ball-pair search over
-    residues with differing lowest digits; its rounding slack only keeps
-    more pairs, so the minimum is exact.  Rows, then pairs, past their
-    limits are refused before any fiber is built.
-    """
-    p = params.map.p
-    _guard_rows(p, search_depth, xi_count)
-    _guard_pairs(xi_count, p**search_depth, p)
-    fibers = TorusMap(params)._fibers(np.arange(xi_count) / xi_count, search_depth)
-    empirical = _class_separation(fibers, p)
-    return _search_certificate(params.map, empirical, search_depth)
-

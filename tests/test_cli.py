@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from padic_fractal import analysis, cli, complex_map
+from padic_fractal import analysis, cli, complex_map, solenoid
 from padic_fractal.cli import (
     _COMMANDS,
     _FIELDS,
@@ -745,6 +745,11 @@ def test_public_names_resolve():
         assert not {"PointCloud2D", "PointCloud3D"} & set(mod.__all__), module
         assert "PAdic" not in mod.__all__, module  # a value is its rational
         assert "rotate_digits" not in mod.__all__, module  # a test reference, in oracles
+    # one module decides whether a map is an embedding
+    for name in ("EmbeddingCertificate", "delta_certificate", "delta_tilde_certificate",
+                 "gamma_estimate"):
+        assert name in analysis.__all__, name
+        assert name not in complex_map.__all__ and name not in solenoid.__all__, name
     assert [f.name for f in fields(MapParams)] == ["p", "m", "s", "depth"]
     assert "__call__" not in vars(PlaneMap)
 

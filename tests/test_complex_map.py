@@ -14,13 +14,9 @@ from padic_fractal import complex_map
 import oracles
 from padic_fractal.padic import split, valuation
 from padic_fractal.complex_map import (
-    EmbeddingCertificate,
     MapParams,
     PlaneMap,
-    MAX_PAIRS,
-    _class_separation,
     character_table,
-    delta_certificate,
     delta_lower,
     residue_digit_matrix,
     s_zero,
@@ -28,8 +24,15 @@ from padic_fractal.complex_map import (
     scaling_residuals,
     series_values,
 )
-from padic_fractal.solenoid import SolenoidParams, TorusMap, delta_tilde_certificate
-from padic_fractal.analysis import measure_consistency
+from padic_fractal.solenoid import SolenoidParams, TorusMap
+from padic_fractal.analysis import (
+    MAX_PAIRS,
+    EmbeddingCertificate,
+    _class_separation,
+    delta_certificate,
+    delta_tilde_certificate,
+    measure_consistency,
+)
 from padic_fractal.render import preset
 
 EPS = 1e-12
@@ -580,71 +583,6 @@ def test_turn_needs_no_reduction(monkeypatch, p, m):
         want = (series_values(mat, start, params), character_table(mat, start, params))
         for a, b in zip(arrays, want):  # bit for bit, the signs of zeros included
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-def _exp_turn(w: np.ndarray, q: int) -> np.ndarray:
-    """The window phase with an exponential for every angle."""
-    return np.exp(np.where(2 * w > q, w - q, w) * (2j * math.pi / q))
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-@pytest.mark.parametrize("p", range(2, 11))
-def test_turn_of_tiny_angles_is_the_exponential(p):
-    # every window size of the base: w = 0, the signed windows c and q - c
-    # at the widest tiny angle, a sweep and random draws below it, the first
-    # windows past it, one by one the windows of angles up to 2^-24, whose
-    # cosines fall below 1 from 2^-26.5 up, and random windows over the whole turn
-    rng = np.random.default_rng(p)
-    widest = max((k for k in range(2, 54) if p**k <= 2**53), default=1)
-    for k in range(widest + 1):
-        q = p**k
-        top = int(2.0**-27 / (2 * math.pi / q))
-        while (top + 1) * (2 * math.pi / q) < 2.0**-27:
-            top += 1
-        while top and top * (2 * math.pi / q) >= 2.0**-27:
-            top -= 1
-        tiny = np.unique(np.concatenate([
-            [0, top], np.arange(min(top, 512) + 1), np.linspace(0, top, 512).astype(np.int64),
-            rng.integers(0, top + 1, 1024)]))
-        signed = np.concatenate([tiny, (q - tiny[tiny > 0]) % q]).astype(np.int64)
-        for w in (signed, np.array([0]), np.array([top]), np.array([(q - top) % q])):
-            assert _same_bits(complex_map._turn(w, q), _exp_turn(w, q))
-        band = [c for c in (top + 1, *(round(top * j / 4) for j in range(5, 33)))
-                if top < c < q / 2]
-        past = np.array([*band, *(q - c for c in band)], dtype=np.int64)
-        for w in (*past[:, None], np.concatenate([past, rng.integers(0, q, 1024)])):
-            assert _same_bits(complex_map._turn(w, q), _exp_turn(w, q))
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 6])
-@pytest.mark.parametrize("m", [3, math.inf])
-def test_turn_without_exponentials_keeps_the_kernel_bits(monkeypatch, p, m):
-    # a few digit columns under a deep series: past the last digit the
-    # windows keep growing with zeros on top, so their angles shrink below
-    # 2^-27 and _turn builds them with no exponential
-    params = MapParams(p=p, m=m, s=0.3 - 0.4j, depth=75)
-    rng = np.random.default_rng(29)
-    cases = [(rng.integers(0, p, size=(rows, cols)), start)
-             for rows, cols in ((5, 4), (300, 9)) for start in (-2, 0, 3)]
-    turn, tiny = complex_map._turn, []
-
-    def spy(w, q):
-        angle = np.abs(np.where(2 * w > q, w - q, w)).max(initial=0) * (2 * math.pi / q)
-        tiny.append(angle < 2.0**-27)
-        return turn(w, q)
-
-    monkeypatch.setattr(complex_map, "_turn", spy)
-    got = [(series_values(mat, start, params), character_table(mat, start, params))
-           for mat, start in cases]
-    assert any(tiny)
-    monkeypatch.setattr(complex_map, "_turn", _exp_turn)
-    for (mat, start), arrays in zip(cases, got):
-        want = (series_values(mat, start, params), character_table(mat, start, params))
-        for a, b in zip(arrays, want):
-            assert _same_bits(a, b)
 
 
 # -- the split product against the level loop and the scalar oracle ---------

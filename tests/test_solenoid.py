@@ -17,14 +17,13 @@ from padic_fractal.solenoid import (
     SolenoidPoint,
     TorusMap,
     add,
-    delta_tilde_certificate,
     distance,
     from_padic,
-    gamma_estimate,
     limit_to_space,
     neg,
     orbit,
 )
+from padic_fractal.analysis import delta_certificate, delta_tilde_certificate, gamma_estimate
 
 EPS = 1e-12
 
@@ -226,6 +225,17 @@ class TestOrbit:
         o = orbit(SolenoidPoint(0, 0), t)
         d = distance(o, SolenoidPoint(0, target), p, alpha=1.0)
         assert d <= p ** (-depth) + EPS
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name,call", [
+    ("time", lambda t: orbit(SolenoidPoint(0, 0), t)),
+    ("circle coordinate", lambda xi: TorusMap(
+        SolenoidParams(map=MapParams(p=2, m=math.inf, s=0.3))).fiber_value(xi, 0)),
+], ids=["orbit", "fiber_value"])
+def test_non_finite_time_or_circle_coordinate_refused(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        call(bad)
 
 
 class TestOmega:
@@ -477,8 +487,6 @@ class TestGammaDeltaTilde:
         assert cert.verdict == "certified-embedding"
 
     def test_delta_tilde_equals_delta_infinite_order(self):
-        from padic_fractal.complex_map import delta_certificate
-
         mp = MapParams(p=2, m=math.inf, s=0.3)
         plane = delta_certificate(mp, search_depth=7)
         # searching only the zero fiber reproduces the plane search exactly
