@@ -441,6 +441,12 @@ def _suite_eq40(cfg: Config) -> Iterator[tuple]:
 
 
 def _suite_ode(cfg: Config) -> Iterator[tuple]:
+    """Central differences of the embedded orbit against `vector_field`, and c F,
+    c = 2 pi i/p, F the map at s' = s * (1/p) at (0, 0), against c/(1 - s/p).  F is
+    within rounding_bound + tail_bound of 1/(1 - s'); s/p, 3 2^-53 |s'| from s', moves
+    that by 3 2^-53 |s'| r^2, r = 1/(1 - |s'|); 1 - s/p, the division and c F round by
+    8 2^-53 r.  As |s'| r < 1, the gap is within (2 pi/p) (tail_bound + rounding_bound
+    + 11 2^-53 r^2); the 40 steps are one embedding call, which reads x = -1 at m = inf."""
     if cfg.s * (1.0 / cfg.p) == 0:  # as TorusMap.scaled computes it
         raise UsageError(f"field 's': ode evaluates the map at s/p, which rounds to 0 "
                          f"at p={cfg.p}, got {_fmt(cfg.s)}")
@@ -456,23 +462,24 @@ def _suite_ode(cfg: Config) -> Iterator[tuple]:
     # the ratio is unchanged by one power of two scaling both residuals, which
     # keeps their squares in range: 2^-k <= 1/(|a| + r_s)
     unit = 2.0 ** -math.frexp(abs(cfg.a) + r)[1]
-    p, ratios = cfg.p, []
-    steps = {h: [Fraction(t).limit_denominator(10**12) for t in (h, -h)] for h in (1e-3, 1e-4)}
-    for k, num in _samples(cfg.seed, [997, _sample_bound(p, 6)], 10):
-        f = SolenoidPoint(Fraction(k, 997), num)
+    p, ratios, hs = cfg.p, [], (1e-3, 1e-4)
+    times = [Fraction(t).limit_denominator(10**12) for h in hs for t in (h, -h)]
+    fs = [SolenoidPoint(Fraction(k, 997), num)
+          for k, num in _samples(cfg.seed, [997, _sample_bound(p, 6)], 10)]
+    steps = tmap._embed_integral([orbit(f, t) for f in fs for t in times])
+    for f, pairs in zip(fs, steps.reshape(len(fs), len(hs), 2, 3)):
         gam = tmap.vector_field(f)
-
-        def fd(h: float) -> float:
-            plus, minus = (tmap.embed(orbit(f, t)) for t in steps[h])
-            return float(np.linalg.norm(((plus - minus) / (2 * h) - gam) * unit))
-
-        ratios.append(fd(1e-3) / max(fd(1e-4), 1e-300))
+        coarse, fine = (float(np.linalg.norm(((plus - minus) / (2 * h) - gam) * unit))
+                        for h, (plus, minus) in zip(hs, pairs))
+        ratios.append(coarse / max(fine, 1e-300))
     worst = min(ratios)
     yield "ode.fd_ratio_min", worst, 50.0, worst >= 50.0
     sub = tmap.scaled(1.0 / p)
     spot = (2j * math.pi / p) * sub.fiber_value(0.0, 0)
     closed = (2j * math.pi / p) / (1.0 - cfg.s / p)
-    yield _at_most("ode.spot_value_gap", abs(spot - closed), 1e-6)
+    at = sub.params.map
+    yield _at_most("ode.spot_value_gap", abs(spot - closed), 2 * math.pi / p * (
+        at.tail_bound + at.rounding_bound + 11 * 2.0**-53 * at.contraction_radius**2))
 
 
 def _suite_kappa(cfg: Config) -> Iterator[tuple]:
@@ -622,11 +629,8 @@ def _cmd_orbit(cfg: Config) -> Iterator[tuple]:
                          f"in all, so depth at most {MAX_ROWS - 1}, got {steps}")
     f0 = SolenoidPoint(Fraction(0), 0)
     times = [Fraction(3 * k, steps) for k in range(steps + 1)]
-    # orbit(f0, t) = (frac t, floor t): every x is an integer, so it lies in
-    # the unit ball that embed checks, and one chart call serves every sample
-    path = [orbit(f0, t) for t in times]
-    pts = tmap.to_space(np.array([float(f.xi) for f in path]),
-                        np.array([tmap.fiber_value(f.xi, f.x) for f in path]))
+    # orbit(f0, t) = (frac t, floor t): every x is an integer 0 .. 3, in the unit ball
+    pts = tmap._embed_integral([orbit(f0, t) for t in times])
     _write(cfg.out, export_csv(pts, [f"t={float(t):.9g}" for t in times])
            if cfg.format == "csv" else export_ply(pts))
     yield "orbit", cfg.out, f"{len(pts)} samples", True

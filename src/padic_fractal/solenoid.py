@@ -21,8 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from .complex_map import (
+    MAX_ROWS,
     MapParams,
     PlaneMap,
+    _BLOCK,
     _guard_rows,
     character_table,
     residue_digit_matrix,
@@ -53,11 +55,11 @@ class SolenoidPoint:
     __slots__ = ("_n", "_d", "_x")
 
     def __init__(self, xi: Rational | float, x: Rational | float) -> None:
-        xi = _exact(xi, "circle")
+        xi = _exact(xi, "circle coordinate")
         n, d = (xi, 1) if type(xi) is int else (xi.numerator, xi.denominator)
         if not 0 <= n < d:
             raise ValueError(f"circle coordinate must lie in [0,1), got {xi}")
-        self._n, self._d, self._x = n, d, _exact(x, "second")
+        self._n, self._d, self._x = n, d, _exact(x, "second coordinate")
 
     @property
     def xi(self) -> Fraction:
@@ -89,7 +91,7 @@ def _exact(v, name: str) -> Rational:
         if isinstance(v, numbers.Integral):
             return int(v)
         if not isinstance(v, numbers.Rational):
-            v = _finite(float(v), f"{name} coordinate")
+            v = _finite(float(v), name)
         v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
 
@@ -171,8 +173,8 @@ def from_padic(q: Rational, p: int) -> SolenoidPoint:
 
 
 def orbit(f: SolenoidPoint, t: float | Fraction) -> SolenoidPoint:
-    """Time-t translate along the line winding through the solenoid."""
-    t = Fraction(_finite(t, "time"))
+    """Time-t translate along the line winding through the solenoid, t read exactly."""
+    t = _exact(t, "time")
     whole, r = divmod(t.numerator, t.denominator)
     return add(f, _point(r, t.denominator, whole))
 
@@ -229,25 +231,29 @@ class TorusMap:
             x = x + whole
         return self.plane._weighted(x, float(xi))[1]
 
-    def _fibers(self, xis: np.ndarray, depth: int) -> np.ndarray:
-        """Fiber series at each circle coordinate (rows) over every
-        residue at the given depth (columns).
-
-        The characters do not depend on xi, so one table of s^n chi_n
-        serves every fiber: the fibers are coupling(xi x level) @ terms.
-        The coupling of level n is on while n <= m + v, v the residue's
-        valuation: while p^(n-m) divides it (only zero, below p^depth, is
+    def _fibers(self, xis: np.ndarray, depth: int, codes: np.ndarray | None = None) -> np.ndarray:
+        """Fiber series at each circle coordinate (rows) over every residue at the given
+        depth, or over the given int64 codes below p^depth (columns), within MAX_ROWS in all:
+        `_embed_integral` passes blocks of _BLOCK points with their distinct x, reading a
+        negative x at (xi + x, 0) at m = inf, where a fiber depends on xi + x alone.  The
+        characters do not depend on xi, so one table of s^n chi_n serves every fiber: the
+        fibers are coupling(xi x level) @ terms.  The coupling of level n is on while n <= m + v,
+        v the residue's valuation: while p^(n-m) divides it (only zero, below p^depth, is
         divisible by p^depth), so always at infinite order.
         """
         params = self.params.map
         p, m = params.p, params.m
-        _guard_rows(p, depth, len(xis))
+        if codes is None:
+            _guard_rows(p, depth, len(xis))
+            codes = np.arange(p**depth, dtype=np.int64)
+        elif len(xis) * len(codes) > MAX_ROWS:
+            raise ValueError(f"{len(xis)} fibers x {len(codes)} residues exceed {MAX_ROWS} rows")
         ns = np.arange(params.depth + 1)
-        chars = character_table(residue_digit_matrix(p, depth), 0, params)
+        chars = character_table(residue_digit_matrix(p, depth, codes), 0, params)
         terms = params.s ** ns[:, None] * chars
         turns = 2j * math.pi * np.asarray(xis, dtype=np.float64)[:, None]
         shift = np.clip(ns - m, 0, depth).astype(np.int64)
-        on = np.arange(p**depth, dtype=np.int64) % p ** shift[:, None] == 0
+        on = codes % p ** shift[:, None] == 0
         top = int(min(params.depth, m))  # the levels past m share the divisor p^(m+1)
         coupling = np.exp(turns / float(p) ** np.arange(1, top + 2))[:, np.minimum(ns, top)]
         return coupling @ np.where(on, terms, 0) + np.where(on, 0, terms).sum(axis=0)
@@ -271,6 +277,21 @@ class TorusMap:
         """Full embedding of one solenoid point of the unit ball."""
         _check_ball(f.x, self.params.map.p)
         return self.to_space(float(f.xi), self.fiber_value(f.xi, f.x))
+
+    def _embed_integral(self, points: list[SolenoidPoint]) -> np.ndarray:
+        """embed of each point whose x is an integer, as rows: one `_fibers` call and one chart
+        call per block of points (see `_fibers`); a negative x is refused at finite m."""
+        out, prm = np.empty((len(points), 3)), self.params.map
+        for lo in range(0, len(points), _BLOCK):
+            xis = np.array([float(f.xi) for f in points[lo : lo + _BLOCK]])
+            xs = np.array([f.x for f in points[lo : lo + _BLOCK]], dtype=np.int64)
+            if xs.min() < 0 and prm.m != math.inf:
+                raise ValueError("a negative second coordinate needs the infinite order")
+            codes, col = np.unique(np.maximum(xs, 0), return_inverse=True)
+            depth = next(d for d in range(1, 64) if prm.p**d > int(codes[-1]))
+            fibers = self._fibers(xis + np.minimum(xs, 0), depth, codes)
+            out[lo : lo + len(xs)] = self.to_space(xis, fibers[np.arange(len(xs)), col])
+        return out
 
     def cloud(self, xi_count: int, depth: int) -> np.ndarray:
         """(xi_count * p^depth, 3) points of the fibers at xi = i/xi_count over

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -790,7 +791,10 @@ def test_certify_stdout_pinned(cmd):
 # were re-taken when those bounds became derived from MapParams, the eq40
 # and symmetry values when those suites moved to the vectorized kernel, and
 # the kappa.m6 values when the infinite-order series summed the levels past
-# its digits in closed form, which moved them at rounding level)
+# its digits in closed form, which moved them at rounding level; the ode
+# lines when the orbit steps moved to the cloud kernel, whose embeddings
+# round otherwise, which moved fd_ratio_min in its 5th or 6th digit, and
+# spot_value_gap's bound from the hand-set 1e-6 to its derived value)
 VERIFY_STDOUT = {
     "verify --p 2 --m 0 --s 0.3 --seed 7": (
         "scaling.max_residual\t9.99200722163e-16\t1.4274297073e-14\tPASS\n"
@@ -802,8 +806,8 @@ VERIFY_STDOUT = {
         "j.homomorphism_defect\t0\t0\tPASS\n"
         "j.isometry_defect\t0\t0\tPASS\n"
         "eq40.max_residual\t5.55111512313e-16\t1.42742960309e-14\tPASS\n"
-        "ode.fd_ratio_min\t99.9989842\t50\tPASS\n"
-        "ode.spot_value_gap\t8.881784197e-16\t1e-06\tPASS\n"
+        "ode.fd_ratio_min\t99.9993614605\t50\tPASS\n"
+        "ode.spot_value_gap\t8.881784197e-16\t2.37754357823e-14\tPASS\n"
         "kappa.m6\t0.00444116486226\t0.122718463031\tPASS\n"
         "kappa.char_gap_m6\t0.0490704764295\t0.0981747704247\tPASS\n"
         "symmetry.max_residual\t3.49892198407e-16\t1.42742960309e-14\tPASS\n"
@@ -818,8 +822,8 @@ VERIFY_STDOUT = {
         "j.homomorphism_defect\t0\t0\tPASS\n"
         "j.isometry_defect\t0\t0\tPASS\n"
         "eq40.max_residual\t8.67111901826e-16\t1.33226762955e-14\tPASS\n"
-        "ode.fd_ratio_min\t99.9995375938\t50\tPASS\n"
-        "ode.spot_value_gap\t4.4408920985e-16\t1e-06\tPASS\n"
+        "ode.fd_ratio_min\t99.9995786793\t50\tPASS\n"
+        "ode.spot_value_gap\t4.4408920985e-16\t1.4458800319e-14\tPASS\n"
         "kappa.m6\t0.000258680071677\t0.0107866068278\tPASS\n"
         "kappa.char_gap_m6\t0.00287165531747\t0.00861890988639\tPASS\n"
         "symmetry.max_residual\t1.18018326364e-15\t1.33226762955e-14\tPASS\n"
@@ -834,8 +838,8 @@ VERIFY_STDOUT = {
         "j.homomorphism_defect\t0\t0\tPASS\n"
         "j.isometry_defect\t0\t0\tPASS\n"
         "eq40.max_residual\t6.47365704914e-16\t1.2490009027e-14\tPASS\n"
-        "ode.fd_ratio_min\t99.9995024848\t50\tPASS\n"
-        "ode.spot_value_gap\t0\t1e-06\tPASS\n"
+        "ode.fd_ratio_min\t99.9995024051\t50\tPASS\n"
+        "ode.spot_value_gap\t0\t6.7808144997e-15\tPASS\n"
         "kappa.m1\t0.0373161730339\t2.61799387799\tPASS\n"
         "kappa.char_gap_m1\t0.174177327095\t1.0471975512\tPASS\n"
         "symmetry.max_residual\t8.2383111886e-16\t1.2490009027e-14\tPASS\n"
@@ -850,8 +854,8 @@ VERIFY_STDOUT = {
         "j.homomorphism_defect\t0\t0\tPASS\n"
         "j.isometry_defect\t0\t0\tPASS\n"
         "eq40.max_residual\t7.55033286378e-16\t1.28697767995e-14\tPASS\n"
-        "ode.fd_ratio_min\t99.9995578967\t50\tPASS\n"
-        "ode.spot_value_gap\t2.22477863103e-16\t1e-06\tPASS\n"
+        "ode.fd_ratio_min\t99.9996103003\t50\tPASS\n"
+        "ode.spot_value_gap\t2.22477863103e-16\t8.25379140038e-15\tPASS\n"
         "kappa.m6\t2.35942107903e-06\t0.00086386966599\tPASS\n"
         "kappa.char_gap_m6\t8.03990359832e-05\t0.000402123859659\tPASS\n"
         "symmetry.max_residual\t1.11576033092e-15\t1.28697767995e-14\tPASS\n"
@@ -1172,20 +1176,23 @@ def test_certify_counts_the_pair_budget_before_enumerating(monkeypatch, depth, p
 # digests and the p = 3 seed 11 digest re-taken when the infinite-order
 # series summed the levels past its digits in closed form, which moved
 # kappa.m6 and, at p = 3 seed 11, sandwich.worst_lower_margin at rounding
-# level); the report checks read only PASS/FAIL, so these catch a moved last digit
+# level; the four all-suite digests re-taken again when the ode suite's
+# orbit steps moved to the cloud kernel, which moved ode.fd_ratio_min at
+# rounding level, and its spot bound became derived); the report checks read
+# only PASS/FAIL, so these catch a moved last digit
 VERIFY_WORKLOAD_BYTES = {
     "verify --p 2 --m 0 --s 0.3": (
-        "7863af2367bcea247a56ef2dd33c82cded56f078949353c68b956fe506a0dc7c",
-        "0db2e372f4b1d98d3685fb775588c2ad03876dd7a793515ee3f3305b13b3b94a"),
+        "4a58b65f4ed86e9a26eb55a4930fb9bb9c927f4527ffdc8cb2f9613acbaf8080",
+        "13ee691bb9b762e935eb559a6f4fc53318eddf93902859e1f217258b8146d065"),
     "verify --p 3 --m inf --s 0.25": (
-        "4b548585982b1e81e17c4dfbe2e30676f76be04724e71ab73ff2910fec53d818",
-        "c798fdf4ff5d662dcee7cdafbcfbac3e3000284a67dd99f46a04c0126ae467fa"),
+        "72b83a69e2ebfaea993312046ba252ea7e36efc1231d9567033c3b288fc3139f",
+        "471cda8ee56795412a71c1ea0d78486a8c942bc9b1b868c69c3866c2f3fefe50"),
     "verify --p 6 --m 1 --s 0.2": (
-        "2a5ddca41bb38b548ebe40ad71a5869521365f11da495aea6a28135d7eef7e4f",
-        "cf6d059cd3f592415e34293eadb84d153d7f60440799a73b8cce4ce0c630799d"),
+        "56c1a3909869630e3ce3f08cfd820374973271d9b942c9c4b0a0a1937cb15c95",
+        "27e800d979751762a9eb12452cfb6fb064365191cfebedf3c35862e8862c389b"),
     "verify --p 5 --m inf --s 0.1,0.2": (
-        "fb8ab05aeb609e78a0e9c965ef5b445d9105c6168b4216609022b823dfffbf1a",
-        "55844b2e52b9b72bb16a16645e347d261b84d8747fd5db6db72f817261db2c1a"),
+        "fc048338ccc775986b9b1b5292eef418cce91f38db2a6d9a4a6a5fcb1c423735",
+        "a719ca4cf61f5de08f0d7a7e7f295b94246306cdafdd98e445bf9dfb549ee57f"),
     "verify --suite scaling --p 3 --s 0.25 --m inf --depth 24": (
         "30529b1c16db251124ab44cba5507d9ab8246d70a0f3c24d1dde971a48dbaeed",
         "2502f7604cbc0d96cd0eb9abe8a399fb8d233bd2e7eddee0d5b413c3a21c12a1"),
@@ -1240,12 +1247,57 @@ def test_ode_refuses_a_radius_whose_flow_passes_the_float_range():
     assert "got 8.98e+307" in err and not FOREIGN.search(err)
 
 
-# the ratio each radius read before the scaling: a power of two moves no bit
-@pytest.mark.parametrize("a, want", [("1e-300", "99.9993270734"), ("0.5", "99.9993295295"),
-                                     ("3", "99.9995761492"), ("1e150", "99.9996295892")])
-def test_ode_scaling_keeps_the_ratio_of_radii_that_fit(a, want):
+# the ratio each radius reads, and reads without the scaling (unit = 2^0,
+# as frexp reporting exponent 0 makes it): a power of two moves no bit.  The
+# values were pinned before the scaling, and re-taken when the orbit steps
+# moved to the cloud kernel, whose embeddings round otherwise (all but 1e150,
+# where the fiber's rounding is far below the radius's, moved in the 6th digit)
+@pytest.mark.parametrize("a, want", [("1e-300", "99.9994091435"), ("0.5", "99.9994084298"),
+                                     ("3", "99.9995770333"), ("1e150", "99.9996295892")])
+def test_ode_scaling_keeps_the_ratio_of_radii_that_fit(a, want, monkeypatch):
     code, out, _ = run_captured(["verify", "--suite", "ode", f"--a={a}"])
     assert code == 0 and out.splitlines()[0].split("\t")[1] == want
+    unscaled = types.SimpleNamespace(**{**vars(math), "frexp": lambda v: (v, 0)})
+    monkeypatch.setattr(cli, "math", unscaled)
+    assert run_captured(["verify", "--suite", "ode", f"--a={a}"]) == (0, out, "")
+
+
+def test_orbit_makes_no_scalar_fiber_call(monkeypatch, tmp_path):
+    # every sample's fiber comes from the cloud kernel, with the bytes pinned below
+    def unreached(*args, **kwargs):
+        raise AssertionError("a scalar fiber evaluation in orbit")
+
+    monkeypatch.setattr(TorusMap, "fiber_value", unreached)
+    out = tmp_path / "orbit.csv"
+    code, _, err = run_captured(["orbit", "--p", "2", "--s", "0.3", "--m", "inf", "--a", "3",
+                                 "--seed", "7", "--out", str(out)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ORBIT_CSV_SHA256
+
+
+def test_ode_suite_makes_two_scalar_fiber_calls_a_sample(monkeypatch):
+    # vector_field's embed and its s/p fiber at each of the 10 samples, and the
+    # spot value; the 40 difference steps go through the cloud kernel
+    calls, scalar = [], TorusMap.fiber_value
+
+    def counted(self, xi, x):
+        calls.append((xi, x))
+        return scalar(self, xi, x)
+
+    monkeypatch.setattr(TorusMap, "fiber_value", counted)
+    code, _, err = run_captured(["verify", "--suite", "ode", "--p", "3", "--s", "0.25"])
+    assert (code, err, len(calls)) == (0, "", 21)
+
+
+def test_spot_value_at_a_perturbed_s_fails_its_derived_bound(monkeypatch):
+    # the s/p map at s (1 + 1e-9) moves the spot value by about 6.5e-10: past
+    # the derived bound, 2.4e-14 here, though within the hand-set 1e-6 it replaced
+    scaled = TorusMap.scaled
+    monkeypatch.setattr(TorusMap, "scaled", lambda self, factor: scaled(self, factor * (1 + 1e-9)))
+    code, out, err = run_captured(["verify", "--suite", "ode", "--p", "2", "--s", "0.3"])
+    name, value, bound, mark = out.splitlines()[1].split("\t")
+    assert (code, err, name, mark) == (1, "", "ode.spot_value_gap", "FAIL")
+    assert float(bound) < 1e-13 and float(bound) < float(value) < 1e-6
 
 
 # each suite's samples: the exponents of its bounds p^k (0 for 997, -1 for

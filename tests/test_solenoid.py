@@ -11,7 +11,15 @@ import hypothesis.strategies as st
 
 import oracles
 from padic_fractal.padic import expand, norm, split
-from padic_fractal.complex_map import MapParams, PlaneMap, character_table, residue_digit_matrix
+from padic_fractal import solenoid
+from padic_fractal.complex_map import (
+    _BLOCK,
+    MapParams,
+    PlaneMap,
+    _widest_cap,
+    character_table,
+    residue_digit_matrix,
+)
 from padic_fractal.solenoid import (
     SolenoidParams,
     SolenoidPoint,
@@ -226,6 +234,18 @@ class TestOrbit:
         d = distance(o, SolenoidPoint(0, target), p, alpha=1.0)
         assert d <= p ** (-depth) + EPS
 
+    def test_float32_time_is_the_rational_it_holds(self):
+        # read as the constructor reads a coordinate, not refused by Fraction
+        o = orbit(SolenoidPoint(0, 0), np.float32(2.5))
+        assert (o.xi, o.x) == (Fraction(1, 2), 2) and type(o.x) is int
+
+    def test_int64_time_is_an_int(self):
+        # no int64 sum wraps to -2^63, and no numpy int is left in the point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            o = orbit(SolenoidPoint(0, 2**62), np.int64(2**62))
+        assert (o.xi, o.x) == (0, 2**63) and type(o.x) is int
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name,call", [
@@ -282,6 +302,87 @@ class TestOmega:
             assert vals[r] == pytest.approx(
                 tm.fiber_value(Fraction(1, 3), r), abs=1e-10
             )
+
+
+class TestSelectedFibers:
+    """`_fibers` over chosen residue codes, and `_embed_integral`, which
+    evaluates the fibers of a list of points through it block by block."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 6])
+    @pytest.mark.parametrize("m", [0, 1, 3, math.inf])
+    def test_codes_are_the_full_grid_columns(self, p, m):
+        # the same terms and couplings, summed by a product of another shape, in
+        # an order BLAS picks by shape: each sum of the depth + 1 terms, of
+        # moduli totalling at most r_s, is within rounding_bound of their exact sum
+        params = MapParams(p=p, m=m, s=0.37 * cmath.exp(0.4j))
+        tm = TorusMap(SolenoidParams(map=params, a=2.0))
+        xis, depth = np.append(np.arange(8) / 8, 0.7071), 4
+        rng = np.random.default_rng(p)
+        codes = np.concatenate([[p**depth - 1, 0], rng.integers(0, p**depth, 9), [0]])
+        full = tm._fibers(xis, depth)
+        got = tm._fibers(xis, depth, codes)
+        assert got.shape == (len(xis), len(codes))
+        assert np.abs(got - full[:, codes]).max() <= 2 * params.rounding_bound
+
+    def test_codes_are_counted_before_any_allocation(self, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("characters built before the row count")
+
+        monkeypatch.setattr(solenoid, "character_table", unreached)
+        tm = TorusMap(SolenoidParams(map=MapParams(p=2, m=math.inf, s=0.3)))
+        with pytest.raises(ValueError, match=r"^4096 fibers x 2049 residues exceed 8388608 rows$"):
+            tm._fibers(np.zeros(4096), 12, np.arange(2049, dtype=np.int64))
+
+    @pytest.mark.parametrize("p, m", [(2, math.inf), (3, 1), (5, 0), (6, 3), (3, math.inf)])
+    def test_blocked_embedding_is_the_scalar_embed(self, p, m):
+        # _BLOCK + 5 points: a second block of 5; x = -1 at m = inf, read at
+        # (xi - 1, 0).  The fibers are within rounding_bound of the exact series
+        # each, and the kernel's within the window cap of its capped windows;
+        # the chart is an isometry in z at a fixed xi, and each of its two
+        # evaluations rounds its coordinates, of modulus up to |a| + r_s, by
+        # at most 16 2^-53 of that
+        params = MapParams(p=p, m=m, s=0.3 * cmath.exp(1j))
+        a = 1.5 - 0.5j
+        tm = TorusMap(SolenoidParams(map=params, a=a))
+        rng = np.random.default_rng(p)
+        n = _BLOCK + 5
+        low = -1 if m == math.inf else 0
+        pts = [SolenoidPoint(Fraction(int(k), 997), int(x))
+               for k, x in zip(rng.integers(0, 997, n), rng.integers(low, 40, n))]
+        pts[_BLOCK - 1] = SolenoidPoint(Fraction(996, 997), p**6 + 1)
+        got = tm._embed_integral(pts)
+        assert got.shape == (n, 3)
+        bound = (2 * params.rounding_bound + _widest_cap(params)
+                 + 32 * 2.0**-53 * (abs(a) + params.contraction_radius))
+        check = [*range(_BLOCK - 10, n), *rng.integers(0, n, 200).tolist()]
+        if low:
+            check += [i for i, f in enumerate(pts[:200]) if f.x == -1]
+            assert any(pts[i].x == -1 for i in check)
+        for i in check:
+            assert np.linalg.norm(got[i] - tm.embed(pts[i])) <= bound
+
+    def test_negative_x_is_refused_at_finite_order(self):
+        # (xi, -1) and (xi - 1, 0) are one point only at m = inf: at p = 3,
+        # m = 1 the levels past m read e(-1/p^2) from x = -1 but
+        # e((xi - 1)/p^2) from the coupling, so the kernel would misread it
+        params = MapParams(p=3, m=1, s=0.3)
+        tm = TorusMap(SolenoidParams(map=params))
+        xi = Fraction(1, 3)
+        moved = tm._fibers(np.array([float(xi) - 1]), 1, np.array([0]))[0, 0]
+        assert abs(moved - tm.fiber_value(xi, -1)) > 1e-6
+        with pytest.raises(ValueError, match="negative second coordinate needs the infinite"):
+            tm._embed_integral([SolenoidPoint(0, 2), SolenoidPoint(xi, -1)])
+
+    def test_negative_x_at_infinite_order_is_read_at_xi_plus_x(self):
+        params = MapParams(p=3, m=math.inf, s=0.3)
+        tm = TorusMap(SolenoidParams(map=params))
+        xi = 1 - Fraction(1, 1000)  # the step back from (0, 0) by h = 1e-3
+        bound = 2 * params.rounding_bound + _widest_cap(params)
+        assert abs(tm._fibers(np.array([float(xi) - 1]), 1, np.array([0]))[0, 0]
+                   - tm.fiber_value(xi, -1)) <= bound
+        (got,) = tm._embed_integral([SolenoidPoint(xi, -1)])
+        assert np.linalg.norm(got - tm.embed(SolenoidPoint(xi, -1))) <= bound + 32 * 2.0**-53 * (
+            2.0 + params.contraction_radius)
 
 
 class TestChart:
